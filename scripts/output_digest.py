@@ -1,0 +1,228 @@
+"""Write every deterministic output on seeded inputs, bit for bit, one line each.
+
+A change that must not move any output runs this once against each checkout
+and diffs the two files.  Inputs come from the generators in
+``tests/helpers.py`` (random ``/240`` sets, fat-Cantor sets of every case,
+periodic sets, float-endpoint sets) and from the ``cli`` workload of
+``perfbench/``; traceform itself is whatever ``PYTHONPATH`` selects, so one
+copy of this script drives both checkouts.  Each line is JSON: floats are
+written in hex, arrays as dtype, shape and raw bytes, and a raised error as
+its type and message.  CLI artifacts are written under one fixed temporary
+directory, because the manifests hash their output paths, and are reported
+as sha256 digests.
+
+Usage:
+    PYTHONPATH=src python3 scripts/output_digest.py --out new.txt
+    PYTHONPATH=../parent/src python3 scripts/output_digest.py --out parent.txt
+    diff parent.txt new.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "perfbench"), str(ROOT / "perfbench" / "workloads")]
+
+import numpy as np  # noqa: E402
+
+import helpers as H  # noqa: E402
+import traceform as tf  # noqa: E402
+from traceform.cli import main as cli_main  # noqa: E402
+from traceform.simulate import occupation_fractions, walk_occupation, walk_paths  # noqa: E402
+from traceform.trace import trace_jump_energy, trace_local_energy  # noqa: E402
+
+SEEDS = 60
+
+
+def canon(obj):
+    if isinstance(obj, np.ndarray):
+        return ["arr", str(obj.dtype), list(obj.shape), obj.tobytes().hex()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return ["f", float(obj).hex()]
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, Fraction):
+        return ["F", str(obj)]
+    if isinstance(obj, dict):
+        return {str(k): canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canon(v) for v in obj]
+    if obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, tf.GridFunction):
+        return canon([obj.grid, obj.values])
+    if isinstance(obj, tf.TraceFunction):
+        return canon([obj.nodes, obj.values])
+    if isinstance(obj, tf.DarningMap):
+        return canon(obj.image())
+    if hasattr(obj, "to_dict"):
+        return canon(obj.to_dict())
+    return repr(obj)
+
+
+class Digest:
+    def __init__(self):
+        self.lines = []
+
+    def record(self, tag, fn):
+        """Record fn()'s output, or the error it raises; return the output or None."""
+        try:
+            val = fn()
+        except Exception as exc:
+            self.lines.append(json.dumps([tag, ["error", type(exc).__name__, str(exc)]]))
+            return None
+        self.lines.append(json.dumps([tag, canon(val)]))
+        return val
+
+
+def fixed_sets():
+    tails = [t for case in ("I", "II", "III") for t in H.TAILS_BY_CASE[case]]
+    out = [tf.svc_complement(d, tails=t) for d in (1, 3, 6) for t in tails]
+    out += [tf.periodic_fat_cantor(d, 2) for d in (1, 2, 3)]
+    out += [tf.build_interval_set([(Fraction(1, 3), Fraction(2, 3))], (0, 1)),
+            tf.build_interval_set([(0.1, 0.2), (0.30000000000000004, 0.7)], (0, 1))]
+    return out
+
+
+def digest_set(dg, t, iset, rng):
+    rec = dg.record
+    sf = tf.ScaleFunction(iset)
+    u = H.random_gridfn(rng, iset)
+    v = H.random_gridfn(rng, iset)
+    rec(t + " cell_in_g", lambda: tf.gridfn.cell_in_g(u, iset))
+    rec(t + " vanishes_on_f u", lambda: tf.vanishes_on_f(u, iset))
+    rec(t + " is_in_subspace u", lambda: tf.is_in_subspace(u, iset))
+    rec(t + " full", lambda: tf.dirichlet_energy(u, v))
+    rec(t + " full self", lambda: tf.dirichlet_energy(u))
+    s1 = H.random_subspace_member(rng, iset)
+    s2 = H.random_subspace_member(rng, iset)
+    rec(t + " subspace", lambda: tf.subspace_energy(s1, s2, iset=iset))
+    rec(t + " subspace rejects", lambda: tf.subspace_energy(u, iset=iset))
+    z1 = H.random_vanishing(rng, iset)
+    z2 = H.random_vanishing(rng, iset)
+    rec(t + " vanishes_on_f z", lambda: tf.vanishes_on_f(z1, iset))
+    rec(t + " part", lambda: tf.part_energy(z1, z2, iset=iset))
+    rec(t + " part rejects", lambda: tf.part_energy(u, iset=iset))
+    rec(t + " energy_measure", lambda: tf.energy_measure(u, (0.1, 0.8), iset=iset, subspace=True))
+    rec(t + " project u", lambda: tf.project_subspace(u, sf))
+    rec(t + " project s", lambda: tf.project_subspace(s1, sf))
+    c = H.random_complement_member(rng, sf)
+    cf = H.random_complement_member(rng, sf, flat=True)
+    rec(t + " is_in_complement", lambda: tf.is_in_complement(c, sf))
+    for name, w in (("c", c), ("s", s1), ("u", u)):
+        rec(f"{t} harmonic {name}", lambda: tf.decompose_harmonic(w, sf))
+    phi = rec(t + " restrict u", lambda: tf.restrict_to_f(u, iset))
+    if phi is not None:
+        rec(t + " trace u", lambda: tf.trace_energy(phi))
+        rec(t + " local u", lambda: trace_local_energy(phi))
+        rec(t + " jump u", lambda: trace_jump_energy(phi))
+        rec(t + " trace_subspace rejects", lambda: tf.trace_subspace_energy(phi))
+        rec(t + " trace_complement rejects", lambda: tf.trace_complement_energy(phi))
+    ps = rec(t + " restrict s", lambda: tf.restrict_to_f(s1, iset))
+    if ps is not None:
+        rec(t + " trace_subspace", lambda: tf.trace_subspace_energy(ps))
+        rec(t + " jump s", lambda: trace_jump_energy(ps))
+    pc = rec(t + " restrict cf", lambda: tf.restrict_to_f(cf, iset))
+    pc2 = rec(t + " restrict cf2", lambda: tf.restrict_to_f(
+        H.random_complement_member(rng, sf, flat=True), iset))
+    if pc is not None and pc2 is not None:
+        rec(t + " trace_complement", lambda: tf.trace_complement_energy(pc, pc2))
+        rec(t + " trace_complement self", lambda: tf.trace_complement_energy(pc))
+        rec(t + " local cf", lambda: trace_local_energy(pc))
+    rtf = rec(t + " random trace", lambda: H.random_trace_fn(rng, iset))
+    if rtf is not None:
+        rec(t + " trace random", lambda: tf.trace_energy(rtf))
+        rec(t + " local random", lambda: trace_local_energy(rtf))
+        rec(t + " jump random", lambda: trace_jump_energy(rtf))
+    dm = rec(t + " darning map", lambda: tf.DarningMap(iset))
+    if dm is None:
+        return
+    uh = rec(t + " darn cf", lambda: tf.darn_function(cf, dm))
+    rec(t + " darn u", lambda: tf.darn_function(u, dm))
+    if pc is not None:
+        rec(t + " darn_trace cf", lambda: tf.darn_trace(pc, dm))
+    if phi is not None:
+        rec(t + " darn_trace u", lambda: tf.darn_trace(phi, dm))
+    if uh is not None:
+        rec(t + " undarn", lambda: tf.undarn_function(uh, dm))
+        rec(t + " darned energy", lambda: tf.darned_energy(uh))
+    rec(t + " equivalence", lambda: tf.equivalence_report(
+        [cf, H.random_complement_member(rng, sf, flat=True)], dm))
+
+
+def digest_walks(dg):
+    speed = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1), z=0), "lebesgue")
+    targets = [0.375, (0.0, 0.2)]
+    for seed in (1, 5, 9):
+        dg.record(f"walk_occupation {seed}", lambda: walk_occupation(
+            speed, 3 / 128, 0.1, 100.0, seed=seed, targets=targets, burn_in=10.0))
+        path = walk_paths(speed, 3 / 128, 0.1, 100.0, seed=seed)
+        dg.record(f"occupation_fractions {seed}", lambda: occupation_fractions(
+            path, targets=targets, burn_in=10.0))
+
+
+def digest_cli(dg):
+    import cli as workload
+
+    from spans import Tracer
+
+    work = Path(tempfile.gettempdir()) / "traceform-output-digest"
+    for seed in (1, 2, 3):
+        shutil.rmtree(work, ignore_errors=True)
+        st = workload.setup(seed, work, Tracer(False))
+        u_csv, v_csv = str(work / "inputs" / "u.csv"), str(work / "inputs" / "v.csv")
+        extra = [
+            ["energy", "subspace", "--svc-depth", "5", "--u", u_csv],
+            ["energy", "part", "--svc-depth", "5", "--u", u_csv],
+            ["energy", "measure", "--svc-depth", "5", "--u", u_csv, "--interval", "0.1,0.9",
+             "--subspace"],
+            ["decompose", "--svc-depth", "5", "--u", u_csv, "--harmonic"],
+            ["trace", "subspace", "--svc-depth", "5", "--phi", u_csv],
+            ["trace", "energy", "--svc-depth", "5", "--phi", v_csv],
+        ]
+        runs = [argv for _, argv in st.commands]
+        runs += [argv + ["--out", str(st.out / f"extra{k}")] for k, argv in enumerate(extra)]
+        for argv in runs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+                rc = cli_main(argv)
+            dg.lines.append(json.dumps([f"cli {seed} {' '.join(argv[:2])}", rc, buf.getvalue()]))
+        for p in sorted(st.out.rglob("*")):
+            if p.is_file():
+                dg.lines.append(json.dumps([f"cli {seed} file", str(p.relative_to(work)),
+                                            hashlib.sha256(p.read_bytes()).hexdigest()]))
+    shutil.rmtree(work, ignore_errors=True)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    dg = Digest()
+    fixed = fixed_sets()
+    for seed in range(SEEDS):
+        rng = np.random.default_rng(seed)
+        isets = [H.random_iset(rng, case) for case in (None, "I", "II", "III")]
+        if seed < len(fixed):
+            isets.append(fixed[seed])
+        for k, iset in enumerate(isets):
+            digest_set(dg, f"{seed}.{k}", iset, rng)
+    digest_walks(dg)
+    digest_cli(dg)
+    args.out.write_text("\n".join(dg.lines) + "\n")
+    print(f"{len(dg.lines)} outputs -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

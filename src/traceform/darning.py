@@ -17,9 +17,9 @@ import numpy as np
 
 from .energy import EnergyReport, dirichlet_energy
 from .errors import PreconditionError
-from .gridfn import SUBSPACE_TOL, GridFunction, component_values, darn_function
+from .gridfn import SUBSPACE_TOL, GridFunction, _collapse_nodes, darn_function
 from .intervals import Tail
-from .trace import TraceFunction, restrict_to_f
+from .trace import TraceFunction, gap_jumps, restrict_to_f
 from .transforms import DarningMap, SpeedMeasure, pushforward_speed
 
 
@@ -125,21 +125,15 @@ class DarnedSpaceReport:
 def darn_trace(phi: TraceFunction, dm: DarningMap, tol: float = SUBSPACE_TOL) -> GridFunction:
     """Trace-side transport: map the F-nodes of phi through the darning map,
     collapsing gap endpoint pairs (their values must agree within tol)."""
-    ext = phi.extension
-    for i, (a, b) in enumerate(phi.iset.components):
-        if abs(ext(float(a)) - ext(float(b))) > tol:
-            raise PreconditionError(
-                f"trace values differ across gap {i} = ({a}, {b}); the trace "
-                "does not factor through the darning map"
-            )
-    grid, vals = [], []
-    for x, v in zip(phi.nodes, phi.values):
-        y = float(dm(float(x)))
-        if grid and y <= grid[-1]:
-            continue
-        grid.append(y)
-        vals.append(float(v))
-    return GridFunction(np.asarray(grid), np.asarray(vals))
+    bad = np.flatnonzero(np.abs(gap_jumps(phi)) > tol)
+    if bad.size:
+        i = int(bad[0])
+        a, b = phi.iset.components[i]
+        raise PreconditionError(
+            f"trace values differ across gap {i} = ({a}, {b}); the trace "
+            "does not factor through the darning map"
+        )
+    return _collapse_nodes(phi.nodes, phi.values, dm)
 
 
 def equivalence_report(samples: list[GridFunction], dm: DarningMap,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import dirichlet_energy
 from .errors import PreconditionError
-from .gridfn import SUBSPACE_TOL, GridFunction, cell_in_g, require_adapted
+from .gridfn import SUBSPACE_TOL, GridFunction, _component_spread, cell_in_g, require_adapted
 from .transforms import Case, ScaleFunction, classify_case
 
 ORTHOGONALITY_TOL = 1e-12
@@ -132,22 +132,21 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction,
     """
     iset = sf.base
     require_adapted(u, iset)
-    in_g = cell_in_g(u, iset)
-    for i, (a, b) in enumerate(iset.components):
-        mask = in_g & (u.grid[:-1] >= float(a)) & (u.grid[1:] <= float(b))
-        comp_slopes = u.slopes[mask]
-        if comp_slopes.size and float(np.ptp(comp_slopes)) > tol:
-            raise PreconditionError(
-                f"function is not linear on component {i} = ({a}, {b}): "
-                "it is not harmonic off F"
-            )
+    comp = iset.classify(u.midpoints)
+    m = len(iset.components)
+    bad = np.flatnonzero(_component_spread(comp, m, u.slopes) > tol)
+    if bad.size:
+        i = int(bad[0])
+        a, b = iset.components[i]
+        raise PreconditionError(
+            f"function is not linear on component {i} = ({a}, {b}): "
+            "it is not harmonic off F"
+        )
     dec = project_subspace(u, sf)
     for part in (dec.u1, dec.u2):
-        for i, (a, b) in enumerate(iset.components):
-            mask = in_g & (u.grid[:-1] >= float(a)) & (u.grid[1:] <= float(b))
-            sl = part.slopes[mask]
-            if sl.size and float(np.ptp(sl)) > max(tol, 1e-10):
-                raise PreconditionError(
-                    f"projection lost linearity on component {i}; inputs inconsistent"
-                )
+        bad = np.flatnonzero(_component_spread(comp, m, part.slopes) > max(tol, 1e-10))
+        if bad.size:
+            raise PreconditionError(
+                f"projection lost linearity on component {int(bad[0])}; inputs inconsistent"
+            )
     return dec

@@ -22,17 +22,6 @@ from .gridfn import (
 )
 from .intervals import IntervalSet
 
-FORM_TAGS = (
-    "full",
-    "subspace",
-    "part",
-    "trace",
-    "trace_subspace",
-    "trace_complement",
-    "darned",
-)
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Energy value with its per-cell breakdown; value == sum(contributions)."""
@@ -56,6 +45,16 @@ def _report(form: str, cells: np.ndarray, contribs: np.ndarray) -> EnergyReport:
     return EnergyReport(form=form, value=float(contribs.sum()), breakdown=breakdown)
 
 
+def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
+               mask: np.ndarray | None = None) -> EnergyReport:
+    """Cell sum (1/2) sum u' v' L of two functions on one grid, keeping only
+    the cells selected by ``mask`` when one is given."""
+    contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
+    if mask is not None:
+        contribs = np.where(mask, contribs, 0.0)
+    return _report(form, np.column_stack([ru.grid[:-1], ru.grid[1:]]), contribs)
+
+
 def common_grid(u: GridFunction, v: GridFunction) -> tuple[GridFunction, GridFunction]:
     if u.span != v.span:
         raise PreconditionError(
@@ -70,9 +69,7 @@ def dirichlet_energy(u: GridFunction, v: GridFunction | None = None,
     """(1/2) integral of u'v' over the common span."""
     v = u if v is None else v
     ru, rv = common_grid(u, v)
-    contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
-    cells = np.column_stack([ru.grid[:-1], ru.grid[1:]])
-    return _report(form, cells, contribs)
+    return _cell_form(form, ru, rv)
 
 
 def subspace_energy(u: GridFunction, v: GridFunction | None = None, *,
@@ -86,10 +83,7 @@ def subspace_energy(u: GridFunction, v: GridFunction | None = None, *,
                 "not vanish on F within tolerance"
             )
     ru, rv = common_grid(u, v)
-    in_g = cell_in_g(ru, iset)
-    contribs = np.where(in_g, 0.5 * ru.slopes * rv.slopes * ru.cell_lengths, 0.0)
-    cells = np.column_stack([ru.grid[:-1], ru.grid[1:]])
-    return _report("subspace", cells, contribs)
+    return _cell_form("subspace", ru, rv, cell_in_g(ru, iset))
 
 
 def part_energy(u: GridFunction, v: GridFunction | None = None, *,
@@ -106,11 +100,8 @@ def part_energy(u: GridFunction, v: GridFunction | None = None, *,
                 f"{name} argument does not vanish on F within tolerance"
             )
     ru, rv = common_grid(u, v)
-    in_g = cell_in_g(ru, iset)
-    contribs = np.where(in_g, 0.5 * ru.slopes * rv.slopes * ru.cell_lengths, 0.0)
-    cells = np.column_stack([ru.grid[:-1], ru.grid[1:]])
-    report = _report("part", cells, contribs)
-    full = float((0.5 * ru.slopes * rv.slopes * ru.cell_lengths).sum())
+    report = _cell_form("part", ru, rv, cell_in_g(ru, iset))
+    full = _cell_form("full", ru, rv).value
     if abs(full - report.value) > 1e-9 * max(1.0, abs(full)):
         raise PreconditionError(
             "part energy disagrees with the full energy for F-vanishing inputs; "

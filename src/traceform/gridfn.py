@@ -62,6 +62,10 @@ class GridFunction:
     def cell_lengths(self) -> np.ndarray:
         return np.diff(self.grid)
 
+    @cached_property
+    def midpoints(self) -> np.ndarray:
+        return (self.grid[:-1] + self.grid[1:]) / 2
+
     def __call__(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
         lo, hi = self.span
@@ -160,8 +164,7 @@ def cell_in_g(u: GridFunction, iset: IntervalSet) -> np.ndarray:
     G-component or one F-component and the midpoint decides which.
     """
     require_adapted(u, iset)
-    mids = (u.grid[:-1] + u.grid[1:]) / 2
-    return np.array([iset.component_index(m) is not None for m in mids])
+    return iset.classify(u.midpoints) >= 0
 
 
 def is_in_subspace(u: GridFunction, iset: IntervalSet, tol: float = SUBSPACE_TOL) -> bool:
@@ -174,18 +177,28 @@ def is_in_subspace(u: GridFunction, iset: IntervalSet, tol: float = SUBSPACE_TOL
 def vanishes_on_f(u: GridFunction, iset: IntervalSet, tol: float = SUBSPACE_TOL) -> bool:
     """Whether u is zero (within tol) at every node lying in F."""
     require_adapted(u, iset)
-    on_f = np.array([iset.component_index(x) is None for x in u.grid])
+    on_f = iset.classify(u.grid, nodes=True) < 0
     return bool(np.all(np.abs(u.values[on_f]) <= tol))
 
 
-def component_values(u: GridFunction, iset: IntervalSet) -> list[np.ndarray]:
-    """Node values of u inside each closed component, in component order."""
-    require_adapted(u, iset)
-    out = []
-    for a, b in iset.components:
-        mask = (u.grid >= float(a)) & (u.grid <= float(b))
-        out.append(u.values[mask])
-    return out
+def _component_spread(comp: np.ndarray, n_components: int, *columns: np.ndarray) -> np.ndarray:
+    """Per component, max minus min of the per-cell columns over the cells
+    that ``comp`` assigns to it; -inf for a component without cells."""
+    g = comp >= 0
+    hi = np.full(n_components, -np.inf)
+    lo = np.full(n_components, np.inf)
+    for col in columns:
+        np.maximum.at(hi, comp[g], col[g])
+        np.minimum.at(lo, comp[g], col[g])
+    return hi - lo
+
+
+def _collapse_nodes(nodes: np.ndarray, values: np.ndarray, dm: DarningMap) -> GridFunction:
+    """Map nodes through the darning map, keeping a node only where its image
+    exceeds every earlier one: a collapsed component closure keeps its first."""
+    ys = np.array([float(dm(float(x))) for x in nodes])
+    keep = np.concatenate([[True], ys[1:] > np.maximum.accumulate(ys)[:-1]])
+    return GridFunction(ys[keep], values[keep])
 
 
 def darn_function(u: GridFunction, dm: DarningMap, tol: float = SUBSPACE_TOL) -> GridFunction:
@@ -194,22 +207,18 @@ def darn_function(u: GridFunction, dm: DarningMap, tol: float = SUBSPACE_TOL) ->
     each closed component."""
     iset = dm.base
     require_adapted(u, iset)
-    for i, vals in enumerate(component_values(u, iset)):
-        if vals.size and float(vals.max() - vals.min()) > tol:
-            a, b = iset.components[i]
-            raise PreconditionError(
-                f"function is not constant on component {i} = ({a}, {b}); "
-                f"value spread {float(vals.max() - vals.min()):.3e} exceeds tol {tol}"
-            )
-    new_grid = []
-    new_vals = []
-    for x, v in zip(u.grid, u.values):
-        y = float(dm(float(x)))
-        if new_grid and y <= new_grid[-1]:
-            continue  # collapsed duplicate inside a component closure
-        new_grid.append(y)
-        new_vals.append(float(v))
-    return GridFunction(np.asarray(new_grid), np.asarray(new_vals))
+    # on an adapted grid the nodes of a closed component are the ends of its cells
+    spread = _component_spread(iset.classify(u.midpoints), len(iset.components),
+                              u.values[:-1], u.values[1:])
+    bad = np.flatnonzero(spread > tol)
+    if bad.size:
+        i = int(bad[0])
+        a, b = iset.components[i]
+        raise PreconditionError(
+            f"function is not constant on component {i} = ({a}, {b}); "
+            f"value spread {float(spread[i]):.3e} exceeds tol {tol}"
+        )
+    return _collapse_nodes(u.grid, u.values, dm)
 
 
 def undarn_function(uh: GridFunction, dm: DarningMap, match_tol: float = 1e-12) -> GridFunction:

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .errors import PreconditionError, ValidationError
 
 Real = Union[int, float, Fraction]
@@ -209,8 +211,42 @@ class IntervalSet:
     def _lefts(self) -> list:
         return [a for a, _ in self.components]
 
+    @cached_property
+    def float_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """float64 left and right ends of the components, in order."""
+        return (np.array([float(a) for a, _ in self.components]),
+                np.array([float(b) for _, b in self.components]))
+
+    @cached_property
+    def gap_widths(self) -> np.ndarray:
+        """float64 width of each component, rounded once from the exact b - a."""
+        return np.array([float(w) for w in self.widths])
+
+    def classify(self, points, nodes: bool = False) -> np.ndarray:
+        """Component index of each point, or -1 for points of F.
+
+        Only components inside the window count, as in ``component_index``.
+        Cell midpoints (the default) lie in (a, b) when a < m < b.  Nodes
+        follow the endpoint rule: ends arrive as rounded floats, so a node
+        within 1e-12 max(1, |a|, |b|) of an end is that end and lies in F.
+        """
+        xs = np.asarray(points, dtype=float)
+        lefts, rights = self.float_ends
+        if not lefts.size:
+            return np.full(xs.shape, -1, dtype=np.intp)
+        i = np.searchsorted(lefts, xs, side="right") - 1
+        a, b = lefts[np.maximum(i, 0)], rights[np.maximum(i, 0)]
+        if nodes:
+            slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            inside = np.minimum(xs - a, b - xs) > slack
+        else:
+            inside = (a < xs) & (xs < b)
+        return np.where(inside, i, -1)
+
     def component_index(self, x: Real) -> int | None:
-        """Index of the component whose open interval contains x, else None."""
+        """Index of the component whose open interval contains x, else None.
+
+        Exact for ``Fraction`` ends: this is the oracle for ``classify``."""
         i = bisect_right(self._lefts, x) - 1
         if i >= 0:
             a, b = self.components[i]

@@ -25,7 +25,7 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -529,40 +529,54 @@ def _membership(states: np.ndarray, tg: Target, point_tol: float) -> np.ndarray:
     return (states >= lo) & (states <= hi)
 
 
+def _check_batches(burn_in: float, horizon: float, batches: int) -> None:
+    if batches < 2:
+        raise PreconditionError("batch means need at least two batches")
+    if burn_in < 0 or burn_in >= horizon:
+        raise PreconditionError("burn-in must lie in [0, horizon)")
+
+
+def _batch_occupation(blocks, targets: Sequence[Target], burn_in: float, horizon: float,
+                      batches: int) -> list[EstimatorResult]:
+    """Batch-means occupation fractions from (arrivals, dwells, member) blocks,
+    member[j] marking the visits that lie in target j.  Batches are equal time
+    slices of (burn_in, horizon]; each dwell counts toward the batch
+    containing its start."""
+    batch_len = (horizon - burn_in) / batches
+    occ = np.zeros((len(targets), batches))
+    totals = np.zeros(batches)
+    for arr, dwell, member in blocks:
+        eff_start = np.maximum(arr, burn_in)
+        eff_dwell = np.minimum(arr + dwell, horizon) - eff_start
+        keep = eff_dwell > 0
+        if not np.any(keep):
+            continue
+        dwell_k = eff_dwell[keep]
+        bidx = np.clip(((eff_start[keep] - burn_in) / batch_len).astype(int), 0, batches - 1)
+        totals += np.bincount(bidx, weights=dwell_k, minlength=batches)
+        for j, row in enumerate(member):
+            sel = row[keep]
+            if np.any(sel):
+                occ[j] += np.bincount(bidx[sel], weights=dwell_k[sel], minlength=batches)
+    if np.any(totals <= 0):
+        raise PreconditionError("a batch received no occupation time; use fewer batches")
+    warning = None
+    if horizon < 10 * burn_in:
+        warning = "horizon shorter than 10x burn-in; estimates may be biased"
+    return [replace(_result_from_samples(occ[j] / totals, f"occupation of {_target_label(tg)}"),
+                    warning=warning) for j, tg in enumerate(targets)]
+
+
 def occupation_fractions(path: PathSample, targets: Sequence[Target],
                          burn_in: float = 0.0, batches: int = 20,
                          point_tol: float = 1e-9) -> list[EstimatorResult]:
     """Time-weighted occupation fraction of each target with batch-means
     standard errors over equal time slices of (burn_in, horizon]."""
-    if batches < 2:
-        raise PreconditionError("batch means need at least two batches")
-    if burn_in < 0 or burn_in >= path.horizon:
-        raise PreconditionError("burn-in must lie in [0, horizon)")
-    warning = None
-    if path.horizon < 10 * burn_in:
-        warning = "horizon shorter than 10x burn-in; estimates may be biased"
-    arr = path.times[:-1]
-    dwell = np.diff(path.times)
+    _check_batches(burn_in, path.horizon, batches)
     states = path.states[:-1]
-    eff_start = np.maximum(arr, burn_in)
-    eff_dwell = np.minimum(arr + dwell, path.horizon) - eff_start
-    keep = eff_dwell > 0
-    eff_start, eff_dwell, states = eff_start[keep], eff_dwell[keep], states[keep]
-    batch_len = (path.horizon - burn_in) / batches
-    bidx = np.clip(((eff_start - burn_in) / batch_len).astype(int), 0, batches - 1)
-    totals = np.bincount(bidx, weights=eff_dwell, minlength=batches)
-    if np.any(totals <= 0):
-        raise PreconditionError("a batch received no occupation time; use fewer batches")
-    results = []
-    for tg in targets:
-        member = _membership(states, tg, point_tol)
-        occ = np.bincount(bidx[member], weights=eff_dwell[member], minlength=batches)
-        fractions = occ / totals
-        res = _result_from_samples(fractions, f"occupation of {_target_label(tg)}")
-        if warning:
-            res = EstimatorResult(res.estimate, res.stderr, res.n, res.target, warning)
-        results.append(res)
-    return results
+    member = [_membership(states, tg, point_tol) for tg in targets]
+    block = (path.times[:-1], np.diff(path.times), member)
+    return _batch_occupation([block], targets, burn_in, path.horizon, batches)
 
 
 def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
@@ -574,41 +588,11 @@ def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
     occupation time is accumulated per batch without recording the trajectory,
     so arbitrarily long horizons stay in constant memory.  Dwells are assigned
     to the batch containing their start."""
-    if batches < 2:
-        raise PreconditionError("batch means need at least two batches")
-    if burn_in < 0 or burn_in >= horizon:
-        raise PreconditionError("burn-in must lie in [0, horizon)")
+    _check_batches(burn_in, horizon, batches)
     chain = build_chain(speed, h, boundary)
     k0 = _snap_start(chain, x0)
     rng = np.random.default_rng(seed)
-    member = np.stack([_membership(chain.nodes, tg, point_tol) for tg in targets])
-    batch_len = (horizon - burn_in) / batches
-    occ = np.zeros((len(targets), batches))
-    totals = np.zeros(batches)
-    for pos, arr, dwell in _visit_blocks(chain, k0, horizon, rng, holding):
-        eff_start = np.maximum(arr, burn_in)
-        eff_dwell = np.minimum(arr + dwell, horizon) - eff_start
-        keep = eff_dwell > 0
-        if not np.any(keep):
-            continue
-        pos_k = pos[keep]
-        start_k = eff_start[keep]
-        dwell_k = eff_dwell[keep]
-        bidx = np.clip(((start_k - burn_in) / batch_len).astype(int), 0, batches - 1)
-        totals += np.bincount(bidx, weights=dwell_k, minlength=batches)
-        for j in range(len(targets)):
-            sel = member[j][pos_k]
-            if np.any(sel):
-                occ[j] += np.bincount(bidx[sel], weights=dwell_k[sel], minlength=batches)
-    if np.any(totals <= 0):
-        raise PreconditionError("a batch received no occupation time; use fewer batches")
-    warning = None
-    if horizon < 10 * burn_in:
-        warning = "horizon shorter than 10x burn-in; estimates may be biased"
-    results = []
-    for j, tg in enumerate(targets):
-        res = _result_from_samples(occ[j] / totals, f"occupation of {_target_label(tg)}")
-        if warning:
-            res = EstimatorResult(res.estimate, res.stderr, res.n, res.target, warning)
-        results.append(res)
-    return results
+    member = [_membership(chain.nodes, tg, point_tol) for tg in targets]
+    blocks = ((arr, dwell, [row[pos] for row in member])
+              for pos, arr, dwell in _visit_blocks(chain, k0, horizon, rng, holding))
+    return _batch_occupation(blocks, targets, burn_in, horizon, batches)

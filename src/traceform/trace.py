@@ -23,11 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy import EnergyReport, _report
+from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
 from .gridfn import SUBSPACE_TOL, GridFunction
 from .intervals import IntervalSet, Real, Tail, _encode
-from .transforms import DarningMap, SpeedMeasure, pushforward_speed
+from .transforms import SpeedMeasure
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,9 @@ class TraceFunction:
         missing = sorted(required - have)
         if missing:
             raise ValidationError(f"trace nodes must include {missing}")
-        for x in nodes:
-            if _gap_interior(self.iset, float(x)) is not None:
-                raise ValidationError(f"trace node {x} lies inside a gap, not in F")
+        inside = np.flatnonzero(self.iset.classify(nodes, nodes=True) >= 0)
+        if inside.size:
+            raise ValidationError(f"trace node {nodes[inside[0]]} lies inside a gap, not in F")
 
     @cached_property
     def extension(self) -> GridFunction:
@@ -70,31 +70,22 @@ class TraceFunction:
 
     @cached_property
     def _cell_in_f(self) -> np.ndarray:
-        mids = (self.nodes[:-1] + self.nodes[1:]) / 2
-        return np.array([self.iset.component_index(m) is None for m in mids])
+        return self.iset.classify(self.extension.midpoints) < 0
 
 
 def harmonic_extension(phi: TraceFunction) -> GridFunction:
     return phi.extension
 
 
-def _gap_interior(iset: IntervalSet, x: float) -> int | None:
-    """Component index when x sits strictly inside a gap beyond float slack.
-
-    Endpoints arrive as rounded floats; a point one ulp inside the gap is
-    the endpoint itself, not interior data.
-    """
-    i = iset.component_index(x)
-    if i is None:
-        return None
-    a, b = (float(e) for e in iset.components[i])
-    slack = 1e-12 * max(1.0, abs(a), abs(b))
-    return i if min(x - a, b - x) > slack else None
+def gap_jumps(phi: TraceFunction) -> np.ndarray:
+    """phi(a) - phi(b) across every finite gap (a, b), in component order."""
+    lefts, rights = phi.iset.float_ends
+    return phi.extension(lefts) - phi.extension(rights)
 
 
 def restrict_to_f(u: GridFunction, iset: IntervalSet) -> TraceFunction:
     """Trace of a grid function: keep only the nodes lying in F."""
-    keep = [k for k in range(u.grid.size) if _gap_interior(iset, float(u.grid[k])) is None]
+    keep = iset.classify(u.grid, nodes=True) < 0
     return TraceFunction(iset, u.grid[keep], u.values[keep])
 
 
@@ -162,25 +153,25 @@ def trace_energy(phi: TraceFunction) -> EnergyReport:
     extension, since each gap cell of the extension contributes exactly its
     jump term.
     """
-    ext = phi.extension
-    contribs = 0.5 * ext.slopes * ext.slopes * ext.cell_lengths
-    cells = np.column_stack([ext.grid[:-1], ext.grid[1:]])
-    return _report("trace", cells, contribs)
+    return _cell_form("trace", phi.extension, phi.extension)
 
 
 def trace_local_energy(phi: TraceFunction) -> float:
-    ext = phi.extension
-    local = 0.5 * ext.slopes**2 * ext.cell_lengths
-    return float(local[phi._cell_in_f].sum())
+    return _cell_form("trace", phi.extension, phi.extension, phi._cell_in_f).value
+
+
+def _jump_form(phi: TraceFunction) -> EnergyReport:
+    """Jump sum (1/2) sum (phi(a) - phi(b))^2 / (b - a), one row per finite gap."""
+    # squares use Python's float power (libm pow), not numpy's x * x: the two
+    # differ in the last bit for about one value in a thousand, and saved
+    # jump breakdowns must reproduce bit for bit
+    squares = np.array([j ** 2 for j in gap_jumps(phi).tolist()])
+    return _report("trace_subspace", np.column_stack(phi.iset.float_ends),
+                   0.5 * squares / phi.iset.gap_widths)
 
 
 def trace_jump_energy(phi: TraceFunction) -> float:
-    total = 0.0
-    ext = phi.extension
-    for a, b in phi.iset.components:
-        va, vb = ext(float(a)), ext(float(b))
-        total += 0.5 * (va - vb) ** 2 / float(b - a)
-    return total
+    return _jump_form(phi).value
 
 
 def trace_subspace_energy(phi: TraceFunction, tol: float = SUBSPACE_TOL) -> EnergyReport:
@@ -189,20 +180,13 @@ def trace_subspace_energy(phi: TraceFunction, tol: float = SUBSPACE_TOL) -> Ener
     Requires phi' = 0 on the interior of F, which characterizes restrictions
     of subspace members; a nonzero local slope raises.
     """
-    ext = phi.extension
-    f_slopes = ext.slopes[phi._cell_in_f]
+    f_slopes = phi.extension.slopes[phi._cell_in_f]
     if f_slopes.size and float(np.max(np.abs(f_slopes))) > tol:
         raise PreconditionError(
             "trace is not flat on F within tolerance: not the restriction of "
             "a subspace member"
         )
-    rows = []
-    contribs = []
-    for a, b in phi.iset.components:
-        va, vb = ext(float(a)), ext(float(b))
-        rows.append((float(a), float(b)))
-        contribs.append(0.5 * (va - vb) ** 2 / float(b - a))
-    return _report("trace_subspace", np.array(rows).reshape(-1, 2), np.asarray(contribs))
+    return _jump_form(phi)
 
 
 def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None,
@@ -216,22 +200,16 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
     if psi.iset is not phi.iset and psi.iset != phi.iset:
         raise PreconditionError("trace functions live on different sets")
     for name, t in (("first", phi), ("second", psi)):
-        ext = t.extension
-        for i, (a, b) in enumerate(t.iset.components):
-            if abs(ext(float(a)) - ext(float(b))) > tol:
-                raise PreconditionError(
-                    f"{name} argument jumps across gap {i} = ({a}, {b}): not the "
-                    "restriction of a complement member"
-                )
-    e1, e2 = phi.extension, psi.extension
-    grid = np.union1d(e1.grid, e2.grid)
-    r1 = e1.refine(grid)
-    r2 = e2.refine(grid)
-    mids = (grid[:-1] + grid[1:]) / 2
-    in_f = np.array([phi.iset.component_index(m) is None for m in mids])
-    contribs = np.where(in_f, 0.5 * r1.slopes * r2.slopes * r1.cell_lengths, 0.0)
-    cells = np.column_stack([grid[:-1], grid[1:]])
-    return _report("trace_complement", cells, contribs)
+        bad = np.flatnonzero(np.abs(gap_jumps(t)) > tol)
+        if bad.size:
+            i = int(bad[0])
+            a, b = t.iset.components[i]
+            raise PreconditionError(
+                f"{name} argument jumps across gap {i} = ({a}, {b}): not the "
+                "restriction of a complement member"
+            )
+    r1, r2 = common_grid(phi.extension, psi.extension)
+    return _cell_form("trace_complement", r1, r2, phi.iset.classify(r1.midpoints) < 0)
 
 
 @dataclass(frozen=True)
@@ -251,9 +229,6 @@ class TraceMeasure:
             "f_components": [[_encode(a), _encode(b)] for a, b in self.iset.f_components],
             "atoms": [[_encode(p), enc(m)] for p, m in self.atoms],
         }
-
-    def pushforward(self, dm: DarningMap) -> SpeedMeasure:
-        return pushforward_speed(dm, "trace")
 
     def line_speed(self) -> SpeedMeasure:
         """The measure itself as a SpeedMeasure on the window (for simulation)."""

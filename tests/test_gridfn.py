@@ -104,6 +104,15 @@ class TestSubspaceMembership:
         assert tf.vanishes_on_f(u, iset)
         assert tf.is_in_subspace(u, iset)
 
+    def test_rounded_endpoint_value_counts_on_f(self):
+        # float(2/3) rounds into the gap (1/3, 2/3) but is its right end, a point of F
+        iset = tf.build_interval_set([(Fr(1, 3), Fr(2, 3))], (0, 1))
+        u = tf.GridFunction(np.array([0.0, 1 / 3, 0.5, 2 / 3, 1.0]),
+                            np.array([0.0, 0.0, 1.0, 5.0, 0.0]))
+        assert not tf.vanishes_on_f(u, iset)
+        with pytest.raises(PreconditionError, match="does not vanish on F"):
+            tf.part_energy(u, iset=iset)
+
 
 class TestDarnUndarn:
     def test_worked_example(self, svc1):

@@ -186,6 +186,89 @@ class TestEndpoints:
         assert svc1.widths == (Fr(1, 4),)
 
 
+def _float_pair_set(xs):
+    xs = sorted(xs)[: len(xs) // 2 * 2]
+    return tf.build_interval_set(list(zip(xs[::2], xs[1::2])), (0, 1))
+
+
+def _narrow_gap_set(m, j):
+    # m gaps of width 1/(3 10^j) around non-dyadic centres, so no end is a float
+    w = Fr(1, 3 * 10**j)
+    centres = [Fr(2 * i + 1, 2 * m) + Fr(1, 7000) for i in range(m)]
+    return tf.build_interval_set([(c - w / 2, c + w / 2) for c in centres], (0, 1))
+
+
+allf_or_allg = st.sampled_from([Tail.ALL_F, Tail.ALL_G])
+classifier_sets = st.one_of(
+    st.builds(lambda d, tl, tr: tf.svc_complement(d, tails=(tl, tr)),
+              st.integers(0, 7), allf_or_allg, allf_or_allg),
+    isets,
+    st.builds(tf.periodic_fat_cantor, st.integers(0, 4), st.sampled_from([2, 3, Fr(5, 2)])),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+             min_size=2, max_size=12, unique=True).map(_float_pair_set),
+    st.builds(_narrow_gap_set, st.integers(1, 5), st.integers(9, 14)),
+)
+
+
+def _probe_points(iset, rng):
+    """Float ends, points a few ulps and a few slacks off them, midpoints of
+    an adapted grid with random extra nodes, and uniform points."""
+    w0, w1 = (float(x) for x in iset.window)
+    ends = np.concatenate(iset.float_ends)
+    near = [ends]
+    for k in range(1, 4):
+        near += [ends + k * np.spacing(ends), ends - k * np.spacing(ends)]
+    for off in (2e-12, 1e-11, 1e-9):
+        near += [ends + off, ends - off]
+    grid = tf.adapted_grid(iset, extra=rng.uniform(w0, w1, size=20))
+    mids = (grid[:-1] + grid[1:]) / 2
+    uniform = rng.uniform(w0 - 0.1, w1 + 0.1, size=100)
+    return np.unique(np.concatenate(near + [grid, mids, uniform]))
+
+
+class TestClassify:
+    """``classify`` against the exact ``Fraction`` oracle ``component_index``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(classifier_sets, st.integers(0, 10**6))
+    def test_midpoints_match_oracle(self, iset, seed):
+        pts = _probe_points(iset, np.random.default_rng(seed))
+        # a float end rounded off its exact value is the one point where the
+        # float test and the exact test part; no cell midpoint lands there
+        rounded = [float(e) for ab in iset.components for e in ab if Fr(float(e)) != e]
+        pts = pts[~np.isin(pts, rounded)]
+        want = [iset.component_index(x) for x in pts.tolist()]
+        assert iset.classify(pts).tolist() == [-1 if i is None else i for i in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(classifier_sets, st.integers(0, 10**6))
+    def test_nodes_follow_endpoint_rule(self, iset, seed):
+        pts = _probe_points(iset, np.random.default_rng(seed))
+        got = iset.classify(pts, nodes=True)
+        for x, g in zip(pts.tolist(), got.tolist()):
+            i = iset.component_index(x)
+            if i is None:
+                assert g == -1
+                continue
+            a, b = (Fr(e) for e in iset.components[i])
+            slack = Fr(1e-12 * max(1.0, abs(float(a)), abs(float(b))))
+            dist = min(Fr(x) - a, b - Fr(x))
+            if abs(dist - slack) <= slack / 10**6:
+                continue  # float rounding decides exactly at the slack
+            assert g == (i if dist > slack else -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(classifier_sets)
+    def test_adapted_grid_nodes_lie_in_f(self, iset):
+        assert np.all(iset.classify(tf.adapted_grid(iset), nodes=True) == -1)
+
+    def test_rounded_end_is_the_end(self):
+        iset = tf.build_interval_set([(Fr(1, 3), Fr(2, 3))], (0, 1))
+        assert iset.component_index(2 / 3) == 0  # float(2/3) < 2/3
+        assert iset.classify([2 / 3], nodes=True).tolist() == [-1]
+        assert iset.classify([0.5, 2 / 3 - 1e-9], nodes=True).tolist() == [0, 0]
+
+
 class TestSerialization:
     @settings(max_examples=50, deadline=None)
     @given(isets)

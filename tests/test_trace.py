@@ -164,6 +164,7 @@ class TestTraceEnergy:
         assert trace_local_energy(phi) <= 1e-12
         assert tf.trace_subspace_energy(phi).value == pytest.approx(
             tf.trace_energy(phi).value, rel=1e-12, abs=1e-12)
+        assert trace_jump_energy(phi) == tf.trace_subspace_energy(phi).value
 
     def test_extension_operators_agree_for_members(self, svc2, rng):
         # linear-in-s equals linear-in-x across each gap since s is affine there
@@ -229,8 +230,8 @@ class TestTraceMeasure:
 
     def test_pushforward_merges_to_m_j(self, svc1):
         dm = tf.DarningMap(svc1, z=0)
-        assert tf.trace_measure(svc1).pushforward(dm) == tf.pushforward_speed(dm, "lebesgue")
-        assert tf.trace_measure(svc1).pushforward(dm).atoms == ((Fr(3, 8), Fr(1, 4)),)
+        assert tf.pushforward_speed(dm, "trace") == tf.pushforward_speed(dm, "lebesgue")
+        assert tf.pushforward_speed(dm, "trace").atoms == ((Fr(3, 8), Fr(1, 4)),)
 
 
 class TestJumpTable:
