@@ -4,12 +4,15 @@ A change that must not move any output runs this once against each checkout
 and diffs the two files.  Inputs come from the generators in
 ``tests/helpers.py`` (random ``/240`` sets, fat-Cantor sets of every case,
 periodic sets, float-endpoint sets) and from the ``cli`` workload of
-``perfbench/``; traceform itself is whatever ``PYTHONPATH`` selects, so one
-copy of this script drives both checkouts.  Each line is JSON: floats are
-written in hex, arrays as dtype, shape and raw bytes, and a raised error as
-its type and message.  CLI artifacts are written under one fixed temporary
-directory, because the manifests hash their output paths, and are reported
-as sha256 digests.
+``perfbench/``.  Per set it records every energy form, the trace and darning
+transports, and the scalar scale and darning maps and their inverses at every
+adapted node, given exactly and as floats.  The walk lines include one
+seeded ``simulate_xs`` path on a ``/240`` set.  traceform itself is whatever
+``PYTHONPATH`` selects, so one copy of this script drives both checkouts.
+Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
+bytes, and a raised error as its type and message.  CLI artifacts are
+written under one fixed temporary directory, because the manifests hash
+their output paths, and are reported as sha256 digests.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py --out new.txt
@@ -36,7 +39,8 @@ import numpy as np  # noqa: E402
 import helpers as H  # noqa: E402
 import traceform as tf  # noqa: E402
 from traceform.cli import main as cli_main  # noqa: E402
-from traceform.simulate import occupation_fractions, walk_occupation, walk_paths  # noqa: E402
+from traceform.simulate import (  # noqa: E402
+    occupation_fractions, simulate_xs, walk_occupation, walk_paths)
 from traceform.trace import trace_jump_energy, trace_local_energy  # noqa: E402
 
 SEEDS = 60
@@ -65,6 +69,8 @@ def canon(obj):
         return canon([obj.nodes, obj.values])
     if isinstance(obj, tf.DarningMap):
         return canon(obj.image())
+    if isinstance(obj, tf.PathSample):
+        return canon([obj.times, obj.states, obj.flags, obj.absorbed_at, obj.absorbed_time])
     if hasattr(obj, "to_dict"):
         return canon(obj.to_dict())
     return repr(obj)
@@ -145,6 +151,8 @@ def digest_set(dg, t, iset, rng):
         rec(t + " local random", lambda: trace_local_energy(rtf))
         rec(t + " jump random", lambda: trace_jump_energy(rtf))
     dm = rec(t + " darning map", lambda: tf.DarningMap(iset))
+    maps = [("scale", sf)] + ([("darn", dm)] if dm is not None else [])
+    digest_node_maps(dg, t, iset, maps)
     if dm is None:
         return
     uh = rec(t + " darn cf", lambda: tf.darn_function(cf, dm))
@@ -160,6 +168,18 @@ def digest_set(dg, t, iset, rng):
         [cf, H.random_complement_member(rng, sf, flat=True)], dm))
 
 
+def digest_node_maps(dg, t, iset, maps):
+    """Each scalar map and its inverse at every adapted node, given exactly
+    and as the float node of the adapted grid."""
+    w0, w1 = iset.window
+    exact = sorted({w0, w1} | {p for p in iset.endpoints if w0 <= p <= w1})
+    for kind, nodes in (("exact", exact), ("float", tf.adapted_grid(iset).tolist())):
+        for name, f in maps:
+            ys = dg.record(f"{t} {name} {kind} nodes", lambda: [f(x) for x in nodes])
+            if ys is not None:
+                dg.record(f"{t} {name} inverse {kind} nodes", lambda: [f.inverse(y) for y in ys])
+
+
 def digest_walks(dg):
     speed = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1), z=0), "lebesgue")
     targets = [0.375, (0.0, 0.2)]
@@ -169,6 +189,10 @@ def digest_walks(dg):
         path = walk_paths(speed, 3 / 128, 0.1, 100.0, seed=seed)
         dg.record(f"occupation_fractions {seed}", lambda: occupation_fractions(
             path, targets=targets, burn_in=10.0))
+    iset = tf.build_interval_set([(Fraction(30, 240), Fraction(90, 240)),
+                                  (Fraction(120, 240), Fraction(200, 240))], (0, 1))
+    dg.record("simulate_xs 240", lambda: simulate_xs(
+        tf.ScaleFunction(iset, anchor=0), 1 / 96, 0.3, 5.0, seed=3))
 
 
 def digest_cli(dg):

@@ -19,10 +19,8 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .darning import darn_trace, darned_energy, equivalence_report
+from .darning import equivalence_report
 from .decompose import decompose_harmonic, project_subspace
 from .energy import dirichlet_energy, energy_measure, part_energy, subspace_energy
 from .errors import PreconditionError, ValidationError

@@ -60,14 +60,14 @@ def darned_l2(uh: GridFunction, speed: SpeedMeasure, tol: float = SUBSPACE_TOL) 
         b = piece.values[1:][mask]
         lens = piece.cell_lengths[mask]
         total += float(c) * float(np.sum(lens * (a * a + a * b + b * b) / 3))
-    for p, m in speed.atoms:
-        v = uh(float(p))
+    values = uh(np.array([float(p) for p, _ in speed.atoms]))
+    for (_, m), v in zip(speed.atoms, values):
         if isinstance(m, float) and math.isinf(m):
             if abs(v) > tol:
                 return math.inf
             continue
         total += float(m) * v * v
-    return total
+    return float(total)
 
 
 @dataclass(frozen=True)

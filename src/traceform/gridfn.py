@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -19,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, Real
+from .intervals import IntervalSet
 from .transforms import DarningMap
 
 SUBSPACE_TOL = 1e-9
@@ -124,13 +123,12 @@ class GridFunction:
 
 
 def adapted_grid(iset: IntervalSet, extra: Sequence[float] = ()) -> np.ndarray:
-    """Window-spanning grid containing every component endpoint."""
-    w0, w1 = iset.window
-    pts = {float(w0), float(w1)}
-    pts.update(float(p) for p in iset.endpoints if w0 <= p <= w1)
-    pts.update(float(x) for x in extra)
-    arr = np.array(sorted(pts))
-    if arr[0] < float(w0) or arr[-1] > float(w1):
+    """Window-spanning grid containing every component endpoint (all of
+    them lie in the window)."""
+    w0, w1 = (float(x) for x in iset.window)
+    arr = np.union1d(np.concatenate([[w0, w1], *iset.float_ends]),
+                     np.array([float(x) for x in extra]))
+    if arr[0] < w0 or arr[-1] > w1:
         raise PreconditionError("extra nodes must lie inside the window")
     return arr
 
@@ -143,10 +141,7 @@ def from_callable(fn: Callable[[np.ndarray], np.ndarray], iset: IntervalSet,
 
 def is_adapted(u: GridFunction, iset: IntervalSet) -> bool:
     w0, w1 = (float(x) for x in iset.window)
-    if u.span != (w0, w1):
-        return False
-    nodes = set(u.grid.tolist())
-    return all(float(p) in nodes for p in iset.endpoints if w0 <= p <= w1)
+    return u.span == (w0, w1) and bool(np.all(np.isin(adapted_grid(iset), u.grid)))
 
 
 def require_adapted(u: GridFunction, iset: IntervalSet) -> None:
@@ -194,10 +189,10 @@ def _component_spread(comp: np.ndarray, n_components: int, *columns: np.ndarray)
 
 
 def _collapse_nodes(nodes: np.ndarray, values: np.ndarray, dm: DarningMap) -> GridFunction:
-    """Map nodes through the darning map, keeping a node only where its image
-    exceeds every earlier one: a collapsed component closure keeps its first."""
-    ys = np.array([float(dm(float(x))) for x in nodes])
-    keep = np.concatenate([[True], ys[1:] > np.maximum.accumulate(ys)[:-1]])
+    """Map nodes through the darning map; the nodes in one component closure
+    share its collapsed point, and only the first of them is kept."""
+    ys, closure = dm._images(nodes)
+    keep = np.concatenate([[True], (closure[1:] < 0) | (closure[1:] != closure[:-1])])
     return GridFunction(ys[keep], values[keep])
 
 
@@ -236,16 +231,13 @@ def undarn_function(uh: GridFunction, dm: DarningMap, match_tol: float = 1e-12) 
         raise PreconditionError(
             f"function span {uh.span} does not match the darning image [{lo}, {hi}]"
         )
-    w0, w1 = (float(x) for x in iset.window)
-    nodes = {w0, w1}
-    nodes.update(float(p) for p in iset.endpoints if w0 <= p <= w1)
-    collapsed = [(float(c.position), iset.components[c.index]) for c in dm.collapsed_points]
-    for y in uh.grid:
-        y = float(y)
-        hit = next((pos for pos, _ in collapsed if abs(y - pos) <= match_tol), None)
-        if hit is None:
-            xlo, xhi = dm.inverse(y)
-            nodes.add(float(xlo))
-    grid = np.array(sorted(nodes))
-    jvals = np.array([float(dm(float(x))) for x in grid])
-    return GridFunction(grid, uh(jvals))
+    ys = uh.grid
+    positions = np.array([float(c.position) for c in dm.collapsed_points])
+    at_collapsed = np.zeros(ys.shape, dtype=bool)
+    if positions.size:
+        k = np.searchsorted(positions, ys)
+        for q in (np.maximum(k - 1, 0), np.minimum(k, positions.size - 1)):
+            at_collapsed |= np.abs(ys - positions[q]) <= match_tol
+    xlo, _ = dm.inverse(ys[~at_collapsed])
+    grid = np.union1d(adapted_grid(iset), xlo)
+    return GridFunction(grid, uh(dm(grid)))

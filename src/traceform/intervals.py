@@ -14,11 +14,12 @@ supplied as floats are kept as floats and compared exactly as given.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -184,23 +185,27 @@ class IntervalSet:
     @cached_property
     def endpoints(self) -> tuple[Real, ...]:
         """All finite component endpoints, including the finite ends of the
-        unbounded components implied by an all-G tail.  Every one lies in F."""
-        pts = set()
-        for a, b in self.components:
-            pts.add(a)
-            pts.add(b)
-        if self.tail_left is Tail.ALL_G:
-            pts.add(self.window[0])
-        if self.tail_right is Tail.ALL_G:
-            pts.add(self.window[1])
-        return tuple(sorted(pts))
+        unbounded components implied by an all-G tail.  Every one lies in F.
+        Components are sorted and share no endpoint, so this is already in
+        order, and an all-G edge never meets a component."""
+        left = (self.window[0],) if self.tail_left is Tail.ALL_G else ()
+        right = (self.window[1],) if self.tail_right is Tail.ALL_G else ()
+        return left + tuple(e for ab in self.components for e in ab) + right
+
+    def is_endpoint(self, x: Real) -> bool:
+        """Whether x is one of ``endpoints``, found by bisection."""
+        i = bisect_left(self.endpoints, x)
+        return i < len(self.endpoints) and self.endpoints[i] == x
+
+    @cached_property
+    def g_prefix(self) -> tuple[Real, ...]:
+        """G-mass of the window left of each component, then the window's
+        whole G-mass: m + 1 running sums, exact for ``Fraction`` ends."""
+        return tuple(accumulate(self.widths, initial=0))
 
     @cached_property
     def g_mass_window(self) -> Real:
-        total = 0
-        for w in self.widths:
-            total = total + w
-        return total
+        return self.g_prefix[-1]
 
     @cached_property
     def f_mass_window(self) -> Real:
@@ -222,6 +227,13 @@ class IntervalSet:
         """float64 width of each component, rounded once from the exact b - a."""
         return np.array([float(w) for w in self.widths])
 
+    @cached_property
+    def end_slack(self) -> np.ndarray:
+        """Per component, the distance 1e-12 max(1, |a|, |b|) within which a
+        float node counts as that component's end."""
+        lefts, rights = self.float_ends
+        return 1e-12 * np.maximum(1.0, np.maximum(np.abs(lefts), np.abs(rights)))
+
     def classify(self, points, nodes: bool = False) -> np.ndarray:
         """Component index of each point, or -1 for points of F.
 
@@ -235,10 +247,10 @@ class IntervalSet:
         if not lefts.size:
             return np.full(xs.shape, -1, dtype=np.intp)
         i = np.searchsorted(lefts, xs, side="right") - 1
-        a, b = lefts[np.maximum(i, 0)], rights[np.maximum(i, 0)]
+        c = np.maximum(i, 0)
+        a, b = lefts[c], rights[c]
         if nodes:
-            slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-            inside = np.minimum(xs - a, b - xs) > slack
+            inside = np.minimum(xs - a, b - xs) > self.end_slack[c]
         else:
             inside = (a < xs) & (xs < b)
         return np.where(inside, i, -1)
@@ -283,17 +295,24 @@ class IntervalSet:
     # -- Lebesgue masses -------------------------------------------------
 
     def _g_window_mass(self, lo: Real, hi: Real) -> Real:
-        """G-mass of [lo, hi] assuming w0 <= lo <= hi <= w1."""
-        total = 0
-        start = bisect_right(self._lefts, lo) - 1
-        for i in range(max(start, 0), len(self.components)):
+        """G-mass of [lo, hi] assuming w0 <= lo <= hi <= w1: the parts of the
+        first and last components it meets, and the prefix sums between them."""
+
+        def part(i):
             a, b = self.components[i]
-            if a >= hi:
-                break
             left = a if a > lo else lo
             right = b if b < hi else hi
-            if right > left:
-                total = total + (right - left)
+            return right - left if right > left else 0
+
+        first = max(bisect_right(self._lefts, lo) - 1, 0)
+        last = bisect_left(self._lefts, hi) - 1  # the last component starting below hi
+        if last < first:
+            return 0
+        total = part(first)
+        if last > first:
+            if last > first + 1:
+                total = total + (self.g_prefix[last] - self.g_prefix[first + 1])
+            total = total + part(last)
         return total
 
     def _g_periodic_mass(self, lo: Real, hi: Real) -> Real:

@@ -441,7 +441,11 @@ def walk_paths(speed: SpeedMeasure, h: float, x0: float, horizon: float, seed: i
     """
     if horizon <= 0:
         raise PreconditionError(f"horizon must be positive, got {horizon}")
-    chain = build_chain(speed, h, boundary)
+    return _walk_chain(build_chain(speed, h, boundary), x0, horizon, seed, holding)
+
+
+def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int,
+                holding: str) -> PathSample:
     k0 = _snap_start(chain, x0)
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
@@ -485,20 +489,22 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
     speed = scale_pushforward_speed(sf)
     chain = build_chain(speed, h, boundary)
     y0 = float(sf(x0))
-    path = walk_paths(speed, h, y0, horizon, seed, boundary, holding)
-    # map each node back through the scale inverse once
-    plateau_vals = [(float(v), (float(flo) + float(fhi)) / 2) for v, flo, fhi in sf._plateaus]
+    if horizon <= 0:
+        raise PreconditionError(f"horizon must be positive, got {horizon}")
+    path = _walk_chain(chain, y0, horizon, seed, holding)
+    # map the nodes back through the scale inverse; a node within h/4 of a
+    # plateau value stands for that plateau (plateaus lie at least h apart)
     img_lo, img_hi = (float(v) for v in speed.carrier)
-    xs = np.empty(chain.nodes.size)
+    xs, _ = sf.inverse(np.clip(chain.nodes, img_lo, img_hi))
     flags = np.zeros(chain.nodes.size, dtype=np.int8)
-    for k, y in enumerate(chain.nodes):
-        hit = next((mid for v, mid in plateau_vals if abs(y - v) <= h / 4), None)
-        if hit is not None:
-            xs[k] = hit
-            flags[k] = 1
-        else:
-            lo_x, _ = sf.inverse(min(max(float(y), img_lo), img_hi))
-            xs[k] = float(lo_x)
+    values = np.array([float(v) for v, _, _ in sf._plateaus])
+    mids = np.array([(float(flo) + float(fhi)) / 2 for _, flo, fhi in sf._plateaus])
+    if values.size:
+        k = np.searchsorted(values, chain.nodes)
+        for q in (np.minimum(k, values.size - 1), np.maximum(k - 1, 0)):
+            hit = np.abs(chain.nodes - values[q]) <= h / 4
+            xs[hit] = mids[q][hit]
+            flags[hit] = 1
     idx = np.rint((path.states - chain.lo) / h).astype(int)
     mapped_flags = flags[idx]
     mapped_flags[path.flags == 2] = 2

@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
-from .gridfn import SUBSPACE_TOL, GridFunction
+from .gridfn import SUBSPACE_TOL, GridFunction, adapted_grid
 from .intervals import IntervalSet, Real, Tail, _encode
 from .transforms import SpeedMeasure
 
@@ -50,11 +50,8 @@ class TraceFunction:
             raise ValidationError("a trace function needs at least two nodes")
         if not np.all(np.diff(nodes) > 0):
             raise ValidationError("trace nodes must be strictly increasing")
-        w0, w1 = (float(x) for x in self.iset.window)
-        required = {w0, w1}
-        required.update(float(p) for p in self.iset.endpoints if w0 <= p <= w1)
-        have = set(nodes.tolist())
-        missing = sorted(required - have)
+        required = adapted_grid(self.iset)
+        missing = required[~np.isin(required, nodes)].tolist()
         if missing:
             raise ValidationError(f"trace nodes must include {missing}")
         inside = np.flatnonzero(self.iset.classify(nodes, nodes=True) >= 0)

@@ -10,11 +10,12 @@ piecewise-constant densities plus atoms, represented by ``SpeedMeasure``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from typing import Union
+
+import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .intervals import IntervalSet, Real, Tail, _decode, _encode
@@ -44,34 +45,95 @@ def classify_case(obj) -> Case:
     return Case.III
 
 
+def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """Move float points into the window.  Returns the window points and the
+    mass of ``which`` ("G" or "F") from each window point to its original,
+    as the tails declare it."""
+    w0, w1 = (float(v) for v in iset.window)
+    xin = np.clip(xs, w0, w1)
+    gain = np.zeros(xs.shape)
+    for out, tail in ((xs < w0, iset.tail_left), (xs > w1, iset.tail_right)):
+        if tail is Tail.PERIODIC:
+            p = float(iset.period)
+            k = np.floor((xs[out] - w0) / p)
+            xin[out] = np.clip(xs[out] - k * p, w0, w1)
+            gain[out] = k * float(iset.g_mass_window if which == "G" else iset.f_mass_window)
+        elif (tail is Tail.ALL_G) == (which == "G"):
+            gain[out] = xs[out] - xin[out]
+    return xin, gain
+
+
+def _ranks(iset: IntervalSet) -> range:
+    """Per F-component, how many G-components lie left of it.  The two kinds
+    alternate, and a component at the left window edge has none before it."""
+    skip = int(bool(iset.components) and iset.components[0][0] == iset.window[0])
+    return range(skip, skip + len(iset.f_components))
+
+
+def _floats(values) -> np.ndarray:
+    return np.array([float(v) for v in values])
+
+
 class ScaleFunction:
-    """s(x) = signed G-mass between the anchor and x; s(anchor) = 0."""
+    """s(x) = signed G-mass between the anchor and x; s(anchor) = 0.
+
+    Scalar calls are exact for ``Fraction`` input.  A float ndarray maps
+    elementwise through float64 copies of the exact tables, by bisection.
+    """
 
     def __init__(self, base: IntervalSet, anchor: Real = 0):
         self.base = base
         self.anchor = anchor
 
-    def __call__(self, x: Real) -> Real:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return self._map(np.asarray(x, dtype=float))
         if x >= self.anchor:
             return self.base.lebesgue(self.anchor, x, "G")
         return -self.base.lebesgue(x, self.anchor, "G")
 
     @cached_property
+    def _levels(self) -> tuple[Real, ...]:
+        # s at each component's left end, then at w1
+        s0 = self(self.base.window[0])
+        return tuple(s0 + p for p in self.base.g_prefix)
+
+    @cached_property
     def _plateaus(self) -> tuple[tuple[Real, Real, Real], ...]:
         # (value, lo, hi) for every flat stretch of s inside the window
-        return tuple((self(lo), lo, hi) for lo, hi in self.base.f_components)
+        return tuple((self._levels[k], lo, hi)
+                     for k, (lo, hi) in zip(_ranks(self.base), self.base.f_components))
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        # float64 levels, plateau values, plateau lows and plateau highs
+        return (_floats(self._levels),) + tuple(_floats(col) for col in zip(*self._plateaus))
 
     def window_image(self) -> tuple[Real, Real]:
-        w0, w1 = self.base.window
-        return self(w0), self(w1)
+        return self._levels[0], self._levels[-1]
 
-    def inverse(self, y: Real) -> tuple[Real, Real]:
+    def _map(self, xs: np.ndarray) -> np.ndarray:
+        iset = self.base
+        levels = self._tables[0]
+        xin, gain = _fold(iset, xs, "G")
+        lefts, rights = iset.float_ends
+        if not lefts.size:
+            return levels[0] + gain
+        i = np.searchsorted(lefts, xin, side="right") - 1
+        c = np.maximum(i, 0)
+        inside = (i >= 0) & (xin < rights[c])
+        return np.where(inside, levels[c] + (xin - lefts[c]), levels[i + 1]) + gain
+
+    def inverse(self, y):
         """Full preimage of y, clipped to the window.
 
         Returns (lo, hi); lo == hi when y is hit inside a G-component, and the
         closed F-component on which s plateaus at y otherwise.  Values never
-        attained by s raise ``PreconditionError``.
+        attained by s raise ``PreconditionError``.  A float ndarray gives a
+        pair of arrays.
         """
+        if isinstance(y, np.ndarray):
+            return self._inverse_map(np.asarray(y, dtype=float))
         iset = self.base
         w0, w1 = iset.window
         s0, s1 = self.window_image()
@@ -97,22 +159,53 @@ class ScaleFunction:
             lo, hi = self.inverse(y - k * per_mass)
             p = iset.period
             return lo + k * p, hi + k * p
-        for value, lo, hi in self._plateaus:
-            if y == value:
-                return lo, hi
-        # y is strictly inside the image of some G-component; walk components
-        acc = s0
-        prev = w0
-        for a, b in iset.components:
-            if a > prev:
-                prev = a  # flat across the gap, value unchanged
-            nxt = acc + (b - a)
-            if acc <= y <= nxt:
-                x = a + (y - acc)
-                return x, x
-            acc = nxt
-            prev = b
-        raise PreconditionError(f"value {y} is not attained by the scale function")
+        plateaus = self._plateaus
+        k = bisect_left(plateaus, y, key=lambda t: t[0])
+        if k < len(plateaus) and plateaus[k][0] == y:
+            return plateaus[k][1], plateaus[k][2]
+        # y is inside the image of the last component starting at or below it
+        i = min(bisect_right(self._levels, y), len(iset.components)) - 1
+        if i < 0:
+            raise PreconditionError(f"value {y} is not attained by the scale function")
+        x = iset.components[i][0] + (y - self._levels[i])
+        return x, x
+
+    def _inverse_map(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        iset = self.base
+        levels, *plateaus = self._tables
+        s0, s1 = levels[0], levels[-1]
+        w0, w1 = (float(v) for v in iset.window)
+        sides = ((ys < s0, iset.tail_left, "below", s0, w0),
+                 (ys > s1, iset.tail_right, "above", s1, w1))
+        yin, shift = np.clip(ys, s0, s1), np.zeros(ys.shape)
+        for out, tail, side, s_edge, _ in sides:
+            if not out.any():
+                continue
+            if tail is Tail.ALL_F or (tail is Tail.PERIODIC and iset.g_mass_window == 0):
+                raise PreconditionError(
+                    f"value {ys[out][0]} is {side} the range of the scale function")
+            if tail is Tail.PERIODIC:
+                # whole periods back into the window's image, counted as the scalar path does
+                per, d = float(iset.g_mass_window), ys[out] - s_edge
+                k = np.sign(d) * np.ceil(np.abs(d) / per)
+                yin[out] = np.clip(ys[out] - k * per, s0, s1)
+                shift[out] = k * float(iset.period)
+        x = np.zeros(ys.shape)
+        lefts = iset.float_ends[0]
+        if lefts.size:
+            i = np.minimum(np.searchsorted(levels, yin, side="right"), lefts.size) - 1
+            x = lefts[i] + (yin - levels[i])
+        lo, hi = x, x
+        if plateaus:
+            values, lows, highs = plateaus
+            k = np.minimum(np.searchsorted(values, yin), values.size - 1)
+            flat = values[k] == yin
+            lo, hi = np.where(flat, lows[k], x), np.where(flat, highs[k], x)
+        lo, hi = lo + shift, hi + shift
+        for out, tail, _, s_edge, w_edge in sides:
+            if tail is Tail.ALL_G:
+                lo[out] = hi[out] = w_edge + (ys[out] - s_edge)
+        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -166,9 +259,8 @@ class DarningMap:
 
     @staticmethod
     def _default_anchor(iset: IntervalSet) -> Real:
-        endpoints = set(iset.endpoints)
         for lo, hi in iset.f_components:
-            if lo not in endpoints:
+            if not iset.is_endpoint(lo):
                 return lo
             return (lo + hi) / 2
         raise PreconditionError(
@@ -178,28 +270,41 @@ class DarningMap:
     def _check_anchor(self, z: Real) -> None:
         if self.base.in_g(z):
             raise PreconditionError(f"darning anchor {z} lies in G")
-        if z in set(self.base.endpoints):
+        if self.base.is_endpoint(z):
             raise PreconditionError(
                 f"darning anchor {z} is a component endpoint; it must be interior to F"
             )
 
-    def __call__(self, x: Real) -> Real:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return self._images(np.asarray(x, dtype=float))[0]
         if x >= self.z:
             return self.base.lebesgue(self.z, x, "F")
         return -self.base.lebesgue(x, self.z, "F")
 
     @cached_property
+    def _ends(self) -> tuple[Real, Real]:
+        w0, w1 = self.base.window
+        return self(w0), self(w1)
+
+    @cached_property
     def collapsed_points(self) -> tuple[CollapsedPoint, ...]:
+        iset = self.base
+        j0, w0 = self._ends[0], iset.window[0]
         return tuple(
-            CollapsedPoint(index=i, position=self(a), width=b - a)
-            for i, (a, b) in enumerate(self.base.components)
+            CollapsedPoint(index=i, position=j0 + ((a - w0) - p), width=b - a)
+            for i, ((a, b), p) in enumerate(zip(iset.components, iset.g_prefix))
         )
 
     def image(self) -> DarningImage:
-        w0, w1 = self.base.window
+        return self._image
+
+    @cached_property
+    def _image(self) -> DarningImage:
+        lo, hi = self._ends
         return DarningImage(
-            lo=self(w0),
-            hi=self(w1),
+            lo=lo,
+            hi=hi,
             bounded_left=self.base.tail_left is Tail.ALL_G,
             bounded_right=self.base.tail_right is Tail.ALL_G,
             collapsed=self.collapsed_points,
@@ -208,33 +313,95 @@ class DarningMap:
     @cached_property
     def _f_spans(self) -> tuple[tuple[Real, Real, Real, Real], ...]:
         # (j_lo, j_hi, x_lo, x_hi) image span of each F-component
-        return tuple(
-            (self(lo), self(hi), lo, hi) for lo, hi in self.base.f_components
-        )
+        iset = self.base
+        spans = []
+        for k, (lo, hi) in zip(_ranks(iset), iset.f_components):
+            j_lo = self.collapsed_points[k - 1].position if k else self._ends[0]
+            spans.append((j_lo, j_lo + (hi - lo), lo, hi))
+        return tuple(spans)
 
-    def inverse(self, y: Real) -> tuple[Real, Real]:
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        # float64 collapsed positions, then the columns of the F spans
+        return (_floats(c.position for c in self.collapsed_points),
+                *(_floats(col) for col in zip(*self._f_spans)))
+
+    def _images(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """j of float points, and the index of the component whose closure
+        holds each window point, else -1.  The closure reaches past each end
+        by the endpoint slack of ``IntervalSet.classify(nodes=True)``, and
+        its points map to exactly its collapsed position.  Other points are
+        measured from the nearer end of their F span, so a window edge maps
+        to exactly the float of its exact image."""
+        iset = self.base
+        positions, *spans = self._tables
+        xin, gain = _fold(iset, xs, "F")
+        ys = np.full(xs.shape, float(self._ends[0]))
+        if spans:
+            j_lo, j_hi, x_lo, x_hi = spans
+            k = np.clip(np.searchsorted(x_lo, xin, side="right") - 1, 0, x_lo.size - 1)
+            ys = np.where(xin - x_lo[k] <= x_hi[k] - xin, j_lo[k] + (xin - x_lo[k]),
+                          j_hi[k] - (x_hi[k] - xin))
+        closure = np.full(xs.shape, -1, dtype=np.intp)
+        lefts, rights = iset.float_ends
+        if lefts.size:
+            slack = iset.end_slack
+            i = np.searchsorted(lefts - slack, xin, side="right") - 1
+            c = np.maximum(i, 0)
+            closure = np.where((i >= 0) & (xin <= rights[c] + slack[c]), i, -1)
+            ys = np.where(closure >= 0, positions[c], ys)
+        return ys + gain, closure
+
+    def inverse(self, y):
         """Full preimage of y within the window: a point of F, or the closed
-        component interval when y is a collapsed point."""
+        component interval when y is a collapsed point.  A float ndarray
+        gives a pair of arrays."""
         img = self.image()
+        slack = 1e-12 * max(1.0, abs(float(img.hi - img.lo)))
+        if isinstance(y, np.ndarray):
+            return self._inverse_map(np.asarray(y, dtype=float), slack)
         if y < img.lo or y > img.hi:
             # float inputs that went through the forward map can land one
             # ulp outside the exact rational image; clamp those, reject more
-            slack = 1e-12 * max(1.0, abs(float(img.hi - img.lo)))
             if img.lo - slack <= y <= img.hi + slack:
                 y = img.lo if y < img.lo else img.hi
             else:
-                raise PreconditionError(
-                    f"value {y} is outside the window image [{img.lo}, {img.hi}] of the darning map"
-                )
-        for c in self.collapsed_points:
-            if y == c.position:
-                return self.base.components[c.index]
-        for j_lo, j_hi, x_lo, x_hi in self._f_spans:
-            if j_lo <= y <= j_hi:
-                x = x_lo + (y - j_lo)
-                return x, x
-        # window edge inside a component closure cannot happen: edges are in F
-        raise PreconditionError(f"value {y} is not attained by the darning map on the window")
+                self._raise_outside(y)
+        k = bisect_left(self.collapsed_points, y, key=lambda c: c.position)
+        if k < len(self.collapsed_points) and self.collapsed_points[k].position == y:
+            return self.base.components[k]
+        # y lies between collapsed points k - 1 and k: on the F span between them
+        j_lo, _, x_lo, _ = self._f_spans[k - _ranks(self.base).start]
+        x = x_lo + (y - j_lo)
+        return x, x
+
+    def _raise_outside(self, y):
+        img = self.image()
+        raise PreconditionError(
+            f"value {y} is outside the window image [{img.lo}, {img.hi}] of the darning map"
+        )
+
+    def _inverse_map(self, ys: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+        positions, *spans = self._tables
+        lo, hi = (float(v) for v in self._ends)
+        bad = (ys < lo - slack) | (ys > hi + slack)
+        if bad.any():
+            self._raise_outside(ys[bad][0])
+        y = np.clip(ys, lo, hi)
+        # as in the scalar path: k collapsed points lie below y, or y is the k-th
+        k = np.searchsorted(positions, y)
+        x = np.zeros(y.shape)
+        if spans:
+            j_lo, j_hi, x_lo, x_hi = spans
+            f = np.clip(k - _ranks(self.base).start, 0, j_lo.size - 1)
+            x = np.where(y - j_lo[f] <= j_hi[f] - y, x_lo[f] + (y - j_lo[f]),
+                         x_hi[f] - (j_hi[f] - y))
+        if not positions.size:
+            return x, x
+        lefts, rights = self.base.float_ends
+        k = np.minimum(k, positions.size - 1)
+        hit = positions[k] == y
+        return np.where(hit, lefts[k], x), np.where(hit, rights[k], x)
 
 
 @dataclass(frozen=True)

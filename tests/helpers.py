@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import integrate
 
 import traceform as tf
@@ -30,6 +31,17 @@ def window_f_components(iset):
         if hi > lo:
             out.append((lo, hi))
     return out
+
+
+def g_window_mass_scan(iset, lo, hi):
+    """G-mass of [lo, hi] inside the window, summed over every component."""
+    total = 0
+    for a, b in iset.components:
+        left = a if a > lo else lo
+        right = b if b < hi else hi
+        if right > left:
+            total = total + (right - left)
+    return total
 
 
 def scan_delta_dense(iset, delta):
@@ -225,3 +237,63 @@ def random_trace_fn(rng, iset):
                 nodes.add(float(x))
     grid = np.array(sorted(nodes))
     return tf.TraceFunction(iset, grid, rng.normal(size=grid.size))
+
+
+def _float_pair_set(xs):
+    xs = sorted(xs)[: len(xs) // 2 * 2]
+    return tf.build_interval_set(list(zip(xs[::2], xs[1::2])), (0, 1))
+
+
+def _narrow_gap_set(m, j):
+    # m gaps of width 1/(3 10^j) around non-dyadic centres, so no end is a float
+    w = Fraction(1, 3 * 10**j)
+    centres = [Fraction(2 * i + 1, 2 * m) + Fraction(1, 7000) for i in range(m)]
+    return tf.build_interval_set([(c - w / 2, c + w / 2) for c in centres], (0, 1))
+
+
+def _edge_set(seed):
+    """A /240 set with a component at one or both window edges; an all-G tail
+    may not meet such a component, so those sides are all-F or Periodic."""
+    rng = np.random.default_rng(seed)
+    pts = sorted(int(p) for p in rng.choice(np.arange(12, 229), size=4, replace=False))
+    left, right = (bool(v) for v in rng.integers(0, 2, size=2)) if seed % 3 else (True, True)
+    pts = [0 if left else pts[0]] + pts[1:3] + [240 if right else pts[3]]
+    comps = [(Fraction(pts[0], 240), Fraction(pts[1], 240)),
+             (Fraction(pts[2], 240), Fraction(pts[3], 240))]
+    if left != right and rng.random() < 0.5:
+        return tf.build_interval_set(comps, (0, 1), tails=(Tail.PERIODIC, Tail.PERIODIC))
+    tails = (Tail.ALL_F if left else Tail.ALL_G, Tail.ALL_F if right else Tail.ALL_G)
+    return tf.build_interval_set(comps, (0, 1), tails=tails)
+
+
+_allf_or_allg = st.sampled_from([Tail.ALL_F, Tail.ALL_G])
+
+# svc sets of every case, /240 sets (some with a component at a window edge),
+# periodic sets, float-endpoint sets and gaps narrower than the endpoint slack
+geometry_sets = st.one_of(
+    st.builds(lambda d, tl, tr: tf.svc_complement(d, tails=(tl, tr)),
+              st.integers(0, 7), _allf_or_allg, _allf_or_allg),
+    st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s))),
+    st.integers(0, 10**6).map(_edge_set),
+    st.builds(tf.periodic_fat_cantor, st.integers(0, 4), st.sampled_from([2, 3, Fraction(5, 2)])),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+             min_size=2, max_size=12, unique=True).map(_float_pair_set),
+    st.builds(_narrow_gap_set, st.integers(1, 5), st.integers(9, 14)),
+)
+
+
+def probe_points(iset, rng, beyond=0.1):
+    """Float ends, points a few ulps and a few slacks off them, midpoints of
+    an adapted grid with random extra nodes, and uniform points reaching
+    ``beyond`` past either window edge."""
+    w0, w1 = (float(x) for x in iset.window)
+    ends = np.concatenate(iset.float_ends)
+    near = [ends]
+    for k in range(1, 4):
+        near += [ends + k * np.spacing(ends), ends - k * np.spacing(ends)]
+    for off in (2e-12, 1e-11, 1e-9):
+        near += [ends + off, ends - off]
+    grid = tf.adapted_grid(iset, extra=rng.uniform(w0, w1, size=20))
+    mids = (grid[:-1] + grid[1:]) / 2
+    uniform = rng.uniform(w0 - beyond, w1 + beyond, size=100)
+    return np.unique(np.concatenate(near + [grid, mids, uniform]))

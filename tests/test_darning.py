@@ -1,6 +1,7 @@
 """Darned-space checks: energy, norms, and transport along the collapse map."""
 
 import math
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -181,3 +182,25 @@ class TestAbsorbingAtoms:
         assert s.l2_darned == math.inf
         assert s.sup_line == s.sup_darned == 2.0
         assert s.energy_line == s.energy_darned == 0.0
+
+
+class TestDeepPipeline:
+    def test_depth12_pipeline(self):
+        # 4,095 gaps: each step has to stay O(n log m) for this to run in seconds
+        iset = tf.svc_complement(12, tails=(Tail.ALL_G, Tail.ALL_G))
+        m = 2**12 - 1
+        assert len(iset.components) == m
+        assert iset.g_mass_window == Fr(1, 2) * (1 - Fr(1, 2**12))
+        assert iset.lebesgue(0, 1, "G") == iset.g_mass_window
+        sf, dm = tf.ScaleFunction(iset), tf.DarningMap(iset)
+        u = tf.from_callable(lambda xs: np.sin(3 * xs) + xs * xs, iset)
+        dec = tf.project_subspace(u, sf)
+        uh = tf.darn_function(dec.u2, dm)  # the complement part is flat on every gap
+        assert uh.grid.size == u.grid.size - m
+        assert tf.darned_energy(uh).value == pytest.approx(
+            tf.dirichlet_energy(dec.u2).value, rel=1e-12)
+        e_trace = tf.trace_energy(tf.restrict_to_f(u, iset)).value
+        assert e_trace == pytest.approx(tf.dirichlet_energy(u).value, rel=1e-12)
+        back = tf.undarn_function(uh, dm)
+        assert np.array_equal(back.grid, u.grid)
+        assert np.allclose(back.values, dec.u2.values, rtol=0, atol=1e-12)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import traceform as tf
-from traceform import PreconditionError, ValidationError
+from traceform import PreconditionError, Tail, ValidationError
 
 from helpers import (
     random_complement_member,
@@ -128,6 +128,13 @@ class TestDarnUndarn:
         u = tf.undarn_function(uh, dm)
         assert np.all(u.values == 5.0)
 
+    def test_undarn_matches_collapsed_points_within_tolerance(self, svc1):
+        # a node 5e-13 off the collapsed point stands for the whole gap
+        dm = tf.DarningMap(svc1, z=0)
+        uh = tf.GridFunction(np.array([0.0, 3 / 8 + 5e-13, 3 / 4]), np.array([1.0, 2.0, 3.0]))
+        u = tf.undarn_function(uh, dm)
+        assert u.grid.tolist() == [0.0, 3 / 8, 5 / 8, 1.0]
+
     def test_round_trip_identity(self, rng):
         for _ in range(20):
             # darning needs functions constant on component closures (Cases I/II)
@@ -138,6 +145,33 @@ class TestDarnUndarn:
             back = tf.undarn_function(tf.darn_function(u, dm), dm)
             assert np.allclose(back.grid, u.grid, atol=1e-12)
             assert np.allclose(back.values, u.values, atol=1e-12)
+
+    def test_gap_with_rounded_ends_collapses_once(self):
+        # float(43/240) and float(19/24) are the rounded ends of one gap: both
+        # go to its one collapsed point, not to two images an ulp apart
+        iset = tf.build_interval_set([(Fr(43, 240), Fr(19, 24))], (0, 1),
+                                     tails=(Tail.ALL_F, Tail.ALL_G))
+        dm = tf.DarningMap(iset)
+        u = tf.GridFunction(tf.adapted_grid(iset), np.array([0.3, 1.0, 1.0 + 5e-10, 0.0]))
+        uh = tf.darn_function(u, dm)
+        assert uh.grid.tolist() == [0.0, float(Fr(43, 240)), float(Fr(93, 240))]
+        assert uh.values.tolist() == [0.3, 1.0, 0.0]
+        assert tf.darned_energy(uh).value == pytest.approx(tf.dirichlet_energy(u).value, rel=1e-8)
+        assert tf.equivalence_report([u], dm, tol=1e-6).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_one_node_per_gap_closure(self, seed):
+        rng = np.random.default_rng(seed)
+        iset = random_iset(rng, case="I" if seed % 2 else "II")
+        u = random_complement_member(rng, tf.ScaleFunction(iset, anchor=iset.window[0]))
+        dm = tf.DarningMap(iset)
+        uh = tf.darn_function(u, dm)
+        assert uh.grid.size == u.grid.size - len(iset.components)
+        # every node of uh comes back exactly: no node an ulp off a gap end
+        back = tf.undarn_function(uh, dm)
+        assert np.array_equal(back.grid, u.grid)
+        assert np.allclose(back.values, u.values, rtol=0, atol=1e-12)
 
     def test_nonconstant_rejected_names_component(self, svc1):
         u = tf.from_callable(lambda xs: xs, svc1)

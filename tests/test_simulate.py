@@ -1,6 +1,7 @@
 """Path sampling: exit estimators, speed-measure walks, occupation batching."""
 
 import math
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -248,6 +249,24 @@ class TestTimeChangedProcess:
         assert np.all(np.isin(p.states[p.flags == 1], [0.1875, 0.8125]))
         in_gap = p.states[p.flags == 0]
         assert np.all((in_gap >= 0.375) & (in_gap <= 0.625))
+
+    def test_nodes_follow_the_exact_inverse(self):
+        # /240 ends: no plateau value is a float, so both node rules are exercised
+        iset = tf.build_interval_set([(Fr(30, 240), Fr(90, 240)), (Fr(120, 240), Fr(200, 240))],
+                                     (0, 1))
+        sf = tf.ScaleFunction(iset, anchor=0)
+        h = 7 / 492  # the plateau at 1/4 sits 0.43 h below node 18
+        p = simulate_xs(sf, h=h, x0=0.3, horizon=30.0, seed=7)
+        walk = walk_paths(tf.scale_pushforward_speed(sf), h, float(sf(0.3)), 30.0, seed=7)
+        assert np.array_equal(p.times, walk.times)
+        plateaus = [(float(sf(lo)), (float(lo) + float(hi)) / 2) for lo, hi in iset.f_components]
+        want = []
+        for y in walk.states.tolist():
+            mid = next((mid for v, mid in plateaus if abs(y - v) <= h / 4), None)
+            want.append(mid if mid is not None else float(sf.inverse(y)[0]))
+        assert p.states.tolist() == want
+        assert p.flags.tolist() == [int(any(abs(y - v) <= h / 4 for v, _ in plateaus))
+                                    for y in walk.states.tolist()]
 
     def test_collapsed_window_rejected(self):
         sf = tf.ScaleFunction(tf.svc_complement(0), anchor=0)

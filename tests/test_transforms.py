@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import traceform as tf
 from traceform import PreconditionError, Tail, ValidationError
 
-from helpers import random_iset
+from helpers import geometry_sets, probe_points, random_iset
 
 isets = st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s)))
 window_fracs = st.fractions(min_value=0, max_value=1, max_denominator=96)
@@ -134,6 +134,139 @@ class TestDarningMap:
         s = tf.ScaleFunction(iset, anchor=w0)
         j = tf.DarningMap(iset)
         assert (s(y) - s(x)) + (j(y) - j(x)) == y - x
+
+
+def _beyond(iset):
+    # how far past the window edges the probe points reach: two periods and a half
+    return 2.5 * float(iset.period) if iset.period is not None else 0.5
+
+
+def _exact_points(iset, rng):
+    """Window edges, component ends, F-component midpoints and random points
+    of the window and, past its edges, of the tails, as exact values."""
+    w0, w1 = iset.window
+    pts = [w0, w1] + [e for ab in iset.components for e in ab]
+    pts += [(lo + hi) / 2 for lo, hi in iset.f_components]
+    span = Fr(w1 - w0)
+    reach = Fr(_beyond(iset)).limit_denominator(96)
+    pts += [w0 - reach + (span + 2 * reach) * Fr(int(k), 10**6)
+            for k in rng.integers(0, 10**6, size=40)]
+    return pts
+
+
+def _close(got, want, scale=1.0):
+    want = np.asarray(want, dtype=float)
+    return np.all(np.abs(got - want) <= 1e-12 * scale * np.maximum(1.0, np.abs(want)))
+
+
+class TestArrayPath:
+    """The float ndarray path of each map and inverse against the exact
+    scalar path, which stays the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_scale_map(self, iset, seed):
+        xs = probe_points(iset, np.random.default_rng(seed), _beyond(iset))
+        sf = tf.ScaleFunction(iset)
+        assert _close(sf(xs), [float(sf(Fr(x))) for x in xs.tolist()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_darning_map(self, iset, seed):
+        try:
+            dm = tf.DarningMap(iset)
+        except PreconditionError:
+            return  # F has no positive-length part in the window
+        xs = probe_points(iset, np.random.default_rng(seed), _beyond(iset))
+        got = dm(xs)
+        # a point within the endpoint slack of a gap is moved onto the gap:
+        # it is off the exact image by at most that slack
+        assert _close(got, [float(dm(Fr(x))) for x in xs.tolist()], scale=2.0)
+        w0, w1 = (float(v) for v in iset.window)
+        lefts, rights = iset.float_ends
+        near = (((xs >= w0) & (xs <= w1))[:, None] & (xs[:, None] >= lefts - iset.end_slack)
+                & (xs[:, None] <= rights + iset.end_slack))
+        # an F stretch narrower than the slack leaves a point near two gaps
+        one = near.sum(axis=1) == 1
+        positions = np.array([float(c.position) for c in dm.collapsed_points])
+        assert np.all(got[one] == positions[near[one].nonzero()[1]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_scale_inverse(self, iset, seed):
+        sf = tf.ScaleFunction(iset)
+        w0, w1 = iset.window
+        # a plateau a whole number of periods out has a value that folds back
+        # onto the window's plateau only up to rounding; floats cannot tell
+        ys = [sf(x) for x in _exact_points(iset, np.random.default_rng(seed))
+              if iset.period is None or w0 <= x <= w1 or iset.in_g(x)]
+        want = np.array([[float(v) for v in sf.inverse(y)] for y in ys])
+        lo, hi = sf.inverse(np.array([float(y) for y in ys]))
+        assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_darning_inverse(self, iset, seed):
+        try:
+            dm = tf.DarningMap(iset)
+        except PreconditionError:
+            return
+        # points of F and the collapsed points: inside a gap with float ends
+        # the scalar map rounds off the collapsed point it should hit
+        w0, w1 = iset.window
+        ys = [dm(x) for x in _exact_points(iset, np.random.default_rng(seed))
+              if w0 <= x <= w1 and not iset.in_g(x)]
+        ys += [c.position for c in dm.collapsed_points]
+        want = np.array([[float(v) for v in dm.inverse(y)] for y in ys])
+        lo, hi = dm.inverse(np.array([float(y) for y in ys]))
+        assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_round_trips(self, iset, seed):
+        w0, w1 = (float(v) for v in iset.window)
+        xs = probe_points(iset, np.random.default_rng(seed), 0.0)
+        xs = xs[(xs >= w0) & (xs <= w1)]
+        tol = 1e-12 * np.maximum(1.0, np.abs(xs))
+        maps = [(tf.ScaleFunction(iset), tol)]
+        try:
+            # the darning map moves a point within the endpoint slack onto the gap
+            maps.append((tf.DarningMap(iset), tol + iset.end_slack.max(initial=0.0)))
+        except PreconditionError:
+            pass
+        for f, slack in maps:
+            lo, hi = f.inverse(f(xs))
+            assert np.all((lo - slack <= xs) & (xs <= hi + slack))
+
+    def test_fraction_input_stays_exact(self, svc2):
+        sf, dm = tf.ScaleFunction(svc2), tf.DarningMap(svc2, z=0)
+        assert sf(Fr(1, 2)) == Fr(3, 16) and dm(Fr(1, 2)) == Fr(3, 8) - Fr(1, 16)
+        assert sf.inverse(Fr(3, 16)) == (Fr(1, 2), Fr(1, 2))
+        assert dm.inverse(Fr(5, 32)) == (Fr(5, 32), Fr(7, 32))
+
+    def test_float_ends_rounded_image_inverts(self):
+        # with float ends the scalar image of a gap point misses the collapsed
+        # point by rounding; it still inverts, onto the gap's closure
+        iset = tf.build_interval_set([(1e-05, 0.5)], (0, 1))
+        dm = tf.DarningMap(iset)
+        for k in range(1, 1000, 7):
+            lo, hi = dm.inverse(dm(Fr(k, 2000)))
+            assert 1e-05 - 1e-12 <= lo <= hi <= 0.5 + 1e-12
+
+    def test_array_shapes(self, svc1):
+        sf, dm = tf.ScaleFunction(svc1, anchor=0), tf.DarningMap(svc1, z=0)
+        xs = np.array([[0.0, 0.5], [0.625, 1.0]])
+        assert sf(xs).tolist() == [[0.0, 0.125], [0.25, 0.25]]
+        assert dm(xs).tolist() == [[0.0, 0.375], [0.375, 0.75]]
+        lo, hi = dm.inverse(np.array([0.375]))
+        assert (lo.tolist(), hi.tolist()) == ([0.375], [0.625])
+        assert [a.size for a in sf.inverse(np.array([]))] == [0, 0]
+
+    def test_out_of_range_arrays_raise(self, svc1):
+        with pytest.raises(PreconditionError, match="above the range"):
+            tf.ScaleFunction(svc1, anchor=0).inverse(np.array([0.1, 0.5]))
+        with pytest.raises(PreconditionError, match="outside the window image"):
+            tf.DarningMap(svc1, z=0).inverse(np.array([-0.5]))
 
 
 class TestPushforward:
