@@ -183,6 +183,14 @@ class IntervalSet:
         return tuple(gaps)
 
     @cached_property
+    def f_ranks(self) -> range:
+        """Per F-component, how many components of G lie left of it.  The two
+        kinds alternate, and a component at the left window edge has none
+        before it."""
+        skip = int(bool(self.components) and self.components[0][0] == self.window[0])
+        return range(skip, skip + len(self.f_components))
+
+    @cached_property
     def endpoints(self) -> tuple[Real, ...]:
         """All finite component endpoints, including the finite ends of the
         unbounded components implied by an all-G tail.  Every one lies in F.
@@ -234,6 +242,19 @@ class IntervalSet:
         lefts, rights = self.float_ends
         return 1e-12 * np.maximum(1.0, np.maximum(np.abs(lefts), np.abs(rights)))
 
+    def closure_index(self, points) -> np.ndarray:
+        """Index of the component whose closure, widened by ``end_slack`` at
+        both ends, holds each point, else -1.  Where two widened closures
+        overlap, the later component wins."""
+        xs = np.asarray(points, dtype=float)
+        lefts, rights = self.float_ends
+        if not lefts.size:
+            return np.full(xs.shape, -1, dtype=np.intp)
+        slack = self.end_slack
+        i = np.searchsorted(lefts - slack, xs, side="right") - 1
+        c = np.maximum(i, 0)
+        return np.where((i >= 0) & (xs <= rights[c] + slack[c]), i, -1)
+
     def classify(self, points, nodes: bool = False) -> np.ndarray:
         """Component index of each point, or -1 for points of F.
 
@@ -241,18 +262,21 @@ class IntervalSet:
         Cell midpoints (the default) lie in (a, b) when a < m < b.  Nodes
         follow the endpoint rule: ends arrive as rounded floats, so a node
         within 1e-12 max(1, |a|, |b|) of an end is that end and lies in F.
+        Such a node is in the closure of that component (``closure_index``);
+        the nodes of G are the rest of the closure.
         """
         xs = np.asarray(points, dtype=float)
         lefts, rights = self.float_ends
         if not lefts.size:
             return np.full(xs.shape, -1, dtype=np.intp)
-        i = np.searchsorted(lefts, xs, side="right") - 1
-        c = np.maximum(i, 0)
-        a, b = lefts[c], rights[c]
         if nodes:
-            inside = np.minimum(xs - a, b - xs) > self.end_slack[c]
+            i = self.closure_index(xs)
+            c = np.maximum(i, 0)
+            inside = np.minimum(xs - lefts[c], rights[c] - xs) > self.end_slack[c]
         else:
-            inside = (a < xs) & (xs < b)
+            i = np.searchsorted(lefts, xs, side="right") - 1
+            c = np.maximum(i, 0)
+            inside = (lefts[c] < xs) & (xs < rights[c])
         return np.where(inside, i, -1)
 
     def component_index(self, x: Real) -> int | None:

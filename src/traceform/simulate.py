@@ -439,13 +439,13 @@ def walk_paths(speed: SpeedMeasure, h: float, x0: float, horizon: float, seed: i
     instantaneous and are not recorded; the final sample closes the path at
     the horizon.  Entering an absorbing node freezes the path there.
     """
-    if horizon <= 0:
-        raise PreconditionError(f"horizon must be positive, got {horizon}")
     return _walk_chain(build_chain(speed, h, boundary), x0, horizon, seed, holding)
 
 
 def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int,
                 holding: str) -> PathSample:
+    if horizon <= 0:
+        raise PreconditionError(f"horizon must be positive, got {horizon}")
     k0 = _snap_start(chain, x0)
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
@@ -489,8 +489,6 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
     speed = scale_pushforward_speed(sf)
     chain = build_chain(speed, h, boundary)
     y0 = float(sf(x0))
-    if horizon <= 0:
-        raise PreconditionError(f"horizon must be positive, got {horizon}")
     path = _walk_chain(chain, y0, horizon, seed, holding)
     # map the nodes back through the scale inverse; a node within h/4 of a
     # plateau value stands for that plateau (plateaus lie at least h apart)

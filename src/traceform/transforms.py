@@ -63,11 +63,13 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
     return xin, gain
 
 
-def _ranks(iset: IntervalSet) -> range:
-    """Per F-component, how many G-components lie left of it.  The two kinds
-    alternate, and a component at the left window edge has none before it."""
-    skip = int(bool(iset.components) and iset.components[0][0] == iset.window[0])
-    return range(skip, skip + len(iset.f_components))
+def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Each y within ``slack`` of the nearest of the sorted ``values``
+    becomes that value."""
+    k = np.searchsorted(values, ys)
+    above, below = np.minimum(k, values.size - 1), np.maximum(k - 1, 0)
+    q = np.where(ys - values[below] < values[above] - ys, below, above)
+    return np.where(np.abs(ys - values[q]) <= slack, values[q], ys)
 
 
 def _floats(values) -> np.ndarray:
@@ -102,7 +104,7 @@ class ScaleFunction:
     def _plateaus(self) -> tuple[tuple[Real, Real, Real], ...]:
         # (value, lo, hi) for every flat stretch of s inside the window
         return tuple((self._levels[k], lo, hi)
-                     for k, (lo, hi) in zip(_ranks(self.base), self.base.f_components))
+                     for k, (lo, hi) in zip(self.base.f_ranks, self.base.f_components))
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
@@ -130,7 +132,9 @@ class ScaleFunction:
         Returns (lo, hi); lo == hi when y is hit inside a G-component, and the
         closed F-component on which s plateaus at y otherwise.  Values never
         attained by s raise ``PreconditionError``.  A float ndarray gives a
-        pair of arrays.
+        pair of arrays; with Periodic tails, a value folded back by whole
+        periods that lands within 1e-12 max(1, |y|) of a plateau value is
+        taken as that value.
         """
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
@@ -185,10 +189,14 @@ class ScaleFunction:
                 raise PreconditionError(
                     f"value {ys[out][0]} is {side} the range of the scale function")
             if tail is Tail.PERIODIC:
-                # whole periods back into the window's image, counted as the scalar path does
+                # whole periods back into the window's image, counted as the scalar
+                # path does; the subtraction rounds, so within 1e-12 of a whole
+                # number of periods, or of a plateau value that many out, is that value
                 per, d = float(iset.g_mass_window), ys[out] - s_edge
-                k = np.sign(d) * np.ceil(np.abs(d) / per)
-                yin[out] = np.clip(ys[out] - k * per, s0, s1)
+                slack = 1e-12 * np.maximum(1.0, np.abs(ys[out]))
+                k = np.sign(d) * np.ceil((np.abs(d) - slack) / per)
+                folded = np.clip(ys[out] - k * per, s0, s1)
+                yin[out] = _snap(folded, plateaus[0], slack) if plateaus else folded
                 shift[out] = k * float(iset.period)
         x = np.zeros(ys.shape)
         lefts = iset.float_ends[0]
@@ -315,7 +323,7 @@ class DarningMap:
         # (j_lo, j_hi, x_lo, x_hi) image span of each F-component
         iset = self.base
         spans = []
-        for k, (lo, hi) in zip(_ranks(iset), iset.f_components):
+        for k, (lo, hi) in zip(iset.f_ranks, iset.f_components):
             j_lo = self.collapsed_points[k - 1].position if k else self._ends[0]
             spans.append((j_lo, j_lo + (hi - lo), lo, hi))
         return tuple(spans)
@@ -328,11 +336,11 @@ class DarningMap:
 
     def _images(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """j of float points, and the index of the component whose closure
-        holds each window point, else -1.  The closure reaches past each end
-        by the endpoint slack of ``IntervalSet.classify(nodes=True)``, and
-        its points map to exactly its collapsed position.  Other points are
-        measured from the nearer end of their F span, so a window edge maps
-        to exactly the float of its exact image."""
+        holds each window point, else -1 (``IntervalSet.closure_index``, the
+        lookup under ``classify(nodes=True)``).  Points of a closure map to
+        exactly its collapsed position.  Other points are measured from the
+        nearer end of their F span, so a window edge maps to exactly the
+        float of its exact image."""
         iset = self.base
         positions, *spans = self._tables
         xin, gain = _fold(iset, xs, "F")
@@ -342,14 +350,9 @@ class DarningMap:
             k = np.clip(np.searchsorted(x_lo, xin, side="right") - 1, 0, x_lo.size - 1)
             ys = np.where(xin - x_lo[k] <= x_hi[k] - xin, j_lo[k] + (xin - x_lo[k]),
                           j_hi[k] - (x_hi[k] - xin))
-        closure = np.full(xs.shape, -1, dtype=np.intp)
-        lefts, rights = iset.float_ends
-        if lefts.size:
-            slack = iset.end_slack
-            i = np.searchsorted(lefts - slack, xin, side="right") - 1
-            c = np.maximum(i, 0)
-            closure = np.where((i >= 0) & (xin <= rights[c] + slack[c]), i, -1)
-            ys = np.where(closure >= 0, positions[c], ys)
+        closure = iset.closure_index(xin)
+        if positions.size:
+            ys = np.where(closure >= 0, positions[np.maximum(closure, 0)], ys)
         return ys + gain, closure
 
     def inverse(self, y):
@@ -371,7 +374,7 @@ class DarningMap:
         if k < len(self.collapsed_points) and self.collapsed_points[k].position == y:
             return self.base.components[k]
         # y lies between collapsed points k - 1 and k: on the F span between them
-        j_lo, _, x_lo, _ = self._f_spans[k - _ranks(self.base).start]
+        j_lo, _, x_lo, _ = self._f_spans[k - self.base.f_ranks.start]
         x = x_lo + (y - j_lo)
         return x, x
 
@@ -393,7 +396,7 @@ class DarningMap:
         x = np.zeros(y.shape)
         if spans:
             j_lo, j_hi, x_lo, x_hi = spans
-            f = np.clip(k - _ranks(self.base).start, 0, j_lo.size - 1)
+            f = np.clip(k - self.base.f_ranks.start, 0, j_lo.size - 1)
             x = np.where(y - j_lo[f] <= j_hi[f] - y, x_lo[f] + (y - j_lo[f]),
                          x_hi[f] - (j_hi[f] - y))
         if not positions.size:

@@ -251,6 +251,25 @@ class TestClassify:
     def test_adapted_grid_nodes_lie_in_f(self, iset):
         assert np.all(iset.classify(tf.adapted_grid(iset), nodes=True) == -1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_closure_holds_the_node_classes(self, iset, seed):
+        pts = probe_points(iset, np.random.default_rng(seed))
+        closure = iset.closure_index(pts)
+        lefts, rights = iset.float_ends
+        ends = list(zip(lefts - iset.end_slack, rights + iset.end_slack))
+        # the last component whose widened closure holds the point, else -1
+        want = [max((i for i, (a, b) in enumerate(ends) if a <= x <= b), default=-1)
+                for x in pts.tolist()]
+        assert closure.tolist() == want
+        nodes = iset.classify(pts, nodes=True)
+        assert np.all((nodes == -1) | (nodes == closure))
+
+    def test_f_ranks_count_the_gaps_to_the_left(self):
+        for iset in (tf.svc_complement(2), tf.build_interval_set([(0, Fr(1, 4))], (0, 1))):
+            lefts = [a for a, _ in iset.components]
+            assert list(iset.f_ranks) == [sum(a < lo for a in lefts) for lo, _ in iset.f_components]
+
     def test_rounded_end_is_the_end(self):
         iset = tf.build_interval_set([(Fr(1, 3), Fr(2, 3))], (0, 1))
         assert iset.component_index(2 / 3) == 0  # float(2/3) < 2/3

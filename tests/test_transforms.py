@@ -195,11 +195,7 @@ class TestArrayPath:
     @given(geometry_sets, st.integers(0, 10**6))
     def test_scale_inverse(self, iset, seed):
         sf = tf.ScaleFunction(iset)
-        w0, w1 = iset.window
-        # a plateau a whole number of periods out has a value that folds back
-        # onto the window's plateau only up to rounding; floats cannot tell
-        ys = [sf(x) for x in _exact_points(iset, np.random.default_rng(seed))
-              if iset.period is None or w0 <= x <= w1 or iset.in_g(x)]
+        ys = [sf(x) for x in _exact_points(iset, np.random.default_rng(seed))]
         want = np.array([[float(v) for v in sf.inverse(y)] for y in ys])
         lo, hi = sf.inverse(np.array([float(y) for y in ys]))
         assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
@@ -237,6 +233,19 @@ class TestArrayPath:
         for f, slack in maps:
             lo, hi = f.inverse(f(xs))
             assert np.all((lo - slack <= xs) & (xs <= hi + slack))
+
+    @pytest.mark.parametrize("comps", [
+        [(0, Fr(3, 10)), (Fr(7, 15), Fr(101, 120))],  # a plateau ends at the seam
+        [(Fr(1, 15), Fr(31, 48)), (Fr(37, 48), 1)],  # a plateau starts at the seam
+    ])
+    def test_periodic_plateaus_whole_periods_out(self, comps):
+        # folding back k periods rounds; the plateau must still come back whole
+        iset = tf.build_interval_set(comps, (0, 1), tails=(Tail.PERIODIC, Tail.PERIODIC))
+        sf = tf.ScaleFunction(iset)
+        ys = [v + k * iset.g_mass_window for v, _, _ in sf._plateaus for k in range(-3, 4)]
+        want = np.array([[float(v) for v in sf.inverse(y)] for y in ys])
+        lo, hi = sf.inverse(np.array([float(y) for y in ys]))
+        assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
 
     def test_fraction_input_stays_exact(self, svc2):
         sf, dm = tf.ScaleFunction(svc2), tf.DarningMap(svc2, z=0)
