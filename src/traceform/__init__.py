@@ -10,7 +10,7 @@ occupation statistics can be checked against closed forms.
 
 __version__ = "0.1.0"
 
-from .errors import PreconditionError, TraceformError, ValidationError
+from .errors import PreconditionError, StepCapError, TraceformError, ValidationError
 from .intervals import (
     IntervalSet,
     Tail,
@@ -87,6 +87,7 @@ __all__ = [
     "TraceformError",
     "ValidationError",
     "PreconditionError",
+    "StepCapError",
     "IntervalSet",
     "Tail",
     "ValidationReport",

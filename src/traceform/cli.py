@@ -5,7 +5,8 @@ config, library version) into the output directory, chosen by --out or the
 TRACEFORM_OUTDIR environment variable.  All randomness flows from an explicit
 --seed; rerunning a command with the same config reproduces byte-identical
 outputs.  Exit codes: 0 success, 2 validation failure, 3 precondition
-violation, 4 IO failure.
+violation, 4 IO failure, 5 any other library failure (such as an exit walk
+past its step cap).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import __version__
 from .darning import equivalence_report
 from .decompose import decompose_harmonic, project_subspace
 from .energy import dirichlet_energy, energy_measure, part_energy, subspace_energy
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, TraceformError, ValidationError
 from .gridfn import GridFunction, darn_function
 from .intervals import IntervalSet, Tail, build_interval_set, svc_complement
 from .simulate import (
@@ -101,7 +102,8 @@ def _emit(outdir: Path, command: str, config: dict, files: dict[str, str]) -> No
 
 
 def _config_of(args) -> dict:
-    skip = {"func", "command_name"}
+    # workers changes how a run is scheduled, never what it writes
+    skip = {"func", "command_name", "workers"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
@@ -578,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, help="override step (default (gap/50)^2)")
         p.add_argument("--correct", action="store_true",
                        help="enable the exit-overshoot boundary correction")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int,
+                       help="threads for the exit engine (default: one per usable CPU)")
         p.set_defaults(func=fn)
     p = sub.add_parser("occupation", help="occupation fractions of a recorded path")
     _add_out(p)
@@ -606,6 +609,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+    except TraceformError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     return 0
 
 

@@ -11,3 +11,7 @@ class ValidationError(TraceformError):
 
 class PreconditionError(TraceformError):
     """An operation was called outside its mathematical domain."""
+
+
+class StepCapError(TraceformError, RuntimeError):
+    """A Monte Carlo walk ran past its step cap without finishing."""

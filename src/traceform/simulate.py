@@ -24,13 +24,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, StepCapError, ValidationError
 from .intervals import IntervalSet
 from .transforms import ScaleFunction, SpeedMeasure, scale_pushforward_speed
 
@@ -38,7 +39,8 @@ from .transforms import ScaleFunction, SpeedMeasure, scale_pushforward_speed
 # equals -zeta(1/2)/sqrt(2 pi)
 OVERSHOOT = 0.5825971579390107
 
-EXIT_CHUNK = 1 << 14
+EXIT_CHUNK = 1 << 14  # paths per generator stream
+EXIT_TILE = 1 << 11  # rows per in-place tile of a step block
 DEFAULT_GAP_FRACTION = 50  # sqrt(dt) <= gap / 50
 
 
@@ -174,6 +176,11 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
     boundary crossing inside a block ends that path at the crossing step.
     With a nonzero shift the effective boundaries move inward, compensating
     the mean overshoot of the discrete walk past a continuum level.
+
+    Each block is drawn, summed and tested in place, EXIT_TILE surviving
+    rows at a time, in one reused buffer.  The tiles take the generator's
+    normals in row order, so the result equals that of drawing the whole
+    block at once, bit for bit, for any tile size.
     """
     lo = a + shift
     hi = b - shift
@@ -182,29 +189,54 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
     idx = np.arange(m)
     left = np.zeros(m, dtype=bool)
     tau = np.zeros(m)
+    buf = np.empty((min(m, EXIT_TILE), step_block))
     base = 0
     max_steps = max(10_000, int(200 * (b - a) ** 2 / dt))
     while idx.size:
         if base > max_steps:
-            raise RuntimeError("exit walk exceeded its step cap; dt is inconsistent with the gap")
-        traj = pos[:, None] + scale * np.cumsum(
-            rng.standard_normal((idx.size, step_block)), axis=1)
-        out = (traj <= lo) | (traj >= hi)
-        hit = out.any(axis=1)
-        if hit.any():
-            cols = np.argmax(out[hit], axis=1)
-            rows = idx[hit]
-            left[rows] = traj[hit, cols] <= lo
-            tau[rows] = (base + cols + 1) * dt
-        keep = ~hit
-        pos = traj[keep, -1]
+            raise StepCapError(
+                f"exit walk exceeded its step cap of {max_steps} steps; "
+                f"dt = {dt} is inconsistent with the gap ({a}, {b})"
+            )
+        keep = np.empty(idx.size, dtype=bool)
+        for r0 in range(0, idx.size, EXIT_TILE):
+            r1 = min(r0 + EXIT_TILE, idx.size)
+            tile = buf[: r1 - r0]
+            rng.standard_normal(out=tile)
+            np.cumsum(tile, axis=1, out=tile)
+            tile *= scale
+            tile += pos[r0:r1, None]
+            out = (tile <= lo) | (tile >= hi)
+            hit = out.any(axis=1)
+            if hit.any():
+                cols = np.argmax(out[hit], axis=1)
+                rows = idx[r0:r1][hit]
+                left[rows] = tile[hit, cols] <= lo
+                tau[rows] = (base + cols + 1) * dt
+            keep[r0:r1] = ~hit
+            pos[r0:r1] = tile[:, -1]
+        pos = pos[keep]
         idx = idx[keep]
         base += step_block
     return left, tau
 
 
+def _worker_count(workers: int | None, n_chunks: int) -> int:
+    """Threads for n_chunks chunks: ``None`` means one per usable CPU."""
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise PreconditionError(f"workers must be at least 1, got {workers}")
+    return min(workers, n_chunks)
+
+
 def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
-                  correct: bool, workers: int) -> tuple[np.ndarray, np.ndarray]:
+                  correct: bool, workers: int | None) -> tuple[np.ndarray, np.ndarray]:
+    if n < 1:
+        raise PreconditionError(f"path count n must be at least 1, got {n}")
     shift = OVERSHOOT * math.sqrt(dt) if correct else 0.0
     if not a + shift < x0 < b - shift:
         raise PreconditionError(
@@ -213,6 +245,7 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
         )
     chunks = [(c, min(EXIT_CHUNK, n - c * EXIT_CHUNK))
               for c in range((n + EXIT_CHUNK - 1) // EXIT_CHUNK)]
+    workers = _worker_count(workers, len(chunks))
 
     def run(chunk):
         c, m = chunk
@@ -246,12 +279,14 @@ def default_exit_dt(gap: float) -> float:
 
 def estimate_hitting(iset: IntervalSet, x0: float, n: int, seed: int,
                      dt: float | None = None, correct: bool = False,
-                     workers: int = 1) -> tuple[EstimatorResult, EstimatorResult]:
+                     workers: int | None = None) -> tuple[EstimatorResult, EstimatorResult]:
     """Exit-side probabilities of the gap containing x0, one result per endpoint.
 
     The closed form (b - x0) / (b - a) for the left endpoint is never used
     here; it is the oracle the estimate is tested against.  ``correct``
-    enables the overshoot boundary correction (off by default).
+    enables the overshoot boundary correction (off by default).  ``workers``
+    threads share the chunks (default: one per usable CPU); the result is
+    the same for every worker count.
     """
     a, b = _gap_of(iset, x0)
     if dt is None:
@@ -264,7 +299,7 @@ def estimate_hitting(iset: IntervalSet, x0: float, n: int, seed: int,
 
 def estimate_laplace(iset: IntervalSet, x0: float, alpha: float, n: int, seed: int,
                      dt: float | None = None, correct: bool = False,
-                     workers: int = 1) -> tuple[EstimatorResult, EstimatorResult]:
+                     workers: int | None = None) -> tuple[EstimatorResult, EstimatorResult]:
     """Means of exp(-alpha * exit_time) on each exit side; alpha = 0 recovers
     the plain hitting probabilities."""
     if alpha < 0:
@@ -490,19 +525,14 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
     chain = build_chain(speed, h, boundary)
     y0 = float(sf(x0))
     path = _walk_chain(chain, y0, horizon, seed, holding)
-    # map the nodes back through the scale inverse; a node within h/4 of a
-    # plateau value stands for that plateau (plateaus lie at least h apart)
+    # map the nodes back through the scale inverse; each plateau is one atom of
+    # the speed, in order, so the sorted atom nodes pair with the plateaus
     img_lo, img_hi = (float(v) for v in speed.carrier)
     xs, _ = sf.inverse(np.clip(chain.nodes, img_lo, img_hi))
     flags = np.zeros(chain.nodes.size, dtype=np.int8)
-    values = np.array([float(v) for v, _, _ in sf._plateaus])
-    mids = np.array([(float(flo) + float(fhi)) / 2 for _, flo, fhi in sf._plateaus])
-    if values.size:
-        k = np.searchsorted(values, chain.nodes)
-        for q in (np.minimum(k, values.size - 1), np.maximum(k - 1, 0)):
-            hit = np.abs(chain.nodes - values[q]) <= h / 4
-            xs[hit] = mids[q][hit]
-            flags[hit] = 1
+    atoms = list(chain.atom_nodes)
+    xs[atoms] = [(float(flo) + float(fhi)) / 2 for _, flo, fhi in sf._plateaus]
+    flags[atoms] = 1
     idx = np.rint((path.states - chain.lo) / h).astype(int)
     mapped_flags = flags[idx]
     mapped_flags[path.flags == 2] = 2

@@ -107,6 +107,38 @@ def chain_stationary(chain):
     return pi
 
 
+def exit_chunk_untiled(a, b, x0, m, dt, rng, shift, step_block=128):
+    """Exit side and exit time of m Euler paths, each step block drawn for
+    every surviving path at once: the exit engine before it worked in tiles,
+    kept as the oracle the tiled engine must match bit for bit."""
+    lo = a + shift
+    hi = b - shift
+    scale = math.sqrt(dt)
+    pos = np.full(m, float(x0))
+    idx = np.arange(m)
+    left = np.zeros(m, dtype=bool)
+    tau = np.zeros(m)
+    base = 0
+    max_steps = max(10_000, int(200 * (b - a) ** 2 / dt))
+    while idx.size:
+        if base > max_steps:
+            raise RuntimeError("exit walk exceeded its step cap")
+        traj = pos[:, None] + scale * np.cumsum(
+            rng.standard_normal((idx.size, step_block)), axis=1)
+        out = (traj <= lo) | (traj >= hi)
+        hit = out.any(axis=1)
+        if hit.any():
+            cols = np.argmax(out[hit], axis=1)
+            rows = idx[hit]
+            left[rows] = traj[hit, cols] <= lo
+            tau[rows] = (base + cols + 1) * dt
+        keep = ~hit
+        pos = traj[keep, -1]
+        idx = idx[keep]
+        base += step_block
+    return left, tau
+
+
 # ---------------------------------------------------------------------------
 # randomized object generators
 

@@ -234,6 +234,16 @@ class TestSimulateEstimate:
         assert rc == 0
         assert (a / "estimate.json").read_bytes() == (b / "estimate.json").read_bytes()
 
+    def test_manifest_does_not_depend_on_workers(self, tmp_path):
+        manifests = []
+        for workers in ([], ["--workers", "1"], ["--workers", "3"]):
+            rc, _, _ = run("estimate", "laplace", "--gap", "0,1", "--x0", "0.25", "--alpha", "1",
+                           "--n", "300", "--seed", "7", *workers, "--out", tmp_path)
+            assert rc == 0
+            manifests.append((tmp_path / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1] == manifests[2]
+        assert "workers" not in json.loads(manifests[0])["config"]
+
     def test_laplace_artifact(self, tmp_path):
         rc, _, _ = run("estimate", "laplace", "--gap", "0,1", "--x0", "0.5",
                        "--alpha", "2", "--n", "200", "--seed", "7", "--out", tmp_path)
@@ -255,6 +265,26 @@ class TestErrorHandling:
         assert rc == 3
         assert "precondition violated" in err
         assert "lies in F" in err
+
+    def test_workers_below_one_is_exit_3(self, tmp_path):
+        rc, _, err = run("estimate", "hitting", "--gap", "0,1", "--x0", "0.5",
+                         "--n", "10", "--seed", "1", "--workers", "0", "--out", tmp_path)
+        assert rc == 3
+        assert "workers must be at least 1" in err
+
+    def test_step_cap_is_exit_5(self, tmp_path, monkeypatch):
+        class ZeroSteps:
+            def standard_normal(self, *, out):
+                out.fill(0.0)
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroSteps())
+        rc, _, err = run("estimate", "hitting", "--gap", "0,1", "--x0", "0.5",
+                         "--n", "10", "--seed", "1", "--dt", "0.001", "--out", tmp_path)
+        assert rc == 5
+        assert err.startswith("error: exit walk exceeded its step cap")
+        assert "Traceback" not in err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_io_error_is_exit_4(self, tmp_path):
         rc, _, err = run("energy", "full", "--svc-depth", "1",

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import traceform as tf
-from traceform import PreconditionError, Tail
+import traceform.simulate as simulate
+from traceform import PreconditionError, StepCapError, Tail, TraceformError
 from traceform.simulate import (
+    EXIT_CHUNK,
+    EXIT_TILE,
+    OVERSHOOT,
+    _exit_chunk,
+    _exit_samples,
     bm_paths,
     build_chain,
     default_exit_dt,
@@ -20,7 +26,7 @@ from traceform.simulate import (
     walk_paths,
 )
 
-from helpers import chain_stationary
+from helpers import chain_stationary, exit_chunk_untiled
 
 
 def _lebesgue_speed(svc):
@@ -109,6 +115,74 @@ class TestExitEstimators:
         left, right = estimate_laplace(svc1, 0.5, 1e3, 1000, seed=5)
         assert 0.0 <= left.estimate < 0.02
         assert 0.0 <= right.estimate < 0.02
+
+    def test_default_workers_match_one_worker(self, svc1):
+        a = estimate_laplace(svc1, 0.45, 1.0, 3000, seed=2, workers=1)
+        b = estimate_laplace(svc1, 0.45, 1.0, 3000, seed=2)
+        assert a == b
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, svc1, workers):
+        with pytest.raises(PreconditionError, match="workers must be at least 1"):
+            estimate_hitting(svc1, 0.5, 100, seed=1, workers=workers)
+
+    def test_empty_sample_rejected(self, svc1):
+        with pytest.raises(PreconditionError, match="at least 1"):
+            estimate_hitting(svc1, 0.5, 0, seed=1)
+
+
+class ZeroSteps:
+    """Generator stub whose steps are all zero: no path ever leaves."""
+
+    def standard_normal(self, *, out):
+        out.fill(0.0)
+        return out
+
+
+class TestExitEngine:
+    """The tiled engine against the untiled oracle in ``helpers``, bit for bit."""
+
+    @staticmethod
+    def _both(m, seed, correct, dt=(1 / 40) ** 2):
+        shift = OVERSHOOT * math.sqrt(dt) if correct else 0.0
+        got = _exit_chunk(0.0, 1.0, 0.3, m, dt, np.random.default_rng(seed), shift)
+        want = exit_chunk_untiled(0.0, 1.0, 0.3, m, dt, np.random.default_rng(seed), shift)
+        return got, want
+
+    @pytest.mark.parametrize("tile", [1, 7, EXIT_TILE, 4096])
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_tiles_match_the_untiled_oracle(self, monkeypatch, tile, correct):
+        monkeypatch.setattr(simulate, "EXIT_TILE", tile)
+        sizes = {max(1, tile // 2), tile, 2 * tile + 3} if tile < 64 else {tile - 5, tile, 2 * tile + 3}
+        for m in sorted(sizes):
+            (left, tau), (want_left, want_tau) = self._both(m, seed=m, correct=correct)
+            assert left.dtype == want_left.dtype and tau.dtype == want_tau.dtype
+            assert np.array_equal(left, want_left), (tile, m)
+            assert np.array_equal(tau, want_tau), (tile, m)
+            assert np.all(tau > 0)
+
+    @pytest.mark.parametrize("tile", [EXIT_TILE, 4096])
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_several_chunks_match_the_oracle(self, monkeypatch, tile, correct):
+        monkeypatch.setattr(simulate, "EXIT_TILE", tile)
+        n, seed, dt = 2 * EXIT_CHUNK + 123, 41, 1e-3
+        shift = OVERSHOOT * math.sqrt(dt) if correct else 0.0
+        parts = [exit_chunk_untiled(0.0, 1.0, 0.3, min(EXIT_CHUNK, n - c), dt,
+                                    np.random.default_rng(seed ^ (c // EXIT_CHUNK)), shift)
+                 for c in range(0, n, EXIT_CHUNK)]
+        want_left = np.concatenate([p[0] for p in parts])
+        want_tau = np.concatenate([p[1] for p in parts])
+        for workers in (1, 2, None):
+            left, tau = _exit_samples(0.0, 1.0, 0.3, n, dt, seed, correct, workers)
+            assert np.array_equal(left, want_left), workers
+            assert np.array_equal(tau, want_tau), workers
+
+    def test_step_cap_is_a_typed_error(self):
+        with pytest.raises(StepCapError, match="step cap") as info:
+            _exit_chunk(0.0, 1.0, 0.5, 5, 1e-3, ZeroSteps(), 0.0)
+        # older handlers that catch RuntimeError still see it
+        assert isinstance(info.value, RuntimeError)
+        assert isinstance(info.value, TraceformError)
 
 
 class TestBuildChain:
@@ -251,22 +325,39 @@ class TestTimeChangedProcess:
         assert np.all((in_gap >= 0.375) & (in_gap <= 0.625))
 
     def test_nodes_follow_the_exact_inverse(self):
-        # /240 ends: no plateau value is a float, so both node rules are exercised
+        # /240 ends: no plateau value is a float, so both node kinds are exercised
         iset = tf.build_interval_set([(Fr(30, 240), Fr(90, 240)), (Fr(120, 240), Fr(200, 240))],
                                      (0, 1))
         sf = tf.ScaleFunction(iset, anchor=0)
         h = 7 / 492  # the plateau at 1/4 sits 0.43 h below node 18
         p = simulate_xs(sf, h=h, x0=0.3, horizon=30.0, seed=7)
-        walk = walk_paths(tf.scale_pushforward_speed(sf), h, float(sf(0.3)), 30.0, seed=7)
+        speed = tf.scale_pushforward_speed(sf)
+        walk = walk_paths(speed, h, float(sf(0.3)), 30.0, seed=7)
         assert np.array_equal(p.times, walk.times)
-        plateaus = [(float(sf(lo)), (float(lo) + float(hi)) / 2) for lo, hi in iset.f_components]
-        want = []
-        for y in walk.states.tolist():
-            mid = next((mid for v, mid in plateaus if abs(y - v) <= h / 4), None)
-            want.append(mid if mid is not None else float(sf.inverse(y)[0]))
-        assert p.states.tolist() == want
-        assert p.flags.tolist() == [int(any(abs(y - v) <= h / 4 for v, _ in plateaus))
-                                    for y in walk.states.tolist()]
+        # the node each plateau atom snapped to stands for that plateau
+        chain = build_chain(speed, h)
+        mids = {k: (float(lo) + float(hi)) / 2
+                for k, (lo, hi) in zip(chain.atom_nodes, iset.f_components)}
+        nodes = np.rint((walk.states - chain.lo) / h).astype(int).tolist()
+        point = {k: mids[k] if k in mids else float(sf.inverse(float(chain.nodes[k]))[0])
+                 for k in set(nodes)}
+        assert np.array_equal(walk.states, chain.nodes[nodes])
+        assert p.states.tolist() == [point[k] for k in nodes]
+        assert p.flags.tolist() == [int(k in mids) for k in nodes]
+
+    def test_atom_node_far_from_its_plateau_is_flagged(self):
+        # the plateau value 1/4 lies 0.43 h from node 18, where its atom
+        # snaps; the node stands for the plateau (3/8, 1/2), not for a point of G
+        iset = tf.build_interval_set([(Fr(30, 240), Fr(90, 240)), (Fr(120, 240), Fr(200, 240))],
+                                     (0, 1))
+        sf = tf.ScaleFunction(iset, anchor=0)
+        h = 7 / 492
+        p = simulate_xs(sf, h=h, x0=0.3, horizon=30.0, seed=7)
+        walk = walk_paths(tf.scale_pushforward_speed(sf), h, float(sf(0.3)), 30.0, seed=7)
+        at18 = np.rint(walk.states / h) == 18
+        assert at18.sum() > 0
+        assert np.all(p.flags[at18] == 1)
+        assert np.all(p.states[at18] == 0.4375)
 
     def test_collapsed_window_rejected(self):
         sf = tf.ScaleFunction(tf.svc_complement(0), anchor=0)
