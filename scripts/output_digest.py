@@ -12,7 +12,8 @@ seeded ``simulate_xs`` path on a ``/240`` set.  traceform itself is whatever
 Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
 bytes, and a raised error as its type and message.  CLI artifacts are
 written under one fixed temporary directory, because the manifests hash
-their output paths, and are reported as sha256 digests.
+their output paths, and are reported as sha256 digests, with the manifest
+of each successful command hashed as soon as the command returns.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py --out new.txt
@@ -221,6 +222,12 @@ def digest_cli(dg):
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
                 rc = cli_main(argv)
             dg.lines.append(json.dumps([f"cli {seed} {' '.join(argv[:2])}", rc, buf.getvalue()]))
+            if rc == 0:
+                # the workload's commands share one output directory, so hash
+                # each manifest before the next command overwrites it
+                manifest = Path(argv[argv.index("--out") + 1]) / "manifest.json"
+                dg.lines.append(json.dumps([f"cli {seed} {' '.join(argv[:2])} manifest",
+                                            hashlib.sha256(manifest.read_bytes()).hexdigest()]))
         for p in sorted(st.out.rglob("*")):
             if p.is_file():
                 dg.lines.append(json.dumps([f"cli {seed} file", str(p.relative_to(work)),

@@ -139,6 +139,14 @@ def exit_chunk_untiled(a, b, x0, m, dt, rng, shift, step_block=128):
     return left, tau
 
 
+class ZeroSteps:
+    """Generator stub whose steps are all zero: no exit path ever leaves."""
+
+    def standard_normal(self, *, out):
+        out.fill(0.0)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # randomized object generators
 

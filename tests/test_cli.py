@@ -14,6 +14,8 @@ import pytest
 import traceform as tf
 from traceform.cli import main
 
+from helpers import ZeroSteps
+
 
 def run(*argv, env=None):
     out, err = io.StringIO(), io.StringIO()
@@ -273,11 +275,6 @@ class TestErrorHandling:
         assert "workers must be at least 1" in err
 
     def test_step_cap_is_exit_5(self, tmp_path, monkeypatch):
-        class ZeroSteps:
-            def standard_normal(self, *, out):
-                out.fill(0.0)
-                return out
-
         monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroSteps())
         rc, _, err = run("estimate", "hitting", "--gap", "0,1", "--x0", "0.5",
                          "--n", "10", "--seed", "1", "--dt", "0.001", "--out", tmp_path)

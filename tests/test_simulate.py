@@ -26,7 +26,7 @@ from traceform.simulate import (
     walk_paths,
 )
 
-from helpers import chain_stationary, exit_chunk_untiled
+from helpers import ZeroSteps, chain_stationary, exit_chunk_untiled
 
 
 def _lebesgue_speed(svc):
@@ -129,14 +129,6 @@ class TestExitEstimators:
     def test_empty_sample_rejected(self, svc1):
         with pytest.raises(PreconditionError, match="at least 1"):
             estimate_hitting(svc1, 0.5, 0, seed=1)
-
-
-class ZeroSteps:
-    """Generator stub whose steps are all zero: no path ever leaves."""
-
-    def standard_normal(self, *, out):
-        out.fill(0.0)
-        return out
 
 
 class TestExitEngine:
