@@ -6,7 +6,9 @@ and diffs the two files.  Inputs come from the generators in
 periodic sets, float-endpoint sets) and from the ``cli`` workload of
 ``perfbench/``.  Per set it records every energy form, the trace and darning
 transports, and the scalar scale and darning maps and their inverses at every
-adapted node, given exactly and as floats.  The walk lines include one
+adapted node, given exactly and as floats.  It also records the scalar
+geometry at float probe points in G, in F and past the window
+(``digest_probes``).  The walk lines include one
 seeded ``simulate_xs`` path on a ``/240`` set.  traceform itself is whatever
 ``PYTHONPATH`` selects, so one copy of this script drives both checkouts.
 Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
@@ -154,6 +156,8 @@ def digest_set(dg, t, iset, rng):
     dm = rec(t + " darning map", lambda: tf.DarningMap(iset))
     maps = [("scale", sf)] + ([("darn", dm)] if dm is not None else [])
     digest_node_maps(dg, t, iset, maps)
+    # a generator of its own, so the lines after these draw what they drew before
+    digest_probes(dg, t, iset, np.random.default_rng([int(v) for v in t.split(".")]))
     if dm is None:
         return
     uh = rec(t + " darn cf", lambda: tf.darn_function(cf, dm))
@@ -179,6 +183,53 @@ def digest_node_maps(dg, t, iset, maps):
             ys = dg.record(f"{t} {name} {kind} nodes", lambda: [f(x) for x in nodes])
             if ys is not None:
                 dg.record(f"{t} {name} inverse {kind} nodes", lambda: [f.inverse(y) for y in ys])
+
+
+def each(fn, xs):
+    """fn at every point; a point that raises gives its error type and message."""
+    out = []
+    for x in xs:
+        try:
+            out.append(fn(x))
+        except Exception as exc:
+            out.append(["error", type(exc).__name__, str(exc)])
+    return out
+
+
+def digest_probes(dg, t, iset, rng):
+    """The scalar geometry at float probe points: ends and points a few ulps
+    off them, gap interiors, and points past the window (two and a half
+    periods for periodic sets).  Covers ``lebesgue`` from the left window
+    edge, ``component_index``, ``in_g``, the scale and darning maps and their
+    inverses, a scale function with a float anchor and a darning map with an
+    explicit float anchor."""
+    rec = dg.record
+    w0, w1 = iset.window
+    beyond = 2.5 * float(iset.period) if iset.period is not None else 0.5
+    xs = H.probe_points(iset, rng, beyond).tolist()
+    for which in ("G", "F"):
+        rec(f"{t} probe lebesgue {which}", lambda: each(
+            lambda x: iset.lebesgue(w0, x, which) if x >= w0 else iset.lebesgue(x, w0, which), xs))
+    rec(f"{t} probe component_index", lambda: each(iset.component_index, xs))
+    rec(f"{t} probe in_g", lambda: each(iset.in_g, xs))
+    span = float(w1 - w0)
+    maps = [("scale", tf.ScaleFunction(iset)),
+            ("scale float anchor", tf.ScaleFunction(iset, anchor=float(w0) + 0.3 * span))]
+    for name, make in (("darn", lambda: tf.DarningMap(iset)),
+                       ("darn float z", lambda: tf.DarningMap(iset, z=_float_z(iset)))):
+        dm = rec(f"{t} probe {name} map", make)
+        if dm is not None:
+            maps.append((name, dm))
+    for name, f in maps:
+        ys = rec(f"{t} probe {name}", lambda: each(f, xs))
+        rec(f"{t} probe {name} inverse", lambda: each(
+            lambda y: y if isinstance(y, list) else f.inverse(y), ys))
+
+
+def _float_z(iset):
+    """The float midpoint of the last F-component of the window."""
+    lo, hi = iset.f_components[-1] if iset.f_components else iset.window
+    return (float(lo) + float(hi)) / 2
 
 
 def digest_walks(dg):
