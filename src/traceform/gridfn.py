@@ -232,7 +232,7 @@ def undarn_function(uh: GridFunction, dm: DarningMap, match_tol: float = 1e-12) 
             f"function span {uh.span} does not match the darning image [{lo}, {hi}]"
         )
     ys = uh.grid
-    positions = np.array([float(c.position) for c in dm.collapsed_points])
+    positions = dm._tables[0]
     at_collapsed = np.zeros(ys.shape, dtype=bool)
     if positions.size:
         k = np.searchsorted(positions, ys)

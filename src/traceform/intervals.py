@@ -6,21 +6,32 @@ looks like beyond the window (all of G, all of F, or a periodic repetition of
 the window pattern).  Everything downstream (scale functions, darning maps,
 trace energies) reads the geometry through this type.
 
-Endpoints produced by the built-in generators are exact ``fractions.Fraction``
-values, so shared-endpoint detection and Lebesgue masses are exact.  Endpoints
-supplied as floats are kept as floats and compared exactly as given.
+Every set keeps one exact table: the window ends and the component ends as
+Python-int numerators over one common denominator D, the least common
+multiple of their denominators.  Ends may be ints, ``Fraction`` values or
+floats; a float enters the table as its exact binary value, so every set has
+a D.  A scalar query is turned into its exact ratio once and placed in the
+table by int comparison and bisection.  The float64 tables are the
+numerators over D, correctly rounded, which is the float of each exact value.
+
+Results keep the type and the bits that the same expression gives on the
+given endpoint objects: exact (int or ``Fraction``) where every value in it is
+exact, float where a float takes part, in which case the float operations are
+those of that expression, with each exact part rounded once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, chain, islice
+from operator import lt, sub
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +66,93 @@ def _decode(x) -> Real:
     raise ValidationError(f"cannot decode endpoint {x!r}")
 
 
+# -- exact numbers ---------------------------------------------------------
+
+INT, FRACTION, FLOAT = 0, 1, 2  # kinds of number, in the order Python widens them
+_AT_LEAST = [bytes(max(v, k) for v in range(256)) for k in (INT, FRACTION, FLOAT)]
+
+
+def _kind(x) -> int:
+    return FLOAT if isinstance(x, float) else FRACTION if isinstance(x, Fraction) else INT
+
+
+def _ratio(x) -> tuple[int, int]:
+    """The exact value of a real number as (numerator, positive denominator)."""
+    if isinstance(x, (int, float, Fraction)):
+        return x.as_integer_ratio()
+    if isinstance(x, numbers.Rational):
+        return x.numerator, x.denominator
+    if isinstance(x, numbers.Real):
+        return float(x).as_integer_ratio()
+    raise TypeError(f"{x!r} is not a real number")
+
+
+def _lt(x, y) -> bool:
+    """x < y, exactly."""
+    (p, q), (r, s) = _ratio(x), _ratio(y)
+    return p * s < r * q
+
+
+def _exact(n: int, den: int, kind: int) -> Real:
+    """n / den as a number of the given kind."""
+    if kind == FLOAT:
+        return n / den  # int division rounds correctly: the float of the exact value
+    if kind == FRACTION:
+        return Fraction(n, den)
+    return n // den
+
+
+class _Table(NamedTuple):
+    """Sorted exact values: int numerators over one denominator, with the kind
+    of number each value is handed out as."""
+
+    nums: list
+    den: int
+    kinds: bytes
+
+    def key(self, x) -> tuple:
+        """floor and ceiling of x * den.  For a numerator n: n < x iff n < ceil,
+        n <= x iff n <= floor, and n == x iff floor == ceil == n.  An infinite
+        or NaN float is its own key."""
+        try:
+            p, q = x.as_integer_ratio()
+        except (OverflowError, ValueError):
+            return x, x
+        except AttributeError:
+            p, q = _ratio(x)
+        f, r = divmod(p * self.den, q)
+        return f, f + (r > 0)
+
+    def get(self, j: int, like=None) -> Real:
+        """Value j, as a float when ``like`` is one (Python would round it to
+        meet ``like`` anyway), else as its own kind."""
+        kind = FLOAT if isinstance(like, float) else self.kinds[j]
+        return _exact(self.nums[j], self.den, kind)
+
+    def floats(self) -> np.ndarray:
+        den = self.den
+        return np.fromiter((n / den for n in self.nums), float, len(self.nums))
+
+
+def _over(ratios: list) -> tuple[list, int]:
+    """Numerators of (p, q) ratios over their least common denominator."""
+    den = math.lcm(*{q for _, q in ratios})
+    return [p * (den // q) for p, q in ratios], den
+
+
+def _mixed(exact: list, den: int, kinds: bytes, float_value) -> _Table:
+    """A table whose value j is exact[j] / den where kinds[j] is exact, else
+    the float float_value(j, before), where ``before`` is value j - 1 as a float."""
+    if FLOAT not in kinds:
+        return _Table(exact, den, kinds)
+    ratios, before = [], None
+    for j, (n, kind) in enumerate(zip(exact, kinds)):
+        ratios.append((n, den) if kind < FLOAT else float_value(j, before).as_integer_ratio())
+        before = ratios[-1][0] / ratios[-1][1]
+    nums, den = _over(ratios)
+    return _Table(nums, den, kinds)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of ``IntervalSet.validate``.  Carries failures, never raises."""
@@ -80,31 +178,77 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
 class IntervalSet:
     """Open set G inside a window, plus tail declarations beyond it.
 
     ``components`` are the open intervals making up G within the window,
     sorted, pairwise disjoint, and never sharing an endpoint (a shared
     endpoint would make an isolated point of F, which is excluded).
+    Instances are immutable; two sets are equal when their tails and the
+    exact values of their ends are.
     """
 
-    window: tuple[Real, Real]
-    components: tuple[tuple[Real, Real], ...] = ()
-    tail_left: Tail = Tail.ALL_F
-    tail_right: Tail = Tail.ALL_F
-    period: Real | None = None
+    def __init__(self, window: Sequence[Real], components: Iterable[Sequence[Real]] = (),
+                 tail_left: Tail = Tail.ALL_F, tail_right: Tail = Tail.ALL_F,
+                 period: Real | None = None):
+        window = tuple(window)
+        components = tuple(tuple(c) for c in components)
+        if len(window) != 2:
+            raise ValidationError("window must be a pair (w0, w1)")
+        for pair in components:
+            if len(pair) != 2:
+                raise ValidationError(f"component {pair!r} is not a pair")
+        flat = window + tuple(chain.from_iterable(components))
+        try:
+            nums, den = _over([_ratio(x) for x in flat])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"every end must be a finite real number: {exc}") from exc
+        self.__dict__["components"] = components
+        self._setup(window, nums[:2], nums[2:], den, bytes(map(_kind, flat[2:])),
+                    tail_left, tail_right, period)
 
-    def __post_init__(self):
-        object.__setattr__(self, "window", tuple(self.window))
-        object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
+    @classmethod
+    def _from_table(cls, window, w, ends, den, tails, period=None) -> "IntervalSet":
+        """A set whose component ends are the ``Fraction`` values ends / den,
+        built from the table alone; ``components`` is made on first use."""
+        self = cls.__new__(cls)
+        self._setup(tuple(window), w, ends, den, b"\x01" * len(ends), *tails, period)
+        return self
+
+    def _setup(self, window, w, ends, den, kinds, tail_left, tail_right, period):
+        put = self.__dict__.__setitem__
+        put("window", window)
+        put("tail_left", tail_left)
+        put("tail_right", tail_right)
+        put("period", period)
+        put("den", den)
+        put("_w", tuple(w))
+        put("_ends", _Table(ends, den, kinds))
         self._validate_structure()
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntervalSet is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        return (self.den == other.den and self._w == other._w
+                and self._ends.nums == other._ends.nums
+                and self.tail_left is other.tail_left and self.tail_right is other.tail_right
+                and self.period == other.period)
+
+    def __hash__(self):
+        return hash((self.den, self._w, tuple(self._ends.nums), self.tail_left, self.tail_right))
+
+    def __repr__(self):
+        return (f"IntervalSet(window={self.window!r}, components={self.components!r}, "
+                f"tail_left={self.tail_left!r}, tail_right={self.tail_right!r}, "
+                f"period={self.period!r})")
+
     def _validate_structure(self) -> None:
-        if len(self.window) != 2:
-            raise ValidationError("window must be a pair (w0, w1)")
         w0, w1 = self.window
-        if not w0 < w1:
+        w0n, w1n = self._w
+        if not w0n < w1n:
             raise ValidationError(f"window must satisfy w0 < w1, got ({w0}, {w1})")
         for tail in (self.tail_left, self.tail_right):
             if not isinstance(tail, Tail):
@@ -112,7 +256,7 @@ class IntervalSet:
         periodic = Tail.PERIODIC in (self.tail_left, self.tail_right)
         if periodic:
             if self.period is None:
-                object.__setattr__(self, "period", w1 - w0)
+                self.__dict__["period"] = w1 - w0
             elif self.period != w1 - w0:
                 raise ValidationError(
                     f"period {self.period} must equal the window length {w1 - w0}: "
@@ -121,74 +265,137 @@ class IntervalSet:
         elif self.period is not None:
             raise ValidationError("period given but neither tail is Periodic")
 
-        prev_b: Real | None = None
-        prev_pair: tuple[Real, Real] | None = None
-        for pair in self.components:
-            if len(pair) != 2:
-                raise ValidationError(f"component {pair!r} is not a pair")
-            a, b = pair
-            if not a < b:
-                raise ValidationError(f"component ({a}, {b}) has nonpositive length")
-            if a < w0 or b > w1:
-                raise ValidationError(f"component ({a}, {b}) extends beyond window ({w0}, {w1})")
-            if prev_b is not None:
-                if a < prev_b:
-                    raise ValidationError(
-                        f"components {prev_pair} and ({a}, {b}) overlap"
-                    )
-                if a == prev_b:
-                    raise ValidationError(
-                        f"components {prev_pair} and ({a}, {b}) share endpoint {a}: "
-                        "F would have an isolated point there"
-                    )
-            prev_b, prev_pair = b, (a, b)
-
-        if self.components:
-            first_a = self.components[0][0]
-            last_b = self.components[-1][1]
-            if self.tail_left is Tail.ALL_G and first_a == w0:
+        ends = self._ends.nums
+        if ends and not (w0n <= ends[0] and ends[-1] <= w1n
+                         and all(map(lt, ends, islice(ends, 1, None)))):
+            self._raise_component_error()
+        if ends:
+            if self.tail_left is Tail.ALL_G and ends[0] == w0n:
                 raise ValidationError(
                     f"component starting at the window edge {w0} meets the all-G left tail: "
                     f"{w0} would be an isolated point of F"
                 )
-            if self.tail_right is Tail.ALL_G and last_b == w1:
+            if self.tail_right is Tail.ALL_G and ends[-1] == w1n:
                 raise ValidationError(
                     f"component ending at the window edge {w1} meets the all-G right tail: "
                     f"{w1} would be an isolated point of F"
                 )
-            if periodic and first_a == w0 and last_b == w1:
+            if periodic and ends[0] == w0n and ends[-1] == w1n:
                 raise ValidationError(
                     f"periodic pattern has components touching both window edges: the seam "
                     f"point {w0} would be an isolated point of F"
                 )
 
-    # -- derived geometry ------------------------------------------------
+    def _raise_component_error(self):
+        """Name the first component that is empty, leaves the window, or
+        overlaps or touches the one before it."""
+        (w0, w1), (w0n, w1n) = self.window, self._w
+        ends = self._ends.nums
+        for i, (a, b) in enumerate(self.components):
+            an, bn = ends[2 * i], ends[2 * i + 1]
+            if not an < bn:
+                raise ValidationError(f"component ({a}, {b}) has nonpositive length")
+            if an < w0n or bn > w1n:
+                raise ValidationError(f"component ({a}, {b}) extends beyond window ({w0}, {w1})")
+            if i and an < ends[2 * i - 1]:
+                raise ValidationError(
+                    f"components {self.components[i - 1]} and ({a}, {b}) overlap")
+            if i and an == ends[2 * i - 1]:
+                raise ValidationError(
+                    f"components {self.components[i - 1]} and ({a}, {b}) share endpoint {a}: "
+                    "F would have an isolated point there"
+                )
+
+    # -- the exact table ---------------------------------------------------
 
     @cached_property
-    def widths(self) -> tuple[Real, ...]:
-        return tuple(b - a for a, b in self.components)
+    def components(self) -> tuple[tuple[Real, Real], ...]:
+        end = self._ends.get
+        return tuple((end(j), end(j + 1)) for j in range(0, len(self._ends.nums), 2))
+
+    @cached_property
+    def _lo(self) -> list:
+        return self._ends.nums[0::2]
+
+    @cached_property
+    def _hi(self) -> list:
+        return self._ends.nums[1::2]
+
+    @cached_property
+    def g_prefix(self) -> list:
+        """G-mass of the window left of each component, then the window's
+        whole G-mass: m + 1 running sums, as int numerators over ``den``."""
+        return list(accumulate(map(sub, self._hi, self._lo), initial=0))
+
+    @cached_property
+    def _width_kinds(self) -> bytes:
+        k = self._ends.kinds
+        return bytes(map(max, k[0::2], k[1::2]))
+
+    def _width_float(self, i: int) -> float:
+        # b - a for component i, a float op when an end is a float
+        a, b, d = self._lo[i], self._hi[i], self.den
+        return b / d - a / d if self._width_kinds[i] == FLOAT else (b - a) / d
+
+    @cached_property
+    def _prefix(self) -> _Table:
+        """The running G-masses, each of the kind the sum of the widths before
+        it has.  Once a float width joins, the sums are floats added one width
+        at a time."""
+        kinds = bytes(accumulate(self._width_kinds, max, initial=INT))
+        return _mixed(self.g_prefix, self.den, kinds,
+                      lambda j, before: before + self._width_float(j - 1))
+
+    @cached_property
+    def _f_ends(self) -> tuple[_Table, _Table]:
+        """Lows and highs of the F-stretch left of each component and of the
+        last one, m + 1 each: the F-component of rank k (k components of G
+        left of it), or an empty stretch at a window edge that a component
+        touches."""
+        (w0, w1), (w0n, w1n), e = self.window, self._w, self._ends
+        return (_Table([w0n] + self._hi, self.den, bytes([_kind(w0)]) + e.kinds[1::2]),
+                _Table(self._lo + [w1n], self.den, e.kinds[0::2] + bytes([_kind(w1)])))
+
+    def _f_pair(self, k: int) -> tuple[Real, Real]:
+        lows, highs = self._f_ends
+        return lows.get(k), highs.get(k)
+
+    def _f_floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """float64 lows and highs of the F-components, in rank order."""
+        r = self.f_ranks
+        return tuple(t.floats()[r.start:r.stop] for t in self._f_ends)
+
+    def _key(self, x) -> tuple:
+        return self._ends.key(x)
+
+    def _anchored(self, anchor: Real, inner: _Table) -> _Table:
+        """The values anchor + inner[j]: exact where both are, else the float
+        float(anchor) + float(inner[j]), as the sum of the two numbers rounds."""
+        kinds = inner.kinds.translate(_AT_LEAST[_kind(anchor)])
+        p, q = _ratio(anchor)
+        den = math.lcm(inner.den, q)
+        s, c = p * (den // q), den // inner.den
+        nums = inner.nums if (s, c) == (0, 1) else [s + n * c for n in inner.nums]
+        if FLOAT in kinds:
+            fa, d = float(anchor), inner.den
+            nums, den = _over([(v, den) if k < FLOAT else (fa + n / d).as_integer_ratio()
+                               for v, n, k in zip(nums, inner.nums, kinds)])
+        return _Table(nums, den, kinds)
+
+    # -- derived geometry ------------------------------------------------
 
     @cached_property
     def f_components(self) -> tuple[tuple[Real, Real], ...]:
         """Closed positive-length intervals of F inside the window, in order."""
-        w0, w1 = self.window
-        gaps = []
-        prev = w0
-        for a, b in self.components:
-            if a > prev:
-                gaps.append((prev, a))
-            prev = b
-        if w1 > prev:
-            gaps.append((prev, w1))
-        return tuple(gaps)
+        return tuple(self._f_pair(k) for k in self.f_ranks)
 
     @cached_property
     def f_ranks(self) -> range:
         """Per F-component, how many components of G lie left of it.  The two
-        kinds alternate, and a component at the left window edge has none
-        before it."""
-        skip = int(bool(self.components) and self.components[0][0] == self.window[0])
-        return range(skip, skip + len(self.f_components))
+        kinds alternate; a component at a window edge leaves no F there."""
+        ends, (w0n, w1n) = self._ends.nums, self._w
+        m = len(ends) // 2
+        return range(int(bool(ends) and ends[0] == w0n), m + 1 - (bool(ends) and ends[-1] == w1n))
 
     @cached_property
     def endpoints(self) -> tuple[Real, ...]:
@@ -198,22 +405,23 @@ class IntervalSet:
         order, and an all-G edge never meets a component."""
         left = (self.window[0],) if self.tail_left is Tail.ALL_G else ()
         right = (self.window[1],) if self.tail_right is Tail.ALL_G else ()
-        return left + tuple(e for ab in self.components for e in ab) + right
+        return left + tuple(chain.from_iterable(self.components)) + right
 
     def is_endpoint(self, x: Real) -> bool:
-        """Whether x is one of ``endpoints``, found by bisection."""
-        i = bisect_left(self.endpoints, x)
-        return i < len(self.endpoints) and self.endpoints[i] == x
-
-    @cached_property
-    def g_prefix(self) -> tuple[Real, ...]:
-        """G-mass of the window left of each component, then the window's
-        whole G-mass: m + 1 running sums, exact for ``Fraction`` ends."""
-        return tuple(accumulate(self.widths, initial=0))
+        """Whether x is one of ``endpoints``."""
+        f, c = self._key(x)
+        if f != c:
+            return False
+        ends = self._ends.nums
+        i = bisect_left(ends, f)
+        if i < len(ends) and ends[i] == f:
+            return True
+        w0n, w1n = self._w
+        return (f == w0n and self.tail_left is Tail.ALL_G) or (f == w1n and self.tail_right is Tail.ALL_G)
 
     @cached_property
     def g_mass_window(self) -> Real:
-        return self.g_prefix[-1]
+        return self._prefix.get(-1)
 
     @cached_property
     def f_mass_window(self) -> Real:
@@ -221,19 +429,16 @@ class IntervalSet:
         return (w1 - w0) - self.g_mass_window
 
     @cached_property
-    def _lefts(self) -> list:
-        return [a for a, _ in self.components]
-
-    @cached_property
     def float_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """float64 left and right ends of the components, in order."""
-        return (np.array([float(a) for a, _ in self.components]),
-                np.array([float(b) for _, b in self.components]))
+        d = self.den
+        return (np.fromiter((n / d for n in self._lo), float, len(self._lo)),
+                np.fromiter((n / d for n in self._hi), float, len(self._hi)))
 
     @cached_property
     def gap_widths(self) -> np.ndarray:
         """float64 width of each component, rounded once from the exact b - a."""
-        return np.array([float(w) for w in self.widths])
+        return np.fromiter(map(self._width_float, range(len(self._lo))), float, len(self._lo))
 
     @cached_property
     def end_slack(self) -> np.ndarray:
@@ -279,65 +484,89 @@ class IntervalSet:
             inside = (lefts[c] < xs) & (xs < rights[c])
         return np.where(inside, i, -1)
 
+    def _component_at(self, f, c) -> int | None:
+        # the component holding the point with keys (f, c)
+        lo = self._lo
+        i = bisect_right(lo, f) - 1
+        if i >= 0 and c > lo[i] and f < self._hi[i]:
+            return i
+        return None
+
     def component_index(self, x: Real) -> int | None:
         """Index of the component whose open interval contains x, else None.
 
-        Exact for ``Fraction`` ends: this is the oracle for ``classify``."""
-        i = bisect_right(self._lefts, x) - 1
-        if i >= 0:
-            a, b = self.components[i]
-            if a < x < b:
-                return i
-        return None
+        Exact for every input: this is the oracle for ``classify``."""
+        return self._component_at(*self._key(x))
 
     def in_g(self, x: Real) -> bool:
         """Whether x lies in the open set G (tails included)."""
-        w0, w1 = self.window
-        if x < w0:
-            if self.tail_left is Tail.ALL_G:
-                return True
-            if self.tail_left is Tail.ALL_F:
-                return False
-            return self.in_g(x + self.period * self._periods_to_window(x))
-        if x > w1:
-            if self.tail_right is Tail.ALL_G:
-                return True
-            if self.tail_right is Tail.ALL_F:
-                return False
-            return self.in_g(x - self.period * self._periods_from_window(x))
-        return self.component_index(x) is not None
-
-    def _periods_to_window(self, x: Real) -> int:
-        # smallest k >= 0 with x + k * period inside [w0, w1]
-        w0 = self.window[0]
-        return max(0, math.ceil((w0 - x) / self.period))
-
-    def _periods_from_window(self, x: Real) -> int:
-        w1 = self.window[1]
-        return max(0, math.ceil((x - w1) / self.period))
+        f, c = self._key(x)
+        w0n, w1n = self._w
+        if f < w0n or c > w1n:
+            tail = self.tail_left if f < w0n else self.tail_right
+            if tail is not Tail.PERIODIC:
+                return tail is Tail.ALL_G
+            # fold x exactly into [w0, w0 + period); both seam points lie in F
+            p, q = _ratio(x)
+            y = w0n * q + (p * self.den - w0n * q) % ((w1n - w0n) * q)
+            f, r = divmod(y, q)
+            c = f + (r > 0)
+        return self._component_at(f, c) is not None
 
     # -- Lebesgue masses -------------------------------------------------
 
-    def _g_window_mass(self, lo: Real, hi: Real) -> Real:
-        """G-mass of [lo, hi] assuming w0 <= lo <= hi <= w1: the parts of the
-        first and last components it meets, and the prefix sums between them."""
+    def _add(self, x, y):
+        """x + y, where an exact piece of the table may stand as a pair
+        (numerator over D, kind): two such pairs add exactly."""
+        if type(x) is tuple and type(y) is tuple:
+            return x[0] + y[0], max(x[1], y[1])
+        return self._value(x, y) + self._value(y, x)
 
-        def part(i):
-            a, b = self.components[i]
-            left = a if a > lo else lo
-            right = b if b < hi else hi
-            return right - left if right > left else 0
+    def _value(self, x, like=None):
+        """A pair made a number (a float when ``like`` is one), else x."""
+        if type(x) is tuple:
+            return _exact(x[0], self.den, FLOAT if isinstance(like, float) else x[1])
+        return x
 
-        first = max(bisect_right(self._lefts, lo) - 1, 0)
-        last = bisect_left(self._lefts, hi) - 1  # the last component starting below hi
+    def _part(self, i, lo, hi, klo, khi):
+        """G-mass of component i inside [lo, hi]."""
+        a, b = self._lo[i], self._hi[i]
+        cut_lo, cut_hi = klo[0] >= a, khi[1] <= b  # lo >= a, hi <= b
+        if not (cut_lo or cut_hi):
+            kind = self._width_kinds[i]
+            return self._width_float(i) if kind == FLOAT else (b - a, kind)
+        if cut_lo and cut_hi:
+            inside = _lt(lo, hi)
+        else:
+            inside = b > klo[0] if cut_lo else khi[1] > a
+        if not inside:
+            return 0
+        end = self._ends.get
+        right = hi if cut_hi else end(2 * i + 1, lo)
+        left = lo if cut_lo else end(2 * i, hi)
+        return right - left
+
+    def _g_window_piece(self, lo, hi, klo, khi):
+        """G-mass of [lo, hi] assuming w0 <= lo <= hi <= w1, as a number or a
+        table pair: the parts of the first and last components it meets, and
+        the prefix sums between them."""
+        lefts = self._lo
+        first = max(bisect_right(lefts, klo[0]) - 1, 0)
+        last = bisect_left(lefts, khi[1]) - 1  # the last component starting below hi
         if last < first:
             return 0
-        total = part(first)
+        total = self._part(first, lo, hi, klo, khi)
         if last > first:
             if last > first + 1:
-                total = total + (self.g_prefix[last] - self.g_prefix[first + 1])
-            total = total + part(last)
+                p, kind = self._prefix, self._prefix.kinds[last]
+                between = (p.get(last) - p.get(first + 1) if kind == FLOAT
+                           else (self.g_prefix[last] - self.g_prefix[first + 1], kind))
+                total = self._add(total, between)
+            total = self._add(total, self._part(last, lo, hi, klo, khi))
         return total
+
+    def _g_window_mass(self, lo: Real, hi: Real) -> Real:
+        return self._value(self._g_window_piece(lo, hi, self._key(lo), self._key(hi)))
 
     def _g_periodic_mass(self, lo: Real, hi: Real) -> Real:
         """G-mass of [lo, hi] for the full periodic extension of the window pattern."""
@@ -357,8 +586,7 @@ class IntervalSet:
         return total
 
     def _g_tail_mass(self, lo: Real, hi: Real, tail: Tail) -> Real:
-        if lo >= hi:
-            return 0
+        # lo < hi
         if tail is Tail.ALL_G:
             return hi - lo
         if tail is Tail.ALL_F:
@@ -375,14 +603,28 @@ class IntervalSet:
             raise PreconditionError(f"which must be 'G' or 'F', got {which!r}")
         if isinstance(lo, float) and not math.isfinite(lo) or isinstance(hi, float) and not math.isfinite(hi):
             raise PreconditionError("lebesgue query endpoints must be finite")
-        if lo > hi:
+        if _lt(hi, lo):
             raise PreconditionError(f"query interval has lo {lo} > hi {hi}")
-        w0, w1 = self.window
-        g = self._g_tail_mass(lo, min(hi, w0), self.tail_left)
-        mid_lo, mid_hi = max(lo, w0), min(hi, w1)
-        if mid_hi > mid_lo:
-            g = g + self._g_window_mass(mid_lo, mid_hi)
-        g = g + self._g_tail_mass(max(lo, w1), hi, self.tail_right)
+        (w0, w1), (w0n, w1n) = self.window, self._w
+        klo, khi = self._key(lo), self._key(hi)
+        proper = klo[0] < khi[0] or _lt(lo, hi)
+        g = 0
+        if proper and klo[0] < w0n:  # the left tail [lo, min(hi, w0)]
+            g = self._g_tail_mass(lo, hi if khi[1] <= w0n else w0, self.tail_left)
+        # the window part [max(lo, w0), min(hi, w1)]
+        lo_in, hi_in = klo[0] >= w0n, khi[1] <= w1n
+        if lo_in:
+            nonempty = proper if hi_in else klo[0] < w1n
+        else:
+            nonempty = khi[1] > w0n if hi_in else True
+        if nonempty:
+            g = g + self._value(self._g_window_piece(
+                lo if lo_in else w0, hi if hi_in else w1,
+                klo if lo_in else (w0n, w0n), khi if hi_in else (w1n, w1n)))
+        if klo[0] >= w1n:  # the right tail [max(lo, w1), hi]
+            g = g + (self._g_tail_mass(lo, hi, self.tail_right) if proper else 0)
+        else:
+            g = g + (self._g_tail_mass(w1, hi, self.tail_right) if khi[1] > w1n else 0)
         if which == "G":
             return g
         return (hi - lo) - g
@@ -394,7 +636,7 @@ class IntervalSet:
             return True
         if tail is Tail.ALL_F:
             return False
-        return self.g_mass_window > 0
+        return self.g_prefix[-1] > 0
 
     # -- validation ------------------------------------------------------
 
@@ -403,9 +645,11 @@ class IntervalSet:
         positive measure.  Returns the offending F-intervals otherwise."""
         if not delta > 0:
             raise PreconditionError(f"delta must be positive, got {delta}")
-        if self.g_mass_window == 0:
+        if self.g_prefix[-1] == 0:
             return False, (tuple(self.window),)
-        bad = tuple(g for g in self.f_components if g[1] - g[0] >= delta)
+        ceil = self._key(delta)[1]  # an F-width n / D is at least delta iff n >= ceil
+        lows, highs = (t.nums for t in self._f_ends)
+        bad = tuple(self._f_pair(k) for k in self.f_ranks if highs[k] - lows[k] >= ceil)
         return not bad, bad
 
     def validate(self, delta: Real) -> ValidationReport:
@@ -456,8 +700,19 @@ def build_interval_set(
     return IntervalSet(tuple(window), tuple(tuple(c) for c in components), tails[0], tails[1], period)
 
 
-def _exactify(x: Real) -> Real:
-    return Fraction(x) if isinstance(x, int) else x
+def _svc_ticks(depth: int) -> tuple[list, int]:
+    """The window ends and the gap ends of ``depth`` fat-Cantor steps on
+    [0, 2**(2 depth + 1)], in order.  Step i takes from each piece the middle
+    gap of half-width 2**(2 depth - 2 i), so every end is an integer."""
+    top = 1 << (2 * depth + 1)
+    pts = [0, top]
+    for i in range(1, depth + 1):
+        half = top >> (2 * i + 1)
+        lo, hi = pts[0::2], pts[1::2]
+        mids = [(x + y) >> 1 for x, y in zip(lo, hi)]
+        pts = list(chain.from_iterable(
+            zip(lo, [c - half for c in mids], [c + half for c in mids], hi)))
+    return pts, top
 
 
 def svc_complement(
@@ -471,28 +726,25 @@ def svc_complement(
     Step i removes the open middle interval of relative length 4**-i from each
     of the 2**(i-1) closed pieces remaining, so the removed mass after k steps
     is |window| * (1/2) * (1 - 2**-k) and F keeps positive measure at every depth.
+    The ends are exact ``Fraction`` values, built as integers level by level.
     """
     if not isinstance(depth, int) or depth < 0:
         raise PreconditionError(f"depth must be a nonnegative integer, got {depth!r}")
     if depth > max_depth:
         raise PreconditionError(f"depth {depth} exceeds the configured maximum {max_depth}")
-    w0, w1 = (_exactify(x) for x in window)
+    w0, w1 = (Fraction(x) for x in window)
     if not w0 < w1:
         raise PreconditionError(f"window must satisfy w0 < w1, got {window!r}")
+    ticks, top = _svc_ticks(depth)
+    # tick t is w0 + (w1 - w0) t / top
     span = w1 - w0
-    pieces = [(w0, w1)]
-    removed: list[tuple[Real, Real]] = []
-    for i in range(1, depth + 1):
-        half = span / 4**i / 2
-        nxt = []
-        for x, y in pieces:
-            mid = (x + y) / 2
-            removed.append((mid - half, mid + half))
-            nxt.append((x, mid - half))
-            nxt.append((mid + half, y))
-        pieces = nxt
-    removed.sort()
-    return IntervalSet((w0, w1), tuple(removed), tails[0], tails[1])
+    den = math.lcm(w0.denominator, span.denominator * top)
+    a = w0.numerator * (den // w0.denominator)
+    b = span.numerator * (den // (span.denominator * top))
+    nums = ticks if (a, b) == (0, 1) else [a + b * t for t in ticks]
+    g = math.gcd(den, *nums)
+    nums = [n // g for n in nums] if g > 1 else nums
+    return IntervalSet._from_table((w0, w1), (nums[0], nums[-1]), nums[1:-1], den // g, tails)
 
 
 def periodic_fat_cantor(
@@ -505,14 +757,18 @@ def periodic_fat_cantor(
     One period is materialized in the window [base0, base0 + period]: the
     Cantor gaps on the base window plus the open spacer up to the period end.
     """
-    b0, b1 = (_exactify(x) for x in base)
-    period = _exactify(period)
+    b0, b1 = (Fraction(x) for x in base)
+    period = Fraction(period)
     if not period > b1 - b0:
         raise PreconditionError(
             f"period {period} must exceed the base window length {b1 - b0}"
         )
     core = svc_complement(depth, (b0, b1))
-    components = core.components + ((b1, b0 + period),)
-    return IntervalSet(
-        (b0, b0 + period), components, Tail.PERIODIC, Tail.PERIODIC, period
-    )
+    top = b0 + period
+    den = math.lcm(core.den, top.denominator)
+    c = den // core.den
+    w0n, b1n = (n * c for n in core._w)
+    topn = top.numerator * (den // top.denominator)
+    ends = [n * c for n in core._ends.nums] + [b1n, topn]  # the core's gaps and the spacer
+    return IntervalSet._from_table((b0, top), (w0n, topn), ends, den,
+                                   (Tail.PERIODIC, Tail.PERIODIC), period)

@@ -531,7 +531,8 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
     xs, _ = sf.inverse(np.clip(chain.nodes, img_lo, img_hi))
     flags = np.zeros(chain.nodes.size, dtype=np.int8)
     atoms = list(chain.atom_nodes)
-    xs[atoms] = [(float(flo) + float(fhi)) / 2 for _, flo, fhi in sf._plateaus]
+    _, _, f_lo, f_hi = sf._tables
+    xs[atoms] = (f_lo + f_hi) / 2
     flags[atoms] = 1
     idx = np.rint((path.states - chain.lo) / h).astype(int)
     mapped_flags = flags[idx]

@@ -18,7 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, Real, Tail, _decode, _encode
+from .intervals import (_AT_LEAST, FLOAT, INT, IntervalSet, Real, Tail, _decode, _encode, _kind,
+                        _lt, _mixed)
 
 
 class Case(Enum):
@@ -72,15 +73,15 @@ def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
     return np.where(np.abs(ys - values[q]) <= slack, values[q], ys)
 
 
-def _floats(values) -> np.ndarray:
-    return np.array([float(v) for v in values])
+def _ge(x, y) -> bool:
+    return not _lt(x, y)
 
 
 class ScaleFunction:
     """s(x) = signed G-mass between the anchor and x; s(anchor) = 0.
 
     Scalar calls are exact for ``Fraction`` input.  A float ndarray maps
-    elementwise through float64 copies of the exact tables, by bisection.
+    elementwise through the float64 tables, by bisection.
     """
 
     def __init__(self, base: IntervalSet, anchor: Real = 0):
@@ -90,29 +91,30 @@ class ScaleFunction:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._map(np.asarray(x, dtype=float))
-        if x >= self.anchor:
+        if _ge(x, self.anchor):
             return self.base.lebesgue(self.anchor, x, "G")
         return -self.base.lebesgue(x, self.anchor, "G")
 
     @cached_property
-    def _levels(self) -> tuple[Real, ...]:
-        # s at each component's left end, then at w1
-        s0 = self(self.base.window[0])
-        return tuple(s0 + p for p in self.base.g_prefix)
+    def _levels(self):
+        # s at each component's left end, then at w1: s(w0) plus the running G-mass
+        iset = self.base
+        return iset._anchored(self(iset.window[0]), iset._prefix)
 
     @cached_property
     def _plateaus(self) -> tuple[tuple[Real, Real, Real], ...]:
         # (value, lo, hi) for every flat stretch of s inside the window
-        return tuple((self._levels[k], lo, hi)
-                     for k, (lo, hi) in zip(self.base.f_ranks, self.base.f_components))
+        iset = self.base
+        return tuple((self._levels.get(k), *iset._f_pair(k)) for k in iset.f_ranks)
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
         # float64 levels, plateau values, plateau lows and plateau highs
-        return (_floats(self._levels),) + tuple(_floats(col) for col in zip(*self._plateaus))
+        levels, ranks = self._levels.floats(), self.base.f_ranks
+        return (levels, levels[ranks.start:ranks.stop], *self.base._f_floats())
 
     def window_image(self) -> tuple[Real, Real]:
-        return self._levels[0], self._levels[-1]
+        return self._levels.get(0), self._levels.get(-1)
 
     def _map(self, xs: np.ndarray) -> np.ndarray:
         iset = self.base
@@ -139,44 +141,43 @@ class ScaleFunction:
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
         iset = self.base
+        levels = self._levels
+        f, c = levels.key(y)
+        if f < levels.nums[0] or c > levels.nums[-1]:
+            return self._tail_inverse(y, f < levels.nums[0])
+        # the first plateau value at or above y, then the left end of the
+        # component whose image holds y
+        ranks = iset.f_ranks
+        k = max(bisect_left(levels.nums, c), ranks.start)
+        if k < ranks.stop and f == c == levels.nums[k]:
+            return iset._f_pair(k)
+        i = min(bisect_right(levels.nums, f), len(iset._lo)) - 1
+        x = iset._ends.get(2 * i, y) + (y - levels.get(i, y))
+        return x, x
+
+    def _tail_inverse(self, y, below: bool):
+        iset = self.base
         w0, w1 = iset.window
         s0, s1 = self.window_image()
-        if y < s0:
-            if iset.tail_left is Tail.ALL_G:
-                x = w0 - (s0 - y)
-                return x, x
-            if iset.tail_left is Tail.ALL_F or iset.g_mass_window == 0:
-                raise PreconditionError(f"value {y} is below the range of the scale function")
-            per_mass = iset.g_mass_window
+        tail = iset.tail_left if below else iset.tail_right
+        if tail is Tail.ALL_G:
+            x = w0 - (s0 - y) if below else w1 + (y - s1)
+            return x, x
+        if tail is Tail.ALL_F or iset.g_prefix[-1] == 0:
+            side = "below" if below else "above"
+            raise PreconditionError(f"value {y} is {side} the range of the scale function")
+        per_mass, p = iset.g_mass_window, iset.period
+        if below:
             k = math.ceil((s0 - y) / per_mass)
             lo, hi = self.inverse(y + k * per_mass)
-            p = iset.period
             return lo - k * p, hi - k * p
-        if y > s1:
-            if iset.tail_right is Tail.ALL_G:
-                x = w1 + (y - s1)
-                return x, x
-            if iset.tail_right is Tail.ALL_F or iset.g_mass_window == 0:
-                raise PreconditionError(f"value {y} is above the range of the scale function")
-            per_mass = iset.g_mass_window
-            k = math.ceil((y - s1) / per_mass)
-            lo, hi = self.inverse(y - k * per_mass)
-            p = iset.period
-            return lo + k * p, hi + k * p
-        plateaus = self._plateaus
-        k = bisect_left(plateaus, y, key=lambda t: t[0])
-        if k < len(plateaus) and plateaus[k][0] == y:
-            return plateaus[k][1], plateaus[k][2]
-        # y is inside the image of the last component starting at or below it
-        i = min(bisect_right(self._levels, y), len(iset.components)) - 1
-        if i < 0:
-            raise PreconditionError(f"value {y} is not attained by the scale function")
-        x = iset.components[i][0] + (y - self._levels[i])
-        return x, x
+        k = math.ceil((y - s1) / per_mass)
+        lo, hi = self.inverse(y - k * per_mass)
+        return lo + k * p, hi + k * p
 
     def _inverse_map(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         iset = self.base
-        levels, *plateaus = self._tables
+        levels, values, lows, highs = self._tables
         s0, s1 = levels[0], levels[-1]
         w0, w1 = (float(v) for v in iset.window)
         sides = ((ys < s0, iset.tail_left, "below", s0, w0),
@@ -185,7 +186,7 @@ class ScaleFunction:
         for out, tail, side, s_edge, _ in sides:
             if not out.any():
                 continue
-            if tail is Tail.ALL_F or (tail is Tail.PERIODIC and iset.g_mass_window == 0):
+            if tail is Tail.ALL_F or (tail is Tail.PERIODIC and iset.g_prefix[-1] == 0):
                 raise PreconditionError(
                     f"value {ys[out][0]} is {side} the range of the scale function")
             if tail is Tail.PERIODIC:
@@ -196,7 +197,7 @@ class ScaleFunction:
                 slack = 1e-12 * np.maximum(1.0, np.abs(ys[out]))
                 k = np.sign(d) * np.ceil((np.abs(d) - slack) / per)
                 folded = np.clip(ys[out] - k * per, s0, s1)
-                yin[out] = _snap(folded, plateaus[0], slack) if plateaus else folded
+                yin[out] = _snap(folded, values, slack) if values.size else folded
                 shift[out] = k * float(iset.period)
         x = np.zeros(ys.shape)
         lefts = iset.float_ends[0]
@@ -204,8 +205,7 @@ class ScaleFunction:
             i = np.minimum(np.searchsorted(levels, yin, side="right"), lefts.size) - 1
             x = lefts[i] + (yin - levels[i])
         lo, hi = x, x
-        if plateaus:
-            values, lows, highs = plateaus
+        if values.size:
             k = np.minimum(np.searchsorted(values, yin), values.size - 1)
             flat = values[k] == yin
             lo, hi = np.where(flat, lows[k], x), np.where(flat, highs[k], x)
@@ -267,13 +267,12 @@ class DarningMap:
 
     @staticmethod
     def _default_anchor(iset: IntervalSet) -> Real:
-        for lo, hi in iset.f_components:
-            if not iset.is_endpoint(lo):
-                return lo
-            return (lo + hi) / 2
-        raise PreconditionError(
-            "no valid darning anchor: F has no positive-length part in the window"
-        )
+        if not iset.f_ranks:
+            raise PreconditionError(
+                "no valid darning anchor: F has no positive-length part in the window"
+            )
+        lo, hi = iset._f_pair(iset.f_ranks.start)
+        return lo if not iset.is_endpoint(lo) else (lo + hi) / 2
 
     def _check_anchor(self, z: Real) -> None:
         if self.base.in_g(z):
@@ -286,7 +285,7 @@ class DarningMap:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._images(np.asarray(x, dtype=float))[0]
-        if x >= self.z:
+        if _ge(x, self.z):
             return self.base.lebesgue(self.z, x, "F")
         return -self.base.lebesgue(x, self.z, "F")
 
@@ -296,12 +295,28 @@ class DarningMap:
         return self(w0), self(w1)
 
     @cached_property
-    def collapsed_points(self) -> tuple[CollapsedPoint, ...]:
+    def _levels(self):
+        # j at the left end of the F-stretch of each rank: j(w0), then each
+        # collapsed point j0 + ((a - w0) - p), for left ends a and G-masses p
         iset = self.base
-        j0, w0 = self._ends[0], iset.window[0]
+        (w0n, _), d, prefix = iset._w, iset.den, iset._prefix
+        inner = [0] + [(a - w0n) - p for a, p in zip(iset._lo, iset.g_prefix)]
+        kinds = bytes(map(max, iset._ends.kinds[0::2], prefix.kinds))
+        kinds = bytes([INT]) + kinds.translate(_AT_LEAST[_kind(iset.window[0])])
+
+        def float_value(j, _):  # (a - w0) - p, as Python subtracts the numbers
+            a, kind = iset._lo[j - 1], max(iset._ends.kinds[2 * j - 2], _kind(iset.window[0]))
+            da = a / d - w0n / d if kind == FLOAT else (a - w0n) / d
+            return da - prefix.get(j - 1, 1.0)
+
+        return iset._anchored(self._ends[0], _mixed(inner, d, kinds, float_value))
+
+    @cached_property
+    def collapsed_points(self) -> tuple[CollapsedPoint, ...]:
+        iset, levels = self.base, self._levels
         return tuple(
-            CollapsedPoint(index=i, position=j0 + ((a - w0) - p), width=b - a)
-            for i, ((a, b), p) in enumerate(zip(iset.components, iset.g_prefix))
+            CollapsedPoint(index=i, position=levels.get(i + 1), width=b - a)
+            for i, (a, b) in enumerate(iset.components)
         )
 
     def image(self) -> DarningImage:
@@ -319,20 +334,25 @@ class DarningMap:
         )
 
     @cached_property
-    def _f_spans(self) -> tuple[tuple[Real, Real, Real, Real], ...]:
-        # (j_lo, j_hi, x_lo, x_hi) image span of each F-component
-        iset = self.base
-        spans = []
-        for k, (lo, hi) in zip(iset.f_ranks, iset.f_components):
-            j_lo = self.collapsed_points[k - 1].position if k else self._ends[0]
-            spans.append((j_lo, j_lo + (hi - lo), lo, hi))
-        return tuple(spans)
-
-    @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
-        # float64 collapsed positions, then the columns of the F spans
-        return (_floats(c.position for c in self.collapsed_points),
-                *(_floats(col) for col in zip(*self._f_spans)))
+        # float64 collapsed positions, then per F-component its image span
+        # (j_lo, j_hi) and its ends (x_lo, x_hi)
+        iset, levels = self.base, self._levels
+        ranks = iset.f_ranks
+        lows, highs = iset._f_ends
+        j_lo = levels.floats()
+        j_hi = []
+        d = iset.den
+        for k in ranks:
+            width = highs.nums[k] - lows.nums[k]
+            if max(lows.kinds[k], highs.kinds[k]) == FLOAT:  # hi - lo in floats, then j_lo +
+                j_hi.append(j_lo[k] + (highs.nums[k] / d - lows.nums[k] / d))
+            elif levels.kinds[k] == FLOAT:
+                j_hi.append(j_lo[k] + width / d)
+            else:
+                j_hi.append((levels.nums[k] * d + width * levels.den) / (levels.den * d))
+        return (j_lo[1:], j_lo[ranks.start:ranks.stop], np.array(j_hi, dtype=float),
+                *iset._f_floats())
 
     def _images(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """j of float points, and the index of the component whose closure
@@ -342,11 +362,10 @@ class DarningMap:
         nearer end of their F span, so a window edge maps to exactly the
         float of its exact image."""
         iset = self.base
-        positions, *spans = self._tables
+        positions, j_lo, j_hi, x_lo, x_hi = self._tables
         xin, gain = _fold(iset, xs, "F")
         ys = np.full(xs.shape, float(self._ends[0]))
-        if spans:
-            j_lo, j_hi, x_lo, x_hi = spans
+        if x_lo.size:
             k = np.clip(np.searchsorted(x_lo, xin, side="right") - 1, 0, x_lo.size - 1)
             ys = np.where(xin - x_lo[k] <= x_hi[k] - xin, j_lo[k] + (xin - x_lo[k]),
                           j_hi[k] - (x_hi[k] - xin))
@@ -355,38 +374,48 @@ class DarningMap:
             ys = np.where(closure >= 0, positions[np.maximum(closure, 0)], ys)
         return ys + gain, closure
 
+    @cached_property
+    def _slack(self) -> float:
+        lo, hi = self._ends
+        return 1e-12 * max(1.0, abs(float(hi - lo)))
+
     def inverse(self, y):
         """Full preimage of y within the window: a point of F, or the closed
         component interval when y is a collapsed point.  A float ndarray
         gives a pair of arrays."""
-        img = self.image()
-        slack = 1e-12 * max(1.0, abs(float(img.hi - img.lo)))
         if isinstance(y, np.ndarray):
-            return self._inverse_map(np.asarray(y, dtype=float), slack)
-        if y < img.lo or y > img.hi:
+            return self._inverse_map(np.asarray(y, dtype=float))
+        iset, levels = self.base, self._levels
+        lo, hi = self._ends
+        if _lt(y, lo) or _lt(hi, y):
             # float inputs that went through the forward map can land one
             # ulp outside the exact rational image; clamp those, reject more
-            if img.lo - slack <= y <= img.hi + slack:
-                y = img.lo if y < img.lo else img.hi
+            if lo - self._slack <= y <= hi + self._slack:
+                y = lo if _lt(y, lo) else hi
             else:
                 self._raise_outside(y)
-        k = bisect_left(self.collapsed_points, y, key=lambda c: c.position)
-        if k < len(self.collapsed_points) and self.collapsed_points[k].position == y:
-            return self.base.components[k]
-        # y lies between collapsed points k - 1 and k: on the F span between them
-        j_lo, _, x_lo, _ = self._f_spans[k - self.base.f_ranks.start]
-        x = x_lo + (y - j_lo)
+        f, c = levels.key(y)
+        k = bisect_left(levels.nums, c, 1) - 1  # collapsed points below y
+        hit = k < len(iset._lo) and f == c == levels.nums[k + 1]
+        if hit or k not in iset.f_ranks:
+            # a component at a window edge leaves no F span there: y is off its
+            # collapsed point only by the rounding of a float image
+            k = min(k, len(iset._lo) - 1)
+            return iset._ends.get(2 * k), iset._ends.get(2 * k + 1)
+        # y lies on the F span of rank k, between collapsed points k - 1 and k
+        x = iset._f_ends[0].get(k, y) + (y - levels.get(k, y))
         return x, x
 
     def _raise_outside(self, y):
-        img = self.image()
+        lo, hi = self._ends
         raise PreconditionError(
-            f"value {y} is outside the window image [{img.lo}, {img.hi}] of the darning map"
+            f"value {y} is outside the window image [{lo}, {hi}] of the darning map"
         )
 
-    def _inverse_map(self, ys: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
-        positions, *spans = self._tables
+    def _inverse_map(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        positions, j_lo, j_hi, x_lo, x_hi = self._tables
         lo, hi = (float(v) for v in self._ends)
+        slack = self._slack
         bad = (ys < lo - slack) | (ys > hi + slack)
         if bad.any():
             self._raise_outside(ys[bad][0])
@@ -394,16 +423,17 @@ class DarningMap:
         # as in the scalar path: k collapsed points lie below y, or y is the k-th
         k = np.searchsorted(positions, y)
         x = np.zeros(y.shape)
-        if spans:
-            j_lo, j_hi, x_lo, x_hi = spans
+        if x_lo.size:
             f = np.clip(k - self.base.f_ranks.start, 0, j_lo.size - 1)
             x = np.where(y - j_lo[f] <= j_hi[f] - y, x_lo[f] + (y - j_lo[f]),
                          x_hi[f] - (j_hi[f] - y))
         if not positions.size:
             return x, x
         lefts, rights = self.base.float_ends
+        ranks = self.base.f_ranks
+        hit = (k < ranks.start) | (k >= ranks.stop)  # as in the scalar path
         k = np.minimum(k, positions.size - 1)
-        hit = positions[k] == y
+        hit |= positions[k] == y
         return np.where(hit, lefts[k], x), np.where(hit, rights[k], x)
 
 

@@ -10,7 +10,9 @@ is used to check.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from hypothesis import strategies as st
@@ -306,10 +308,29 @@ def _edge_set(seed):
     return tf.build_interval_set(comps, (0, 1), tails=tails)
 
 
+def _mixed_set(seed):
+    """Ends at /240 points and at 0.1-style decimals, each given as a float
+    or as a ``Fraction`` (0.1 beside 1/3, say), in a window of ints, floats or
+    Fractions, with all-F, all-G or Periodic tails."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    ks = sorted(int(k) for k in rng.choice(np.arange(1, 240), size=2 * m, replace=False))
+    ends = []
+    for k in ks:
+        form = rng.integers(0, 3)
+        ends.append(Fraction(k, 240) if form == 0 else k / 240 if form == 1
+                    else float(np.nextafter(k / 240, 1.0)))
+    window = [(0, 1), (0.0, 1.0), (Fraction(0), 1), (0, Fraction(1))][int(rng.integers(0, 4))]
+    tails = [(Tail.ALL_F, Tail.ALL_F), (Tail.ALL_G, Tail.ALL_F), (Tail.ALL_F, Tail.ALL_G),
+             (Tail.ALL_G, Tail.ALL_G), (Tail.PERIODIC, Tail.PERIODIC)][int(rng.integers(0, 5))]
+    return tf.build_interval_set(list(zip(ends[::2], ends[1::2])), window, tails=tails)
+
+
 _allf_or_allg = st.sampled_from([Tail.ALL_F, Tail.ALL_G])
 
 # svc sets of every case, /240 sets (some with a component at a window edge),
-# periodic sets, float-endpoint sets and gaps narrower than the endpoint slack
+# periodic sets, float-endpoint sets, sets mixing float and Fraction ends, and
+# gaps narrower than the endpoint slack
 geometry_sets = st.one_of(
     st.builds(lambda d, tl, tr: tf.svc_complement(d, tails=(tl, tr)),
               st.integers(0, 7), _allf_or_allg, _allf_or_allg),
@@ -318,6 +339,13 @@ geometry_sets = st.one_of(
     st.builds(tf.periodic_fat_cantor, st.integers(0, 4), st.sampled_from([2, 3, Fraction(5, 2)])),
     st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
              min_size=2, max_size=12, unique=True).map(_float_pair_set),
+    st.integers(0, 10**6).map(_mixed_set),
+    st.sampled_from([
+        tf.build_interval_set([(0.1, Fraction(1, 3)), (Fraction(1, 2), 0.7)], (0, 1)),
+        tf.build_interval_set([(Fraction(1, 3), 0.5)], (0.0, 1), tails=(Tail.ALL_G, Tail.ALL_G)),
+        tf.build_interval_set([(0, 0.25), (Fraction(1, 3), 0.75)], (0, 1),
+                              tails=(Tail.PERIODIC, Tail.PERIODIC)),
+    ]),
     st.builds(_narrow_gap_set, st.integers(1, 5), st.integers(9, 14)),
 )
 
@@ -337,3 +365,204 @@ def probe_points(iset, rng, beyond=0.1):
     mids = (grid[:-1] + grid[1:]) / 2
     uniform = rng.uniform(w0 - beyond, w1 + beyond, size=100)
     return np.unique(np.concatenate(near + [grid, mids, uniform]))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction oracle: the scalar geometry on the endpoint objects themselves
+
+
+class OracleSet:
+    """The scalar geometry of an ``IntervalSet`` computed as Python computes
+    it on the given endpoint objects: ints, ``Fraction`` values and floats,
+    compared one at a time, with the running G-masses kept as a tuple of
+    numbers.  This was traceform's own scalar path before its exact integer
+    table, and every result of the table must equal it: exactly, and of the
+    same type, where the result is exact."""
+
+    def __init__(self, iset):
+        self.iset = iset
+        self.window = iset.window
+        self.components = iset.components
+        self.tail_left, self.tail_right, self.period = iset.tail_left, iset.tail_right, iset.period
+        self.widths = tuple(b - a for a, b in self.components)
+        self.g_prefix = tuple(accumulate(self.widths, initial=0))
+        self.g_mass_window = self.g_prefix[-1]
+        w0, w1 = self.window
+        self.f_mass_window = (w1 - w0) - self.g_mass_window
+        self.lefts = [a for a, _ in self.components]
+        self.f_components = tuple(window_f_components(iset))
+        skip = int(bool(self.components) and self.components[0][0] == w0)
+        self.f_ranks = range(skip, skip + len(self.f_components))
+        left = (w0,) if self.tail_left is Tail.ALL_G else ()
+        right = (w1,) if self.tail_right is Tail.ALL_G else ()
+        self.endpoints = left + tuple(e for ab in self.components for e in ab) + right
+
+    def is_endpoint(self, x):
+        i = bisect_left(self.endpoints, x)
+        return i < len(self.endpoints) and self.endpoints[i] == x
+
+    def component_index(self, x):
+        i = bisect_right(self.lefts, x) - 1
+        if i >= 0:
+            a, b = self.components[i]
+            if a < x < b:
+                return i
+        return None
+
+    def in_g(self, x):
+        w0, w1 = self.window
+        if x < w0:
+            if self.tail_left is not Tail.PERIODIC:
+                return self.tail_left is Tail.ALL_G
+            return self.in_g(x + self.period * max(0, math.ceil((w0 - x) / self.period)))
+        if x > w1:
+            if self.tail_right is not Tail.PERIODIC:
+                return self.tail_right is Tail.ALL_G
+            return self.in_g(x - self.period * max(0, math.ceil((x - w1) / self.period)))
+        return self.component_index(x) is not None
+
+    def _window_mass(self, lo, hi):
+        def part(i):
+            a, b = self.components[i]
+            left = a if a > lo else lo
+            right = b if b < hi else hi
+            return right - left if right > left else 0
+
+        first = max(bisect_right(self.lefts, lo) - 1, 0)
+        last = bisect_left(self.lefts, hi) - 1
+        if last < first:
+            return 0
+        total = part(first)
+        if last > first:
+            if last > first + 1:
+                total = total + (self.g_prefix[last] - self.g_prefix[first + 1])
+            total = total + part(last)
+        return total
+
+    def _periodic_mass(self, lo, hi):
+        p, w0 = self.period, self.window[0]
+        length = hi - lo
+        k = math.floor(length / p)
+        total = k * self.g_mass_window
+        rem = length - k * p
+        if rem > 0:
+            phase = (lo - w0) % p
+            if phase + rem <= p:
+                total = total + self._window_mass(w0 + phase, w0 + phase + rem)
+            else:
+                total = total + self._window_mass(w0 + phase, w0 + p)
+                total = total + self._window_mass(w0, w0 + (phase + rem - p))
+        return total
+
+    def _tail_mass(self, lo, hi, tail):
+        if lo >= hi:
+            return 0
+        if tail is Tail.ALL_G:
+            return hi - lo
+        if tail is Tail.ALL_F:
+            return 0
+        return self._periodic_mass(lo, hi)
+
+    def lebesgue(self, lo, hi, which="G"):
+        w0, w1 = self.window
+        g = self._tail_mass(lo, min(hi, w0), self.tail_left)
+        mid_lo, mid_hi = max(lo, w0), min(hi, w1)
+        if mid_hi > mid_lo:
+            g = g + self._window_mass(mid_lo, mid_hi)
+        g = g + self._tail_mass(max(lo, w1), hi, self.tail_right)
+        return g if which == "G" else (hi - lo) - g
+
+
+class OracleScale:
+    """``ScaleFunction`` on an ``OracleSet``, with its levels and plateaus as tuples."""
+
+    def __init__(self, oset, anchor=0):
+        self.o, self.anchor = oset, anchor
+        s0 = self(oset.window[0])
+        self.levels = tuple(s0 + p for p in oset.g_prefix)
+        self.plateaus = tuple((self.levels[k], lo, hi)
+                              for k, (lo, hi) in zip(oset.f_ranks, oset.f_components))
+
+    def __call__(self, x):
+        if x >= self.anchor:
+            return self.o.lebesgue(self.anchor, x, "G")
+        return -self.o.lebesgue(x, self.anchor, "G")
+
+    def inverse(self, y):
+        o = self.o
+        (w0, w1), s0, s1 = o.window, self.levels[0], self.levels[-1]
+        for out, tail, edge, s_edge, sign in ((y < s0, o.tail_left, w0, s0, -1),
+                                              (y > s1, o.tail_right, w1, s1, 1)):
+            if not out:
+                continue
+            if tail is Tail.ALL_G:
+                x = edge + (y - s_edge)
+                return x, x
+            if tail is Tail.ALL_F or o.g_mass_window == 0:
+                raise tf.PreconditionError(f"value {y} is outside the range")
+            k = math.ceil(sign * (y - s_edge) / o.g_mass_window)
+            lo, hi = self.inverse(y - sign * k * o.g_mass_window)
+            return lo + sign * k * o.period, hi + sign * k * o.period
+        k = bisect_left(self.plateaus, y, key=lambda t: t[0])
+        if k < len(self.plateaus) and self.plateaus[k][0] == y:
+            return self.plateaus[k][1], self.plateaus[k][2]
+        i = min(bisect_right(self.levels, y), len(o.components)) - 1
+        x = o.components[i][0] + (y - self.levels[i])
+        return x, x
+
+
+class OracleDarning:
+    """``DarningMap`` on an ``OracleSet``: collapsed positions and F-spans as tuples."""
+
+    def __init__(self, oset, z):
+        self.o, self.z = oset, z
+        w0, w1 = oset.window
+        self.ends = (self(w0), self(w1))
+        j0 = self.ends[0]
+        self.positions = tuple(j0 + ((a - w0) - p)
+                               for (a, _), p in zip(oset.components, oset.g_prefix))
+        self.spans = []
+        for k, (lo, hi) in zip(oset.f_ranks, oset.f_components):
+            j_lo = self.positions[k - 1] if k else j0
+            self.spans.append((j_lo, j_lo + (hi - lo), lo, hi))
+
+    def __call__(self, x):
+        if x >= self.z:
+            return self.o.lebesgue(self.z, x, "F")
+        return -self.o.lebesgue(x, self.z, "F")
+
+    def inverse(self, y):
+        lo, hi = self.ends
+        slack = 1e-12 * max(1.0, abs(float(hi - lo)))
+        if y < lo or y > hi:
+            if not lo - slack <= y <= hi + slack:
+                raise tf.PreconditionError(f"value {y} is outside the window image")
+            y = lo if y < lo else hi
+        k = bisect_left(self.positions, y)
+        if k < len(self.positions) and self.positions[k] == y:
+            return self.o.components[k]
+        j_lo, _, x_lo, _ = self.spans[k - self.o.f_ranks.start]
+        x = x_lo + (y - j_lo)
+        return x, x
+
+
+def svc_g_mass(depth, x):
+    """G-mass of [0, x] for ``svc_complement(depth)`` on (0, 1), for x in
+    [0, 1]: the construction walked down the pieces that hold x, one level at
+    a time, with the total gap mass of a piece in closed form."""
+    x = Fraction(x)
+
+    def inside(i):  # gap mass of one piece of level i - 1, from steps i to depth
+        return sum(Fraction(2**(j - i), 4**j) for j in range(i, depth + 1))
+
+    lo, hi, total = Fraction(0), Fraction(1), Fraction(0)
+    for i in range(1, depth + 1):
+        mid, half = (lo + hi) / 2, Fraction(1, 2 * 4**i)
+        if x <= mid - half:
+            hi = mid - half
+        elif x < mid + half:
+            return total + inside(i + 1) + (x - (mid - half))
+        else:
+            total += inside(i + 1) + 2 * half
+            lo = mid + half
+    return total

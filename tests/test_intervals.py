@@ -183,7 +183,8 @@ class TestLebesgue:
                            - float(g_window_mass_scan(iset, xlo, xhi))) <= 1e-12
 
     def test_prefix_table(self, svc2):
-        assert svc2.g_prefix == (0, Fr(1, 16), Fr(5, 16), Fr(3, 8))
+        # running G-masses as int numerators over the common denominator
+        assert svc2.den == 32 and svc2.g_prefix == [0, 2, 10, 12]
         assert svc2.lebesgue(Fr(1, 8), Fr(1, 2)) == Fr(1, 16) + Fr(1, 8)
         assert svc2.lebesgue(Fr(3, 16), Fr(13, 16)) == Fr(1, 32) + Fr(1, 4) + Fr(1, 32)
         assert svc2.lebesgue(0, 1) == svc2.g_mass_window == Fr(3, 8)
@@ -212,7 +213,8 @@ class TestEndpoints:
         assert svc1.in_g(Fr(1, 2))
 
     def test_widths(self, svc1):
-        assert svc1.widths == (Fr(1, 4),)
+        assert svc1.gap_widths.tolist() == [0.25]
+        assert svc1.den == 8 and svc1.g_prefix == [0, 2]
 
 
 class TestClassify:
