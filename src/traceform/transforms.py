@@ -133,10 +133,13 @@ class ScaleFunction:
 
         Returns (lo, hi); lo == hi when y is hit inside a G-component, and the
         closed F-component on which s plateaus at y otherwise.  Values never
-        attained by s raise ``PreconditionError``.  A float ndarray gives a
-        pair of arrays; with Periodic tails, a value folded back by whole
-        periods that lands within 1e-12 max(1, |y|) of a plateau value is
-        taken as that value.
+        attained by s raise ``PreconditionError``.  With Periodic tails a
+        value past the window's image is folded back by whole periods, once;
+        one that lands on the seam value s(w0) = s(w1) - period mass gives
+        the whole plateau across the seam, the F-stretches either side of
+        the seam point joined.  A float ndarray gives a pair of arrays; there
+        a value folded back that lands within 1e-12 max(1, |y|) of a plateau
+        value or of the seam value is taken as that value.
         """
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
@@ -169,11 +172,41 @@ class ScaleFunction:
         per_mass, p = iset.g_mass_window, iset.period
         if below:
             k = math.ceil((s0 - y) / per_mass)
-            lo, hi = self.inverse(y + k * per_mass)
-            return lo - k * p, hi - k * p
-        k = math.ceil((y - s1) / per_mass)
-        lo, hi = self.inverse(y - k * per_mass)
-        return lo + k * p, hi + k * p
+            yk, shift = y + k * per_mass, -k * p
+        else:
+            k = math.ceil((y - s1) / per_mass)
+            yk, shift = y - k * per_mass, k * p
+        # a float fold can round a hair past the image: that is its edge
+        yk = s0 if yk < s0 else s1 if yk > s1 else yk
+        plateau = None
+        if isinstance(yk, float):
+            # and a hair off a plateau value or the seam value, which it takes,
+            # by the array path's rule
+            levels, values = self._tables[:2]
+            ends = np.concatenate([levels[:1], values, levels[-1:]])
+            near = _snap(np.array([yk]), ends, np.array(1e-12 * max(1.0, abs(y))))[0]
+            yk = s0 if near == levels[0] else s1 if near == levels[-1] else yk
+            if near in values:
+                plateau = iset.f_ranks.start + int(np.searchsorted(values, near))
+        if yk == s0 or yk == s1:
+            lo, hi = self._seam()
+            if yk == s1:
+                shift = shift + p
+        elif plateau is not None:
+            lo, hi = iset._f_pair(plateau)
+        else:
+            lo, hi = self.inverse(yk)
+        return lo + shift, hi + shift
+
+    def _seam(self):
+        """The plateau of s(w0) across the seam point w0: the last F-stretch of
+        the period before, and the first of this one, either of them empty
+        when a component touches that window edge."""
+        iset = self.base
+        w0, ranks, (lows, highs) = iset.window[0], iset.f_ranks, iset._f_ends
+        m = len(iset._lo)
+        lo = lows.get(m) - iset.period if m in ranks else w0
+        return lo, highs.get(0) if 0 in ranks else w0
 
     def _inverse_map(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         iset = self.base
@@ -197,7 +230,7 @@ class ScaleFunction:
                 slack = 1e-12 * np.maximum(1.0, np.abs(ys[out]))
                 k = np.sign(d) * np.ceil((np.abs(d) - slack) / per)
                 folded = np.clip(ys[out] - k * per, s0, s1)
-                yin[out] = _snap(folded, values, slack) if values.size else folded
+                yin[out] = _snap(folded, np.concatenate([[s0], values, [s1]]), slack)
                 shift[out] = k * float(iset.period)
         x = np.zeros(ys.shape)
         lefts = iset.float_ends[0]
@@ -209,6 +242,11 @@ class ScaleFunction:
             k = np.minimum(np.searchsorted(values, yin), values.size - 1)
             flat = values[k] == yin
             lo, hi = np.where(flat, lows[k], x), np.where(flat, highs[k], x)
+        if Tail.PERIODIC in (iset.tail_left, iset.tail_right):
+            seam = (ys != yin) & ((yin == s0) | (yin == s1))  # folded onto the seam value
+            seam_lo, seam_hi = (float(v) for v in self._seam())
+            p = np.where(yin == s1, float(iset.period), 0.0)
+            lo, hi = np.where(seam, seam_lo + p, lo), np.where(seam, seam_hi + p, hi)
         lo, hi = lo + shift, hi + shift
         for out, tail, _, s_edge, w_edge in sides:
             if tail is Tail.ALL_G:

@@ -377,7 +377,12 @@ class OracleSet:
     compared one at a time, with the running G-masses kept as a tuple of
     numbers.  This was traceform's own scalar path before its exact integer
     table, and every result of the table must equal it: exactly, and of the
-    same type, where the result is exact."""
+    same type, where the result is exact.  The scale and darning inverses
+    carry two fixes made since: a periodic value folds back into the image
+    once, a float one onto a plateau or seam value within 1e-12, and onto the
+    whole plateau across the seam; and a darning value
+    past the collapsed point of a component at a window edge is that
+    component."""
 
     def __init__(self, iset):
         self.iset = iset
@@ -491,23 +496,48 @@ class OracleScale:
     def inverse(self, y):
         o = self.o
         (w0, w1), s0, s1 = o.window, self.levels[0], self.levels[-1]
-        for out, tail, edge, s_edge, sign in ((y < s0, o.tail_left, w0, s0, -1),
-                                              (y > s1, o.tail_right, w1, s1, 1)):
-            if not out:
-                continue
-            if tail is Tail.ALL_G:
-                x = edge + (y - s_edge)
-                return x, x
-            if tail is Tail.ALL_F or o.g_mass_window == 0:
-                raise tf.PreconditionError(f"value {y} is outside the range")
-            k = math.ceil(sign * (y - s_edge) / o.g_mass_window)
-            lo, hi = self.inverse(y - sign * k * o.g_mass_window)
-            return lo + sign * k * o.period, hi + sign * k * o.period
+        if s0 <= y <= s1:
+            return self._window_inverse(y)
+        if (o.tail_left if y < s0 else o.tail_right) is Tail.ALL_G:
+            x = w0 + (y - s0) if y < s0 else w1 + (y - s1)
+            return x, x
+        if (o.tail_left if y < s0 else o.tail_right) is Tail.ALL_F or o.g_mass_window == 0:
+            raise tf.PreconditionError(f"value {y} is outside the range")
+        per, p = o.g_mass_window, o.period
+        if y < s0:
+            k = math.ceil((s0 - y) / per)
+            y, shift = y + k * per, -k * p
+        else:
+            k = math.ceil((y - s1) / per)
+            y, shift = y - k * per, k * p
+        y_out, y = y, min(max(y, s0), s1)
+        if isinstance(y, float):  # a float fold within 1e-12 of a plateau value takes it
+            values = [float(s0)] + [float(v) for v, _, _ in self.plateaus] + [float(s1)]
+            near = min(values, key=lambda v: (abs(y - v), -v))
+            if abs(y - near) <= 1e-12 * max(1.0, abs(y_out)):
+                if near in (values[0], values[-1]):
+                    y = s0 if near == values[0] else s1
+                else:
+                    _, lo, hi = self.plateaus[values.index(near) - 1]
+                    return lo + shift, hi + shift
+        if y not in (s0, s1):
+            lo, hi = self._window_inverse(y)
+            return lo + shift, hi + shift
+        # the seam: the F-component ending at w1, a period back, joined to the
+        # one starting at w0
+        fc = o.f_components
+        lo = fc[-1][0] - p if fc and fc[-1][1] == w1 else w0
+        hi = fc[0][1] if fc and fc[0][0] == w0 else w0
+        if y == s1:
+            shift = shift + p
+        return lo + shift, hi + shift
+
+    def _window_inverse(self, y):
         k = bisect_left(self.plateaus, y, key=lambda t: t[0])
         if k < len(self.plateaus) and self.plateaus[k][0] == y:
             return self.plateaus[k][1], self.plateaus[k][2]
-        i = min(bisect_right(self.levels, y), len(o.components)) - 1
-        x = o.components[i][0] + (y - self.levels[i])
+        i = min(bisect_right(self.levels, y), len(self.o.components)) - 1
+        x = self.o.components[i][0] + (y - self.levels[i])
         return x, x
 
 
@@ -539,8 +569,9 @@ class OracleDarning:
                 raise tf.PreconditionError(f"value {y} is outside the window image")
             y = lo if y < lo else hi
         k = bisect_left(self.positions, y)
-        if k < len(self.positions) and self.positions[k] == y:
-            return self.o.components[k]
+        hit = k < len(self.positions) and self.positions[k] == y
+        if hit or k not in self.o.f_ranks:  # no F-span past a component at a window edge
+            return self.o.components[min(k, len(self.positions) - 1)]
         j_lo, _, x_lo, _ = self.spans[k - self.o.f_ranks.start]
         x = x_lo + (y - j_lo)
         return x, x

@@ -393,3 +393,73 @@ class TestSpeedMeasure:
         sp = tf.SpeedMeasure((0, 1), ((0, 1, 2),), atoms=((Fr(1, 2), Fr(1, 4)),))
         assert sp.mass(0, 1) == 2 + Fr(1, 4)
         assert sp.mass(0, 1, include_atoms=False) == 2
+
+
+class TestPeriodicFold:
+    """A value past the image of a periodic scale function folds back by
+    whole periods once, onto the whole plateau where it lands on the seam."""
+
+    def found_set(self):
+        return tf.build_interval_set([(0, Fr(3, 10)), (Fr(7, 15), Fr(101, 120))], (0, 1),
+                                     tails=(Tail.PERIODIC, Tail.PERIODIC))
+
+    def test_seam_plateau_from_below(self):
+        sf = tf.ScaleFunction(self.found_set(), anchor=0)
+        # s(-2) = -2 * 27/40, flat on the last F-component three periods back
+        assert sf.inverse(Fr(-27, 20)) == (Fr(101, 120) - 3, -2)
+        lo, hi = sf.inverse(np.array([-27 / 20]))
+        assert _close(lo, [101 / 120 - 3]) and _close(hi, [-2.0])
+
+    def test_seam_plateau_from_above(self):
+        sf = tf.ScaleFunction(self.found_set(), anchor=0)
+        assert sf.inverse(Fr(81, 40)) == (Fr(101, 120) + 2, 3)
+        lo, hi = sf.inverse(np.array([81 / 40]))
+        assert _close(lo, [101 / 120 + 2]) and _close(hi, [3.0])
+
+    def test_seam_joins_both_edges(self):
+        # F at both window edges: the plateau runs from the last F-component
+        # of one period to the first of the next
+        iset = tf.build_interval_set([(Fr(1, 4), Fr(1, 2))], (0, 1),
+                                     tails=(Tail.PERIODIC, Tail.PERIODIC))
+        sf = tf.ScaleFunction(iset, anchor=0)
+        assert sf.inverse(Fr(-1, 2)) == (Fr(-5, 2), Fr(-7, 4))
+        assert sf.inverse(Fr(3, 4)) == (Fr(5, 2), Fr(13, 4))
+        lo, hi = sf.inverse(np.array([-0.5, 0.75]))
+        assert _close(lo, [-2.5, 2.5]) and _close(hi, [-1.75, 3.25])
+
+    def test_float_fold_does_not_loop(self):
+        # with a float anchor the fold rounded back and forth across the seam
+        iset = tf.build_interval_set([(0, Fr(67, 240)), (Fr(149, 240), Fr(17, 24))], (0, 1),
+                                     tails=(Tail.PERIODIC, Tail.PERIODIC))
+        sf = tf.ScaleFunction(iset, anchor=0.3)
+        lo, hi = sf.inverse(sf(0.0))
+        assert lo - 1e-12 <= 0.0 <= hi + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from([2, 3, Fr(5, 2)]), st.integers(0, 10**6))
+    def test_float_round_trips_past_the_window(self, depth, period, seed):
+        # a float point past the window comes back inside its preimage,
+        # scalar and array alike, unless its value is the window's own (the
+        # preimage of such a value is clipped to the window)
+        iset = tf.periodic_fat_cantor(depth, period)
+        sf = tf.ScaleFunction(iset)
+        p, (s0, s1) = float(iset.period), sf.window_image()
+        xs = np.random.default_rng(seed).uniform(-2.5 * p, 3.5 * p, size=60)
+        xs = xs[[not s0 <= sf(x) <= s1 for x in xs.tolist()]]
+        for x in xs.tolist():
+            lo, hi = sf.inverse(sf(x))
+            assert lo - 1e-12 * max(1.0, abs(x)) <= x <= hi + 1e-12 * max(1.0, abs(x))
+        lo, hi = sf.inverse(sf(xs))
+        tol = 1e-12 * np.maximum(1.0, np.abs(xs))
+        assert np.all((lo - tol <= xs) & (xs <= hi + tol))
+
+
+class TestDarningEdge:
+    def test_past_the_last_collapsed_point(self):
+        # a component at the right window edge leaves no F-span past its
+        # collapsed point; a float anchor rounds j(w1) a hair beyond it
+        iset = tf.build_interval_set([(0, Fr(91, 240)), (Fr(17, 40), 1)], (0, 1))
+        dm = tf.DarningMap(iset, z=(91 / 240 + 17 / 40) / 2)
+        assert dm.inverse(dm(1)) == (Fr(17, 40), 1)
+        lo, hi = dm.inverse(np.array([float(dm(1))]))
+        assert (lo.tolist(), hi.tolist()) == ([17 / 40], [1.0])
