@@ -137,7 +137,8 @@ def energy_measure(u: GridFunction, interval: tuple[float, float], *,
             continue
         if subspace and not gmask[k]:
             continue
-        total += float(u.slopes[k]) ** 2 * (right - left)
+        slope = float(u.slopes[k])
+        total += slope * slope * (right - left)
     return total
 
 

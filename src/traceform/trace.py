@@ -159,12 +159,11 @@ def trace_local_energy(phi: TraceFunction) -> float:
 
 def _jump_form(phi: TraceFunction) -> EnergyReport:
     """Jump sum (1/2) sum (phi(a) - phi(b))^2 / (b - a), one row per finite gap."""
-    # squares use Python's float power (libm pow), not numpy's x * x: the two
-    # differ in the last bit for about one value in a thousand, and saved
-    # jump breakdowns must reproduce bit for bit
-    squares = np.array([j ** 2 for j in gap_jumps(phi).tolist()])
+    # squares as x * x, one correctly rounded product, so saved jump breakdowns
+    # depend on the inputs alone and not on the platform's pow
+    jumps = gap_jumps(phi)
     return _report("trace_subspace", np.column_stack(phi.iset.float_ends),
-                   0.5 * squares / phi.iset.gap_widths)
+                   0.5 * (jumps * jumps) / phi.iset.gap_widths)
 
 
 def trace_jump_energy(phi: TraceFunction) -> float:
