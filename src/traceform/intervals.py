@@ -365,9 +365,6 @@ class IntervalSet:
         r = self.f_ranks
         return tuple(t.floats()[r.start:r.stop] for t in self._f_ends)
 
-    def _key(self, x) -> tuple:
-        return self._ends.key(x)
-
     def _anchored(self, anchor: Real, inner: _Table) -> _Table:
         """The values anchor + inner[j]: exact where both are, else the float
         float(anchor) + float(inner[j]), as the sum of the two numbers rounds."""
@@ -409,7 +406,7 @@ class IntervalSet:
 
     def is_endpoint(self, x: Real) -> bool:
         """Whether x is one of ``endpoints``."""
-        f, c = self._key(x)
+        f, c = self._ends.key(x)
         if f != c:
             return False
         ends = self._ends.nums
@@ -437,7 +434,8 @@ class IntervalSet:
 
     @cached_property
     def gap_widths(self) -> np.ndarray:
-        """float64 width of each component, rounded once from the exact b - a."""
+        """float64 width of each component: b - a, rounded once unless an end
+        is a float (then the difference of the two floats)."""
         return np.fromiter(map(self._width_float, range(len(self._lo))), float, len(self._lo))
 
     @cached_property
@@ -496,11 +494,11 @@ class IntervalSet:
         """Index of the component whose open interval contains x, else None.
 
         Exact for every input: this is the oracle for ``classify``."""
-        return self._component_at(*self._key(x))
+        return self._component_at(*self._ends.key(x))
 
     def in_g(self, x: Real) -> bool:
         """Whether x lies in the open set G (tails included)."""
-        f, c = self._key(x)
+        f, c = self._ends.key(x)
         w0n, w1n = self._w
         if f < w0n or c > w1n:
             tail = self.tail_left if f < w0n else self.tail_right
@@ -566,7 +564,7 @@ class IntervalSet:
         return total
 
     def _g_window_mass(self, lo: Real, hi: Real) -> Real:
-        return self._value(self._g_window_piece(lo, hi, self._key(lo), self._key(hi)))
+        return self._value(self._g_window_piece(lo, hi, self._ends.key(lo), self._ends.key(hi)))
 
     def _g_periodic_mass(self, lo: Real, hi: Real) -> Real:
         """G-mass of [lo, hi] for the full periodic extension of the window pattern."""
@@ -606,7 +604,7 @@ class IntervalSet:
         if _lt(hi, lo):
             raise PreconditionError(f"query interval has lo {lo} > hi {hi}")
         (w0, w1), (w0n, w1n) = self.window, self._w
-        klo, khi = self._key(lo), self._key(hi)
+        klo, khi = self._ends.key(lo), self._ends.key(hi)
         proper = klo[0] < khi[0] or _lt(lo, hi)
         g = 0
         if proper and klo[0] < w0n:  # the left tail [lo, min(hi, w0)]
@@ -647,7 +645,7 @@ class IntervalSet:
             raise PreconditionError(f"delta must be positive, got {delta}")
         if self.g_prefix[-1] == 0:
             return False, (tuple(self.window),)
-        ceil = self._key(delta)[1]  # an F-width n / D is at least delta iff n >= ceil
+        ceil = self._ends.key(delta)[1]  # an F-width n / D is at least delta iff n >= ceil
         lows, highs = (t.nums for t in self._f_ends)
         bad = tuple(self._f_pair(k) for k in self.f_ranks if highs[k] - lows[k] >= ceil)
         return not bad, bad

@@ -73,10 +73,6 @@ def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
     return np.where(np.abs(ys - values[q]) <= slack, values[q], ys)
 
 
-def _ge(x, y) -> bool:
-    return not _lt(x, y)
-
-
 class ScaleFunction:
     """s(x) = signed G-mass between the anchor and x; s(anchor) = 0.
 
@@ -91,7 +87,7 @@ class ScaleFunction:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._map(np.asarray(x, dtype=float))
-        if _ge(x, self.anchor):
+        if not _lt(x, self.anchor):
             return self.base.lebesgue(self.anchor, x, "G")
         return -self.base.lebesgue(x, self.anchor, "G")
 
@@ -149,11 +145,18 @@ class ScaleFunction:
         if f < levels.nums[0] or c > levels.nums[-1]:
             return self._tail_inverse(y, f < levels.nums[0])
         # the first plateau value at or above y, then the left end of the
-        # component whose image holds y
+        # component whose image holds y; a float y is a plateau value when it
+        # equals that value's float, as in the array path
         ranks = iset.f_ranks
-        k = max(bisect_left(levels.nums, c), ranks.start)
-        if k < ranks.stop and f == c == levels.nums[k]:
-            return iset._f_pair(k)
+        if isinstance(y, float):
+            values = self._tables[1]
+            k = int(np.searchsorted(values, y))
+            if k < values.size and values[k] == y:
+                return iset._f_pair(ranks.start + k)
+        else:
+            k = max(bisect_left(levels.nums, c), ranks.start)
+            if k < ranks.stop and f == c == levels.nums[k]:
+                return iset._f_pair(k)
         i = min(bisect_right(levels.nums, f), len(iset._lo)) - 1
         x = iset._ends.get(2 * i, y) + (y - levels.get(i, y))
         return x, x
@@ -323,7 +326,7 @@ class DarningMap:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._images(np.asarray(x, dtype=float))[0]
-        if _ge(x, self.z):
+        if not _lt(x, self.z):
             return self.base.lebesgue(self.z, x, "F")
         return -self.base.lebesgue(x, self.z, "F")
 
@@ -432,9 +435,14 @@ class DarningMap:
                 y = lo if _lt(y, lo) else hi
             else:
                 self._raise_outside(y)
-        f, c = levels.key(y)
-        k = bisect_left(levels.nums, c, 1) - 1  # collapsed points below y
-        hit = k < len(iset._lo) and f == c == levels.nums[k + 1]
+        if isinstance(y, float):  # compared with the floats, as in the array path
+            positions = self._tables[0]
+            k = int(np.searchsorted(positions, y))  # collapsed points below y
+            hit = k < positions.size and positions[k] == y
+        else:
+            f, c = levels.key(y)
+            k = bisect_left(levels.nums, c, 1) - 1
+            hit = k < len(iset._lo) and f == c == levels.nums[k + 1]
         if hit or k not in iset.f_ranks:
             # a component at a window edge leaves no F span there: y is off its
             # collapsed point only by the rounding of a float image

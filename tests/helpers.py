@@ -378,9 +378,10 @@ class OracleSet:
     numbers.  This was traceform's own scalar path before its exact integer
     table, and every result of the table must equal it: exactly, and of the
     same type, where the result is exact.  The scale and darning inverses
-    carry two fixes made since: a periodic value folds back into the image
-    once, a float one onto a plateau or seam value within 1e-12, and onto the
-    whole plateau across the seam; and a darning value
+    follow the rules the table brought: a float value is a plateau value or
+    a collapsed point when it is that value's float; a periodic value folds
+    back into the image once, a float one onto a plateau or seam value within
+    1e-12, and onto the whole plateau across the seam; and a darning value
     past the collapsed point of a component at a window edge is that
     component."""
 
@@ -533,8 +534,10 @@ class OracleScale:
         return lo + shift, hi + shift
 
     def _window_inverse(self, y):
-        k = bisect_left(self.plateaus, y, key=lambda t: t[0])
-        if k < len(self.plateaus) and self.plateaus[k][0] == y:
+        # a float value is a plateau value when it is that value's float
+        key = (lambda t: float(t[0])) if isinstance(y, float) else (lambda t: t[0])
+        k = bisect_left(self.plateaus, y, key=key)
+        if k < len(self.plateaus) and key(self.plateaus[k]) == y:
             return self.plateaus[k][1], self.plateaus[k][2]
         i = min(bisect_right(self.levels, y), len(self.o.components)) - 1
         x = self.o.components[i][0] + (y - self.levels[i])
@@ -568,8 +571,10 @@ class OracleDarning:
             if not lo - slack <= y <= hi + slack:
                 raise tf.PreconditionError(f"value {y} is outside the window image")
             y = lo if y < lo else hi
-        k = bisect_left(self.positions, y)
-        hit = k < len(self.positions) and self.positions[k] == y
+        # a float value is compared with the floats of the collapsed points
+        key = float if isinstance(y, float) else (lambda v: v)
+        k = bisect_left(self.positions, y, key=key)
+        hit = k < len(self.positions) and key(self.positions[k]) == y
         if hit or k not in self.o.f_ranks:  # no F-span past a component at a window edge
             return self.o.components[min(k, len(self.positions) - 1)]
         j_lo, _, x_lo, _ = self.spans[k - self.o.f_ranks.start]
