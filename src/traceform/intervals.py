@@ -360,6 +360,7 @@ class IntervalSet:
         lows, highs = self._f_ends
         return lows.get(k), highs.get(k)
 
+    @cached_property
     def _f_floats(self) -> tuple[np.ndarray, np.ndarray]:
         """float64 lows and highs of the F-components, in rank order."""
         r = self.f_ranks
@@ -742,7 +743,8 @@ def svc_complement(
     nums = ticks if (a, b) == (0, 1) else [a + b * t for t in ticks]
     g = math.gcd(den, *nums)
     nums = [n // g for n in nums] if g > 1 else nums
-    return IntervalSet._from_table((w0, w1), (nums[0], nums[-1]), nums[1:-1], den // g, tails)
+    w = nums.pop(0), nums.pop()  # the rest are the gap ends
+    return IntervalSet._from_table((w0, w1), w, nums, den // g, tails)
 
 
 def periodic_fat_cantor(

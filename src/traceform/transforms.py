@@ -107,7 +107,7 @@ class ScaleFunction:
     def _tables(self) -> tuple[np.ndarray, ...]:
         # float64 levels, plateau values, plateau lows and plateau highs
         levels, ranks = self._levels.floats(), self.base.f_ranks
-        return (levels, levels[ranks.start:ranks.stop], *self.base._f_floats())
+        return (levels, levels[ranks.start:ranks.stop], *self.base._f_floats)
 
     def window_image(self) -> tuple[Real, Real]:
         return self._levels.get(0), self._levels.get(-1)
@@ -393,7 +393,7 @@ class DarningMap:
             else:
                 j_hi.append((levels.nums[k] * d + width * levels.den) / (levels.den * d))
         return (j_lo[1:], j_lo[ranks.start:ranks.stop], np.array(j_hi, dtype=float),
-                *iset._f_floats())
+                *iset._f_floats)
 
     def _images(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """j of float points, and the index of the component whose closure
