@@ -12,7 +12,8 @@ multiple of their denominators.  Ends may be ints, ``Fraction`` values or
 floats; a float enters the table as its exact binary value, so every set has
 a D.  A scalar query is turned into its exact ratio once and placed in the
 table by int comparison and bisection.  The float64 tables are the
-numerators over D, correctly rounded, which is the float of each exact value.
+numerators over D, correctly rounded, which is the float of each exact value
+(once a float end joins a running sum, that sum is added in floats).
 
 Results keep the type and the bits that the same expression gives on the
 given endpoint objects: exact (int or ``Fraction``) where every value in it is
@@ -89,7 +90,10 @@ def _ratio(x) -> tuple[int, int]:
 
 def _lt(x, y) -> bool:
     """x < y, exactly."""
-    (p, q), (r, s) = _ratio(x), _ratio(y)
+    try:
+        (p, q), (r, s) = _ratio(x), _ratio(y)
+    except (OverflowError, ValueError):  # an infinite or NaN float compares as itself
+        return x < y
     return p * s < r * q
 
 

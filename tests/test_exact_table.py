@@ -225,3 +225,15 @@ def test_depth20_allg():
     assert np.all((lo - 1e-12 <= xs) & (xs <= hi + 1e-12))
     print(f"depth 20: {time.perf_counter() - start:.1f} s, peak RSS "
           f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB")
+
+
+def test_infinite_queries_are_refused(svc1):
+    sf, dm = tf.ScaleFunction(svc1, anchor=0), tf.DarningMap(svc1, z=0)
+    for f in (sf, dm):
+        for x in (float("inf"), float("-inf"), float("nan")):
+            try:
+                f(x)
+            except PreconditionError:
+                continue
+            raise AssertionError(f"{f} accepted {x}")
+    assert not svc1.in_g(float("inf")) and svc1.component_index(float("nan")) is None
