@@ -360,6 +360,24 @@ class IntervalSet:
         return (_Table([w0n] + self._hi, self.den, bytes([_kind(w0)]) + e.kinds[1::2]),
                 _Table(self._lo + [w1n], self.den, e.kinds[0::2] + bytes([_kind(w1)])))
 
+    @cached_property
+    def _f_before(self) -> _Table:
+        """F-mass of the window left of each point where an F-stretch ends: 0
+        at w0, then (a - w0) - p at each component's left end a, with p the
+        G-mass before it, then (w1 - w0) - p at w1; each of the kind, and
+        with the float operations, that expression has."""
+        (w0n, _), d, prefix, highs = self._w, self.den, self._prefix, self._f_ends[1]
+        kw0 = _kind(self.window[0])
+        inner = [0] + [(h - w0n) - p for h, p in zip(highs.nums, self.g_prefix)]
+        kinds = bytes([INT]) + bytes(map(max, highs.kinds, prefix.kinds)).translate(_AT_LEAST[kw0])
+
+        def float_value(j, _):
+            h = highs.nums[j - 1]
+            moved = h / d - w0n / d if max(highs.kinds[j - 1], kw0) == FLOAT else (h - w0n) / d
+            return moved - prefix.get(j - 1, 1.0)
+
+        return _mixed(inner, d, kinds, float_value)
+
     def _f_pair(self, k: int) -> tuple[Real, Real]:
         lows, highs = self._f_ends
         return lows.get(k), highs.get(k)

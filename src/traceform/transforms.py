@@ -18,8 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import (_AT_LEAST, FLOAT, INT, IntervalSet, Real, Tail, _decode, _encode, _kind,
-                        _lt, _mixed)
+from .intervals import IntervalSet, Real, Tail, _decode, _encode, _lt
 
 
 class Case(Enum):
@@ -338,19 +337,8 @@ class DarningMap:
     @cached_property
     def _levels(self):
         # j at the left end of the F-stretch of each rank: j(w0), then each
-        # collapsed point j0 + ((a - w0) - p), for left ends a and G-masses p
-        iset = self.base
-        (w0n, _), d, prefix = iset._w, iset.den, iset._prefix
-        inner = [0] + [(a - w0n) - p for a, p in zip(iset._lo, iset.g_prefix)]
-        kinds = bytes(map(max, iset._ends.kinds[0::2], prefix.kinds))
-        kinds = bytes([INT]) + kinds.translate(_AT_LEAST[_kind(iset.window[0])])
-
-        def float_value(j, _):  # (a - w0) - p, as Python subtracts the numbers
-            a, kind = iset._lo[j - 1], max(iset._ends.kinds[2 * j - 2], _kind(iset.window[0]))
-            da = a / d - w0n / d if kind == FLOAT else (a - w0n) / d
-            return da - prefix.get(j - 1, 1.0)
-
-        return iset._anchored(self._ends[0], _mixed(inner, d, kinds, float_value))
+        # collapsed point; then j at w1, the far end of the last F-stretch
+        return self.base._anchored(self._ends[0], self.base._f_before)
 
     @cached_property
     def collapsed_points(self) -> tuple[CollapsedPoint, ...]:
@@ -378,21 +366,9 @@ class DarningMap:
     def _tables(self) -> tuple[np.ndarray, ...]:
         # float64 collapsed positions, then per F-component its image span
         # (j_lo, j_hi) and its ends (x_lo, x_hi)
-        iset, levels = self.base, self._levels
+        iset, j = self.base, self._levels.floats()
         ranks = iset.f_ranks
-        lows, highs = iset._f_ends
-        j_lo = levels.floats()
-        j_hi = []
-        d = iset.den
-        for k in ranks:
-            width = highs.nums[k] - lows.nums[k]
-            if max(lows.kinds[k], highs.kinds[k]) == FLOAT:  # hi - lo in floats, then j_lo +
-                j_hi.append(j_lo[k] + (highs.nums[k] / d - lows.nums[k] / d))
-            elif levels.kinds[k] == FLOAT:
-                j_hi.append(j_lo[k] + width / d)
-            else:
-                j_hi.append((levels.nums[k] * d + width * levels.den) / (levels.den * d))
-        return (j_lo[1:], j_lo[ranks.start:ranks.stop], np.array(j_hi, dtype=float),
+        return (j[1:-1], j[ranks.start:ranks.stop], j[ranks.start + 1:ranks.stop + 1],
                 *iset._f_floats)
 
     def _images(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,7 +417,7 @@ class DarningMap:
             hit = k < positions.size and positions[k] == y
         else:
             f, c = levels.key(y)
-            k = bisect_left(levels.nums, c, 1) - 1
+            k = bisect_left(levels.nums, c, 1, len(iset._lo) + 1) - 1
             hit = k < len(iset._lo) and f == c == levels.nums[k + 1]
         if hit or k not in iset.f_ranks:
             # a component at a window edge leaves no F span there: y is off its
