@@ -224,8 +224,7 @@ def undarn_function(uh: GridFunction, dm: DarningMap, match_tol: float = 1e-12) 
     of its component.
     """
     iset = dm.base
-    img = dm.image()
-    lo, hi = float(img.lo), float(img.hi)
+    lo, hi = (float(v) for v in dm._ends)
     slack = 1e-12 * max(1.0, hi - lo)
     if abs(uh.span[0] - lo) > slack or abs(uh.span[1] - hi) > slack:
         raise PreconditionError(
