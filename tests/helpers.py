@@ -345,6 +345,11 @@ geometry_sets = st.one_of(
         tf.build_interval_set([(Fraction(1, 3), 0.5)], (0.0, 1), tails=(Tail.ALL_G, Tail.ALL_G)),
         tf.build_interval_set([(0, 0.25), (Fraction(1, 3), 0.75)], (0, 1),
                               tails=(Tail.PERIODIC, Tail.PERIODIC)),
+        # int ends beside Fraction and float ones: sums stay ints until another kind joins
+        tf.build_interval_set([(-1, 0), (Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 2), 1)],
+                              (-2, 2)),
+        tf.build_interval_set([(-1, 0), (0.25, Fraction(1, 3)), (Fraction(1, 2), 0.75)], (-2, 2),
+                              tails=(Tail.ALL_F, Tail.ALL_G)),
     ]),
     st.builds(_narrow_gap_set, st.integers(1, 5), st.integers(9, 14)),
 )
