@@ -132,9 +132,10 @@ class ScaleFunction:
         value past the window's image is folded back by whole periods, once;
         one that lands on the seam value s(w0) = s(w1) - period mass gives
         the whole plateau across the seam, the F-stretches either side of
-        the seam point joined.  A float ndarray gives a pair of arrays; there
-        a value folded back that lands within 1e-12 max(1, |y|) of a plateau
-        value or of the seam value is taken as that value.
+        the seam point joined.  A float value folded back that lands within
+        1e-12 max(1, |y|) of a plateau value or of the seam value is taken as
+        that value, and a float value equal to the float of a plateau value
+        is that plateau.  A float ndarray gives a pair of arrays.
         """
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
