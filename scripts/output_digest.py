@@ -9,8 +9,11 @@ transports, and the scalar scale and darning maps and their inverses at every
 adapted node, given exactly and as floats.  It also records the scalar
 geometry at float probe points in G, in F and past the window
 (``digest_probes``).  The walk lines include one
-seeded ``simulate_xs`` path on a ``/240`` set.  traceform itself is whatever
-``PYTHONPATH`` selects, so one copy of this script drives both checkouts.
+seeded ``simulate_xs`` path on a ``/240`` set.  The CLI lines cover every
+leaf command, the ones the ``cli`` workload skips included, and the
+``format_help()`` text of every parser at a fixed width of 100 columns.
+traceform itself is whatever ``PYTHONPATH`` selects, so one copy of this
+script drives both checkouts.
 Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
 bytes, and a raised error as its type and message.  CLI artifacts are
 written under one fixed temporary directory, because the manifests hash
@@ -28,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -41,7 +45,7 @@ import numpy as np  # noqa: E402
 
 import helpers as H  # noqa: E402
 import traceform as tf  # noqa: E402
-from traceform.cli import main as cli_main  # noqa: E402
+from traceform.cli import build_parser, main as cli_main  # noqa: E402
 from traceform.simulate import (  # noqa: E402
     occupation_fractions, simulate_xs, walk_occupation, walk_paths)
 from traceform.trace import trace_jump_energy, trace_local_energy  # noqa: E402
@@ -256,7 +260,19 @@ def digest_cli(dg):
     for seed in (1, 2, 3):
         shutil.rmtree(work, ignore_errors=True)
         st = workload.setup(seed, work, Tracer(False))
-        u_csv, v_csv = str(work / "inputs" / "u.csv"), str(work / "inputs" / "v.csv")
+        inputs = work / "inputs"
+        u_csv, v_csv, w_csv = (str(inputs / f"{n}.csv") for n in "uvw")
+        speed_json = inputs / "speed.json"
+        speed_json.write_text(json.dumps(tf.pushforward_speed(
+            tf.DarningMap(tf.svc_complement(1), z=0), "lebesgue").to_dict()))
+        # a subspace member (flat on F) and a function vanishing on F
+        grid, in_g = st.geo.grid, st.geo.cell_in_g
+        s_csv = workload._write_csv(inputs / "s.csv", grid, np.sin(3 * st.geo.g_cum))
+        mids = ((grid[:-1] + grid[1:]) / 2)[in_g]
+        z_grid = np.sort(np.concatenate([grid, mids]))
+        z_val = np.where(np.isin(z_grid, mids), np.interp(z_grid, mids, np.diff(grid)[in_g]), 0.0)
+        z_csv = workload._write_csv(inputs / "z.csv", z_grid, z_val)
+        walk = ["--x0", "0.3", "--horizon", "5", "--seed", str(seed)]
         extra = [
             ["energy", "subspace", "--svc-depth", "5", "--u", u_csv],
             ["energy", "part", "--svc-depth", "5", "--u", u_csv],
@@ -265,6 +281,21 @@ def digest_cli(dg):
             ["decompose", "--svc-depth", "5", "--u", u_csv, "--harmonic"],
             ["trace", "subspace", "--svc-depth", "5", "--phi", u_csv],
             ["trace", "energy", "--svc-depth", "5", "--phi", v_csv],
+            ["energy", "subspace", "--svc-depth", "5", "--u", s_csv, "--v", s_csv],
+            ["energy", "part", "--svc-depth", "5", "--u", z_csv],
+            ["trace", "subspace", "--svc-depth", "5", "--phi", s_csv],
+            ["trace", "subspace", "--svc-depth", "5", "--phi", v_csv, "--psi", w_csv,
+             "--complement"],
+            ["set", "build", "--components", "1/8,3/8;1/2,5/6", "--window", "0,1",
+             "--tails", "Periodic,Periodic", "--period", "1"],
+            ["simulate", "bm", "--n", "2", "--dt", "0.01", "--horizon", "0.2", "--x0", "0.25",
+             "--seed", str(seed)],
+            ["simulate", "walk", "--speed", str(speed_json), "--h", repr(3 / 128), *walk,
+             "--boundary", "reflect,absorb"],
+            ["simulate", "xs", "--components", "1/8,3/8;1/2,5/6", "--window", "0,1",
+             "--h", repr(1 / 96), *walk, "--holding", "deterministic"],
+            ["estimate", "laplace", "--gap=-1/2,1", "--x0", "0.1", "--alpha", "2",
+             "--n", "3000", "--seed", str(seed), "--correct"],
         ]
         runs = [argv for _, argv in st.commands]
         runs += [argv + ["--out", str(st.out / f"extra{k}")] for k, argv in enumerate(extra)]
@@ -286,6 +317,20 @@ def digest_cli(dg):
     shutil.rmtree(work, ignore_errors=True)
 
 
+def digest_help(dg):
+    """The ``format_help()`` text of every parser of the command tree."""
+    os.environ["COLUMNS"] = "100"
+
+    def walk(parser, path):
+        dg.lines.append(json.dumps([f"help {path}", parser.format_help()]))
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, f"{path} {name}")
+
+    walk(build_parser(), "traceform")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True)
@@ -301,6 +346,7 @@ def main(argv=None):
             digest_set(dg, f"{seed}.{k}", iset, rng)
     digest_walks(dg)
     digest_cli(dg)
+    digest_help(dg)
     args.out.write_text("\n".join(dg.lines) + "\n")
     print(f"{len(dg.lines)} outputs -> {args.out}")
     return 0

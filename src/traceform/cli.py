@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .darning import equivalence_report
@@ -27,42 +29,14 @@ from .energy import dirichlet_energy, energy_measure, part_energy, subspace_ener
 from .errors import PreconditionError, TraceformError, ValidationError
 from .gridfn import GridFunction, darn_function
 from .intervals import IntervalSet, Tail, build_interval_set, svc_complement
-from .simulate import (
-    PathSample,
-    bm_paths,
-    estimate_hitting,
-    estimate_laplace,
-    occupation_fractions,
-    simulate_xs,
-    walk_paths,
-)
-from .trace import (
-    TraceFunction,
-    feller_numeric,
-    feller_weight,
-    jump_table_csv,
-    trace_complement_energy,
-    trace_energy,
-    trace_measure,
-    trace_subspace_energy,
-)
-from .transforms import (
-    DarningMap,
-    ScaleFunction,
-    SpeedMeasure,
-    classify_case,
-    pushforward_speed,
-)
+from .simulate import (PathSample, bm_paths, estimate_hitting, estimate_laplace,
+                       occupation_fractions, simulate_xs, walk_paths)
+from .trace import (TraceFunction, feller_numeric, feller_weight, jump_table_csv,
+                    trace_complement_energy, trace_energy, trace_measure, trace_subspace_energy)
+from .transforms import DarningMap, ScaleFunction, SpeedMeasure, classify_case, pushforward_speed
 
 
 # -- IO helpers -------------------------------------------------------------
-
-
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("TRACEFORM_OUTDIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -81,30 +55,37 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, artifacts: list[str]) -> None:
-    canonical = json.dumps(config, sort_keys=True)
+def _read(path: str, as_json: bool = False):
+    """The UTF-8 text of an input file, or the JSON value it holds."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _emit(args, command: str, files: dict[str, str], lines) -> None:
+    """Write the artifacts and the manifest, then print the artifact paths
+    and the summary lines."""
+    outdir = Path(args.out or os.environ.get("TRACEFORM_OUTDIR") or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _atomic_write(outdir / name, text)
+    # workers changes how a run is scheduled, never what it writes
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in ("func", "workers") and v is not None}
     manifest = {
         "command": command,
         "config": config,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "version": __version__,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(files),
     }
     _atomic_write(outdir / "manifest.json", _json_text(manifest))
-
-
-def _emit(outdir: Path, command: str, config: dict, files: dict[str, str]) -> None:
-    for name, text in files.items():
-        _atomic_write(outdir / name, text)
-    _write_manifest(outdir, command, config, list(files))
-    for name in sorted(files):
-        print(outdir / name)
-
-
-def _config_of(args) -> dict:
-    # workers changes how a run is scheduled, never what it writes
-    skip = {"func", "command_name", "workers"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    for line in [*(outdir / name for name in sorted(files)), *lines]:
+        print(line)
 
 
 # -- argument parsing helpers ------------------------------------------------
@@ -124,30 +105,37 @@ def _pair(text: str) -> tuple[Fraction, Fraction]:
     return _fraction(parts[0]), _fraction(parts[1])
 
 
-def _load_set(args) -> IntervalSet:
-    given = [bool(getattr(args, "set", None)), getattr(args, "svc_depth", None) is not None,
-             bool(getattr(args, "components", None))]
-    if sum(given) != 1:
+def _load_set(args, optional: bool = False) -> IntervalSet | None:
+    """The set named by exactly one of --set, --svc-depth and --components;
+    with ``optional``, None when none of them is given."""
+    sources = [flag for flag, given in (("--set", bool(args.set)),
+                                        ("--svc-depth", args.svc_depth is not None),
+                                        ("--components", bool(args.components))) if given]
+    if len(sources) > 1 or not (sources or optional):
         raise ValidationError("specify the set by exactly one of --set, --svc-depth, --components")
-    if getattr(args, "set", None):
-        try:
-            data = json.loads(Path(args.set).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{args.set} is not valid JSON: {exc}") from exc
-        return IntervalSet.from_dict(data)
-    if getattr(args, "svc_depth", None) is not None:
-        window = _pair(args.window) if getattr(args, "window", None) else (Fraction(0), Fraction(1))
+    # each set flag is read only with the sources its help text names
+    source = sources[0] if sources else None
+    for name, readers in (("window", ("--components", "--svc-depth")),
+                          ("tails", ("--components",)), ("period", ("--components",))):
+        if getattr(args, name) and source not in readers:
+            raise ValidationError(f"--{name} is read only with {' or '.join(readers)}")
+    if args.set:
+        return IntervalSet.from_dict(_read(args.set, as_json=True))
+    if args.svc_depth is not None:
+        window = _pair(args.window) if args.window else (Fraction(0), Fraction(1))
         return svc_complement(args.svc_depth, window=window)
+    if not args.components:
+        return None
     comps = []
     for chunk in args.components.split(";"):
         chunk = chunk.strip()
         if chunk:
             comps.append(_pair(chunk))
-    window = _pair(args.window) if getattr(args, "window", None) else None
-    if window is None:
+    if not args.window:
         raise ValidationError("--components requires --window")
+    window = _pair(args.window)
     tails = (Tail.ALL_F, Tail.ALL_F)
-    if getattr(args, "tails", None):
+    if args.tails:
         names = args.tails.split(",")
         if len(names) != 2:
             raise ValidationError(f"expected '--tails LEFT,RIGHT', got {args.tails!r}")
@@ -155,31 +143,29 @@ def _load_set(args) -> IntervalSet:
             tails = (Tail(names[0].strip()), Tail(names[1].strip()))
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    period = _fraction(args.period) if getattr(args, "period", None) else None
+    period = _fraction(args.period) if args.period else None
     return build_interval_set(components=tuple(comps), window=window, tails=tails, period=period)
 
 
 def _load_grid(path: str, iset: IntervalSet | None = None) -> GridFunction:
-    return GridFunction.from_csv(Path(path).read_text(), iset=iset)
+    return GridFunction.from_csv(_read(path), iset=iset)
 
 
 def _load_trace_fn(path: str, iset: IntervalSet) -> TraceFunction:
-    g = GridFunction.from_csv(Path(path).read_text())
+    g = GridFunction.from_csv(_read(path))
     return TraceFunction(iset, g.grid, g.values)
 
 
 def _scale_of(args, iset: IntervalSet) -> ScaleFunction:
-    anchor = _fraction(args.anchor) if getattr(args, "anchor", None) else Fraction(0)
-    return ScaleFunction(iset, anchor=anchor)
+    return ScaleFunction(iset, anchor=_fraction(args.anchor) if args.anchor else Fraction(0))
 
 
 def _darn_of(args, iset: IntervalSet) -> DarningMap:
-    anchor = _fraction(args.anchor) if getattr(args, "anchor", None) else None
-    return DarningMap(iset, z=anchor)
+    return DarningMap(iset, z=_fraction(args.anchor) if args.anchor else None)
 
 
 def _boundary(args) -> tuple[str, str]:
-    text = getattr(args, "boundary", None) or "reflect,reflect"
+    text = args.boundary or "reflect,reflect"
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValidationError(f"expected '--boundary LEFT,RIGHT', got {text!r}")
@@ -199,21 +185,28 @@ def _targets(args) -> list:
     return out
 
 
+def _gap_or_set(args) -> IntervalSet:
+    if args.gap:
+        if any(getattr(args, k) is not None
+               for k in ("set", "svc_depth", "components", "window", "tails", "period")):
+            raise ValidationError("--gap is the whole set; give no other set flag with it")
+        a, b = _pair(args.gap)
+        return build_interval_set(components=((a, b),), window=(a, b),
+                                  tails=(Tail.ALL_F, Tail.ALL_F))
+    return _load_set(args)
+
+
 # -- subcommand implementations ----------------------------------------------
+# Each returns ({artifact name: text}, summary lines).
 
 
 def cmd_set_build(args):
-    iset = _load_set(args)
-    _emit(_outdir(args), "set build", _config_of(args),
-          {"set.json": _json_text(iset.to_dict())})
+    return {"set.json": _json_text(_load_set(args).to_dict())}, ()
 
 
 def cmd_set_validate(args):
-    iset = _load_set(args)
-    report = iset.validate(_fraction(args.delta))
-    _emit(_outdir(args), "set validate", _config_of(args),
-          {"validation.json": _json_text(report.to_dict())})
-    print(f"ok={report.ok}")
+    report = _load_set(args).validate(_fraction(args.delta))
+    return {"validation.json": _json_text(report.to_dict())}, [f"ok={report.ok}"]
 
 
 def cmd_scale_eval(args):
@@ -223,6 +216,8 @@ def cmd_scale_eval(args):
         xs = [_fraction(p) for p in args.points.split(",") if p.strip()]
     else:
         step = _fraction(args.step or "1/64")
+        if step <= 0:
+            raise PreconditionError(f"--step must be positive, got {args.step}")
         w0, w1 = iset.window
         count = int((w1 - w0) / step)
         xs = [w0 + k * step for k in range(count + 1)]
@@ -233,55 +228,42 @@ def cmd_scale_eval(args):
         "anchor": str(sf.anchor),
         "window_image": [str(v) for v in sf.window_image()],
     }
-    _emit(_outdir(args), "scale eval", _config_of(args),
-          {"scale.csv": "\n".join(rows) + "\n", "scale.json": _json_text(info)})
+    return {"scale.csv": "\n".join(rows) + "\n", "scale.json": _json_text(info)}, ()
 
 
 def cmd_darn_map(args):
-    iset = _load_set(args)
-    dm = _darn_of(args, iset)
+    dm = _darn_of(args, _load_set(args))
     info = dm.image().to_dict()
     info["anchor"] = str(dm.z)
-    _emit(_outdir(args), "darn map", _config_of(args), {"darn_map.json": _json_text(info)})
+    return {"darn_map.json": _json_text(info)}, ()
 
 
 def cmd_darn_function(args):
     iset = _load_set(args)
     dm = _darn_of(args, iset)
-    u = _load_grid(args.u, iset)
-    darned = darn_function(u, dm)
-    _emit(_outdir(args), "darn function", _config_of(args),
-          {"darned.csv": darned.to_csv()})
+    return {"darned.csv": darn_function(_load_grid(args.u, iset), dm).to_csv()}, ()
 
 
 def cmd_energy(args):
-    iset = _load_set(args) if (args.set or args.svc_depth is not None or args.components) else None
+    iset = _load_set(args, optional=True)
     u = _load_grid(args.u, iset)
     v = _load_grid(args.v, iset) if args.v else None
     if args.form == "full":
         report = dirichlet_energy(u, v)
-    elif args.form == "part":
-        if iset is None:
-            raise ValidationError("energy part requires a set")
-        report = part_energy(u, v, iset=iset)
+    elif iset is None:
+        raise ValidationError(f"energy {args.form} requires a set")
     else:
-        if iset is None:
-            raise ValidationError("energy subspace requires a set")
-        report = subspace_energy(u, v, iset=iset)
-    _emit(_outdir(args), f"energy {args.form}", _config_of(args),
-          {"energy.json": _json_text(report.to_dict())})
-    print(f"value={report.value!r}")
+        report = (part_energy if args.form == "part" else subspace_energy)(u, v, iset=iset)
+    return {"energy.json": _json_text(report.to_dict())}, [f"value={report.value!r}"]
 
 
 def cmd_energy_measure(args):
-    iset = _load_set(args) if (args.set or args.svc_depth is not None or args.components) else None
+    iset = _load_set(args, optional=True)
     u = _load_grid(args.u, iset)
     lo, hi = _pair(args.interval)
     value = energy_measure(u, (float(lo), float(hi)), iset=iset, subspace=args.subspace)
     payload = {"interval": [str(lo), str(hi)], "subspace": bool(args.subspace), "value": value}
-    _emit(_outdir(args), "energy measure", _config_of(args),
-          {"energy_measure.json": _json_text(payload)})
-    print(f"value={value!r}")
+    return {"energy_measure.json": _json_text(payload)}, [f"value={value!r}"]
 
 
 def cmd_decompose(args):
@@ -294,17 +276,13 @@ def cmd_decompose(args):
         "u1.csv": dec.u1.to_csv(),
         "u2.csv": dec.u2.to_csv(),
     }
-    _emit(_outdir(args), "decompose", _config_of(args), files)
-    print(f"case={dec.case.value}")
+    return files, [f"case={dec.case.value}"]
 
 
 def cmd_trace_energy(args):
     iset = _load_set(args)
-    phi = _load_trace_fn(args.phi, iset)
-    report = trace_energy(phi)
-    _emit(_outdir(args), "trace energy", _config_of(args),
-          {"trace_energy.json": _json_text(report.to_dict())})
-    print(f"value={report.value!r}")
+    report = trace_energy(_load_trace_fn(args.phi, iset))
+    return {"trace_energy.json": _json_text(report.to_dict())}, [f"value={report.value!r}"]
 
 
 def cmd_trace_subspace(args):
@@ -315,22 +293,15 @@ def cmd_trace_subspace(args):
         report = trace_complement_energy(phi, psi)
     else:
         report = trace_subspace_energy(phi)
-    _emit(_outdir(args), "trace subspace", _config_of(args),
-          {"trace_energy.json": _json_text(report.to_dict())})
-    print(f"value={report.value!r}")
+    return {"trace_energy.json": _json_text(report.to_dict())}, [f"value={report.value!r}"]
 
 
 def cmd_trace_jump_table(args):
-    iset = _load_set(args)
-    _emit(_outdir(args), "trace jump-table", _config_of(args),
-          {"jump_table.csv": jump_table_csv(iset)})
+    return {"jump_table.csv": jump_table_csv(_load_set(args))}, ()
 
 
 def cmd_trace_measure(args):
-    iset = _load_set(args)
-    tm = trace_measure(iset)
-    _emit(_outdir(args), "trace measure", _config_of(args),
-          {"trace_measure.json": _json_text(tm.to_dict())})
+    return {"trace_measure.json": _json_text(trace_measure(_load_set(args)).to_dict())}, ()
 
 
 def cmd_feller(args):
@@ -342,7 +313,7 @@ def cmd_feller(args):
     limit = float(feller_weight(d))
     for alpha in alphas:
         rows.append(f"{alpha!r},{feller_numeric(d, alpha)!r},{limit!r}")
-    _emit(_outdir(args), "feller", _config_of(args), {"feller.csv": "\n".join(rows) + "\n"})
+    return {"feller.csv": "\n".join(rows) + "\n"}, ()
 
 
 def cmd_equivalence(args):
@@ -350,96 +321,195 @@ def cmd_equivalence(args):
     dm = _darn_of(args, iset)
     samples = [_load_grid(p, iset) for p in args.samples]
     report = equivalence_report(samples, dm, tol=args.tol)
-    _emit(_outdir(args), "equivalence", _config_of(args),
-          {"equivalence.json": _json_text(report.to_dict())})
-    print(f"ok={report.ok}")
+    return {"equivalence.json": _json_text(report.to_dict())}, [f"ok={report.ok}"]
 
 
 def cmd_simulate_bm(args):
-    files = {}
-    for i, path in enumerate(bm_paths(args.n, args.dt, args.horizon, args.x0, args.seed)):
-        files[f"bm_{i:04d}.csv"] = path.to_csv()
-    _emit(_outdir(args), "simulate bm", _config_of(args), files)
+    paths = bm_paths(args.n, args.dt, args.horizon, args.x0, args.seed)
+    return {f"bm_{i:04d}.csv": path.to_csv() for i, path in enumerate(paths)}, ()
 
 
 def cmd_simulate_walk(args):
-    speed = SpeedMeasure.from_dict(json.loads(Path(args.speed).read_text()))
+    speed = SpeedMeasure.from_dict(_read(args.speed, as_json=True))
     path = walk_paths(speed, args.h, args.x0, args.horizon, args.seed,
                       boundary=_boundary(args), holding=args.holding)
-    _emit(_outdir(args), "simulate walk", _config_of(args), {"path.csv": path.to_csv()})
+    return {"path.csv": path.to_csv()}, ()
 
 
 def cmd_simulate_xs(args):
-    iset = _load_set(args)
-    sf = _scale_of(args, iset)
+    sf = _scale_of(args, _load_set(args))
     path = simulate_xs(sf, args.h, args.x0, args.horizon, args.seed,
                        boundary=_boundary(args), holding=args.holding)
-    _emit(_outdir(args), "simulate xs", _config_of(args), {"path.csv": path.to_csv()})
+    return {"path.csv": path.to_csv()}, ()
 
 
 def cmd_simulate_darning(args):
-    iset = _load_set(args)
-    dm = _darn_of(args, iset)
+    dm = _darn_of(args, _load_set(args))
     speed = pushforward_speed(dm, "lebesgue")
+    if not math.isfinite(args.x0):
+        raise PreconditionError(f"start point must be finite, got {args.x0}")
     y0 = float(dm(Fraction(args.x0)))
     path = walk_paths(speed, args.h, y0, args.horizon, args.seed,
                       boundary=_boundary(args), holding=args.holding)
-    _emit(_outdir(args), "simulate darning", _config_of(args), {"path.csv": path.to_csv()})
+    return {"path.csv": path.to_csv()}, ()
+
+
+def _exit_summary(left, right):
+    payload = {"left": left.to_dict(), "right": right.to_dict()}
+    return ({"estimate.json": _json_text(payload)},
+            [f"left={left.estimate!r} right={right.estimate!r}"])
 
 
 def cmd_estimate_hitting(args):
-    iset = _gap_or_set(args)
-    left, right = estimate_hitting(iset, args.x0, args.n, args.seed,
-                                   dt=args.dt, correct=args.correct, workers=args.workers)
-    payload = {"left": left.to_dict(), "right": right.to_dict()}
-    _emit(_outdir(args), "estimate hitting", _config_of(args),
-          {"estimate.json": _json_text(payload)})
-    print(f"left={left.estimate!r} right={right.estimate!r}")
+    return _exit_summary(*estimate_hitting(_gap_or_set(args), args.x0, args.n, args.seed,
+                                           dt=args.dt, correct=args.correct, workers=args.workers))
 
 
 def cmd_estimate_laplace(args):
-    iset = _gap_or_set(args)
-    left, right = estimate_laplace(iset, args.x0, args.alpha, args.n, args.seed,
-                                   dt=args.dt, correct=args.correct, workers=args.workers)
-    payload = {"left": left.to_dict(), "right": right.to_dict()}
-    _emit(_outdir(args), "estimate laplace", _config_of(args),
-          {"estimate.json": _json_text(payload)})
-    print(f"left={left.estimate!r} right={right.estimate!r}")
+    return _exit_summary(*estimate_laplace(_gap_or_set(args), args.x0, args.alpha, args.n,
+                                           args.seed, dt=args.dt, correct=args.correct,
+                                           workers=args.workers))
 
 
 def cmd_estimate_occupation(args):
-    path = PathSample.from_csv(Path(args.path).read_text())
+    path = PathSample.from_csv(_read(args.path))
     results = occupation_fractions(path, _targets(args), burn_in=args.burn_in,
                                    batches=args.batches)
     payload = [r.to_dict() for r in results]
-    _emit(_outdir(args), "estimate occupation", _config_of(args),
-          {"occupation.json": _json_text(payload)})
-    for r in results:
-        print(f"{r.target}: {r.estimate!r} +- {r.stderr!r}")
+    return ({"occupation.json": _json_text(payload)},
+            [f"{r.target}: {r.estimate!r} +- {r.stderr!r}" for r in results])
 
 
-def _gap_or_set(args) -> IntervalSet:
-    if args.gap:
-        a, b = _pair(args.gap)
-        return build_interval_set(components=((a, b),), window=(a, b),
-                                  tails=(Tail.ALL_F, Tail.ALL_F))
-    return _load_set(args)
+# -- the command table ---------------------------------------------------------
 
 
-# -- parser assembly ----------------------------------------------------------
+class Command(NamedTuple):
+    """One parser: its path of subcommand names, its handler (None for a
+    group of subcommands), help text, options as (flag, add_argument keywords)
+    and extra parsed defaults."""
+
+    path: str
+    handler: Callable | None
+    help: str | None
+    options: tuple = ()
+    defaults: tuple = ()
 
 
-def _add_set_args(p, require=False):
-    p.add_argument("--set", help="interval-set JSON file")
-    p.add_argument("--svc-depth", type=int, help="build a fat-Cantor complement of this depth")
-    p.add_argument("--components", help="semicolon-separated open intervals 'a,b;c,d'")
-    p.add_argument("--window", help="window 'a,b' (with --components or --svc-depth)")
-    p.add_argument("--tails", help="tail pair 'AllF,AllG' (with --components)")
-    p.add_argument("--period", help="period for Periodic tails (with --components)")
+def _opt(flag: str, **kw) -> tuple[str, dict]:
+    return flag, kw
 
 
-def _add_out(p):
-    p.add_argument("--out", help="output directory (default: $TRACEFORM_OUTDIR or cwd)")
+SET = (
+    _opt("--set", help="interval-set JSON file"),
+    _opt("--svc-depth", type=int, help="build a fat-Cantor complement of this depth"),
+    _opt("--components", help="semicolon-separated open intervals 'a,b;c,d'"),
+    _opt("--window", help="window 'a,b' (with --components or --svc-depth)"),
+    _opt("--tails", help="tail pair 'AllF,AllG' (with --components)"),
+    _opt("--period", help="period for Periodic tails (with --components)"),
+)
+OUT = (_opt("--out", help="output directory (default: $TRACEFORM_OUTDIR or cwd)"),)
+SET_OUT = SET + OUT
+U = _opt("--u", required=True, help="grid-function CSV")
+DARN_ANCHOR = _opt("--anchor", help="darning anchor z in the interior of F")
+WALK = (
+    _opt("--h", type=float, required=True, help="grid step in natural scale"),
+    _opt("--x0", type=float, required=True, help="start point (line coordinates for xs/darning)"),
+    _opt("--horizon", type=float, required=True),
+    _opt("--seed", type=int, required=True),
+    _opt("--boundary", help="'reflect,absorb' etc (default reflect,reflect)"),
+    _opt("--holding", choices=("exponential", "deterministic"), default="exponential"),
+)
+WALK_ON_SET = OUT + SET + (_opt("--anchor", help="transform anchor"),) + WALK
+EXIT_HEAD = SET_OUT + (
+    _opt("--gap", help="shortcut: single open gap 'a,b' as the whole set"),
+    _opt("--x0", type=float, required=True),
+)
+EXIT_TAIL = (
+    _opt("--n", type=int, required=True),
+    _opt("--seed", type=int, required=True),
+    _opt("--dt", type=float, help="override step (default (gap/50)^2)"),
+    _opt("--correct", action="store_true", help="enable the exit-overshoot boundary correction"),
+    _opt("--workers", type=int, help="threads for the exit engine (default: one per usable CPU)"),
+)
+ENERGY = SET_OUT + (U, _opt("--v", help="second grid-function CSV (bilinear form)"))
+
+COMMANDS = (
+    Command("set", None, "build or validate interval sets"),
+    Command("set build", cmd_set_build, "construct a set and write set.json", SET_OUT),
+    Command("set validate", cmd_set_validate, "check structure and delta-density",
+            SET_OUT + (_opt("--delta", required=True, help="density resolution"),)),
+    Command("scale", None, "scale-function evaluation"),
+    Command("scale eval", cmd_scale_eval, "tabulate the scale function on the window", SET_OUT + (
+        _opt("--anchor", help="anchor point (default 0)"),
+        _opt("--points", help="comma-separated evaluation points"),
+        _opt("--step", help="grid step when --points is absent (default 1/64)"),
+    )),
+    Command("darn", None, "darning map and darned functions"),
+    Command("darn map", cmd_darn_map, "describe the darned image", SET_OUT + (DARN_ANCHOR,)),
+    Command("darn function", cmd_darn_function, "push a grid function to the darned image",
+            SET_OUT + (DARN_ANCHOR, U)),
+    Command("energy", None, "Dirichlet energies"),
+    Command("energy full", cmd_energy, None, ENERGY, (("form", "full"),)),
+    Command("energy subspace", cmd_energy, None, ENERGY, (("form", "subspace"),)),
+    Command("energy part", cmd_energy, None, ENERGY, (("form", "part"),)),
+    Command("energy measure", cmd_energy_measure, "energy measure of an interval", SET_OUT + (
+        _opt("--u", required=True),
+        _opt("--interval", required=True, help="'a,b'"),
+        _opt("--subspace", action="store_true", help="restrict to G-cells"),
+    )),
+    Command("decompose", cmd_decompose, "orthogonal splitting against the subspace", SET_OUT + (
+        U,
+        _opt("--anchor", help="scale anchor (default 0)"),
+        _opt("--harmonic", action="store_true",
+             help="require the input to be componentwise linear on G"),
+    )),
+    Command("trace", None, "trace forms on F"),
+    Command("trace energy", cmd_trace_energy, "full trace energy of a boundary function",
+            SET_OUT + (_opt("--phi", required=True, help="trace-function CSV"),)),
+    Command("trace subspace", cmd_trace_subspace, "jump-only or local-only restricted energy",
+            SET_OUT + (
+                _opt("--phi", required=True),
+                _opt("--psi", help="second argument for the complement form"),
+                _opt("--complement", action="store_true",
+                     help="local form on matching-endpoint functions instead of jump form"),
+            )),
+    Command("trace jump-table", cmd_trace_jump_table, "per-gap jump weights CSV", SET_OUT),
+    Command("trace measure", cmd_trace_measure,
+            "trace measure (indicator density plus endpoint atoms)", SET_OUT),
+    Command("feller", cmd_feller, "boundary-weight ladder against the half-gap limit", OUT + (
+        _opt("--d", required=True, help="gap width"),
+        _opt("--alpha-ladder", required=True, help="comma-separated alpha values"),
+    )),
+    Command("equivalence", cmd_equivalence, "compare line and darned forms on samples", SET_OUT + (
+        _opt("--anchor", help="darning anchor"),
+        _opt("--samples", nargs="+", required=True, help="grid-function CSVs"),
+        _opt("--tol", type=float, default=1e-12),
+    )),
+    Command("simulate", None, "path simulation"),
+    Command("simulate bm", cmd_simulate_bm, "discretized Brownian paths", OUT + (
+        _opt("--n", type=int, required=True),
+        _opt("--dt", type=float, required=True),
+        _opt("--horizon", type=float, required=True),
+        _opt("--x0", type=float, default=0.0),
+        _opt("--seed", type=int, required=True),
+    )),
+    Command("simulate walk", cmd_simulate_walk, None,
+            OUT + (_opt("--speed", required=True, help="speed-measure JSON"),) + WALK),
+    Command("simulate xs", cmd_simulate_xs, None, WALK_ON_SET),
+    Command("simulate darning", cmd_simulate_darning, None, WALK_ON_SET),
+    Command("estimate", None, "Monte Carlo estimators"),
+    Command("estimate hitting", cmd_estimate_hitting, None, EXIT_HEAD + EXIT_TAIL),
+    Command("estimate laplace", cmd_estimate_laplace, None,
+            EXIT_HEAD + (_opt("--alpha", type=float, required=True),) + EXIT_TAIL),
+    Command("estimate occupation", cmd_estimate_occupation,
+            "occupation fractions of a recorded path", OUT + (
+                _opt("--path", required=True, help="path CSV"),
+                _opt("--target", action="append", default=[],
+                     help="point 'p' or interval 'a,b'; repeatable"),
+                _opt("--burn-in", type=float, default=0.0),
+                _opt("--batches", type=int, default=20),
+            )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,169 +519,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "and speed-measure diffusion simulation on the line.",
     )
     parser.add_argument("--version", action="version", version=f"traceform {__version__}")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    p_set = top.add_parser("set", help="build or validate interval sets")
-    sub = p_set.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("build", help="construct a set and write set.json")
-    _add_set_args(p); _add_out(p); p.set_defaults(func=cmd_set_build)
-    p = sub.add_parser("validate", help="check structure and delta-density")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--delta", required=True, help="density resolution")
-    p.set_defaults(func=cmd_set_validate)
-
-    p_scale = top.add_parser("scale", help="scale-function evaluation")
-    sub = p_scale.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("eval", help="tabulate the scale function on the window")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--anchor", help="anchor point (default 0)")
-    p.add_argument("--points", help="comma-separated evaluation points")
-    p.add_argument("--step", help="grid step when --points is absent (default 1/64)")
-    p.set_defaults(func=cmd_scale_eval)
-
-    p_darn = top.add_parser("darn", help="darning map and darned functions")
-    sub = p_darn.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("map", help="describe the darned image")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--anchor", help="darning anchor z in the interior of F")
-    p.set_defaults(func=cmd_darn_map)
-    p = sub.add_parser("function", help="push a grid function to the darned image")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--anchor", help="darning anchor z in the interior of F")
-    p.add_argument("--u", required=True, help="grid-function CSV")
-    p.set_defaults(func=cmd_darn_function)
-
-    p_energy = top.add_parser("energy", help="Dirichlet energies")
-    sub = p_energy.add_subparsers(dest="sub", required=True)
-    for form in ("full", "subspace", "part"):
-        p = sub.add_parser(form)
-        _add_set_args(p); _add_out(p)
-        p.add_argument("--u", required=True, help="grid-function CSV")
-        p.add_argument("--v", help="second grid-function CSV (bilinear form)")
-        p.set_defaults(func=cmd_energy, form=form)
-    p = sub.add_parser("measure", help="energy measure of an interval")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--interval", required=True, help="'a,b'")
-    p.add_argument("--subspace", action="store_true", help="restrict to G-cells")
-    p.set_defaults(func=cmd_energy_measure)
-
-    p = top.add_parser("decompose", help="orthogonal splitting against the subspace")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--u", required=True, help="grid-function CSV")
-    p.add_argument("--anchor", help="scale anchor (default 0)")
-    p.add_argument("--harmonic", action="store_true",
-                   help="require the input to be componentwise linear on G")
-    p.set_defaults(func=cmd_decompose)
-
-    p_trace = top.add_parser("trace", help="trace forms on F")
-    sub = p_trace.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("energy", help="full trace energy of a boundary function")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--phi", required=True, help="trace-function CSV")
-    p.set_defaults(func=cmd_trace_energy)
-    p = sub.add_parser("subspace", help="jump-only or local-only restricted energy")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--psi", help="second argument for the complement form")
-    p.add_argument("--complement", action="store_true",
-                   help="local form on matching-endpoint functions instead of jump form")
-    p.set_defaults(func=cmd_trace_subspace)
-    p = sub.add_parser("jump-table", help="per-gap jump weights CSV")
-    _add_set_args(p); _add_out(p)
-    p.set_defaults(func=cmd_trace_jump_table)
-    p = sub.add_parser("measure", help="trace measure (indicator density plus endpoint atoms)")
-    _add_set_args(p); _add_out(p)
-    p.set_defaults(func=cmd_trace_measure)
-
-    p = top.add_parser("feller", help="boundary-weight ladder against the half-gap limit")
-    _add_out(p)
-    p.add_argument("--d", required=True, help="gap width")
-    p.add_argument("--alpha-ladder", required=True, help="comma-separated alpha values")
-    p.set_defaults(func=cmd_feller)
-
-    p = top.add_parser("equivalence", help="compare line and darned forms on samples")
-    _add_set_args(p); _add_out(p)
-    p.add_argument("--anchor", help="darning anchor")
-    p.add_argument("--samples", nargs="+", required=True, help="grid-function CSVs")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=cmd_equivalence)
-
-    p_sim = top.add_parser("simulate", help="path simulation")
-    sub = p_sim.add_subparsers(dest="sub", required=True)
-    p = sub.add_parser("bm", help="discretized Brownian paths")
-    _add_out(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_simulate_bm)
-    for name, fn in (("walk", cmd_simulate_walk), ("xs", cmd_simulate_xs),
-                     ("darning", cmd_simulate_darning)):
-        p = sub.add_parser(name)
-        _add_out(p)
-        if name == "walk":
-            p.add_argument("--speed", required=True, help="speed-measure JSON")
-        else:
-            _add_set_args(p)
-            p.add_argument("--anchor", help="transform anchor")
-        p.add_argument("--h", type=float, required=True, help="grid step in natural scale")
-        p.add_argument("--x0", type=float, required=True,
-                       help="start point (line coordinates for xs/darning)")
-        p.add_argument("--horizon", type=float, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--boundary", help="'reflect,absorb' etc (default reflect,reflect)")
-        p.add_argument("--holding", choices=("exponential", "deterministic"),
-                       default="exponential")
-        p.set_defaults(func=fn)
-
-    p_est = top.add_parser("estimate", help="Monte Carlo estimators")
-    sub = p_est.add_subparsers(dest="sub", required=True)
-    for name, fn in (("hitting", cmd_estimate_hitting), ("laplace", cmd_estimate_laplace)):
-        p = sub.add_parser(name)
-        _add_set_args(p); _add_out(p)
-        p.add_argument("--gap", help="shortcut: single open gap 'a,b' as the whole set")
-        p.add_argument("--x0", type=float, required=True)
-        if name == "laplace":
-            p.add_argument("--alpha", type=float, required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--dt", type=float, help="override step (default (gap/50)^2)")
-        p.add_argument("--correct", action="store_true",
-                       help="enable the exit-overshoot boundary correction")
-        p.add_argument("--workers", type=int,
-                       help="threads for the exit engine (default: one per usable CPU)")
-        p.set_defaults(func=fn)
-    p = sub.add_parser("occupation", help="occupation fractions of a recorded path")
-    _add_out(p)
-    p.add_argument("--path", required=True, help="path CSV")
-    p.add_argument("--target", action="append", default=[],
-                   help="point 'p' or interval 'a,b'; repeatable")
-    p.add_argument("--burn-in", type=float, default=0.0)
-    p.add_argument("--batches", type=int, default=20)
-    p.set_defaults(func=cmd_estimate_occupation)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for cmd in COMMANDS:
+        group, _, name = cmd.path.rpartition(" ")
+        # help=None would still list the command in its group's help
+        p = groups[group].add_parser(name, **({} if cmd.help is None else {"help": cmd.help}))
+        if cmd.handler is None:
+            groups[cmd.path] = p.add_subparsers(dest="sub", required=True)
+            continue
+        for flag, kw in cmd.options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(func=cmd, **dict(cmd.defaults))
     return parser
 
 
+# the exit code and stderr prefix of each failure, the first that matches
+FAILURES = ((ValidationError, 2, "validation error"),
+            (PreconditionError, 3, "precondition violated"),
+            (OSError, 4, "io error"), (TraceformError, 5, "error"))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
-    except TraceformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        files, lines = args.func.handler(args)
+        _emit(args, args.func.path, files, lines)
+    except (TraceformError, OSError) as exc:
+        code, prefix = next((c, p) for kind, c, p in FAILURES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 

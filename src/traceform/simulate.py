@@ -149,10 +149,12 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
     """Stream of n discretized Brownian paths; path i uses seed XOR i."""
     if n < 1:
         raise PreconditionError("need at least one path")
-    if dt <= 0:
-        raise PreconditionError(f"dt must be positive, got {dt}")
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be nonnegative, got {horizon}")
+    if not 0 < dt < math.inf:
+        raise PreconditionError(f"dt must be positive and finite, got {dt}")
+    if not 0 <= horizon < math.inf:
+        raise PreconditionError(f"horizon must be nonnegative and finite, got {horizon}")
+    if not math.isfinite(x0):
+        raise PreconditionError(f"start point must be finite, got {x0}")
     steps = int(math.floor(horizon / dt + 1e-12))
     scale = math.sqrt(dt)
     for i in range(n):
@@ -237,6 +239,8 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
                   correct: bool, workers: int | None) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise PreconditionError(f"path count n must be at least 1, got {n}")
+    if not 0 < dt < math.inf:
+        raise PreconditionError(f"dt must be positive and finite, got {dt}")
     shift = OVERSHOOT * math.sqrt(dt) if correct else 0.0
     if not a + shift < x0 < b - shift:
         raise PreconditionError(
@@ -302,8 +306,8 @@ def estimate_laplace(iset: IntervalSet, x0: float, alpha: float, n: int, seed: i
                      workers: int | None = None) -> tuple[EstimatorResult, EstimatorResult]:
     """Means of exp(-alpha * exit_time) on each exit side; alpha = 0 recovers
     the plain hitting probabilities."""
-    if alpha < 0:
-        raise PreconditionError(f"alpha must be nonnegative, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise PreconditionError(f"alpha must be nonnegative and finite, got {alpha}")
     a, b = _gap_of(iset, x0)
     if dt is None:
         dt = default_exit_dt(b - a)
@@ -343,8 +347,8 @@ def build_chain(speed: SpeedMeasure, h: float,
     the corresponding end node absorbing as well.
     """
     lo, hi = (float(x) for x in speed.carrier)
-    if h <= 0:
-        raise PreconditionError(f"step h must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise PreconditionError(f"step h must be positive and finite, got {h}")
     ratio = (hi - lo) / h
     n_cells = round(ratio)
     if n_cells < 1 or abs(ratio - n_cells) > 1e-9 * max(1.0, abs(ratio)):
@@ -457,6 +461,11 @@ def _visit_blocks(chain: WalkChain, k0: int, horizon: float, rng,
         yield pos, arr, dwell
 
 
+def _check_horizon(horizon: float) -> None:
+    if not 0 < horizon < math.inf:
+        raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
+
+
 def _snap_start(chain: WalkChain, x0: float) -> int:
     lo = chain.lo
     hi = float(chain.nodes[-1])
@@ -479,8 +488,7 @@ def walk_paths(speed: SpeedMeasure, h: float, x0: float, horizon: float, seed: i
 
 def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int,
                 holding: str) -> PathSample:
-    if horizon <= 0:
-        raise PreconditionError(f"horizon must be positive, got {horizon}")
+    _check_horizon(horizon)
     k0 = _snap_start(chain, x0)
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
@@ -567,7 +575,7 @@ def _membership(states: np.ndarray, tg: Target, point_tol: float) -> np.ndarray:
 def _check_batches(burn_in: float, horizon: float, batches: int) -> None:
     if batches < 2:
         raise PreconditionError("batch means need at least two batches")
-    if burn_in < 0 or burn_in >= horizon:
+    if not 0 <= burn_in < horizon:
         raise PreconditionError("burn-in must lie in [0, horizon)")
 
 
@@ -623,6 +631,7 @@ def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
     occupation time is accumulated per batch without recording the trajectory,
     so arbitrarily long horizons stay in constant memory.  Dwells are assigned
     to the batch containing their start."""
+    _check_horizon(horizon)
     _check_batches(burn_in, horizon, batches)
     chain = build_chain(speed, h, boundary)
     k0 = _snap_start(chain, x0)

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, manifests, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import traceform as tf
-from traceform.cli import main
+from traceform.cli import build_parser, main
 
 from helpers import ZeroSteps
 
@@ -292,6 +293,121 @@ class TestErrorHandling:
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+WALK = ["simulate", "walk", "--speed", "{d}/speed.json", "--h", "0.0234375", "--x0", "0.1",
+        "--seed", "1"]
+HIT = ["estimate", "hitting", "--gap", "0,1", "--x0", "0.5", "--n", "10", "--seed", "1"]
+LAPLACE = ["estimate", "laplace", "--gap", "0,1", "--x0", "0.5", "--n", "10", "--seed", "1"]
+BM = ["simulate", "bm", "--n", "1", "--seed", "1"]
+
+# (argv, exit code, whether a missing check would let it run for ever);
+# "{d}" is the input directory
+EDGE_INPUTS = {
+    "walk horizon nan": (WALK + ["--horizon", "nan"], 3, True),
+    "walk horizon inf": (WALK + ["--horizon", "inf"], 3, True),
+    "walk h nan": (WALK[:4] + ["--h", "nan", "--x0", "0.1", "--horizon", "1", "--seed", "1"], 3,
+                   False),
+    "walk speed not json": (["simulate", "walk", "--speed", "{d}/u.csv", *WALK[4:],
+                             "--horizon", "1"], 2, False),
+    "hitting dt 0": (HIT + ["--dt", "0"], 3, False),
+    "hitting dt -1": (HIT + ["--dt=-1"], 3, False),
+    "hitting dt nan": (HIT + ["--dt", "nan"], 3, False),
+    "hitting dt inf": (HIT + ["--dt", "inf"], 3, False),
+    "bm dt nan": (BM + ["--dt", "nan", "--horizon", "1"], 3, False),
+    "bm horizon nan": (BM + ["--dt", "0.1", "--horizon", "nan"], 3, False),
+    "bm x0 nan": (BM + ["--dt", "0.1", "--horizon", "1", "--x0", "nan"], 3, False),
+    "laplace alpha nan": (LAPLACE + ["--alpha", "nan"], 3, False),
+    "laplace alpha inf": (LAPLACE + ["--alpha", "inf"], 3, False),
+    "darning x0 nan": (["simulate", "darning", "--svc-depth", "1", *WALK[4:6], "--x0", "nan",
+                        "--horizon", "1", "--seed", "1"], 3, False),
+    "scale step 0": (["scale", "eval", "--svc-depth", "1", "--step", "0"], 3, False),
+    "scale step negative": (["scale", "eval", "--svc-depth", "1", "--step=-1/4"], 3, False),
+    "svc-depth ignores tails": (["set", "build", "--svc-depth", "1", "--tails", "AllG,AllG"], 2,
+                                False),
+    "svc-depth ignores period": (["set", "build", "--svc-depth", "1", "--period", "2"], 2, False),
+    "set ignores window": (["set", "build", "--set", "{d}/set.json", "--window", "0,1"], 2, False),
+    "no set ignores window": (["energy", "full", "--u", "{d}/u.csv", "--window", "0,1"], 2, False),
+    "gap ignores svc-depth": (HIT + ["--svc-depth", "1"], 2, False),
+    "set not utf-8": (["set", "build", "--set", "{d}/bad.bin"], 2, False),
+    "grid not utf-8": (["energy", "full", "--u", "{d}/bad.bin"], 2, False),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_INPUTS))
+def test_edge_input_fails_on_one_line(case, tmp_path):
+    """Each input exits 2 or 3 with one stderr line and writes nothing."""
+    argv, code, may_hang = EDGE_INPUTS[case]
+    speed = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1), z=0), "lebesgue")
+    (tmp_path / "speed.json").write_text(json.dumps(speed.to_dict()))
+    (tmp_path / "set.json").write_text(json.dumps(tf.svc_complement(1).to_dict()))
+    (tmp_path / "u.csv").write_text(MEMBER_CSV)
+    (tmp_path / "bad.bin").write_bytes(b"\xff\xfe")
+    argv = [a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
+    if may_hang:
+        # a child process, so that a walk that never ends fails on the timeout
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "traceform.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+        rc, err = proc.returncode, proc.stderr
+    else:
+        rc, _, err = run(*argv)
+    assert rc == code, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+SET_FLAGS = "--set --svc-depth --components --window --tails --period"
+WALK_FLAGS = "--h! --x0! --horizon! --seed! --boundary --holding='exponential'"
+EXIT_FLAGS = "--n! --seed! --dt --correct=False --workers"
+
+# Each leaf command's options as the parser held them before the command table:
+# flag, "!" if required, "=default" if not None; then the extra parsed defaults.
+LEAF_OPTIONS = {
+    "set build": f"{SET_FLAGS} --out",
+    "set validate": f"{SET_FLAGS} --out --delta!",
+    "scale eval": f"{SET_FLAGS} --out --anchor --points --step",
+    "darn map": f"{SET_FLAGS} --out --anchor",
+    "darn function": f"{SET_FLAGS} --out --anchor --u!",
+    "energy full": f"{SET_FLAGS} --out --u! --v form='full'",
+    "energy subspace": f"{SET_FLAGS} --out --u! --v form='subspace'",
+    "energy part": f"{SET_FLAGS} --out --u! --v form='part'",
+    "energy measure": f"{SET_FLAGS} --out --u! --interval! --subspace=False",
+    "decompose": f"{SET_FLAGS} --out --u! --anchor --harmonic=False",
+    "trace energy": f"{SET_FLAGS} --out --phi!",
+    "trace subspace": f"{SET_FLAGS} --out --phi! --psi --complement=False",
+    "trace jump-table": f"{SET_FLAGS} --out",
+    "trace measure": f"{SET_FLAGS} --out",
+    "feller": "--out --d! --alpha-ladder!",
+    "equivalence": f"{SET_FLAGS} --out --anchor --samples! --tol=1e-12",
+    "simulate bm": "--out --n! --dt! --horizon! --x0=0.0 --seed!",
+    "simulate walk": f"--out --speed! {WALK_FLAGS}",
+    "simulate xs": f"--out {SET_FLAGS} --anchor {WALK_FLAGS}",
+    "simulate darning": f"--out {SET_FLAGS} --anchor {WALK_FLAGS}",
+    "estimate hitting": f"{SET_FLAGS} --out --gap --x0! {EXIT_FLAGS}",
+    "estimate laplace": f"{SET_FLAGS} --out --gap --x0! --alpha! {EXIT_FLAGS}",
+    "estimate occupation": "--out --path! --target=[] --burn-in=0.0 --batches=20",
+}
+
+
+def _leaf_parsers(parser, path=""):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path.strip(), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, f"{path} {name}")
+
+
+def test_leaf_commands_keep_their_options():
+    found = {}
+    for path, parser in _leaf_parsers(build_parser()):
+        flags = [a.option_strings[0] + "!" * a.required
+                 + ("" if a.default is None else f"={a.default!r}")
+                 for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        flags += [f"{k}={v!r}" for k, v in sorted(parser._defaults.items()) if k != "func"]
+        found[path] = " ".join(flags)
+    assert found == LEAF_OPTIONS
 
 
 @pytest.fixture

@@ -276,8 +276,19 @@ class TestOccupation:
         p = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 10.0, seed=9)
         with pytest.raises(PreconditionError, match="at least two batches"):
             occupation_fractions(p, targets=[0.0], batches=1)
-        with pytest.raises(PreconditionError, match="burn-in must lie in"):
-            occupation_fractions(p, targets=[0.0], burn_in=10.0)
+        for burn_in in (10.0, math.nan):
+            with pytest.raises(PreconditionError, match="burn-in must lie in"):
+                occupation_fractions(p, targets=[0.0], burn_in=burn_in)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, svc1, monkeypatch, horizon):
+        def walk(*args, **kwargs):
+            raise AssertionError("a walk to this horizon would never end")
+
+        monkeypatch.setattr(simulate, "_visit_blocks", walk)
+        with pytest.raises(PreconditionError, match="horizon must be positive and finite"):
+            walk_occupation(_lebesgue_speed(svc1), 3 / 128, 0.1, horizon, seed=9,
+                            targets=[0.375])
 
     def test_short_horizon_warning(self, svc1):
         p = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 100.0, seed=9)
