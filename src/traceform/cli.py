@@ -93,9 +93,12 @@ def _emit(args, command: str, files: dict[str, str], lines) -> None:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {text!r} as a rational number") from exc
+    if abs(value) > sys.float_info.max:
+        raise ValidationError(f"{text!r} is past the float range")
+    return value
 
 
 def _pair(text: str) -> tuple[Fraction, Fraction]:

@@ -35,20 +35,20 @@ def _l2_against_lebesgue(u: GridFunction) -> float:
     return float(np.sum(u.cell_lengths * (a * a + a * b + b * b) / 3))
 
 
-def line_l2(u: GridFunction, dm: DarningMap, tol: float = SUBSPACE_TOL) -> float:
+def line_l2(u: GridFunction, dm: DarningMap) -> float:
     """L2 norm squared of u against Lebesgue measure on the window; infinite
     when u fails to vanish at the finite endpoint of an unbounded component
     (the constant tail would have infinite mass)."""
     iset = dm.base
     w0, w1 = (float(x) for x in iset.window)
-    if iset.tail_left is Tail.ALL_G and abs(u(w0)) > tol:
+    if iset.tail_left is Tail.ALL_G and abs(u(w0)) > SUBSPACE_TOL:
         return math.inf
-    if iset.tail_right is Tail.ALL_G and abs(u(w1)) > tol:
+    if iset.tail_right is Tail.ALL_G and abs(u(w1)) > SUBSPACE_TOL:
         return math.inf
     return _l2_against_lebesgue(u)
 
 
-def darned_l2(uh: GridFunction, speed: SpeedMeasure, tol: float = SUBSPACE_TOL) -> float:
+def darned_l2(uh: GridFunction, speed: SpeedMeasure) -> float:
     """L2 norm squared of uh against the speed measure: density part plus
     mass * value^2 per atom.  An infinite atom forces value zero there; a
     nonzero value makes the norm infinite."""
@@ -63,7 +63,7 @@ def darned_l2(uh: GridFunction, speed: SpeedMeasure, tol: float = SUBSPACE_TOL) 
     values = uh(np.array([float(p) for p, _ in speed.atoms]))
     for (_, m), v in zip(speed.atoms, values):
         if isinstance(m, float) and math.isinf(m):
-            if abs(v) > tol:
+            if abs(v) > SUBSPACE_TOL:
                 return math.inf
             continue
         total += float(m) * v * v
@@ -122,10 +122,10 @@ class DarnedSpaceReport:
         }
 
 
-def darn_trace(phi: TraceFunction, dm: DarningMap, tol: float = SUBSPACE_TOL) -> GridFunction:
+def darn_trace(phi: TraceFunction, dm: DarningMap) -> GridFunction:
     """Trace-side transport: map the F-nodes of phi through the darning map,
-    collapsing gap endpoint pairs (their values must agree within tol)."""
-    bad = np.flatnonzero(np.abs(gap_jumps(phi)) > tol)
+    collapsing gap endpoint pairs (their values must agree within SUBSPACE_TOL)."""
+    bad = np.flatnonzero(np.abs(gap_jumps(phi)) > SUBSPACE_TOL)
     if bad.size:
         i = int(bad[0])
         a, b = phi.iset.components[i]
@@ -144,6 +144,8 @@ def equivalence_report(samples: list[GridFunction], dm: DarningMap,
     Samples must be constant on each component closure (complement members in
     the infinite-mass cases); ``darn_function`` raises otherwise.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PreconditionError(f"tol must be a finite number >= 0, got {tol}")
     speed = pushforward_speed(dm, "lebesgue")
     rows = []
     for u in samples:

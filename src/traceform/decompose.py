@@ -49,8 +49,7 @@ def _anchor_in_window(sf: ScaleFunction) -> float:
     return min(max(a, w0), w1)
 
 
-def project_subspace(u: GridFunction, sf: ScaleFunction,
-                     tol: float = ORTHOGONALITY_TOL) -> Decomposition:
+def project_subspace(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     """Orthogonal projection of u onto the subspace of F-flat functions.
 
     The subspace part is a cumulative integral of u' over G, with constants
@@ -98,7 +97,7 @@ def project_subspace(u: GridFunction, sf: ScaleFunction,
     u1 = GridFunction(u.grid, u1_vals)
     u2 = GridFunction(u.grid, u.values - u1_vals)
     cross = dirichlet_energy(u1, u2).value
-    bound = tol * max(1.0, dirichlet_energy(u, u).value)
+    bound = ORTHOGONALITY_TOL * max(1.0, dirichlet_energy(u, u).value)
     if abs(cross) > bound:
         raise PreconditionError(
             f"decomposition failed orthogonality: cross energy {cross:.3e} "
@@ -107,8 +106,7 @@ def project_subspace(u: GridFunction, sf: ScaleFunction,
     return Decomposition(u1=u1, u2=u2, case=case, constants=constants)
 
 
-def is_in_complement(u: GridFunction, sf: ScaleFunction,
-                     tol: float = SUBSPACE_TOL) -> bool:
+def is_in_complement(u: GridFunction, sf: ScaleFunction) -> bool:
     """Whether u is orthogonal to the subspace: u' constant across G, and that
     constant zero whenever the scale range is infinite on either side."""
     iset = sf.base
@@ -119,12 +117,11 @@ def is_in_complement(u: GridFunction, sf: ScaleFunction,
     if g_slopes.size == 0:
         return True
     if case is Case.III:
-        return bool(np.ptp(g_slopes) <= tol)
-    return bool(np.max(np.abs(g_slopes)) <= tol)
+        return bool(np.ptp(g_slopes) <= SUBSPACE_TOL)
+    return bool(np.max(np.abs(g_slopes)) <= SUBSPACE_TOL)
 
 
-def decompose_harmonic(u: GridFunction, sf: ScaleFunction,
-                       tol: float = SUBSPACE_TOL) -> Decomposition:
+def decompose_harmonic(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     """Decompose a function that is linear on each G-component.
 
     Such functions are harmonic off F, and both parts of the decomposition
@@ -133,8 +130,8 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction,
     iset = sf.base
     require_adapted(u, iset)
     comp = iset.classify(u.midpoints)
-    m = len(iset.components)
-    bad = np.flatnonzero(_component_spread(comp, m, u.slopes) > tol)
+    m = iset.gap_widths.size
+    bad = np.flatnonzero(_component_spread(comp, m, u.slopes) > SUBSPACE_TOL)
     if bad.size:
         i = int(bad[0])
         a, b = iset.components[i]
@@ -144,7 +141,7 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction,
         )
     dec = project_subspace(u, sf)
     for part in (dec.u1, dec.u2):
-        bad = np.flatnonzero(_component_spread(comp, m, part.slopes) > max(tol, 1e-10))
+        bad = np.flatnonzero(_component_spread(comp, m, part.slopes) > SUBSPACE_TOL)
         if bad.size:
             raise PreconditionError(
                 f"projection lost linearity on component {int(bad[0])}; inputs inconsistent"

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .gridfn import (
-    SUBSPACE_TOL,
     GridFunction,
     cell_in_g,
     is_in_subspace,
@@ -73,11 +72,11 @@ def dirichlet_energy(u: GridFunction, v: GridFunction | None = None,
 
 
 def subspace_energy(u: GridFunction, v: GridFunction | None = None, *,
-                    iset: IntervalSet, tol: float = SUBSPACE_TOL) -> EnergyReport:
+                    iset: IntervalSet) -> EnergyReport:
     """(1/2) integral of u'v' restricted to G; both arguments must be flat on F."""
     v = u if v is None else v
     for name, w in (("first", u), ("second", v)):
-        if not is_in_subspace(w, iset, tol):
+        if not is_in_subspace(w, iset):
             raise PreconditionError(
                 f"{name} argument is not a subspace member: its derivative does "
                 "not vanish on F within tolerance"
@@ -87,7 +86,7 @@ def subspace_energy(u: GridFunction, v: GridFunction | None = None, *,
 
 
 def part_energy(u: GridFunction, v: GridFunction | None = None, *,
-                iset: IntervalSet, tol: float = SUBSPACE_TOL) -> EnergyReport:
+                iset: IntervalSet) -> EnergyReport:
     """(1/2) integral of u'v' over G for functions vanishing on F.
 
     For such functions this coincides with the full energy; the agreement is
@@ -95,7 +94,7 @@ def part_energy(u: GridFunction, v: GridFunction | None = None, *,
     """
     v = u if v is None else v
     for name, w in (("first", u), ("second", v)):
-        if not vanishes_on_f(w, iset, tol):
+        if not vanishes_on_f(w, iset):
             raise PreconditionError(
                 f"{name} argument does not vanish on F within tolerance"
             )

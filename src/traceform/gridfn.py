@@ -162,18 +162,18 @@ def cell_in_g(u: GridFunction, iset: IntervalSet) -> np.ndarray:
     return iset.classify(u.midpoints) >= 0
 
 
-def is_in_subspace(u: GridFunction, iset: IntervalSet, tol: float = SUBSPACE_TOL) -> bool:
-    """Whether u is flat (within tol) on every cell meeting F in positive measure."""
+def is_in_subspace(u: GridFunction, iset: IntervalSet) -> bool:
+    """Whether u is flat (within SUBSPACE_TOL) on every cell meeting F in positive measure."""
     in_g = cell_in_g(u, iset)
     f_slopes = u.slopes[~in_g]
-    return bool(np.all(np.abs(f_slopes) <= tol))
+    return bool(np.all(np.abs(f_slopes) <= SUBSPACE_TOL))
 
 
-def vanishes_on_f(u: GridFunction, iset: IntervalSet, tol: float = SUBSPACE_TOL) -> bool:
-    """Whether u is zero (within tol) at every node lying in F."""
+def vanishes_on_f(u: GridFunction, iset: IntervalSet) -> bool:
+    """Whether u is zero (within SUBSPACE_TOL) at every node lying in F."""
     require_adapted(u, iset)
     on_f = iset.classify(u.grid, nodes=True) < 0
-    return bool(np.all(np.abs(u.values[on_f]) <= tol))
+    return bool(np.all(np.abs(u.values[on_f]) <= SUBSPACE_TOL))
 
 
 def _component_spread(comp: np.ndarray, n_components: int, *columns: np.ndarray) -> np.ndarray:
@@ -196,27 +196,27 @@ def _collapse_nodes(nodes: np.ndarray, values: np.ndarray, dm: DarningMap) -> Gr
     return GridFunction(ys[keep], values[keep])
 
 
-def darn_function(u: GridFunction, dm: DarningMap, tol: float = SUBSPACE_TOL) -> GridFunction:
+def darn_function(u: GridFunction, dm: DarningMap) -> GridFunction:
     """Transport u through the darning map: nodes inside each component
-    closure collapse to one image node.  u must be constant (within tol) on
+    closure collapse to one image node.  u must be constant (within SUBSPACE_TOL) on
     each closed component."""
     iset = dm.base
     require_adapted(u, iset)
     # on an adapted grid the nodes of a closed component are the ends of its cells
-    spread = _component_spread(iset.classify(u.midpoints), len(iset.components),
-                              u.values[:-1], u.values[1:])
-    bad = np.flatnonzero(spread > tol)
+    spread = _component_spread(iset.classify(u.midpoints), iset.gap_widths.size,
+                               u.values[:-1], u.values[1:])
+    bad = np.flatnonzero(spread > SUBSPACE_TOL)
     if bad.size:
         i = int(bad[0])
         a, b = iset.components[i]
         raise PreconditionError(
             f"function is not constant on component {i} = ({a}, {b}); "
-            f"value spread {float(spread[i]):.3e} exceeds tol {tol}"
+            f"value spread {float(spread[i]):.3e} exceeds tol {SUBSPACE_TOL}"
         )
     return _collapse_nodes(u.grid, u.values, dm)
 
 
-def undarn_function(uh: GridFunction, dm: DarningMap, match_tol: float = 1e-12) -> GridFunction:
+def undarn_function(uh: GridFunction, dm: DarningMap) -> GridFunction:
     """Pull a function on the darning image back to the window: u = uh o j.
 
     The result's grid contains every component endpoint plus the preimage of
@@ -236,7 +236,7 @@ def undarn_function(uh: GridFunction, dm: DarningMap, match_tol: float = 1e-12) 
     if positions.size:
         k = np.searchsorted(positions, ys)
         for q in (np.maximum(k - 1, 0), np.minimum(k, positions.size - 1)):
-            at_collapsed |= np.abs(ys - positions[q]) <= match_tol
+            at_collapsed |= np.abs(ys - positions[q]) <= 1e-12
     xlo, _ = dm.inverse(ys[~at_collapsed])
     grid = np.union1d(adapted_grid(iset), xlo)
     return GridFunction(grid, uh(dm(grid)))

@@ -6,19 +6,22 @@ looks like beyond the window (all of G, all of F, or a periodic repetition of
 the window pattern).  Everything downstream (scale functions, darning maps,
 trace energies) reads the geometry through this type.
 
-Every set keeps one exact table: the window ends and the component ends as
-Python-int numerators over one common denominator D, the least common
-multiple of their denominators.  Ends may be ints, ``Fraction`` values or
-floats; a float enters the table as its exact binary value, so every set has
-a D.  A scalar query is turned into its exact ratio once and placed in the
-table by int comparison and bisection.  The float64 tables are the
-numerators over D, correctly rounded, which is the float of each exact value
-(once a float end joins a running sum, that sum is added in floats).
+Every end is exact.  Ends may be given as ints, ``Fraction`` values or
+floats; a float end stands for its exact binary value and an int end for
+the ``Fraction`` of the same value.  Every set keeps one exact table: the
+window ends and the component ends as Python-int numerators over one common
+denominator D, the least common multiple of their denominators.  A scalar
+query is turned into its exact ratio once and placed in the table by int
+comparison and bisection.  The float64 tables are the numerators over D,
+correctly rounded, which is the float of each exact value.
 
-Results keep the type and the bits that the same expression gives on the
-given endpoint objects: exact (int or ``Fraction``) where every value in it is
-exact, float where a float takes part, in which case the float operations are
-those of that expression, with each exact part rounded once.
+``window``, ``period``, ``components``, ``endpoints``, ``f_components`` and
+every value derived from the table are ``Fraction`` values; ``to_dict`` and
+the messages for invalid sets name the ends as they were given.  A result is
+exact where every argument is, and a float where a float argument (a float
+query, or a float anchor of a scale function or darning map) takes part, with
+the float operations Python performs on the same expression: an exact value
+is rounded once where it meets a float.
 """
 
 from __future__ import annotations
@@ -69,13 +72,6 @@ def _decode(x) -> Real:
 
 # -- exact numbers ---------------------------------------------------------
 
-INT, FRACTION, FLOAT = 0, 1, 2  # kinds of number, in the order Python widens them
-_AT_LEAST = [bytes(max(v, k) for v in range(256)) for k in (INT, FRACTION, FLOAT)]
-
-
-def _kind(x) -> int:
-    return FLOAT if isinstance(x, float) else FRACTION if isinstance(x, Fraction) else INT
-
 
 def _ratio(x) -> tuple[int, int]:
     """The exact value of a real number as (numerator, positive denominator)."""
@@ -97,22 +93,14 @@ def _lt(x, y) -> bool:
     return p * s < r * q
 
 
-def _exact(n: int, den: int, kind: int) -> Real:
-    """n / den as a number of the given kind."""
-    if kind == FLOAT:
-        return n / den  # int division rounds correctly: the float of the exact value
-    if kind == FRACTION:
-        return Fraction(n, den)
-    return n // den
-
-
 class _Table(NamedTuple):
-    """Sorted exact values: int numerators over one denominator, with the kind
-    of number each value is handed out as."""
+    """Sorted exact values: int numerators over one denominator.  A
+    ``floated`` table holds floats (the levels of a float anchor) and hands
+    them out as floats."""
 
     nums: list
     den: int
-    kinds: bytes
+    floated: bool = False
 
     def key(self, x) -> tuple:
         """floor and ceiling of x * den.  For a numerator n: n < x iff n < ceil,
@@ -128,10 +116,12 @@ class _Table(NamedTuple):
         return f, f + (r > 0)
 
     def get(self, j: int, like=None) -> Real:
-        """Value j, as a float when ``like`` is one (Python would round it to
-        meet ``like`` anyway), else as its own kind."""
-        kind = FLOAT if isinstance(like, float) else self.kinds[j]
-        return _exact(self.nums[j], self.den, kind)
+        return self.value(self.nums[j], like)
+
+    def value(self, n: int, like=None) -> Real:
+        """n / den, as a float when the table is floated or ``like`` is a float
+        (Python would round it to meet ``like`` anyway), else as a ``Fraction``."""
+        return n / self.den if self.floated or isinstance(like, float) else Fraction(n, self.den)
 
     def floats(self) -> np.ndarray:
         den = self.den
@@ -142,19 +132,6 @@ def _over(ratios: list) -> tuple[list, int]:
     """Numerators of (p, q) ratios over their least common denominator."""
     den = math.lcm(*{q for _, q in ratios})
     return [p * (den // q) for p, q in ratios], den
-
-
-def _mixed(exact: list, den: int, kinds: bytes, float_value) -> _Table:
-    """A table whose value j is exact[j] / den where kinds[j] is exact, else
-    the float float_value(j, before), where ``before`` is value j - 1 as a float."""
-    if FLOAT not in kinds:
-        return _Table(exact, den, kinds)
-    ratios, before = [], None
-    for j, (n, kind) in enumerate(zip(exact, kinds)):
-        ratios.append((n, den) if kind < FLOAT else float_value(j, before).as_integer_ratio())
-        before = ratios[-1][0] / ratios[-1][1]
-    nums, den = _over(ratios)
-    return _Table(nums, den, kinds)
 
 
 @dataclass(frozen=True)
@@ -207,27 +184,29 @@ class IntervalSet:
             nums, den = _over([_ratio(x) for x in flat])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"every end must be a finite real number: {exc}") from exc
-        self.__dict__["components"] = components
-        self._setup(window, nums[:2], nums[2:], den, bytes(map(_kind, flat[2:])),
-                    tail_left, tail_right, period)
+        self._setup(window, components, nums[:2], nums[2:], den, tail_left, tail_right, period)
 
     @classmethod
     def _from_table(cls, window, w, ends, den, tails, period=None) -> "IntervalSet":
         """A set whose component ends are the ``Fraction`` values ends / den,
         built from the table alone; ``components`` is made on first use."""
         self = cls.__new__(cls)
-        self._setup(tuple(window), w, ends, den, b"\x01" * len(ends), *tails, period)
+        self._setup(tuple(window), None, w, ends, den, *tails, period)
         return self
 
-    def _setup(self, window, w, ends, den, kinds, tail_left, tail_right, period):
+    def _setup(self, window, components, w, ends, den, tail_left, tail_right, period):
+        # window, components (None for a set built from its table) and period
+        # as given, for to_dict and the messages
+        if period is None and Tail.PERIODIC in (tail_left, tail_right):
+            period = window[1] - window[0]
         put = self.__dict__.__setitem__
-        put("window", window)
+        put("_given", (window, components, period))
+        put("window", (Fraction(w[0], den), Fraction(w[1], den)))
         put("tail_left", tail_left)
         put("tail_right", tail_right)
-        put("period", period)
         put("den", den)
         put("_w", tuple(w))
-        put("_ends", _Table(ends, den, kinds))
+        put("_ends", _Table(ends, den))
         self._validate_structure()
 
     def __setattr__(self, name, value):
@@ -250,7 +229,7 @@ class IntervalSet:
                 f"period={self.period!r})")
 
     def _validate_structure(self) -> None:
-        w0, w1 = self.window
+        (w0, w1), _, period = self._given
         w0n, w1n = self._w
         if not w0n < w1n:
             raise ValidationError(f"window must satisfy w0 < w1, got ({w0}, {w1})")
@@ -258,16 +237,20 @@ class IntervalSet:
             if not isinstance(tail, Tail):
                 raise ValidationError(f"tail must be a Tail enum member, got {tail!r}")
         periodic = Tail.PERIODIC in (self.tail_left, self.tail_right)
+        length = Fraction(w1n - w0n, self.den)
         if periodic:
-            if self.period is None:
-                self.__dict__["period"] = w1 - w0
-            elif self.period != w1 - w0:
+            try:
+                fits = Fraction(*_ratio(period)) == length
+            except (TypeError, ValueError, OverflowError):
+                fits = False
+            if not fits:
                 raise ValidationError(
-                    f"period {self.period} must equal the window length {w1 - w0}: "
+                    f"period {period} must equal the window length {w1 - w0}: "
                     "the window holds exactly one period"
                 )
-        elif self.period is not None:
+        elif period is not None:
             raise ValidationError("period given but neither tail is Periodic")
+        self.__dict__["period"] = length if periodic else None
 
         ends = self._ends.nums
         if ends and not (w0n <= ends[0] and ends[-1] <= w1n
@@ -293,9 +276,9 @@ class IntervalSet:
     def _raise_component_error(self):
         """Name the first component that is empty, leaves the window, or
         overlaps or touches the one before it."""
-        (w0, w1), (w0n, w1n) = self.window, self._w
+        ((w0, w1), components, _), (w0n, w1n) = self._given, self._w
         ends = self._ends.nums
-        for i, (a, b) in enumerate(self.components):
+        for i, (a, b) in enumerate(components):
             an, bn = ends[2 * i], ends[2 * i + 1]
             if not an < bn:
                 raise ValidationError(f"component ({a}, {b}) has nonpositive length")
@@ -303,17 +286,17 @@ class IntervalSet:
                 raise ValidationError(f"component ({a}, {b}) extends beyond window ({w0}, {w1})")
             if i and an < ends[2 * i - 1]:
                 raise ValidationError(
-                    f"components {self.components[i - 1]} and ({a}, {b}) overlap")
+                    f"components {components[i - 1]} and ({a}, {b}) overlap")
             if i and an == ends[2 * i - 1]:
                 raise ValidationError(
-                    f"components {self.components[i - 1]} and ({a}, {b}) share endpoint {a}: "
+                    f"components {components[i - 1]} and ({a}, {b}) share endpoint {a}: "
                     "F would have an isolated point there"
                 )
 
     # -- the exact table ---------------------------------------------------
 
     @cached_property
-    def components(self) -> tuple[tuple[Real, Real], ...]:
+    def components(self) -> tuple[tuple[Fraction, Fraction], ...]:
         end = self._ends.get
         return tuple((end(j), end(j + 1)) for j in range(0, len(self._ends.nums), 2))
 
@@ -332,23 +315,8 @@ class IntervalSet:
         return list(accumulate(map(sub, self._hi, self._lo), initial=0))
 
     @cached_property
-    def _width_kinds(self) -> bytes:
-        k = self._ends.kinds
-        return bytes(map(max, k[0::2], k[1::2]))
-
-    def _width_float(self, i: int) -> float:
-        # b - a for component i, a float op when an end is a float
-        a, b, d = self._lo[i], self._hi[i], self.den
-        return b / d - a / d if self._width_kinds[i] == FLOAT else (b - a) / d
-
-    @cached_property
     def _prefix(self) -> _Table:
-        """The running G-masses, each of the kind the sum of the widths before
-        it has.  Once a float width joins, the sums are floats added one width
-        at a time."""
-        kinds = bytes(accumulate(self._width_kinds, max, initial=INT))
-        return _mixed(self.g_prefix, self.den, kinds,
-                      lambda j, before: before + self._width_float(j - 1))
+        return _Table(self.g_prefix, self.den)
 
     @cached_property
     def _f_ends(self) -> tuple[_Table, _Table]:
@@ -356,29 +324,18 @@ class IntervalSet:
         last one, m + 1 each: the F-component of rank k (k components of G
         left of it), or an empty stretch at a window edge that a component
         touches."""
-        (w0, w1), (w0n, w1n), e = self.window, self._w, self._ends
-        return (_Table([w0n] + self._hi, self.den, bytes([_kind(w0)]) + e.kinds[1::2]),
-                _Table(self._lo + [w1n], self.den, e.kinds[0::2] + bytes([_kind(w1)])))
+        w0n, w1n = self._w
+        return _Table([w0n] + self._hi, self.den), _Table(self._lo + [w1n], self.den)
 
     @cached_property
     def _f_before(self) -> _Table:
         """F-mass of the window left of each point where an F-stretch ends: 0
         at w0, then (a - w0) - p at each component's left end a, with p the
-        G-mass before it, then (w1 - w0) - p at w1; each of the kind, and
-        with the float operations, that expression has."""
-        (w0n, _), d, prefix, highs = self._w, self.den, self._prefix, self._f_ends[1]
-        kw0 = _kind(self.window[0])
-        inner = [0] + [(h - w0n) - p for h, p in zip(highs.nums, self.g_prefix)]
-        kinds = bytes([INT]) + bytes(map(max, highs.kinds, prefix.kinds)).translate(_AT_LEAST[kw0])
+        G-mass before it, then (w1 - w0) - p at w1."""
+        w0n, highs = self._w[0], self._f_ends[1].nums
+        return _Table([0] + [(h - w0n) - p for h, p in zip(highs, self.g_prefix)], self.den)
 
-        def float_value(j, _):
-            h = highs.nums[j - 1]
-            moved = h / d - w0n / d if max(highs.kinds[j - 1], kw0) == FLOAT else (h - w0n) / d
-            return moved - prefix.get(j - 1, 1.0)
-
-        return _mixed(inner, d, kinds, float_value)
-
-    def _f_pair(self, k: int) -> tuple[Real, Real]:
+    def _f_pair(self, k: int) -> tuple[Fraction, Fraction]:
         lows, highs = self._f_ends
         return lows.get(k), highs.get(k)
 
@@ -389,18 +346,16 @@ class IntervalSet:
         return tuple(t.floats()[r.start:r.stop] for t in self._f_ends)
 
     def _anchored(self, anchor: Real, inner: _Table) -> _Table:
-        """The values anchor + inner[j]: exact where both are, else the float
-        float(anchor) + float(inner[j]), as the sum of the two numbers rounds."""
-        kinds = inner.kinds.translate(_AT_LEAST[_kind(anchor)])
+        """The values anchor + inner[j]: exact for an exact anchor; for a float
+        anchor the floats anchor + float(inner[j]), as Python adds them, in a
+        floated table."""
+        if isinstance(anchor, float):
+            d = inner.den
+            return _Table(*_over([(anchor + n / d).as_integer_ratio() for n in inner.nums]), True)
         p, q = _ratio(anchor)
         den = math.lcm(inner.den, q)
         s, c = p * (den // q), den // inner.den
-        nums = inner.nums if (s, c) == (0, 1) else [s + n * c for n in inner.nums]
-        if FLOAT in kinds:
-            fa, d = float(anchor), inner.den
-            nums, den = _over([(v, den) if k < FLOAT else (fa + n / d).as_integer_ratio()
-                               for v, n, k in zip(nums, inner.nums, kinds)])
-        return _Table(nums, den, kinds)
+        return _Table(inner.nums if (s, c) == (0, 1) else [s + n * c for n in inner.nums], den)
 
     # -- derived geometry ------------------------------------------------
 
@@ -457,9 +412,9 @@ class IntervalSet:
 
     @cached_property
     def gap_widths(self) -> np.ndarray:
-        """float64 width of each component: b - a, rounded once unless an end
-        is a float (then the difference of the two floats)."""
-        return np.fromiter(map(self._width_float, range(len(self._lo))), float, len(self._lo))
+        """float64 width of each component: b - a, rounded once."""
+        d = self.den
+        return np.fromiter(((b - a) / d for a, b in zip(self._lo, self._hi)), float, len(self._lo))
 
     @cached_property
     def end_slack(self) -> np.ndarray:
@@ -537,25 +492,23 @@ class IntervalSet:
     # -- Lebesgue masses -------------------------------------------------
 
     def _add(self, x, y):
-        """x + y, where an exact piece of the table may stand as a pair
-        (numerator over D, kind): two such pairs add exactly."""
+        """x + y, where an exact piece of the table may stand as its numerator
+        over D in a 1-tuple: two such pieces add exactly."""
         if type(x) is tuple and type(y) is tuple:
-            return x[0] + y[0], max(x[1], y[1])
+            return (x[0] + y[0],)
         return self._value(x, y) + self._value(y, x)
 
     def _value(self, x, like=None):
-        """A pair made a number (a float when ``like`` is one), else x."""
-        if type(x) is tuple:
-            return _exact(x[0], self.den, FLOAT if isinstance(like, float) else x[1])
-        return x
+        """A 1-tuple piece made a number (a float when ``like`` is one), else x."""
+        return self._prefix.value(x[0], like) if type(x) is tuple else x
 
     def _part(self, i, lo, hi, klo, khi):
-        """G-mass of component i inside [lo, hi]."""
+        """G-mass of component i inside [lo, hi], a piece when it is the whole
+        component."""
         a, b = self._lo[i], self._hi[i]
         cut_lo, cut_hi = klo[0] >= a, khi[1] <= b  # lo >= a, hi <= b
         if not (cut_lo or cut_hi):
-            kind = self._width_kinds[i]
-            return self._width_float(i) if kind == FLOAT else (b - a, kind)
+            return (b - a,)
         if cut_lo and cut_hi:
             inside = _lt(lo, hi)
         else:
@@ -569,8 +522,8 @@ class IntervalSet:
 
     def _g_window_piece(self, lo, hi, klo, khi):
         """G-mass of [lo, hi] assuming w0 <= lo <= hi <= w1, as a number or a
-        table pair: the parts of the first and last components it meets, and
-        the prefix sums between them."""
+        piece: the parts of the first and last components it meets, and the
+        prefix sums between them, added left to right."""
         lefts = self._lo
         first = max(bisect_right(lefts, klo[0]) - 1, 0)
         last = bisect_left(lefts, khi[1]) - 1  # the last component starting below hi
@@ -579,10 +532,7 @@ class IntervalSet:
         total = self._part(first, lo, hi, klo, khi)
         if last > first:
             if last > first + 1:
-                p, kind = self._prefix, self._prefix.kinds[last]
-                between = (p.get(last) - p.get(first + 1) if kind == FLOAT
-                           else (self.g_prefix[last] - self.g_prefix[first + 1], kind))
-                total = self._add(total, between)
+                total = self._add(total, (self.g_prefix[last] - self.g_prefix[first + 1],))
             total = self._add(total, self._part(last, lo, hi, klo, khi))
         return total
 
@@ -688,14 +638,16 @@ class IntervalSet:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The set with its ends, and its period, as they were given."""
+        (w0, w1), components, period = self._given
         d = {
-            "window": [_encode(self.window[0]), _encode(self.window[1])],
-            "components": [[_encode(a), _encode(b)] for a, b in self.components],
+            "window": [_encode(w0), _encode(w1)],
+            "components": [[_encode(a), _encode(b)] for a, b in components or self.components],
             "tail_left": self.tail_left.value,
             "tail_right": self.tail_right.value,
         }
-        if self.period is not None:
-            d["period"] = _encode(self.period)
+        if period is not None:
+            d["period"] = _encode(period)
         return d
 
     @classmethod
@@ -740,7 +692,6 @@ def svc_complement(
     depth: int,
     window: Sequence[Real] = (0, 1),
     tails: tuple[Tail, Tail] = (Tail.ALL_F, Tail.ALL_F),
-    max_depth: int = SVC_MAX_DEPTH,
 ) -> IntervalSet:
     """Open set removed by `depth` steps of the fat Cantor construction.
 
@@ -751,8 +702,8 @@ def svc_complement(
     """
     if not isinstance(depth, int) or depth < 0:
         raise PreconditionError(f"depth must be a nonnegative integer, got {depth!r}")
-    if depth > max_depth:
-        raise PreconditionError(f"depth {depth} exceeds the configured maximum {max_depth}")
+    if depth > SVC_MAX_DEPTH:
+        raise PreconditionError(f"depth {depth} exceeds the configured maximum {SVC_MAX_DEPTH}")
     w0, w1 = (Fraction(x) for x in window)
     if not w0 < w1:
         raise PreconditionError(f"window must satisfy w0 < w1, got {window!r}")

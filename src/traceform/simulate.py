@@ -40,7 +40,10 @@ from .transforms import ScaleFunction, SpeedMeasure, scale_pushforward_speed
 OVERSHOOT = 0.5825971579390107
 
 EXIT_CHUNK = 1 << 14  # paths per generator stream
+EXIT_BLOCK = 128  # steps per surviving path drawn at once
 EXIT_TILE = 1 << 11  # rows per in-place tile of a step block
+WALK_BLOCK = 1 << 20  # walk steps drawn at once
+POINT_TOL = 1e-9  # a state this close to a point target occupies it
 DEFAULT_GAP_FRACTION = 50  # sqrt(dt) <= gap / 50
 
 
@@ -171,10 +174,10 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
 
 
 def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
-                shift: float, step_block: int = 128) -> tuple[np.ndarray, np.ndarray]:
+                shift: float) -> tuple[np.ndarray, np.ndarray]:
     """Exit side and exit time for m discretized paths in the gap (a, b).
 
-    Steps are drawn in blocks of step_block per surviving path; the first
+    Steps are drawn in blocks of EXIT_BLOCK per surviving path; the first
     boundary crossing inside a block ends that path at the crossing step.
     With a nonzero shift the effective boundaries move inward, compensating
     the mean overshoot of the discrete walk past a continuum level.
@@ -191,7 +194,7 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
     idx = np.arange(m)
     left = np.zeros(m, dtype=bool)
     tau = np.zeros(m)
-    buf = np.empty((min(m, EXIT_TILE), step_block))
+    buf = np.empty((min(m, EXIT_TILE), EXIT_BLOCK))
     base = 0
     max_steps = max(10_000, int(200 * (b - a) ** 2 / dt))
     while idx.size:
@@ -219,7 +222,7 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
             pos[r0:r1] = tile[:, -1]
         pos = pos[keep]
         idx = idx[keep]
-        base += step_block
+        base += EXIT_BLOCK
     return left, tau
 
 
@@ -273,8 +276,8 @@ def _gap_of(iset: IntervalSet, x0: float) -> tuple[float, float]:
             f"start point {x0} lies in F; exit estimation needs a point "
             "interior to a finite G-component"
         )
-    a, b = iset.components[i]
-    return float(a), float(b)
+    lefts, rights = iset.float_ends
+    return float(lefts[i]), float(rights[i])
 
 
 def default_exit_dt(gap: float) -> float:
@@ -404,7 +407,7 @@ def build_chain(speed: SpeedMeasure, h: float,
 
 
 def _visit_blocks(chain: WalkChain, k0: int, horizon: float, rng,
-                  holding: str, block: int = 1 << 20) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                  holding: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (positions, arrivals, dwells) blocks of the walk until the clock
     reaches the horizon or an absorbing node is entered.  The final dwell is
     clipped so that total time equals the horizon exactly."""
@@ -423,7 +426,7 @@ def _visit_blocks(chain: WalkChain, k0: int, horizon: float, rng,
             pos = pending
             pending = None
         else:
-            steps = 2 * rng.integers(0, 2, size=block, dtype=np.int64) - 1
+            steps = 2 * rng.integers(0, 2, size=WALK_BLOCK, dtype=np.int64) - 1
             unfolded = ku + np.cumsum(steps)
             ku = int(unfolded[-1])
             m = unfolded % (2 * n_top)
@@ -565,9 +568,9 @@ def _target_label(tg: Target) -> str:
     return f"interval [{float(lo)}, {float(hi)}]"
 
 
-def _membership(states: np.ndarray, tg: Target, point_tol: float) -> np.ndarray:
+def _membership(states: np.ndarray, tg: Target) -> np.ndarray:
     if isinstance(tg, (int, float)):
-        return np.abs(states - float(tg)) <= point_tol
+        return np.abs(states - float(tg)) <= POINT_TOL
     lo, hi = (float(v) for v in tg)
     return (states >= lo) & (states <= hi)
 
@@ -611,13 +614,12 @@ def _batch_occupation(blocks, targets: Sequence[Target], burn_in: float, horizon
 
 
 def occupation_fractions(path: PathSample, targets: Sequence[Target],
-                         burn_in: float = 0.0, batches: int = 20,
-                         point_tol: float = 1e-9) -> list[EstimatorResult]:
+                         burn_in: float = 0.0, batches: int = 20) -> list[EstimatorResult]:
     """Time-weighted occupation fraction of each target with batch-means
     standard errors over equal time slices of (burn_in, horizon]."""
     _check_batches(burn_in, path.horizon, batches)
     states = path.states[:-1]
-    member = [_membership(states, tg, point_tol) for tg in targets]
+    member = [_membership(states, tg) for tg in targets]
     block = (path.times[:-1], np.diff(path.times), member)
     return _batch_occupation([block], targets, burn_in, path.horizon, batches)
 
@@ -626,7 +628,7 @@ def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
                     seed: int, targets: Sequence[Target],
                     boundary: tuple[str, str] = ("reflect", "reflect"),
                     holding: str = "exponential", burn_in: float = 0.0,
-                    batches: int = 20, point_tol: float = 1e-9) -> list[EstimatorResult]:
+                    batches: int = 20) -> list[EstimatorResult]:
     """Streaming version of ``walk_paths`` followed by ``occupation_fractions``:
     occupation time is accumulated per batch without recording the trajectory,
     so arbitrarily long horizons stay in constant memory.  Dwells are assigned
@@ -636,7 +638,7 @@ def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
     chain = build_chain(speed, h, boundary)
     k0 = _snap_start(chain, x0)
     rng = np.random.default_rng(seed)
-    member = [_membership(chain.nodes, tg, point_tol) for tg in targets]
+    member = [_membership(chain.nodes, tg) for tg in targets]
     blocks = ((arr, dwell, [row[pos] for row in member])
               for pos, arr, dwell in _visit_blocks(chain, k0, horizon, rng, holding))
     return _batch_occupation(blocks, targets, burn_in, horizon, batches)

@@ -106,9 +106,10 @@ def alpha_hitting(iset: IntervalSet, n: int, alpha: float, x: float) -> tuple[fl
             "point lies in an unbounded G-component: hitting kernels are not "
             "defined there (the gap weight vanishes instead)"
         )
-    if not 0 <= n < len(iset.components):
+    lefts, rights = iset.float_ends
+    if not 0 <= n < lefts.size:
         raise PreconditionError(f"no component with index {n}")
-    a, b = (float(v) for v in iset.components[n])
+    a, b = float(lefts[n]), float(rights[n])
     if not a <= x <= b:
         raise PreconditionError(f"point {x} is not in component {n} = ({a}, {b})")
     c = math.sqrt(2 * alpha)
@@ -170,14 +171,14 @@ def trace_jump_energy(phi: TraceFunction) -> float:
     return _jump_form(phi).value
 
 
-def trace_subspace_energy(phi: TraceFunction, tol: float = SUBSPACE_TOL) -> EnergyReport:
+def trace_subspace_energy(phi: TraceFunction) -> EnergyReport:
     """Trace energy of a subspace restriction: the jump sum alone.
 
     Requires phi' = 0 on the interior of F, which characterizes restrictions
     of subspace members; a nonzero local slope raises.
     """
     f_slopes = phi.extension.slopes[phi._cell_in_f]
-    if f_slopes.size and float(np.max(np.abs(f_slopes))) > tol:
+    if f_slopes.size and float(np.max(np.abs(f_slopes))) > SUBSPACE_TOL:
         raise PreconditionError(
             "trace is not flat on F within tolerance: not the restriction of "
             "a subspace member"
@@ -185,8 +186,7 @@ def trace_subspace_energy(phi: TraceFunction, tol: float = SUBSPACE_TOL) -> Ener
     return _jump_form(phi)
 
 
-def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None,
-                            tol: float = SUBSPACE_TOL) -> EnergyReport:
+def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None) -> EnergyReport:
     """Trace energy of complement restrictions: the local part alone.
 
     Requires matching values at the two endpoints of every finite gap, which
@@ -196,7 +196,7 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
     if psi.iset is not phi.iset and psi.iset != phi.iset:
         raise PreconditionError("trace functions live on different sets")
     for name, t in (("first", phi), ("second", psi)):
-        bad = np.flatnonzero(np.abs(gap_jumps(t)) > tol)
+        bad = np.flatnonzero(np.abs(gap_jumps(t)) > SUBSPACE_TOL)
         if bad.size:
             i = int(bad[0])
             a, b = t.iset.components[i]
@@ -255,11 +255,9 @@ def trace_measure(iset: IntervalSet) -> TraceMeasure:
 
 def jump_table(iset: IntervalSet) -> list[tuple[float, float, float, float]]:
     """Rows (a, b, width, weight) for every finite gap, weight = 1/(2 width)."""
-    rows = []
-    for a, b in iset.components:
-        d = float(b - a)
-        rows.append((float(a), float(b), d, feller_weight(d)))
-    return rows
+    lefts, rights = iset.float_ends
+    return [(a, b, d, feller_weight(d))
+            for a, b, d in zip(lefts.tolist(), rights.tolist(), iset.gap_widths.tolist())]
 
 
 def jump_table_csv(iset: IntervalSet) -> str:

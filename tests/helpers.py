@@ -345,7 +345,7 @@ geometry_sets = st.one_of(
         tf.build_interval_set([(Fraction(1, 3), 0.5)], (0.0, 1), tails=(Tail.ALL_G, Tail.ALL_G)),
         tf.build_interval_set([(0, 0.25), (Fraction(1, 3), 0.75)], (0, 1),
                               tails=(Tail.PERIODIC, Tail.PERIODIC)),
-        # int ends beside Fraction and float ones: sums stay ints until another kind joins
+        # int ends beside Fraction and float ones
         tf.build_interval_set([(-1, 0), (Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 2), 1)],
                               (-2, 2)),
         tf.build_interval_set([(-1, 0), (0.25, Fraction(1, 3)), (Fraction(1, 2), 0.75)], (-2, 2),
@@ -378,11 +378,12 @@ def probe_points(iset, rng, beyond=0.1):
 
 class OracleSet:
     """The scalar geometry of an ``IntervalSet`` computed as Python computes
-    it on the given endpoint objects: ints, ``Fraction`` values and floats,
-    compared one at a time, with the running G-masses kept as a tuple of
-    numbers.  This was traceform's own scalar path before its exact integer
-    table, and every result of the table must equal it: exactly, and of the
-    same type, where the result is exact.  The scale and darning inverses
+    it on the set's endpoint objects (``window`` and ``components``, exact
+    ``Fraction`` values), compared one at a time, with the running G-masses
+    kept as a tuple of numbers.  This was traceform's own scalar path before
+    its exact integer table, and every result of the table must equal it:
+    exactly where the result is exact, and within 1e-12 where a float query
+    or anchor makes it a float.  The scale and darning inverses
     follow the rules the table brought: a float value is a plateau value or
     a collapsed point when it is that value's float; a periodic value folds
     back into the image once, a float one onto a plateau or seam value within

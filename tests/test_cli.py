@@ -299,6 +299,7 @@ WALK = ["simulate", "walk", "--speed", "{d}/speed.json", "--h", "0.0234375", "--
 HIT = ["estimate", "hitting", "--gap", "0,1", "--x0", "0.5", "--n", "10", "--seed", "1"]
 LAPLACE = ["estimate", "laplace", "--gap", "0,1", "--x0", "0.5", "--n", "10", "--seed", "1"]
 BM = ["simulate", "bm", "--n", "1", "--seed", "1"]
+EQUIV = ["equivalence", "--svc-depth", "1", "--samples", "{d}/u.csv"]
 
 # (argv, exit code, whether a missing check would let it run for ever);
 # "{d}" is the input directory
@@ -330,6 +331,20 @@ EDGE_INPUTS = {
     "gap ignores svc-depth": (HIT + ["--svc-depth", "1"], 2, False),
     "set not utf-8": (["set", "build", "--set", "{d}/bad.bin"], 2, False),
     "grid not utf-8": (["energy", "full", "--u", "{d}/bad.bin"], 2, False),
+    "feller alpha past float range": (["feller", "--d", "1", "--alpha-ladder", "1e400"], 2,
+                                      False),
+    "feller d past float range": (["feller", "--d", "1e400", "--alpha-ladder", "1"], 2, False),
+    "scale point past float range": (["scale", "eval", "--svc-depth", "1", "--points", "1e400"],
+                                     2, False),
+    "hitting gap past float range": (["estimate", "hitting", "--gap=0,1e400", *HIT[4:]], 2,
+                                     False),
+    "measure interval past float range": (["energy", "measure", "--u", "{d}/u.csv",
+                                           "--interval", "0,1e400"], 2, False),
+    "occupation target past float range": (["estimate", "occupation", "--path", "{d}/path.csv",
+                                            "--target=-1e400"], 2, False),
+    "equivalence tol nan": (EQUIV + ["--tol", "nan"], 3, False),
+    "equivalence tol inf": (EQUIV + ["--tol", "inf"], 3, False),
+    "equivalence tol negative": (EQUIV + ["--tol=-1e-12"], 3, False),
 }
 
 
@@ -342,6 +357,7 @@ def test_edge_input_fails_on_one_line(case, tmp_path):
     (tmp_path / "set.json").write_text(json.dumps(tf.svc_complement(1).to_dict()))
     (tmp_path / "u.csv").write_text(MEMBER_CSV)
     (tmp_path / "bad.bin").write_bytes(b"\xff\xfe")
+    (tmp_path / "path.csv").write_text(next(tf.bm_paths(1, 0.1, 1.0, 0.0, seed=1)).to_csv())
     argv = [a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
     if may_hang:
         # a child process, so that a walk that never ends fails on the timeout

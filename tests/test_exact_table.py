@@ -2,8 +2,8 @@
 
 Every table (running G-masses, scale levels and plateaus, collapsed points
 and F-spans) and every scalar and array map is compared with the oracle,
-which computes on the endpoint objects one comparison at a time: equal and
-of the same type where the result is exact, within 1e-12 where it is a float.
+which computes on the endpoint objects one comparison at a time: exact and
+equal in value where the result is exact, within 1e-12 where it is a float.
 """
 
 import resource
@@ -22,13 +22,14 @@ from helpers import (OracleDarning, OracleScale, OracleSet, geometry_sets, probe
 
 
 def same(got, want) -> bool:
-    """Equal and of the same type where ``want`` is exact; a float within
-    1e-12 max(1, |want|) where it is a float."""
+    """Exact and equal in value where ``want`` is exact (an int and a
+    ``Fraction`` of the same value match); a float within 1e-12 max(1, |want|)
+    where it is a float."""
     if isinstance(want, (tuple, list)):
         return len(got) == len(want) and all(same(g, w) for g, w in zip(got, want))
     if isinstance(want, float):
         return isinstance(got, float) and abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    return type(got) is type(want) and got == want
+    return not isinstance(got, float) and got == want
 
 
 def outcome(fn, *args):
@@ -76,7 +77,7 @@ class TestTables:
     def test_set_tables(self, iset):
         o = OracleSet(iset)
         assert same([iset._prefix.get(j) for j in range(len(iset.g_prefix))], o.g_prefix)
-        # the int table holds the exact running sums, whatever the kind of the ends
+        # the int table holds the exact running sums, whatever type the ends were given as
         assert [Fr(n, iset.den) for n in iset.g_prefix] == list(
             accumulate_exact(Fr(b) - Fr(a) for a, b in iset.components))
         assert same(iset.g_mass_window, o.g_mass_window)
@@ -182,6 +183,61 @@ class TestScalarMaps:
             # the darning map moves a point within the endpoint slack onto its gap
             slack = 2e-12 if isinstance(f, tf.DarningMap) else 1e-12
             assert np.all(np.abs(f(xs) - want) <= slack * np.maximum(1.0, np.abs(want)))
+
+
+def fraction_twin(iset):
+    """The set rebuilt from the ``Fraction`` of each of its given ends."""
+    d = iset.to_dict()
+    period = Fr(d["period"]) if "period" in d else None
+    return tf.IntervalSet([Fr(x) for x in d["window"]],
+                          [(Fr(a), Fr(b)) for a, b in d["components"]],
+                          iset.tail_left, iset.tail_right, period)
+
+
+def twins(got, want) -> bool:
+    """Equal in value and in type, all the way down."""
+    if isinstance(want, (tuple, list)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(twins(g, w) for g, w in zip(got, want)))
+    return type(got) is type(want) and got == want
+
+
+class TestFractionTwin:
+    """A set and its rebuild from the ``Fraction`` of each given end are one
+    set: every table, scalar map and inverse gives the same numbers of the
+    same type, whether the ends were given as ints, Fractions or floats."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_given_ends_are_exact(self, iset, seed):
+        rng = np.random.default_rng(seed)
+        twin = fraction_twin(iset)
+        assert twin == iset and twins(twin.window, iset.window) and twin.period == iset.period
+        assert twins(twin.components, iset.components)
+        assert twins(twin.f_components, iset.f_components)
+        assert twins([twin._prefix.get(j) for j in range(len(twin.g_prefix))],
+                     [iset._prefix.get(j) for j in range(len(iset.g_prefix))])
+        w0 = iset.window[0]
+        pairs = [(tf.ScaleFunction(twin, a), tf.ScaleFunction(iset, a)) for a in (0, float(w0) + 0.3)]
+        for z in (None, darning_anchor(iset)):
+            try:
+                pairs.append((tf.DarningMap(twin, z), tf.DarningMap(iset, z)))
+            except PreconditionError:
+                continue
+        for f, g in pairs:
+            assert twins([f._levels.get(j) for j in range(len(f._levels.nums))],
+                         [g._levels.get(j) for j in range(len(g._levels.nums))])
+            assert np.array_equal(f._tables[0], g._tables[0])
+            if isinstance(f, tf.DarningMap):
+                assert twins(f.collapsed_points, g.collapsed_points)
+        for x in exact_points(iset, rng) + some_probes(iset, rng):
+            lo, hi = (w0, x) if x >= w0 else (x, w0)
+            for which in ("G", "F"):
+                assert twins(twin.lebesgue(lo, hi, which), iset.lebesgue(lo, hi, which)), x
+            for f, g in pairs:
+                y = g(x)
+                assert twins(f(x), y), (x, g)
+                assert twins(outcome(f.inverse, y), outcome(g.inverse, y)), (x, y, g)
 
 
 def test_depth20_allg():
