@@ -366,8 +366,8 @@ class IntervalSet:
 
     @cached_property
     def f_ranks(self) -> range:
-        """Per F-component, how many components of G lie left of it.  The two
-        kinds alternate; a component at a window edge leaves no F there."""
+        """Per F-component, how many components of G lie left of it.  Components
+        of G and of F alternate; a component at a window edge leaves no F there."""
         ends, (w0n, w1n) = self._ends.nums, self._w
         m = len(ends) // 2
         return range(int(bool(ends) and ends[0] == w0n), m + 1 - (bool(ends) and ends[-1] == w1n))
