@@ -128,7 +128,7 @@ def darn_trace(phi: TraceFunction, dm: DarningMap) -> GridFunction:
     bad = np.flatnonzero(np.abs(gap_jumps(phi)) > SUBSPACE_TOL)
     if bad.size:
         i = int(bad[0])
-        a, b = phi.iset.components[i]
+        a, b = phi.iset.given_gap(i)
         raise PreconditionError(
             f"trace values differ across gap {i} = ({a}, {b}); the trace "
             "does not factor through the darning map"

@@ -134,7 +134,7 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     bad = np.flatnonzero(_component_spread(comp, m, u.slopes) > SUBSPACE_TOL)
     if bad.size:
         i = int(bad[0])
-        a, b = iset.components[i]
+        a, b = iset.given_gap(i)
         raise PreconditionError(
             f"function is not linear on component {i} = ({a}, {b}): "
             "it is not harmonic off F"

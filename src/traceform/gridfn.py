@@ -208,7 +208,7 @@ def darn_function(u: GridFunction, dm: DarningMap) -> GridFunction:
     bad = np.flatnonzero(spread > SUBSPACE_TOL)
     if bad.size:
         i = int(bad[0])
-        a, b = iset.components[i]
+        a, b = iset.given_gap(i)
         raise PreconditionError(
             f"function is not constant on component {i} = ({a}, {b}); "
             f"value spread {float(spread[i]):.3e} exceeds tol {SUBSPACE_TOL}"

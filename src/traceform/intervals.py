@@ -17,7 +17,7 @@ correctly rounded, which is the float of each exact value.
 
 ``window``, ``period``, ``components``, ``endpoints``, ``f_components`` and
 every value derived from the table are ``Fraction`` values; ``to_dict`` and
-the messages for invalid sets name the ends as they were given.  A result is
+the messages that name a gap give the ends as they were given.  A result is
 exact where every argument is, and a float where a float argument (a float
 query, or a float anchor of a scale function or darning map) takes part, with
 the float operations Python performs on the same expression: an exact value
@@ -197,8 +197,6 @@ class IntervalSet:
     def _setup(self, window, components, w, ends, den, tail_left, tail_right, period):
         # window, components (None for a set built from its table) and period
         # as given, for to_dict and the messages
-        if period is None and Tail.PERIODIC in (tail_left, tail_right):
-            period = window[1] - window[0]
         put = self.__dict__.__setitem__
         put("_given", (window, components, period))
         put("window", (Fraction(w[0], den), Fraction(w[1], den)))
@@ -229,7 +227,7 @@ class IntervalSet:
                 f"period={self.period!r})")
 
     def _validate_structure(self) -> None:
-        (w0, w1), _, period = self._given
+        (w0, w1), components, period = self._given
         w0n, w1n = self._w
         if not w0n < w1n:
             raise ValidationError(f"window must satisfy w0 < w1, got ({w0}, {w1})")
@@ -237,13 +235,13 @@ class IntervalSet:
             if not isinstance(tail, Tail):
                 raise ValidationError(f"tail must be a Tail enum member, got {tail!r}")
         periodic = Tail.PERIODIC in (self.tail_left, self.tail_right)
-        length = Fraction(w1n - w0n, self.den)
         if periodic:
-            try:
-                fits = Fraction(*_ratio(period)) == length
-            except (TypeError, ValueError, OverflowError):
-                fits = False
-            if not fits:
+            # the exact window length; a given period fits it exactly, or as
+            # the caller's ends give it (w1 - w0 in their own arithmetic)
+            length = Fraction(w1n - w0n, self.den)
+            if period is None:
+                self.__dict__["_given"] = (w0, w1), components, w1 - w0
+            elif not (period == length or period == w1 - w0):
                 raise ValidationError(
                     f"period {period} must equal the window length {w1 - w0}: "
                     "the window holds exactly one period"
@@ -299,6 +297,12 @@ class IntervalSet:
     def components(self) -> tuple[tuple[Fraction, Fraction], ...]:
         end = self._ends.get
         return tuple((end(j), end(j + 1)) for j in range(0, len(self._ends.nums), 2))
+
+    def given_gap(self, i: int) -> tuple:
+        """Component i with its ends as they were given, for messages; the
+        ``components`` tuple is not built."""
+        given = self._given[1]
+        return given[i] if given is not None else (self._ends.get(2 * i), self._ends.get(2 * i + 1))
 
     @cached_property
     def _lo(self) -> list:

@@ -199,7 +199,7 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
         bad = np.flatnonzero(np.abs(gap_jumps(t)) > SUBSPACE_TOL)
         if bad.size:
             i = int(bad[0])
-            a, b = t.iset.components[i]
+            a, b = t.iset.given_gap(i)
             raise PreconditionError(
                 f"{name} argument jumps across gap {i} = ({a}, {b}): not the "
                 "restriction of a complement member"

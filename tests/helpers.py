@@ -345,6 +345,9 @@ geometry_sets = st.one_of(
         tf.build_interval_set([(Fraction(1, 3), 0.5)], (0.0, 1), tails=(Tail.ALL_G, Tail.ALL_G)),
         tf.build_interval_set([(0, 0.25), (Fraction(1, 3), 0.75)], (0, 1),
                               tails=(Tail.PERIODIC, Tail.PERIODIC)),
+        # a float window whose length 1.0 - 0.1 rounds
+        tf.build_interval_set([(0.2, 0.3), (Fraction(1, 2), 0.7)], (0.1, 1.0),
+                              tails=(Tail.PERIODIC, Tail.PERIODIC)),
         # int ends beside Fraction and float ones
         tf.build_interval_set([(-1, 0), (Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 2), 1)],
                               (-2, 2)),

@@ -83,6 +83,12 @@ class TestEquivalenceReport:
         with pytest.raises(PreconditionError, match="not constant on component"):
             tf.equivalence_report([bad], dm)
 
+    def test_rejection_names_the_gap_as_given(self):
+        iset = tf.build_interval_set([(0.1, 0.2), (0.30000000000000004, 0.7)], (0, 1))
+        bad = tf.from_callable(lambda xs: xs, iset)
+        with pytest.raises(PreconditionError, match=r"component 0 = \(0\.1, 0\.2\);"):
+            tf.darn_function(bad, tf.DarningMap(iset, z=0))
+
 
 class TestAlgebra:
     def test_products_commute_with_darning(self, svc2, rng):

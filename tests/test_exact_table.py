@@ -186,12 +186,12 @@ class TestScalarMaps:
 
 
 def fraction_twin(iset):
-    """The set rebuilt from the ``Fraction`` of each of its given ends."""
+    """The set rebuilt from the ``Fraction`` of each of its given ends, with
+    the default period (a given float period need not be the exact length)."""
     d = iset.to_dict()
-    period = Fr(d["period"]) if "period" in d else None
     return tf.IntervalSet([Fr(x) for x in d["window"]],
                           [(Fr(a), Fr(b)) for a, b in d["components"]],
-                          iset.tail_left, iset.tail_right, period)
+                          iset.tail_left, iset.tail_right)
 
 
 def twins(got, want) -> bool:

@@ -93,6 +93,22 @@ class TestPeriodic:
         with pytest.raises(tf.PreconditionError):
             tf.periodic_fat_cantor(1, Fr(1, 2))
 
+    # 1.0 - 0.1 rounds to 0.9 and 0.5 - 1/3 to a float: the period written
+    # from such ends, or given as they give it, fits the exact window length
+    @pytest.mark.parametrize("window, period", [
+        ((0.1, 1.0), None), ((0.1, 1.0), 0.9),
+        ((Fr(1, 3), 0.5), None), ((Fr(1, 3), 0.5), 0.5 - Fr(1, 3)),
+    ])
+    def test_period_from_inexact_ends(self, window, period):
+        iset = tf.IntervalSet(window, [], Tail.PERIODIC, Tail.PERIODIC, period)
+        assert iset.period == Fr(window[1]) - Fr(window[0])
+        assert iset.to_dict()["period"] == window[1] - window[0]
+        assert tf.IntervalSet.from_dict(iset.to_dict()) == iset
+
+    def test_period_off_the_window_length(self):
+        with pytest.raises(ValidationError, match="must equal the window length"):
+            tf.IntervalSet((0.1, 1.0), [], Tail.PERIODIC, Tail.PERIODIC, Fr(9, 10))
+
 
 class TestValidate:
     def test_svc3_dense_at_02(self, svc3):
