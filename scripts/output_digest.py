@@ -18,7 +18,10 @@ Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
 bytes, and a raised error as its type and message.  CLI artifacts are
 written under one fixed temporary directory, because the manifests hash
 their output paths, and are reported as sha256 digests, with the manifest
-of each successful command hashed as soon as the command returns.
+of each successful command hashed as soon as the command returns.  A run
+holds an exclusive lock on a file beside that directory, so a second run
+started while one is going exits at once with status 1; run the digests of
+two checkouts one after the other.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py --out new.txt
@@ -28,6 +31,7 @@ Usage:
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
@@ -51,6 +55,8 @@ from traceform.simulate import (  # noqa: E402
 from traceform.trace import trace_jump_energy, trace_local_energy  # noqa: E402
 
 SEEDS = 60
+WORK = Path(tempfile.gettempdir()) / "traceform-output-digest"
+LOCK = WORK.with_suffix(".lock")
 
 
 def canon(obj):
@@ -256,11 +262,10 @@ def digest_cli(dg):
 
     from spans import Tracer
 
-    work = Path(tempfile.gettempdir()) / "traceform-output-digest"
     for seed in (1, 2, 3):
-        shutil.rmtree(work, ignore_errors=True)
-        st = workload.setup(seed, work, Tracer(False))
-        inputs = work / "inputs"
+        shutil.rmtree(WORK, ignore_errors=True)
+        st = workload.setup(seed, WORK, Tracer(False))
+        inputs = WORK / "inputs"
         u_csv, v_csv, w_csv = (str(inputs / f"{n}.csv") for n in "uvw")
         speed_json = inputs / "speed.json"
         speed_json.write_text(json.dumps(tf.pushforward_speed(
@@ -312,9 +317,9 @@ def digest_cli(dg):
                                             hashlib.sha256(manifest.read_bytes()).hexdigest()]))
         for p in sorted(st.out.rglob("*")):
             if p.is_file():
-                dg.lines.append(json.dumps([f"cli {seed} file", str(p.relative_to(work)),
+                dg.lines.append(json.dumps([f"cli {seed} file", str(p.relative_to(WORK)),
                                             hashlib.sha256(p.read_bytes()).hexdigest()]))
-    shutil.rmtree(work, ignore_errors=True)
+    shutil.rmtree(WORK, ignore_errors=True)
 
 
 def digest_help(dg):
@@ -335,6 +340,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    with open(LOCK, "w") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"output_digest: another run holds {LOCK}; run one digest at a time",
+                  file=sys.stderr)
+            return 1
+        return digest_all(args.out)
+
+
+def digest_all(out: Path) -> int:
     dg = Digest()
     fixed = fixed_sets()
     for seed in range(SEEDS):
@@ -347,8 +363,8 @@ def main(argv=None):
     digest_walks(dg)
     digest_cli(dg)
     digest_help(dg)
-    args.out.write_text("\n".join(dg.lines) + "\n")
-    print(f"{len(dg.lines)} outputs -> {args.out}")
+    out.write_text("\n".join(dg.lines) + "\n")
+    print(f"{len(dg.lines)} outputs -> {out}")
     return 0
 
 

@@ -212,6 +212,9 @@ def cmd_set_validate(args):
     return {"validation.json": _json_text(report.to_dict())}, [f"ok={report.ok}"]
 
 
+SCALE_MAX_POINTS = 1 << 20  # points of one --step grid
+
+
 def cmd_scale_eval(args):
     iset = _load_set(args)
     sf = _scale_of(args, iset)
@@ -223,6 +226,11 @@ def cmd_scale_eval(args):
             raise PreconditionError(f"--step must be positive, got {args.step}")
         w0, w1 = iset.window
         count = int((w1 - w0) / step)
+        if count >= SCALE_MAX_POINTS:
+            raise PreconditionError(
+                f"--step {args.step} gives {count + 1} points over the window; "
+                f"at most {SCALE_MAX_POINTS} are allowed"
+            )
         xs = [w0 + k * step for k in range(count + 1)]
     rows = ["x,scale"]
     rows += [f"{float(x)!r},{float(sf(x))!r}" for x in xs]

@@ -7,6 +7,7 @@ brought to a common grid by node union before integrating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,18 @@ class EnergyReport:
         }
 
 
-def _report(form: str, cells: np.ndarray, contribs: np.ndarray) -> EnergyReport:
-    breakdown = tuple(
-        (float(x0), float(x1), float(c)) for (x0, x1), c in zip(cells, contribs)
-    )
-    return EnergyReport(form=form, value=float(contribs.sum()), breakdown=breakdown)
+def _finite(what: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise PreconditionError(
+            f"{what} is {value} in float64: a cell is too short for the change across it"
+        )
+    return value
+
+
+def _report(form: str, x0: np.ndarray, x1: np.ndarray, contribs: np.ndarray) -> EnergyReport:
+    value = _finite(f"{form} energy", float(contribs.sum()))
+    breakdown = tuple(zip(x0.tolist(), x1.tolist(), contribs.tolist()))
+    return EnergyReport(form=form, value=value, breakdown=breakdown)
 
 
 def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
@@ -51,7 +59,7 @@ def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
     contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
     if mask is not None:
         contribs = np.where(mask, contribs, 0.0)
-    return _report(form, np.column_stack([ru.grid[:-1], ru.grid[1:]]), contribs)
+    return _report(form, ru.grid[:-1], ru.grid[1:], contribs)
 
 
 def common_grid(u: GridFunction, v: GridFunction) -> tuple[GridFunction, GridFunction]:
@@ -59,6 +67,10 @@ def common_grid(u: GridFunction, v: GridFunction) -> tuple[GridFunction, GridFun
         raise PreconditionError(
             f"incompatible windows: spans {u.span} and {v.span} differ"
         )
+    # refining onto the same bits (bytes, so -0.0 and 0.0 differ) would change
+    # nothing: np.interp gives back each node value exactly
+    if u.grid is v.grid or u.grid.tobytes() == v.grid.tobytes():
+        return u, v
     grid = np.union1d(u.grid, v.grid)
     return u.refine(grid), v.refine(grid)
 
@@ -117,6 +129,8 @@ def energy_measure(u: GridFunction, interval: tuple[float, float], *,
     the subspace form whose energy measure never charges F.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    if math.isnan(lo) or math.isnan(hi):
+        raise PreconditionError(f"interval ({lo}, {hi}) has a NaN end")
     if lo > hi:
         raise PreconditionError(f"interval has lo {lo} > hi {hi}")
     span = u.span
@@ -138,7 +152,7 @@ def energy_measure(u: GridFunction, interval: tuple[float, float], *,
             continue
         slope = float(u.slopes[k])
         total += slope * slope * (right - left)
-    return total
+    return _finite("energy measure", total)
 
 
 def unit_contraction(u: GridFunction) -> GridFunction:

@@ -125,12 +125,18 @@ class GridFunction:
 def adapted_grid(iset: IntervalSet, extra: Sequence[float] = ()) -> np.ndarray:
     """Window-spanning grid containing every component endpoint (all of
     them lie in the window)."""
-    w0, w1 = (float(x) for x in iset.window)
-    arr = np.union1d(np.concatenate([[w0, w1], *iset.float_ends]),
-                     np.array([float(x) for x in extra]))
-    if arr[0] < w0 or arr[-1] > w1:
+    nodes = iset._adapted
+    arr = np.union1d(nodes, np.array([float(x) for x in extra]))
+    if arr[0] < nodes[0] or arr[-1] > nodes[-1]:
         raise PreconditionError("extra nodes must lie inside the window")
     return arr
+
+
+def _missing_nodes(grid: np.ndarray, iset: IntervalSet) -> np.ndarray:
+    """The window edges and component ends absent from the sorted ``grid``."""
+    nodes = iset._adapted
+    at = grid[np.minimum(np.searchsorted(grid, nodes), grid.size - 1)]
+    return nodes[at != nodes]
 
 
 def from_callable(fn: Callable[[np.ndarray], np.ndarray], iset: IntervalSet,
@@ -140,8 +146,8 @@ def from_callable(fn: Callable[[np.ndarray], np.ndarray], iset: IntervalSet,
 
 
 def is_adapted(u: GridFunction, iset: IntervalSet) -> bool:
-    w0, w1 = (float(x) for x in iset.window)
-    return u.span == (w0, w1) and bool(np.all(np.isin(adapted_grid(iset), u.grid)))
+    nodes = iset._adapted
+    return u.span == (nodes[0], nodes[-1]) and not _missing_nodes(u.grid, iset).size
 
 
 def require_adapted(u: GridFunction, iset: IntervalSet) -> None:

@@ -415,6 +415,13 @@ class IntervalSet:
                 np.fromiter((n / d for n in self._hi), float, len(self._hi)))
 
     @cached_property
+    def _adapted(self) -> np.ndarray:
+        """Sorted float64 window edges and component ends; shared, so read-only."""
+        nodes = np.union1d([float(x) for x in self.window], np.concatenate(self.float_ends))
+        nodes.flags.writeable = False
+        return nodes
+
+    @cached_property
     def gap_widths(self) -> np.ndarray:
         """float64 width of each component: b - a, rounded once."""
         d = self.den

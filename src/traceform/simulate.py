@@ -45,6 +45,7 @@ EXIT_TILE = 1 << 11  # rows per in-place tile of a step block
 WALK_BLOCK = 1 << 20  # walk steps drawn at once
 POINT_TOL = 1e-9  # a state this close to a point target occupies it
 DEFAULT_GAP_FRACTION = 50  # sqrt(dt) <= gap / 50
+BM_MAX_STEPS = 1 << 24  # steps per Brownian path: its arrays stay within about 400 MiB
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,10 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
         raise PreconditionError(f"horizon must be nonnegative and finite, got {horizon}")
     if not math.isfinite(x0):
         raise PreconditionError(f"start point must be finite, got {x0}")
+    if horizon / dt > BM_MAX_STEPS:
+        raise PreconditionError(
+            f"horizon {horizon} over dt {dt} asks for more than {BM_MAX_STEPS} steps per path"
+        )
     steps = int(math.floor(horizon / dt + 1e-12))
     scale = math.sqrt(dt)
     for i in range(n):

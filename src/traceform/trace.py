@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
-from .gridfn import SUBSPACE_TOL, GridFunction, adapted_grid
+from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes
 from .intervals import IntervalSet, Real, Tail, _encode
 from .transforms import SpeedMeasure
 
@@ -50,8 +50,7 @@ class TraceFunction:
             raise ValidationError("a trace function needs at least two nodes")
         if not np.all(np.diff(nodes) > 0):
             raise ValidationError("trace nodes must be strictly increasing")
-        required = adapted_grid(self.iset)
-        missing = required[~np.isin(required, nodes)].tolist()
+        missing = _missing_nodes(nodes, self.iset).tolist()
         if missing:
             raise ValidationError(f"trace nodes must include {missing}")
         inside = np.flatnonzero(self.iset.classify(nodes, nodes=True) >= 0)
@@ -163,7 +162,7 @@ def _jump_form(phi: TraceFunction) -> EnergyReport:
     # squares as x * x, one correctly rounded product, so saved jump breakdowns
     # depend on the inputs alone and not on the platform's pow
     jumps = gap_jumps(phi)
-    return _report("trace_subspace", np.column_stack(phi.iset.float_ends),
+    return _report("trace_subspace", *phi.iset.float_ends,
                    0.5 * (jumps * jumps) / phi.iset.gap_widths)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 from hypothesis import strategies as st
@@ -611,3 +611,26 @@ def svc_g_mass(depth, x):
             total += inside(i + 1) + 2 * half
             lo = mid + half
     return total
+
+
+# ---------------------------------------------------------------------------
+# the former grid-function forms, kept as oracles for their fast paths
+
+
+def adapted_nodes(iset):
+    """float64 window edges and component ends, sorted and unique, from the
+    window and the component list."""
+    w0, w1 = iset.window
+    return np.unique([float(x) for x in (w0, w1, *chain.from_iterable(iset.components))])
+
+
+def is_adapted_isin(u, iset):
+    """``is_adapted`` in its former form: the span is the window and
+    ``np.isin`` finds every required node in the grid."""
+    w0, w1 = (float(x) for x in iset.window)
+    return u.span == (w0, w1) and bool(np.all(np.isin(adapted_nodes(iset), u.grid)))
+
+
+def report_by_float(cells, contribs):
+    """An energy breakdown in its former form: one ``float()`` per value."""
+    return tuple((float(x0), float(x1), float(c)) for (x0, x1), c in zip(cells, contribs))

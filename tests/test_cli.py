@@ -317,12 +317,15 @@ EDGE_INPUTS = {
     "bm dt nan": (BM + ["--dt", "nan", "--horizon", "1"], 3, False),
     "bm horizon nan": (BM + ["--dt", "0.1", "--horizon", "nan"], 3, False),
     "bm x0 nan": (BM + ["--dt", "0.1", "--horizon", "1", "--x0", "nan"], 3, False),
+    "bm dt 1e-300": (BM + ["--dt", "1e-300", "--horizon", "1"], 3, False),
+    "bm dt subnormal": (BM + ["--dt", "5e-324", "--horizon", "1"], 3, False),
     "laplace alpha nan": (LAPLACE + ["--alpha", "nan"], 3, False),
     "laplace alpha inf": (LAPLACE + ["--alpha", "inf"], 3, False),
     "darning x0 nan": (["simulate", "darning", "--svc-depth", "1", *WALK[4:6], "--x0", "nan",
                         "--horizon", "1", "--seed", "1"], 3, False),
     "scale step 0": (["scale", "eval", "--svc-depth", "1", "--step", "0"], 3, False),
     "scale step negative": (["scale", "eval", "--svc-depth", "1", "--step=-1/4"], 3, False),
+    "scale step 1e-8": (["scale", "eval", "--svc-depth", "1", "--step", "1/100000000"], 3, True),
     "svc-depth ignores tails": (["set", "build", "--svc-depth", "1", "--tails", "AllG,AllG"], 2,
                                 False),
     "svc-depth ignores period": (["set", "build", "--svc-depth", "1", "--period", "2"], 2, False),

@@ -1,19 +1,25 @@
 """Bilinear forms: Dirichlet, subspace, part, energy measures, contraction."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import traceform as tf
 from traceform import PreconditionError
+from traceform.energy import EnergyReport, common_grid
 
 from helpers import (
+    geometry_sets,
     random_complement_member,
     random_gridfn,
     random_iset,
     random_subspace_member,
+    random_trace_fn,
     random_vanishing,
+    report_by_float,
 )
 
 seeds = st.integers(0, 10**6)
@@ -37,6 +43,17 @@ class TestDirichlet:
         u = tf.GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         v = tf.GridFunction(np.array([0.0, 0.25, 1.0]), np.array([0.0, 0.25, 1.0]))
         assert tf.dirichlet_energy(u, v).value == 0.5
+
+    def test_overflowing_slope_rejected(self):
+        # a cell of width 5e-324 beside one of width 0.5: the slope across it
+        # is past the float range, and the form would be inf or NaN
+        u = tf.GridFunction(np.array([0.0, 5e-324, 0.5]), np.array([0.0, 1.0, 1.0]))
+        c = tf.GridFunction(u.grid, np.zeros(3))
+        for v in (u, c):
+            with pytest.raises(PreconditionError, match="too short"):
+                tf.dirichlet_energy(u, v)
+        with pytest.raises(PreconditionError, match="too short"):
+            tf.energy_measure(u, (0.0, 0.5))
 
     def test_incompatible_windows(self):
         u = tf.GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -142,6 +159,12 @@ class TestEnergyMeasure:
         u = tf.GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         assert tf.energy_measure(u, (0.0, 1.0)) == 1.0
 
+    @pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_interval_rejected(self, interval):
+        u = tf.GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(PreconditionError, match="NaN"):
+            tf.energy_measure(u, interval)
+
     def test_subspace_variant_vanishes_on_f(self, svc2, rng):
         u = random_subspace_member(rng, svc2)
         for lo, hi in svc2.f_components:
@@ -204,3 +227,132 @@ class TestContraction:
         u = random_complement_member(rng, sf, flat=True)
         assert tf.is_in_complement(u, sf)
         assert tf.is_in_complement(tf.unit_contraction(u), sf)
+
+
+def _with_negative_zeros(rng, values):
+    """values with about half of them, and every zero, made -0.0."""
+    return np.where((rng.random(values.size) < 0.5) | (values == 0.0), -0.0, values)
+
+
+class TestCommonGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(seeds)
+    def test_equal_grids_return_the_arguments(self, s):
+        rng = np.random.default_rng(s)
+        u = random_gridfn(rng, random_iset(rng))
+        v = tf.GridFunction(u.grid.copy(), _with_negative_zeros(rng, rng.normal(size=u.grid.size)))
+        ru, rv = common_grid(u, v)
+        assert ru is u and rv is v
+        # refining onto the shared grid, as on unequal grids, changes no bit
+        for w in (u, v):
+            assert w.refine(np.union1d(u.grid, v.grid)).values.tobytes() == w.values.tobytes()
+
+    def test_signed_zero_grids_are_refined(self):
+        u = tf.GridFunction(np.array([-0.0, 1.0]), np.array([0.0, 1.0]))
+        v = tf.GridFunction(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        ru, rv = common_grid(u, v)
+        assert ru is not u and rv is not v
+
+
+class TestBreakdown:
+    """Breakdowns against their former one-``float()``-per-value form."""
+
+    @staticmethod
+    def _check(rep, cells, contribs):
+        assert rep.breakdown == report_by_float(cells, contribs)
+        assert all(type(x) is float for row in rep.breakdown for x in row)
+        assert rep.value == float(contribs.sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, st.booleans())
+    def test_cell_forms(self, s, same_grid):
+        rng = np.random.default_rng(s)
+        iset = random_iset(rng)
+        u = random_subspace_member(rng, iset)
+        v = (tf.GridFunction(u.grid, rng.normal(size=u.grid.size)) if same_grid
+             else random_subspace_member(rng, iset))
+        ru, rv = common_grid(u, v)
+        cells = np.column_stack([ru.grid[:-1], ru.grid[1:]])
+        contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
+        self._check(tf.dirichlet_energy(u, v), cells, contribs)
+        if tf.is_in_subspace(v, iset):
+            in_g = tf.gridfn.cell_in_g(ru, iset)
+            self._check(tf.subspace_energy(u, v, iset=iset), cells,
+                        np.where(in_g, contribs, 0.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_jump_form(self, s):
+        rng = np.random.default_rng(s)
+        iset = random_iset(rng)
+        phi = tf.restrict_to_f(random_subspace_member(rng, iset), iset)
+        jumps = tf.trace.gap_jumps(phi)
+        self._check(tf.trace_subspace_energy(phi), np.column_stack(iset.float_ends),
+                    0.5 * (jumps * jumps) / iset.gap_widths)
+
+
+def _edge_gridfn(rng, iset, kind):
+    """A grid function of the given kind for the energy edge inputs."""
+    if kind == "member":
+        u = random_subspace_member(rng, iset)
+    elif kind == "vanishing":
+        u = random_vanishing(rng, iset)
+    else:
+        u = random_gridfn(rng, iset)
+    grid, values = u.grid.copy(), u.values
+    if kind == "unadapted" and grid.size > 2:
+        grid = np.delete(grid, int(rng.integers(grid.size)))
+        values = np.delete(values, 0)
+    elif kind == "doubled span":
+        grid = 2.0 * grid
+    elif kind == "negative zeros":
+        if grid[0] == 0.0:
+            grid[0] = -0.0
+        values = _with_negative_zeros(rng, values)
+    return tf.GridFunction(grid, values)
+
+
+def _edge_trace(rng, iset, kind):
+    if kind == "jumps":
+        return random_trace_fn(rng, iset)
+    if kind == "other set":
+        return random_trace_fn(rng, tf.svc_complement(1))
+    sf = tf.ScaleFunction(iset)
+    phi = tf.restrict_to_f(random_complement_member(rng, sf, flat=True), iset)
+    if kind == "negative zeros":
+        phi = tf.TraceFunction(iset, phi.nodes, _with_negative_zeros(rng, phi.values))
+    return phi
+
+
+GRIDFN_KINDS = st.sampled_from(["plain", "member", "vanishing", "unadapted", "doubled span",
+                                "negative zeros"])
+TRACE_KINDS = st.sampled_from(["flat", "jumps", "other set", "negative zeros"])
+edge_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestEnergyEdgeInputs:
+    """Every energy either gives a finite value or raises PreconditionError."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry_sets, seeds, GRIDFN_KINDS, GRIDFN_KINDS, TRACE_KINDS, TRACE_KINDS,
+           st.tuples(edge_floats, edge_floats), st.booleans())
+    def test_value_or_precondition_error(self, iset, s, ku, kv, kphi, kpsi, interval, sub):
+        # the member generators put nodes 1e-4 inside each gap
+        assume(not iset.gap_widths.size or iset.gap_widths.min() > 1e-3)
+        rng = np.random.default_rng(s)
+        u, v = _edge_gridfn(rng, iset, ku), _edge_gridfn(rng, iset, kv)
+        phi, psi = _edge_trace(rng, iset, kphi), _edge_trace(rng, iset, kpsi)
+        calls = (
+            lambda: tf.dirichlet_energy(u, v),
+            lambda: tf.subspace_energy(u, v, iset=iset),
+            lambda: tf.part_energy(u, v, iset=iset),
+            lambda: tf.energy_measure(u, interval, iset=iset, subspace=sub),
+            lambda: tf.trace_complement_energy(phi, psi),
+        )
+        for call in calls:
+            try:
+                out = call()
+            except PreconditionError:
+                continue
+            value = out.value if isinstance(out, EnergyReport) else out
+            assert type(value) is float and math.isfinite(value)

@@ -11,7 +11,11 @@ import traceform as tf
 from traceform import PreconditionError, Tail, ValidationError
 
 from helpers import (
+    adapted_nodes,
+    geometry_sets,
+    is_adapted_isin,
     random_complement_member,
+    random_gridfn,
     random_iset,
     random_subspace_member,
     random_vanishing,
@@ -68,6 +72,38 @@ class TestGridFunction:
         for p in svc2.endpoints:
             assert float(p) in grid.tolist()
         assert 0.9 in grid.tolist()
+
+
+class TestAdaptation:
+    """``is_adapted`` and the missing-node check against their former
+    ``np.isin`` forms, on grids that are adapted, lack one required node, or
+    have one required node moved by one ulp."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(geometry_sets, seeds, st.sampled_from(["adapted", "drop", "ulp"]))
+    def test_matches_isin_form(self, iset, seed, kind):
+        rng = np.random.default_rng(seed)
+        grid = random_gridfn(rng, iset).grid.copy()
+        required = adapted_nodes(iset)
+        assert np.array_equal(tf.adapted_grid(iset), required)
+        i = int(np.searchsorted(grid, required[rng.integers(required.size)]))
+        changed = kind == "ulp" or (kind == "drop" and grid.size > 2)
+        if kind == "drop" and changed:
+            grid = np.delete(grid, i)
+        elif kind == "ulp":
+            grid[i] = np.nextafter(grid[i], (-np.inf, np.inf)[int(rng.integers(2))])
+            if not np.all(np.diff(grid) > 0):
+                return
+        u = tf.GridFunction(grid, np.zeros(grid.size))
+        assert tf.gridfn.is_adapted(u, iset) is is_adapted_isin(u, iset) is not changed
+        missing = required[~np.isin(required, grid)]
+        assert np.array_equal(tf.gridfn._missing_nodes(grid, iset), missing)
+
+    def test_adapted_grid_is_fresh_and_writable(self, svc2):
+        grid = tf.adapted_grid(svc2)
+        grid[0] = -1.0
+        assert tf.adapted_grid(svc2)[0] == 0.0
+        assert 0.5 in tf.adapted_grid(svc2, extra=[0.5]) and 0.5 not in tf.adapted_grid(svc2)
 
 
 class TestSubspaceMembership:
