@@ -4,14 +4,16 @@ A change that must not move any output runs this once against each checkout
 and diffs the two files.  Inputs come from the generators in
 ``tests/helpers.py`` (random ``/240`` sets, fat-Cantor sets of every case,
 periodic sets, float-endpoint sets) and from the ``cli`` workload of
-``perfbench/``.  Per set it records every energy form, the trace and darning
-transports, and the scalar scale and darning maps and their inverses at every
-adapted node, given exactly and as floats.  It also records the scalar
-geometry at float probe points in G, in F and past the window
-(``digest_probes``).  The walk lines include one
-seeded ``simulate_xs`` path on a ``/240`` set.  The CLI lines cover every
-leaf command, the ones the ``cli`` workload skips included, and the
-``format_help()`` text of every parser at a fixed width of 100 columns.
+``perfbench/``.  Per set it records every energy form, the energy measure,
+the unit contraction, the trace measure, the trace and darning transports,
+and the scalar scale and darning maps and their inverses at every adapted
+node, given exactly and as floats.  It also records the scalar geometry at
+float probe points in G, in F and past the window (``digest_probes``).  The
+walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
+nodes and holding means of walk chains built from the trace measures of
+fat-Cantor sets.  The CLI lines cover every leaf command, the ones the
+``cli`` workload skips included, and the ``format_help()`` text of every
+parser at a fixed width of 100 columns.
 traceform itself is whatever ``PYTHONPATH`` selects, so one copy of this
 script drives both checkouts.
 Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
@@ -133,6 +135,9 @@ def digest_set(dg, t, iset, rng):
     rec(t + " part", lambda: tf.part_energy(z1, z2, iset=iset))
     rec(t + " part rejects", lambda: tf.part_energy(u, iset=iset))
     rec(t + " energy_measure", lambda: tf.energy_measure(u, (0.1, 0.8), iset=iset, subspace=True))
+    rec(t + " energy_measure full", lambda: tf.energy_measure(u, (0.1, 0.8)))
+    rec(t + " unit_contraction", lambda: tf.unit_contraction(u))
+    rec(t + " trace_measure", lambda: tf.trace_measure(iset))
     rec(t + " project u", lambda: tf.project_subspace(u, sf))
     rec(t + " project s", lambda: tf.project_subspace(s1, sf))
     c = H.random_complement_member(rng, sf)
@@ -255,6 +260,14 @@ def digest_walks(dg):
                                   (Fraction(120, 240), Fraction(200, 240))], (0, 1))
     dg.record("simulate_xs 240", lambda: simulate_xs(
         tf.ScaleFunction(iset, anchor=0), 1 / 96, 0.3, 5.0, seed=3))
+    for d in (1, 3, 5):
+        # a WalkChain has no to_dict and its repr shortens the arrays
+        dg.record(f"build_chain trace svc{d}", lambda: _chain_fields(tf.build_chain(
+            tf.trace_measure(tf.svc_complement(d)).line_speed(), 2**-(2 * d))))
+
+
+def _chain_fields(chain):
+    return [chain.nodes, chain.holds, chain.absorbing, chain.atom_nodes]
 
 
 def digest_cli(dg):

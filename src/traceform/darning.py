@@ -20,7 +20,7 @@ from .errors import PreconditionError
 from .gridfn import SUBSPACE_TOL, GridFunction, _collapse_nodes, darn_function
 from .intervals import Tail
 from .trace import TraceFunction, gap_jumps, restrict_to_f
-from .transforms import DarningMap, SpeedMeasure, pushforward_speed
+from .transforms import DarningMap, SpeedMeasure, _encode_mass, _ordered_sum, pushforward_speed
 
 
 def darned_energy(uh: GridFunction, vh: GridFunction | None = None) -> EnergyReport:
@@ -28,11 +28,12 @@ def darned_energy(uh: GridFunction, vh: GridFunction | None = None) -> EnergyRep
     return dirichlet_energy(uh, vh, form="darned")
 
 
-def _l2_against_lebesgue(u: GridFunction) -> float:
-    # exact integral of a squared PL function: per cell (L/3)(a^2 + a b + b^2)
-    a = u.values[:-1]
-    b = u.values[1:]
-    return float(np.sum(u.cell_lengths * (a * a + a * b + b * b) / 3))
+def _l2_cells(u: GridFunction, mask: np.ndarray | None = None) -> float:
+    # exact integral of u^2 over the cells mask keeps: per cell (L/3)(a^2 + a b + b^2)
+    a, b, lens = u.values[:-1], u.values[1:], u.cell_lengths
+    if mask is not None:
+        a, b, lens = a[mask], b[mask], lens[mask]
+    return float(np.sum(lens * (a * a + a * b + b * b) / 3))
 
 
 def line_l2(u: GridFunction, dm: DarningMap) -> float:
@@ -45,7 +46,7 @@ def line_l2(u: GridFunction, dm: DarningMap) -> float:
         return math.inf
     if iset.tail_right is Tail.ALL_G and abs(u(w1)) > SUBSPACE_TOL:
         return math.inf
-    return _l2_against_lebesgue(u)
+    return _l2_cells(u)
 
 
 def darned_l2(uh: GridFunction, speed: SpeedMeasure) -> float:
@@ -56,18 +57,13 @@ def darned_l2(uh: GridFunction, speed: SpeedMeasure) -> float:
     for x0, x1, c in speed.density_pieces:
         piece = uh.refine([float(x0), float(x1)])
         mask = (piece.grid[:-1] >= float(x0) - 1e-15) & (piece.grid[1:] <= float(x1) + 1e-15)
-        a = piece.values[:-1][mask]
-        b = piece.values[1:][mask]
-        lens = piece.cell_lengths[mask]
-        total += float(c) * float(np.sum(lens * (a * a + a * b + b * b) / 3))
-    values = uh(np.array([float(p) for p, _ in speed.atoms]))
-    for (_, m), v in zip(speed.atoms, values):
-        if isinstance(m, float) and math.isinf(m):
-            if abs(v) > SUBSPACE_TOL:
-                return math.inf
-            continue
-        total += float(m) * v * v
-    return float(total)
+        total += float(c) * _l2_cells(piece, mask)
+    positions, masses = speed._atom_arrays
+    values, inf = uh(positions), np.isinf(masses)
+    if np.any(np.abs(values[inf]) > SUBSPACE_TOL):
+        return math.inf
+    v = values[~inf]
+    return _ordered_sum(masses[~inf] * v * v, total)
 
 
 @dataclass(frozen=True)
@@ -83,12 +79,9 @@ class SampleEquivalence:
     trace_match: float  # max node-wise gap between line-side and trace-side darning
 
     def to_dict(self) -> dict:
-        def enc(v):
-            return "inf" if math.isinf(v) else v
-
         return {
             "sup": [self.sup_line, self.sup_darned],
-            "l2": [enc(self.l2_line), enc(self.l2_darned)],
+            "l2": [_encode_mass(self.l2_line), _encode_mass(self.l2_darned)],
             "energy": [self.energy_line, self.energy_darned],
             "trace_match": self.trace_match,
         }

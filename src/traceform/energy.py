@@ -17,10 +17,10 @@ from .gridfn import (
     GridFunction,
     cell_in_g,
     is_in_subspace,
-    require_adapted,
     vanishes_on_f,
 )
 from .intervals import IntervalSet
+from .transforms import _ordered_sum
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -137,35 +137,23 @@ def energy_measure(u: GridFunction, interval: tuple[float, float], *,
     lo, hi = max(lo, span[0]), min(hi, span[1])
     if hi <= lo:
         return 0.0
+    if subspace and iset is None:
+        raise PreconditionError("subspace energy measure needs the interval set")
+    left, right = np.maximum(u.grid[:-1], lo), np.minimum(u.grid[1:], hi)
+    keep = right > left
     if subspace:
-        if iset is None:
-            raise PreconditionError("subspace energy measure needs the interval set")
-        require_adapted(u, iset)
-    total = 0.0
-    gmask = cell_in_g(u, iset) if subspace else None
-    for k in range(u.grid.size - 1):
-        x0, x1 = float(u.grid[k]), float(u.grid[k + 1])
-        left, right = max(x0, lo), min(x1, hi)
-        if right <= left:
-            continue
-        if subspace and not gmask[k]:
-            continue
-        slope = float(u.slopes[k])
-        total += slope * slope * (right - left)
-    return _finite("energy measure", total)
+        keep &= cell_in_g(u, iset)  # raises on a grid not adapted to the set
+    slopes = u.slopes[keep]
+    return _finite("energy measure", _ordered_sum(slopes * slopes * (right - left)[keep]))
 
 
 def unit_contraction(u: GridFunction) -> GridFunction:
     """Clip u to [0, 1], inserting nodes where u crosses either level so the
     result is exactly piecewise linear on its grid."""
-    nodes = list(map(float, u.grid))
-    for k in range(u.grid.size - 1):
-        x0, x1 = float(u.grid[k]), float(u.grid[k + 1])
-        v0, v1 = float(u.values[k]), float(u.values[k + 1])
-        if v0 == v1:
-            continue
-        for level in (0.0, 1.0):
-            if (v0 - level) * (v1 - level) < 0:
-                nodes.append(x0 + (level - v0) / (v1 - v0) * (x1 - x0))
-    refined = u.refine(np.asarray(nodes))
+    x0, x1, v0, v1 = u.grid[:-1], u.grid[1:], u.values[:-1], u.values[1:]
+    crossings = []
+    for level in (0.0, 1.0):
+        k = (v0 - level) * (v1 - level) < 0
+        crossings.append(x0[k] + (level - v0[k]) / (v1[k] - v0[k]) * (x1[k] - x0[k]))
+    refined = u.refine(np.concatenate(crossings))
     return GridFunction(refined.grid, np.clip(refined.values, 0.0, 1.0))

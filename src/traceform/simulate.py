@@ -377,24 +377,20 @@ def build_chain(speed: SpeedMeasure, h: float,
                 f"step h = {h} exceeds the smallest atom spacing {min_spacing}; "
                 "snapped atoms would collide"
             )
-    snapped: dict[int, float] = {}
-    for p, m in speed.atoms:
-        k = round((float(p) - lo) / h)
-        k = min(max(k, 0), n_cells)
-        if k in snapped:
-            raise PreconditionError(
-                f"two atoms snap to the same grid node {nodes[k]}; decrease h"
-            )
-        snapped[k] = float(m)
-    density_only = SpeedMeasure(speed.carrier, speed.density_pieces, ())
-    holds = np.array([density_only.tent_integral(float(y), h) for y in nodes])
+    positions, masses = speed._atom_arrays
+    snapped = np.clip(np.rint((positions - lo) / h).astype(int), 0, n_cells)
+    order = np.argsort(snapped, kind="stable")
+    again = order[1:][np.diff(snapped[order]) == 0]  # each later atom on a taken node
+    if again.size:
+        raise PreconditionError(
+            f"two atoms snap to the same grid node {nodes[snapped[again.min()]]}; decrease h"
+        )
+    holds = speed._tent_density(nodes, h)
+    inf = np.isinf(masses)
+    holds[snapped[~inf]] += h * masses[~inf]
+    holds[snapped[inf]] = math.inf
     absorbing = np.zeros(nodes.size, dtype=bool)
-    for k, m in snapped.items():
-        if math.isinf(m):
-            absorbing[k] = True
-            holds[k] = math.inf
-        else:
-            holds[k] += h * m
+    absorbing[snapped[inf]] = True
     if boundary[0] == "absorb":
         absorbing[0] = True
     if boundary[1] == "absorb":
@@ -408,7 +404,7 @@ def build_chain(speed: SpeedMeasure, h: float,
     if boundary[1] == "reflect" and not absorbing[-1]:
         holds[-1] *= 2
     return WalkChain(lo=lo, h=h, nodes=nodes, holds=holds, absorbing=absorbing,
-                     atom_nodes=tuple(sorted(snapped)))
+                     atom_nodes=tuple(sorted(snapped.tolist())))
 
 
 def _visit_blocks(chain: WalkChain, k0: int, horizon: float, rng,

@@ -25,9 +25,9 @@ import numpy as np
 
 from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
-from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes
+from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, require_adapted
 from .intervals import IntervalSet, Real, Tail, _encode
-from .transforms import SpeedMeasure
+from .transforms import SpeedMeasure, _encode_mass
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ def gap_jumps(phi: TraceFunction) -> np.ndarray:
 
 def restrict_to_f(u: GridFunction, iset: IntervalSet) -> TraceFunction:
     """Trace of a grid function: keep only the nodes lying in F."""
+    require_adapted(u, iset)
     keep = iset.classify(u.grid, nodes=True) < 0
     return TraceFunction(iset, u.grid[keep], u.values[keep])
 
@@ -216,13 +217,10 @@ class TraceMeasure:
     atoms: tuple[tuple[Real, float], ...]
 
     def to_dict(self) -> dict:
-        def enc(m):
-            return "inf" if isinstance(m, float) and math.isinf(m) else _encode(m)
-
         return {
             "density": "indicator_F",
             "f_components": [[_encode(a), _encode(b)] for a, b in self.iset.f_components],
-            "atoms": [[_encode(p), enc(m)] for p, m in self.atoms],
+            "atoms": [[_encode(p), _encode_mass(m)] for p, m in self.atoms],
         }
 
     def line_speed(self) -> SpeedMeasure:
@@ -233,23 +231,12 @@ class TraceMeasure:
 
 
 def trace_measure(iset: IntervalSet) -> TraceMeasure:
-    atoms: list[tuple[Real, float]] = []
-    for a, b in iset.components:
-        half = (b - a) / 2
-        atoms.append((a, half))
-        atoms.append((b, half))
-    if iset.tail_left is Tail.ALL_G:
-        atoms.append((iset.window[0], math.inf))
-    if iset.tail_right is Tail.ALL_G:
-        atoms.append((iset.window[1], math.inf))
-    atoms.sort(key=lambda t: t[0])
-    merged: list[tuple[Real, float]] = []
-    for p, m in atoms:
-        if merged and merged[-1][0] == p:
-            merged[-1] = (p, merged[-1][1] + m)
-        else:
-            merged.append((p, m))
-    return TraceMeasure(iset=iset, atoms=tuple(merged))
+    # in order, none shared: components are sorted and share no end, and an
+    # all-G edge meets no component
+    left = [(iset.window[0], math.inf)] if iset.tail_left is Tail.ALL_G else []
+    right = [(iset.window[1], math.inf)] if iset.tail_right is Tail.ALL_G else []
+    atoms = [(e, (b - a) / 2) for a, b in iset.components for e in (a, b)]
+    return TraceMeasure(iset=iset, atoms=tuple(left + atoms + right))
 
 
 def jump_table(iset: IntervalSet) -> list[tuple[float, float, float, float]]:

@@ -128,22 +128,27 @@ class ScaleFunction:
 
         Returns (lo, hi); lo == hi when y is hit inside a G-component, and the
         closed F-component on which s plateaus at y otherwise.  Values never
-        attained by s raise ``PreconditionError``.  With Periodic tails a
-        value past the window's image is folded back by whole periods, once;
-        one that lands on the seam value s(w0) = s(w1) - period mass gives
-        the whole plateau across the seam, the F-stretches either side of
-        the seam point joined.  A float value folded back that lands within
-        1e-12 max(1, |y|) of a plateau value or of the seam value is taken as
-        that value, and a float value equal to the float of a plateau value
-        is that plateau.  A float ndarray gives a pair of arrays.
+        attained by s raise ``PreconditionError``; a float value is past the
+        window's image when it is past the float of s(w0) or s(w1).  With
+        Periodic tails a value past the window's image is folded back by
+        whole periods, once; one that lands on the seam value s(w0) = s(w1) -
+        period mass gives the whole plateau across the seam, the F-stretches
+        either side of the seam point joined.  A float value folded back that
+        lands within 1e-12 max(1, |y|) of a plateau value or of the seam value
+        is taken as that value, and a float value equal to the float of a
+        plateau value is that plateau.  A float ndarray gives a pair of arrays.
         """
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
         iset = self.base
         levels = self._levels
         f, c = levels.key(y)
-        if f < levels.nums[0] or c > levels.nums[-1]:
-            return self._tail_inverse(y, f < levels.nums[0])
+        if isinstance(y, float):  # past the image's floats, as the array path clips
+            below, above = y < self._tables[0][0], y > self._tables[0][-1]
+        else:
+            below, above = f < levels.nums[0], c > levels.nums[-1]
+        if below or above:
+            return self._tail_inverse(y, below)
         # the first plateau value at or above y, then the left end of the
         # component whose image holds y; a float y is a plateau value when it
         # equals that value's float, as in the array path
@@ -157,7 +162,8 @@ class ScaleFunction:
             k = max(bisect_left(levels.nums, c), ranks.start)
             if k < ranks.stop and f == c == levels.nums[k]:
                 return iset._f_pair(k)
-        i = min(bisect_right(levels.nums, f), len(iset._lo)) - 1
+        # a float equal to the float of s(w0) may lie just below s(w0)
+        i = max(min(bisect_right(levels.nums, f), len(iset._lo)) - 1, 0)
         x = iset._ends.get(2 * i, y) + (y - levels.get(i, y))
         return x, x
 
@@ -460,6 +466,17 @@ class DarningMap:
         return np.where(hit, lefts[k], x), np.where(hit, rights[k], x)
 
 
+def _ordered_sum(terms: np.ndarray, start: float = 0.0) -> float:
+    """start + terms[0] + terms[1] + ..., added left to right as a running
+    Python total adds them (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
+
+
+def _encode_mass(m):
+    """A mass for JSON: an infinite one as "inf"."""
+    return "inf" if isinstance(m, float) and math.isinf(m) else _encode(m)
+
+
 @dataclass(frozen=True)
 class SpeedMeasure:
     """Piecewise-constant density plus point atoms on a finite carrier.
@@ -521,41 +538,48 @@ class SpeedMeasure:
         return total
 
     def tent_integral(self, y: Real, h: Real) -> float:
-        """Integral of the tent kernel (h - |xi - y|)+ against the measure.
+        """Integral of the tent kernel (h - |xi - y|)+ against the measure,
+        in float64.
 
         This is the expected holding produced by an h-step walk at node y:
         density c contributes c*h*h on an interior node, an atom of mass w at
         y contributes h*w, and an infinite atom makes the node absorbing.
         """
-        total = 0.0
-        ylo, yhi = y - h, y + h
+        y, h = float(y), float(h)
+        positions, masses = self._atom_arrays
+        k = h - np.abs(positions - y)
+        near, inf = k > 0, np.isinf(masses)
+        if np.any(near & inf):
+            return math.inf
+        near &= ~inf
+        return _ordered_sum(k[near] * masses[near], self._tent_density(np.array([y]), h)[0])
 
-        def prim(t: float) -> float:
+    def _tent_density(self, ys: np.ndarray, h: float) -> np.ndarray:
+        """The density part of ``tent_integral`` at every point of ``ys``:
+        per point, the pieces added in order."""
+        def prim(t):
             # antiderivative of (h - |tau|) on [-h, h], clamped outside
-            t = min(max(t, -h), h)
-            return h * t - math.copysign(t * t, t) / 2
+            t = np.clip(t, -h, h)
+            return h * t - np.copysign(t * t, t) / 2
 
+        total = np.zeros(ys.shape)
         for x0, x1, c in self.density_pieces:
-            left = max(x0, ylo)
-            right = min(x1, yhi)
-            if right > left:
-                total += c * (prim(right - y) - prim(left - y))
-        for p, m in self.atoms:
-            k = h - abs(p - y)
-            if k > 0:
-                if math.isinf(m):
-                    return math.inf
-                total += k * m
-        return float(total)
+            left = np.maximum(float(x0), ys - h)
+            right = np.minimum(float(x1), ys + h)
+            total += np.where(right > left, float(c) * (prim(right - ys) - prim(left - ys)), 0.0)
+        return total
+
+    @cached_property
+    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        # float64 atom positions and masses, in atom order
+        pairs = np.array([(float(p), float(m)) for p, m in self.atoms]).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
 
     def to_dict(self) -> dict:
-        def enc_mass(m):
-            return "inf" if isinstance(m, float) and math.isinf(m) else _encode(m)
-
         return {
             "carrier": [_encode(self.carrier[0]), _encode(self.carrier[1])],
             "density_pieces": [[_encode(a), _encode(b), _encode(c)] for a, b, c in self.density_pieces],
-            "atoms": [[_encode(p), enc_mass(m)] for p, m in self.atoms],
+            "atoms": [[_encode(p), _encode_mass(m)] for p, m in self.atoms],
         }
 
     @classmethod
@@ -595,12 +619,13 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
         )
     atoms: list[tuple[Real, Real]] = []
     if source in ("lebesgue", "trace"):
-        atoms.extend((c.position, c.width) for c in dm.collapsed_points)
+        # in order: an all-G edge meets no component, so its image lies
+        # outside every collapsed point
+        atoms = [(c.position, c.width) for c in dm.collapsed_points]
         if img.bounded_left:
-            atoms.append((lo, math.inf))
+            atoms.insert(0, (lo, math.inf))
         if img.bounded_right:
             atoms.append((hi, math.inf))
-    atoms.sort(key=lambda a: a[0])
     return SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
 
 

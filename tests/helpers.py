@@ -388,7 +388,8 @@ class OracleSet:
     exactly where the result is exact, and within 1e-12 where a float query
     or anchor makes it a float.  The scale and darning inverses
     follow the rules the table brought: a float value is a plateau value or
-    a collapsed point when it is that value's float; a periodic value folds
+    a collapsed point when it is that value's float, and past the scale
+    image only when past the float of its edge; a periodic value folds
     back into the image once, a float one onto a plateau or seam value within
     1e-12, and onto the whole plateau across the seam; and a darning value
     past the collapsed point of a component at a window edge is that
@@ -506,15 +507,18 @@ class OracleScale:
     def inverse(self, y):
         o = self.o
         (w0, w1), s0, s1 = o.window, self.levels[0], self.levels[-1]
-        if s0 <= y <= s1:
+        # a float value is past the image only when it is past the image's floats
+        e0, e1 = (float(s0), float(s1)) if isinstance(y, float) else (s0, s1)
+        if e0 <= y <= e1:
             return self._window_inverse(y)
-        if (o.tail_left if y < s0 else o.tail_right) is Tail.ALL_G:
-            x = w0 + (y - s0) if y < s0 else w1 + (y - s1)
+        below = y < e0
+        if (o.tail_left if below else o.tail_right) is Tail.ALL_G:
+            x = w0 + (y - s0) if below else w1 + (y - s1)
             return x, x
-        if (o.tail_left if y < s0 else o.tail_right) is Tail.ALL_F or o.g_mass_window == 0:
+        if (o.tail_left if below else o.tail_right) is Tail.ALL_F or o.g_mass_window == 0:
             raise tf.PreconditionError(f"value {y} is outside the range")
         per, p = o.g_mass_window, o.period
-        if y < s0:
+        if below:
             k = math.ceil((s0 - y) / per)
             y, shift = y + k * per, -k * p
         else:
@@ -548,7 +552,8 @@ class OracleScale:
         k = bisect_left(self.plateaus, y, key=key)
         if k < len(self.plateaus) and key(self.plateaus[k]) == y:
             return self.plateaus[k][1], self.plateaus[k][2]
-        i = min(bisect_right(self.levels, y), len(self.o.components)) - 1
+        # a float at the float of s(w0) may lie just below s(w0): component 0
+        i = max(min(bisect_right(self.levels, y), len(self.o.components)) - 1, 0)
         x = self.o.components[i][0] + (y - self.levels[i])
         return x, x
 
@@ -634,3 +639,147 @@ def is_adapted_isin(u, iset):
 def report_by_float(cells, contribs):
     """An energy breakdown in its former form: one ``float()`` per value."""
     return tuple((float(x0), float(x1), float(c)) for (x0, x1), c in zip(cells, contribs))
+
+
+# ---------------------------------------------------------------------------
+# the former loop forms of the energy, darning and walk-chain kernels, kept
+# as oracles that their array passes must match bit for bit
+
+
+def speed_measures(iset):
+    """The speed measures a set gives: its trace measure on the line (a
+    piece per F-component, infinite atoms at all-G edges), and its darning
+    pushforwards of Lebesgue measure (atoms) and of 1_F dx (none), where F
+    has mass in the window."""
+    out = [tf.trace_measure(iset).line_speed()]
+    try:
+        dm = tf.DarningMap(iset)
+    except tf.PreconditionError:
+        return out
+    return out + [tf.pushforward_speed(dm, source) for source in ("lebesgue", "f_indicator")]
+
+
+def energy_measure_loop(u, interval, iset=None, subspace=False):
+    """``energy_measure`` in its former form: one cell at a time into a
+    running Python total."""
+    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = max(lo, u.span[0]), min(hi, u.span[1])
+    if hi <= lo:
+        return 0.0
+    total = 0.0
+    gmask = tf.gridfn.cell_in_g(u, iset) if subspace else None
+    for k in range(u.grid.size - 1):
+        x0, x1 = float(u.grid[k]), float(u.grid[k + 1])
+        left, right = max(x0, lo), min(x1, hi)
+        if right <= left:
+            continue
+        if subspace and not gmask[k]:
+            continue
+        slope = float(u.slopes[k])
+        total += slope * slope * (right - left)
+    return total
+
+
+def unit_contraction_loop(u):
+    """``unit_contraction`` in its former form: crossings of 0 and 1 found
+    cell by cell."""
+    nodes = list(map(float, u.grid))
+    for k in range(u.grid.size - 1):
+        x0, x1 = float(u.grid[k]), float(u.grid[k + 1])
+        v0, v1 = float(u.values[k]), float(u.values[k + 1])
+        if v0 == v1:
+            continue
+        for level in (0.0, 1.0):
+            if (v0 - level) * (v1 - level) < 0:
+                nodes.append(x0 + (level - v0) / (v1 - v0) * (x1 - x0))
+    refined = u.refine(np.asarray(nodes))
+    return tf.GridFunction(refined.grid, np.clip(refined.values, 0.0, 1.0))
+
+
+def tent_integral_loop(speed, y, h, atoms=True):
+    """``SpeedMeasure.tent_integral`` at one float node in its former form:
+    piece by piece, then atom by atom, into a running Python total; without
+    the atoms when ``atoms`` is false."""
+    total = 0.0
+    ylo, yhi = y - h, y + h
+
+    def prim(t):
+        t = min(max(t, -h), h)
+        return h * t - math.copysign(t * t, t) / 2
+
+    for x0, x1, c in speed.density_pieces:
+        left = max(x0, ylo)
+        right = min(x1, yhi)
+        if right > left:
+            total += c * (prim(right - y) - prim(left - y))
+    for p, m in speed.atoms if atoms else ():
+        k = h - abs(p - y)
+        if k > 0:
+            if math.isinf(m):
+                return math.inf
+            total += k * m
+    return float(total)
+
+
+def chain_holds_loop(speed, h, boundary=("reflect", "reflect")):
+    """``build_chain``'s holding means and absorbing flags in their former
+    form: the density's tent integral node by node, then each atom snapped
+    to its node, then the ends."""
+    lo, hi = (float(x) for x in speed.carrier)
+    nodes = lo + h * np.arange(round((hi - lo) / h) + 1)
+    holds = np.array([tent_integral_loop(speed, float(y), h, atoms=False) for y in nodes])
+    absorbing = np.zeros(nodes.size, dtype=bool)
+    for p, m in speed.atoms:
+        k = min(max(round((float(p) - lo) / h), 0), nodes.size - 1)
+        if math.isinf(m):
+            absorbing[k] = True
+            holds[k] = math.inf
+        else:
+            holds[k] += h * float(m)
+    for end, side in ((0, boundary[0]), (-1, boundary[1])):
+        if side == "absorb":
+            absorbing[end] = True
+        elif not absorbing[end]:
+            holds[end] *= 2
+    return holds, absorbing
+
+
+def darned_l2_loop(uh, speed):
+    """``darned_l2`` in its former form: the density part piece by piece,
+    then atom by atom into a running total."""
+    total = 0.0
+    for x0, x1, c in speed.density_pieces:
+        piece = uh.refine([float(x0), float(x1)])
+        mask = (piece.grid[:-1] >= float(x0) - 1e-15) & (piece.grid[1:] <= float(x1) + 1e-15)
+        a = piece.values[:-1][mask]
+        b = piece.values[1:][mask]
+        lens = piece.cell_lengths[mask]
+        total += float(c) * float(np.sum(lens * (a * a + a * b + b * b) / 3))
+    values = uh(np.array([float(p) for p, _ in speed.atoms]))
+    for (_, m), v in zip(speed.atoms, values):
+        if isinstance(m, float) and math.isinf(m):
+            if abs(v) > tf.gridfn.SUBSPACE_TOL:
+                return math.inf
+            continue
+        total += float(m) * v * v
+    return float(total)
+
+
+def trace_atoms_merged(iset):
+    """``trace_measure``'s atoms in their former form: appended, sorted by
+    position, and merged where two share a position."""
+    atoms = []
+    for a, b in iset.components:
+        atoms += [(a, (b - a) / 2), (b, (b - a) / 2)]
+    if iset.tail_left is Tail.ALL_G:
+        atoms.append((iset.window[0], math.inf))
+    if iset.tail_right is Tail.ALL_G:
+        atoms.append((iset.window[1], math.inf))
+    atoms.sort(key=lambda t: t[0])
+    merged = []
+    for p, m in atoms:
+        if merged and merged[-1][0] == p:
+            merged[-1] = (p, merged[-1][1] + m)
+        else:
+            merged.append((p, m))
+    return tuple(merged)

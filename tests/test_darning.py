@@ -1,6 +1,7 @@
 """Darned-space checks: energy, norms, and transport along the collapse map."""
 
 import math
+import warnings
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -12,7 +13,8 @@ import traceform as tf
 from traceform import PreconditionError, Tail
 from traceform.darning import darn_trace, darned_l2, line_l2
 
-from helpers import random_complement_member, random_iset
+from helpers import (darned_l2_loop, geometry_sets, random_complement_member, random_iset,
+                     speed_measures)
 
 seeds = st.integers(0, 10**6)
 
@@ -188,6 +190,26 @@ class TestAbsorbingAtoms:
         assert s.l2_darned == math.inf
         assert s.sup_line == s.sup_darned == 2.0
         assert s.energy_line == s.energy_darned == 0.0
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 2), seeds, st.booleans())
+    def test_l2_matches_atom_loop(self, iset, kind, s, zero_at_infinite):
+        # functions with a node at every atom, vanishing or not at the
+        # infinite ones; measures with no atoms among them
+        speeds = speed_measures(iset)
+        speed = speeds[kind % len(speeds)]
+        rng = np.random.default_rng(s)
+        lo, hi = (float(x) for x in speed.carrier)
+        positions = [float(p) for p, _ in speed.atoms]
+        grid = np.unique(np.concatenate([[lo, hi], positions, rng.uniform(lo, hi, size=10)]))
+        values = rng.normal(size=grid.size)
+        if zero_at_infinite:
+            values[np.isin(grid, [float(p) for p, m in speed.atoms if math.isinf(m)])] = 0.0
+        uh = tf.GridFunction(grid, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert darned_l2(uh, speed) == darned_l2_loop(uh, speed)
 
 
 class TestDeepPipeline:

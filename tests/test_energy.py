@@ -12,6 +12,7 @@ from traceform import PreconditionError
 from traceform.energy import EnergyReport, common_grid
 
 from helpers import (
+    energy_measure_loop,
     geometry_sets,
     random_complement_member,
     random_gridfn,
@@ -20,6 +21,7 @@ from helpers import (
     random_trace_fn,
     random_vanishing,
     report_by_float,
+    unit_contraction_loop,
 )
 
 seeds = st.integers(0, 10**6)
@@ -185,6 +187,27 @@ class TestEnergyMeasure:
         assert tf.energy_measure(u, (w0, w1)) == pytest.approx(
             2.0 * tf.dirichlet_energy(u).value, rel=1e-12, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, seeds, st.booleans())
+    def test_matches_cell_loop(self, iset, s, subspace):
+        # intervals past either edge, inside one cell, ending on nodes, and
+        # missing the window; the loop adds in cell order, bit for bit
+        rng = np.random.default_rng(s)
+        u = random_gridfn(rng, iset, scale=3.0)
+        w0, w1 = u.span
+        ends = rng.uniform(w0 - (w1 - w0) / 2, w1 + (w1 - w0) / 2, size=(6, 2))
+        nodes = rng.choice(u.grid, size=(4, 2))
+        intervals = [tuple(sorted(ab)) for ab in np.concatenate([ends, nodes]).tolist()]
+        intervals += [(w0, w1), (w1 + 1.0, w1 + 2.0), (w0, w0)]
+        for interval in intervals:
+            want = energy_measure_loop(u, interval, iset, subspace)
+            if not math.isfinite(want):  # a subnormal cell: the slope overflows
+                with pytest.raises(PreconditionError, match="not finite|is inf|is nan"):
+                    tf.energy_measure(u, interval, iset=iset, subspace=subspace)
+                continue
+            got = tf.energy_measure(u, interval, iset=iset, subspace=subspace)
+            assert got == want, interval
+
 
 class TestContraction:
     def test_clip_identity_on_two_window(self):
@@ -227,6 +250,23 @@ class TestContraction:
         u = random_complement_member(rng, sf, flat=True)
         assert tf.is_in_complement(u, sf)
         assert tf.is_in_complement(tf.unit_contraction(u), sf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, seeds)
+    def test_matches_cell_loop(self, iset, s):
+        # values crossing 0 and 1, touching them at nodes, and flat on cells
+        rng = np.random.default_rng(s)
+        u = random_gridfn(rng, iset, scale=2.0)
+        values = np.where(rng.random(u.grid.size) < 0.2, rng.choice([0.0, 1.0]), u.values)
+        for w in (u, tf.GridFunction(u.grid, values)):
+            try:
+                want = unit_contraction_loop(w)
+            except tf.ValidationError:  # a subnormal cell: refining it gives NaN
+                with pytest.raises(tf.ValidationError):
+                    tf.unit_contraction(w)
+                continue
+            got = tf.unit_contraction(w)
+            assert np.array_equal(got.grid, want.grid) and np.array_equal(got.values, want.values)
 
 
 def _with_negative_zeros(rng, values):

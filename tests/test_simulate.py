@@ -5,6 +5,8 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import traceform as tf
 import traceform.simulate as simulate
@@ -26,7 +28,8 @@ from traceform.simulate import (
     walk_paths,
 )
 
-from helpers import ZeroSteps, chain_stationary, exit_chunk_untiled
+from helpers import (ZeroSteps, chain_holds_loop, chain_stationary, exit_chunk_untiled,
+                     geometry_sets, speed_measures)
 
 
 def _lebesgue_speed(svc):
@@ -203,6 +206,35 @@ class TestBuildChain:
         chain = build_chain(speed, h=3 / 128)
         assert np.where(chain.absorbing)[0].tolist() == [0, 32]
         assert chain.atom_nodes == (0, 16, 32)
+
+    def test_first_collision_in_atom_order(self):
+        # atoms half a step either side of nodes 0.5 and 1.5 snap together;
+        # the error names the node of the first atom to land on a taken one
+        atoms = ((0.375, 1.0), (1.375, 1.0), (1.625, 1.0), (0.625, 1.0))
+        speed = tf.SpeedMeasure((0.0, 2.0), ((0.0, 2.0, 1),), atoms)
+        with pytest.raises(PreconditionError, match="same grid node 1.5;"):
+            build_chain(speed, 0.25)
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometry_sets, st.integers(0, 2), st.integers(1, 3),
+           st.sampled_from(["reflect", "absorb"]), st.sampled_from(["reflect", "absorb"]))
+    def test_holds_match_node_loop(self, iset, kind, per_spacing, left, right):
+        # a step that divides the carrier and fits between the atoms
+        speeds = speed_measures(iset)
+        speed = speeds[kind % len(speeds)]
+        lo, hi = (float(x) for x in speed.carrier)
+        positions = np.sort([float(p) for p, _ in speed.atoms])
+        spacing = np.diff(positions).min(initial=hi - lo)
+        if (hi - lo) * per_spacing > 2000 * spacing:
+            return  # too many nodes for the loop
+        n = math.ceil((hi - lo) / spacing) * per_spacing
+        try:
+            chain = build_chain(speed, (hi - lo) / n, (left, right))
+        except PreconditionError:
+            return  # atoms half a step either side of a node
+        holds, absorbing = chain_holds_loop(speed, (hi - lo) / n, (left, right))
+        assert np.array_equal(chain.holds, holds)
+        assert np.array_equal(chain.absorbing, absorbing)
 
 
 class TestWalks:

@@ -13,11 +13,14 @@ from traceform import PreconditionError, Tail, ValidationError
 from traceform.trace import jump_table_csv, trace_jump_energy, trace_local_energy
 
 from helpers import (
+    geometry_sets,
     quad_feller,
     random_iset,
     random_subspace_member,
     random_trace_fn,
     required_trace_nodes,
+    speed_measures,
+    trace_atoms_merged,
 )
 
 seeds = st.integers(0, 10**6)
@@ -127,6 +130,12 @@ class TestTraceEnergy:
         ext = tf.harmonic_extension(phi)
         assert tf.dirichlet_energy(ext).value == pytest.approx(0.5, abs=1e-15)
 
+    def test_restrict_needs_adapted_grid(self, svc1):
+        # the grid lacks the gap end 5/8: refused as every grid-function call refuses it
+        u = tf.GridFunction(np.array([0.0, 0.375, 1.0]), np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(PreconditionError, match="not adapted"):
+            tf.restrict_to_f(u, svc1)
+
     def test_constant_is_null(self, svc2):
         nodes = np.array(required_trace_nodes(svc2))
         phi = tf.TraceFunction(svc2, nodes, np.full(nodes.size, 2.0))
@@ -232,6 +241,16 @@ class TestTraceMeasure:
         dm = tf.DarningMap(svc1, z=0)
         assert tf.pushforward_speed(dm, "trace") == tf.pushforward_speed(dm, "lebesgue")
         assert tf.pushforward_speed(dm, "trace").atoms == ((Fr(3, 8), Fr(1, 4)),)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets)
+    def test_atoms_built_in_order(self, iset):
+        # the atoms come out sorted and apart, as sorting and merging them would leave them
+        assert tf.trace_measure(iset).atoms == trace_atoms_merged(iset)
+        for speed in speed_measures(iset):
+            ps = [p for p, _ in speed.atoms]
+            assert all(p < q for p, q in zip(ps, ps[1:]))
 
 
 class TestJumpTable:
