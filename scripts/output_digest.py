@@ -8,7 +8,9 @@ periodic sets, float-endpoint sets) and from the ``cli`` workload of
 the unit contraction, the trace measure, the trace and darning transports,
 and the scalar scale and darning maps and their inverses at every adapted
 node, given exactly and as floats.  It also records the scalar geometry at
-float probe points in G, in F and past the window (``digest_probes``).  The
+float probe points in G, in F and past the window (``digest_probes``), and
+the speed measures both scale functions and both darning maps push forward
+there, with their float64 atom arrays (``digest_speeds``).  The
 walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
 nodes and holding means of walk chains built from the trace measures of
 fat-Cantor sets.  The CLI lines cover every leaf command, the ones the
@@ -84,6 +86,8 @@ def canon(obj):
         return canon([obj.nodes, obj.values])
     if isinstance(obj, tf.DarningMap):
         return canon(obj.image())
+    if isinstance(obj, tf.SpeedMeasure):
+        return canon([obj.to_dict(), *obj._atom_arrays])
     if isinstance(obj, tf.PathSample):
         return canon([obj.times, obj.states, obj.flags, obj.absorbed_at, obj.absorbed_time])
     if hasattr(obj, "to_dict"):
@@ -239,6 +243,18 @@ def digest_probes(dg, t, iset, rng):
         ys = rec(f"{t} probe {name}", lambda: each(f, xs))
         rec(f"{t} probe {name} inverse", lambda: each(
             lambda y: y if isinstance(y, list) else f.inverse(y), ys))
+    digest_speeds(dg, t, maps)
+
+
+def digest_speeds(dg, t, maps):
+    """The pushforward of Lebesgue measure under each scale function, and
+    of every source under each darning map."""
+    for name, f in maps:
+        if isinstance(f, tf.ScaleFunction):
+            dg.record(f"{t} speed {name}", lambda: tf.scale_pushforward_speed(f))
+            continue
+        for source in ("lebesgue", "f_indicator", "trace"):
+            dg.record(f"{t} speed {name} {source}", lambda: tf.pushforward_speed(f, source))
 
 
 def _float_z(iset):

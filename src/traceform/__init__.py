@@ -21,7 +21,6 @@ from .intervals import (
 )
 from .transforms import (
     Case,
-    DarningImage,
     DarningMap,
     ScaleFunction,
     SpeedMeasure,
@@ -95,7 +94,6 @@ __all__ = [
     "periodic_fat_cantor",
     "svc_complement",
     "Case",
-    "DarningImage",
     "DarningMap",
     "ScaleFunction",
     "SpeedMeasure",

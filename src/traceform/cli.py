@@ -244,7 +244,7 @@ def cmd_scale_eval(args):
 
 def cmd_darn_map(args):
     dm = _darn_of(args, _load_set(args))
-    info = dm.image().to_dict()
+    info = dm.image()
     info["anchor"] = str(dm.z)
     return {"darn_map.json": _json_text(info)}, ()
 

@@ -81,7 +81,8 @@ class GridFunction:
         """Same function on the union grid; evaluation is exact for PL data.
 
         Nodes within float slack of the span are snapped to the boundary so
-        exact rational endpoints and their rounded images interoperate.
+        exact rational endpoints and their rounded images interoperate.  A
+        node inside a subnormal cell, whose slope overflows, is refused.
         """
         extra = np.asarray(list(nodes), dtype=float)
         lo, hi = self.span
@@ -91,7 +92,11 @@ class GridFunction:
                 raise PreconditionError("refinement nodes must stay inside the span")
             extra = np.clip(extra, lo, hi)
         grid = np.union1d(self.grid, extra)
-        return GridFunction(grid, np.interp(grid, self.grid, self.values))
+        values = np.interp(grid, self.grid, self.values)
+        bad = grid[~np.isfinite(values)]
+        if bad.size:
+            raise PreconditionError(f"interpolating at {float(bad[0])!r} gives no finite value")
+        return GridFunction(grid, values)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -124,8 +124,16 @@ class _Table(NamedTuple):
         return n / self.den if self.floated or isinstance(like, float) else Fraction(n, self.den)
 
     def floats(self) -> np.ndarray:
-        den = self.den
-        return np.fromiter((n / den for n in self.nums), float, len(self.nums))
+        """float64 n / den for each n, correctly rounded as Python divides ints:
+        below 2**53 n and den are exact floats, and one division rounds once."""
+        nums, den = self.nums, self.den
+        try:
+            ints = np.fromiter(nums, np.int64, len(nums))
+            if den < 2**53 and -2**53 < ints.min(initial=0) and ints.max(initial=0) < 2**53:
+                return ints / den
+        except OverflowError:  # past int64
+            pass
+        return np.fromiter((n / den for n in nums), float, len(nums))
 
 
 def _over(ratios: list) -> tuple[list, int]:
@@ -333,11 +341,11 @@ class IntervalSet:
 
     @cached_property
     def _f_before(self) -> _Table:
-        """F-mass of the window left of each point where an F-stretch ends: 0
-        at w0, then (a - w0) - p at each component's left end a, with p the
-        G-mass before it, then (w1 - w0) - p at w1."""
-        w0n, highs = self._w[0], self._f_ends[1].nums
-        return _Table([0] + [(h - w0n) - p for h, p in zip(highs, self.g_prefix)], self.den)
+        """F-mass of the window left of each point where an F-stretch ends (0
+        at w0, then at each component's left end, then at w1): the running
+        sums of the F-stretch widths."""
+        lows, highs = (t.nums for t in self._f_ends)
+        return _Table(list(accumulate(map(sub, highs, lows), initial=0)), self.den)
 
     def _f_pair(self, k: int) -> tuple[Fraction, Fraction]:
         lows, highs = self._f_ends
@@ -410,9 +418,7 @@ class IntervalSet:
     @cached_property
     def float_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """float64 left and right ends of the components, in order."""
-        d = self.den
-        return (np.fromiter((n / d for n in self._lo), float, len(self._lo)),
-                np.fromiter((n / d for n in self._hi), float, len(self._hi)))
+        return _Table(self._lo, self.den).floats(), _Table(self._hi, self.den).floats()
 
     @cached_property
     def _adapted(self) -> np.ndarray:
@@ -424,8 +430,7 @@ class IntervalSet:
     @cached_property
     def gap_widths(self) -> np.ndarray:
         """float64 width of each component: b - a, rounded once."""
-        d = self.den
-        return np.fromiter(((b - a) / d for a, b in zip(self._lo, self._hi)), float, len(self._lo))
+        return _Table(list(map(sub, self._hi, self._lo)), self.den).floats()
 
     @cached_property
     def end_slack(self) -> np.ndarray:

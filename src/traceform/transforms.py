@@ -5,20 +5,22 @@ each G-component and flat across F.  The darning map does the opposite: it
 accumulates F-mass, collapsing the closure of each G-component to a single
 point of the image.  Pushforwards of Lebesgue measure under either map are
 piecewise-constant densities plus atoms, represented by ``SpeedMeasure``.
+Both read the map's tables, the exact atoms only when asked; the darning
+map's ``image()`` gives the same collapsed points as a dict for JSON.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, Real, Tail, _decode, _encode, _lt
+from .intervals import IntervalSet, Real, Tail, _decode, _encode, _lt, _Table
 
 
 class Case(Enum):
@@ -95,12 +97,6 @@ class ScaleFunction:
         # s at each component's left end, then at w1: s(w0) plus the running G-mass
         iset = self.base
         return iset._anchored(self(iset.window[0]), iset._prefix)
-
-    @cached_property
-    def _plateaus(self) -> tuple[tuple[Real, Real, Real], ...]:
-        # (value, lo, hi) for every flat stretch of s inside the window
-        iset = self.base
-        return tuple((self._levels.get(k), *iset._f_pair(k)) for k in iset.f_ranks)
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
@@ -263,38 +259,6 @@ class ScaleFunction:
         return lo, hi
 
 
-@dataclass(frozen=True)
-class CollapsedPoint:
-    """Image point of one collapsed G-component closure."""
-
-    index: int
-    position: Real
-    width: Real
-
-
-@dataclass(frozen=True)
-class DarningImage:
-    """Description of the darning map's image of the window."""
-
-    lo: Real
-    hi: Real
-    bounded_left: bool
-    bounded_right: bool
-    collapsed: tuple[CollapsedPoint, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "lo": _encode(self.lo),
-            "hi": _encode(self.hi),
-            "bounded_left": self.bounded_left,
-            "bounded_right": self.bounded_right,
-            "collapsed": [
-                {"index": c.index, "position": _encode(c.position), "width": _encode(c.width)}
-                for c in self.collapsed
-            ],
-        }
-
-
 class DarningMap:
     """j(x) = signed F-mass between the anchor z and x; constant on each
     closed G-component, strictly increasing across F.
@@ -347,27 +311,21 @@ class DarningMap:
         # collapsed point; then j at w1, the far end of the last F-stretch
         return self.base._anchored(self._ends[0], self.base._f_before)
 
-    @cached_property
-    def collapsed_points(self) -> tuple[CollapsedPoint, ...]:
+    def _collapsed(self):
+        """(position, width) of each collapsed component closure, exactly."""
         iset, levels = self.base, self._levels
-        return tuple(
-            CollapsedPoint(index=i, position=levels.get(i + 1), width=b - a)
-            for i, (a, b) in enumerate(iset.components)
-        )
+        widths = _Table(list(map(sub, iset._hi, iset._lo)), iset.den)
+        return zip(map(levels.value, levels.nums[1:-1]), map(widths.value, widths.nums))
 
-    def image(self) -> DarningImage:
-        return self._image
-
-    @cached_property
-    def _image(self) -> DarningImage:
-        lo, hi = self._ends
-        return DarningImage(
-            lo=lo,
-            hi=hi,
-            bounded_left=self.base.tail_left is Tail.ALL_G,
-            bounded_right=self.base.tail_right is Tail.ALL_G,
-            collapsed=self.collapsed_points,
-        )
+    def image(self) -> dict:
+        """For JSON: the window's image [lo, hi], whether each end is bounded
+        (an all-G tail), and each collapsed point's index, position and width."""
+        (lo, hi), iset = self._ends, self.base
+        return {"lo": _encode(lo), "hi": _encode(hi),
+                "bounded_left": iset.tail_left is Tail.ALL_G,
+                "bounded_right": iset.tail_right is Tail.ALL_G,
+                "collapsed": [{"index": i, "position": _encode(p), "width": _encode(w)}
+                              for i, (p, w) in enumerate(self._collapsed())]}
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, ...]:
@@ -477,21 +435,49 @@ def _encode_mass(m):
     return "inf" if isinstance(m, float) and math.isinf(m) else _encode(m)
 
 
-@dataclass(frozen=True)
 class SpeedMeasure:
     """Piecewise-constant density plus point atoms on a finite carrier.
 
     Atom masses live in (0, inf]; an infinite atom marks an absorbing point.
+    Immutable; equal when carrier, density pieces and atoms are.
     """
 
-    carrier: tuple[Real, Real]
-    density_pieces: tuple[tuple[Real, Real, Real], ...] = ()
-    atoms: tuple[tuple[Real, Real], ...] = ()
+    def __init__(self, carrier, density_pieces=(), atoms=()):
+        self.__dict__.update(carrier=tuple(carrier), atoms=tuple(tuple(a) for a in atoms),
+                             density_pieces=tuple(tuple(p) for p in density_pieces))
+        self._check()
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(self, "density_pieces", tuple(tuple(p) for p in self.density_pieces))
-        object.__setattr__(self, "atoms", tuple(tuple(a) for a in self.atoms))
+    @classmethod
+    def _from_table(cls, carrier, arrays, atoms) -> "SpeedMeasure":
+        """Density one on the carrier plus the atoms of a map's tables, in
+        order: ``arrays`` holds their float64 positions and masses, and
+        ``atoms()`` makes the exact tuple on first use.  A float carrier comes
+        from a float anchor, whose sums may round atoms together or past the
+        carrier, so it is checked as the constructor checks."""
+        self = cls.__new__(cls)
+        self.__dict__.update(carrier=carrier, density_pieces=((*carrier, 1),),
+                             _atom_arrays=arrays, _atoms=atoms)
+        if isinstance(carrier[0], float):
+            self._check()
+        return self
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[Real, Real], ...]:
+        return self._atoms()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SpeedMeasure is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SpeedMeasure):
+            return NotImplemented
+        return (self.carrier, self.density_pieces, self.atoms) == (
+            other.carrier, other.density_pieces, other.atoms)
+
+    def __hash__(self):
+        return hash((self.carrier, self.density_pieces, self.atoms))
+
+    def _check(self):
         lo, hi = self.carrier
         if not lo < hi:
             raise ValidationError(f"carrier must satisfy lo < hi, got ({lo}, {hi})")
@@ -611,36 +597,39 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
     """
     if source not in PUSHFORWARD_SOURCES:
         raise PreconditionError(f"unknown pushforward source {source!r}")
-    img = dm.image()
-    lo, hi = img.lo, img.hi
+    lo, hi = dm._ends
     if not lo < hi:
         raise PreconditionError(
             "darning image is a single point: F has no mass in the window"
         )
-    atoms: list[tuple[Real, Real]] = []
-    if source in ("lebesgue", "trace"):
-        # in order: an all-G edge meets no component, so its image lies
-        # outside every collapsed point
-        atoms = [(c.position, c.width) for c in dm.collapsed_points]
-        if img.bounded_left:
-            atoms.insert(0, (lo, math.inf))
-        if img.bounded_right:
-            atoms.append((hi, math.inf))
-    return SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
+    if source == "f_indicator":
+        return SpeedMeasure._from_table((lo, hi), (np.zeros(0), np.zeros(0)), tuple)
+    # in order: an all-G edge meets no component, so its image lies outside
+    # every collapsed point
+    iset = dm.base
+    left = [(lo, math.inf)] * (iset.tail_left is Tail.ALL_G)
+    right = [(hi, math.inf)] * (iset.tail_right is Tail.ALL_G)
+    positions = np.concatenate([[float(lo)] * len(left), dm._tables[0], [float(hi)] * len(right)])
+    masses = np.concatenate([[math.inf] * len(left), iset.gap_widths, [math.inf] * len(right)])
+    return SpeedMeasure._from_table((lo, hi), (positions, masses),
+                                    lambda: (*left, *dm._collapsed(), *right))
 
 
 def scale_pushforward_speed(sf: ScaleFunction) -> SpeedMeasure:
     """Pushforward of Lebesgue measure on the window under the scale function:
     density one on the image of G, an atom of mass m(F-component) at each
     collapsed F-component value."""
-    iset = sf.base
+    iset, levels = sf.base, sf._levels
     lo, hi = sf.window_image()
     if not lo < hi:
         raise PreconditionError(
             "scale image of the window is a single point: G has no mass there "
             "(the whole window collapses)"
         )
-    atoms = tuple(
-        (value, f_hi - f_lo) for value, f_lo, f_hi in sf._plateaus
-    )
-    return SpeedMeasure((lo, hi), ((lo, hi, 1),), atoms)
+    r = iset.f_ranks
+    lows, highs = (t.nums[r.start:r.stop] for t in iset._f_ends)
+    widths = _Table(list(map(sub, highs, lows)), iset.den)
+    values = levels.nums[r.start:r.stop]
+    return SpeedMeasure._from_table(
+        (lo, hi), (sf._tables[1], widths.floats()),
+        lambda: tuple(zip(map(levels.value, values), map(widths.value, widths.nums))))

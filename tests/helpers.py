@@ -20,6 +20,7 @@ from scipy import integrate
 
 import traceform as tf
 from traceform import Tail
+from traceform.intervals import _encode
 
 
 def window_f_components(iset):
@@ -783,3 +784,58 @@ def trace_atoms_merged(iset):
         else:
             merged.append((p, m))
     return tuple(merged)
+
+
+# ---------------------------------------------------------------------------
+# the former per-gap darning image and pushforward builders, kept as oracles
+# for the speed measures and the image read from the tables
+
+
+def collapsed_points(dm):
+    """(index, position, width) of each collapsed component closure in the
+    former form: one per component of the components tuple, its width b - a."""
+    levels = dm._levels
+    return [(i, levels.get(i + 1), b - a) for i, (a, b) in enumerate(dm.base.components)]
+
+
+def darning_image_dict(dm):
+    """``DarningMap.image()`` in its former form, ``DarningImage.to_dict``."""
+    lo, hi = dm._ends
+    return {
+        "lo": _encode(lo),
+        "hi": _encode(hi),
+        "bounded_left": dm.base.tail_left is Tail.ALL_G,
+        "bounded_right": dm.base.tail_right is Tail.ALL_G,
+        "collapsed": [{"index": i, "position": _encode(p), "width": _encode(w)}
+                      for i, p, w in collapsed_points(dm)],
+    }
+
+
+def pushforward_per_gap(dm, source="lebesgue"):
+    """``pushforward_speed`` in its former form: an atom per collapsed point,
+    through the validating constructor."""
+    lo, hi = dm._ends
+    if not lo < hi:
+        raise tf.PreconditionError("darning image is a single point: F has no mass in the window")
+    atoms = []
+    if source in ("lebesgue", "trace"):
+        atoms = [(p, w) for _, p, w in collapsed_points(dm)]
+        if dm.base.tail_left is Tail.ALL_G:
+            atoms.insert(0, (lo, math.inf))
+        if dm.base.tail_right is Tail.ALL_G:
+            atoms.append((hi, math.inf))
+    return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
+
+
+def scale_pushforward_per_plateau(sf):
+    """``scale_pushforward_speed`` in its former form: an atom per plateau
+    (value, lo, hi) of s, through the validating constructor."""
+    iset = sf.base
+    lo, hi = sf.window_image()
+    if not lo < hi:
+        raise tf.PreconditionError(
+            "scale image of the window is a single point: G has no mass there "
+            "(the whole window collapses)"
+        )
+    plateaus = [(sf._levels.get(k), *iset._f_pair(k)) for k in iset.f_ranks]
+    return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple((v, b - a) for v, a, b in plateaus))

@@ -12,6 +12,7 @@ from traceform import PreconditionError
 from traceform.energy import EnergyReport, common_grid
 
 from helpers import (
+    _float_pair_set,
     energy_measure_loop,
     geometry_sets,
     random_complement_member,
@@ -210,6 +211,12 @@ class TestEnergyMeasure:
 
 
 class TestContraction:
+    def test_subnormal_cell_is_a_precondition(self):
+        # a crossing inside the cell [0, 1e-323] interpolates to NaN
+        u = random_gridfn(np.random.default_rng(1), _float_pair_set([0.5, 1e-323]), scale=2.0)
+        with pytest.raises(PreconditionError, match="no finite value"):
+            tf.unit_contraction(u)
+
     def test_clip_identity_on_two_window(self):
         u = tf.GridFunction(np.array([0.0, 2.0]), np.array([0.0, 2.0]))
         c = tf.unit_contraction(u)
@@ -261,8 +268,8 @@ class TestContraction:
         for w in (u, tf.GridFunction(u.grid, values)):
             try:
                 want = unit_contraction_loop(w)
-            except tf.ValidationError:  # a subnormal cell: refining it gives NaN
-                with pytest.raises(tf.ValidationError):
+            except PreconditionError:  # a subnormal cell: refining it gives NaN
+                with pytest.raises(PreconditionError, match="no finite value"):
                     tf.unit_contraction(w)
                 continue
             got = tf.unit_contraction(w)

@@ -6,6 +6,7 @@ which computes on the endpoint objects one comparison at a time: exact and
 equal in value where the result is exact, within 1e-12 where it is a float.
 """
 
+import math
 import resource
 import time
 from fractions import Fraction as Fr
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 import traceform as tf
 from traceform import PreconditionError, Tail
+from traceform.intervals import _decode
 
-from helpers import (OracleDarning, OracleScale, OracleSet, geometry_sets, probe_points,
-                     svc_g_mass)
+from helpers import (OracleDarning, OracleScale, OracleSet, darning_image_dict, geometry_sets,
+                     probe_points, pushforward_per_gap, scale_pushforward_per_plateau, svc_g_mass)
 
 
 def same(got, want) -> bool:
@@ -93,7 +95,11 @@ class TestTables:
                   "fraction": Fr(iset.window[0]) + Fr(1, 3)}[anchor]
         sf, want = tf.ScaleFunction(iset, anchor), OracleScale(OracleSet(iset), anchor)
         assert same([sf._levels.get(j) for j in range(len(want.levels))], want.levels)
-        assert same(sf._plateaus, want.plateaus)
+        # the plateaus as atoms: each value and its F-width
+        got = speed_atoms(tf.scale_pushforward_speed, sf)
+        assert twins(got, speed_atoms(scale_pushforward_per_plateau, sf))
+        if not isinstance(got, str):
+            assert same(got, tuple((v, hi - lo) for v, lo, hi in want.plateaus))
         assert same(sf.window_image(), (want.levels[0], want.levels[-1]))
         levels, values, lows, highs = sf._tables
         assert np.array_equal(levels, [float(v) for v in want.levels])
@@ -111,12 +117,66 @@ class TestTables:
             return  # F has no positive-length part in the window
         want = OracleDarning(OracleSet(iset), dm.z)
         assert same(dm._ends, want.ends)
-        assert same([c.position for c in dm.collapsed_points], want.positions)
-        assert same([c.width for c in dm.collapsed_points], OracleSet(iset).widths)
+        collapsed = dm.image()["collapsed"]
+        assert [c["index"] for c in collapsed] == list(range(len(iset.components)))
+        assert same([_decode(c["position"]) for c in collapsed], want.positions)
+        assert same([_decode(c["width"]) for c in collapsed], OracleSet(iset).widths)
+        got = speed_atoms(tf.pushforward_speed, dm)
+        assert twins(got, speed_atoms(pushforward_per_gap, dm))
+        if not isinstance(got, str):
+            finite = [(p, w) for p, w in got if w != math.inf]
+            assert same(finite, tuple(zip(want.positions, OracleSet(iset).widths)))
         positions, *spans = dm._tables
         assert floats_match(positions, want.positions)
         for got, col in zip(spans, list(zip(*want.spans)) or [()] * 4):
             assert floats_match(got, col)
+
+
+def speed_or_error(build):
+    """build(), or the type and message of the error it raises: a float
+    anchor's sums may round two atoms onto one float, or one past the
+    carrier, which the constructor refuses."""
+    try:
+        return build()
+    except tf.TraceformError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def speed_atoms(build, f):
+    """The atoms of the speed measure build(f), or its error."""
+    speed = speed_or_error(lambda: build(f))
+    return speed if isinstance(speed, str) else speed.atoms
+
+
+class TestTableSpeeds:
+    """The speed measures and the darning image read from the tables against
+    their former per-gap builders: equal atoms of the same types, equal
+    dicts, and bit-equal float64 atom arrays, for exact and float anchors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry_sets, st.booleans())
+    def test_against_per_gap_builders(self, iset, float_anchor):
+        sf = tf.ScaleFunction(iset, float(iset.window[0]) + 0.3 if float_anchor else 0)
+        pairs = [(lambda: tf.scale_pushforward_speed(sf), lambda: scale_pushforward_per_plateau(sf))]
+        try:
+            dm = tf.DarningMap(iset, darning_anchor(iset) if float_anchor else None)
+        except PreconditionError:
+            dm = None  # F has no positive-length part in the window
+        if dm is not None:
+            assert dm.image() == darning_image_dict(dm)
+            for source in tf.transforms.PUSHFORWARD_SOURCES:
+                pairs.append((lambda s=source: tf.pushforward_speed(dm, s),
+                              lambda s=source: pushforward_per_gap(dm, s)))
+        for build, former in pairs:
+            got, want = speed_or_error(build), speed_or_error(former)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got == want and got.to_dict() == want.to_dict()
+            assert twins(got.carrier, want.carrier) and twins(got.atoms, want.atoms)
+            assert twins(got.density_pieces, want.density_pieces)
+            for g, w in zip(got._atom_arrays, want._atom_arrays):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def floats_match(got, want) -> bool:
@@ -229,7 +289,9 @@ class TestFractionTwin:
                          [g._levels.get(j) for j in range(len(g._levels.nums))])
             assert np.array_equal(f._tables[0], g._tables[0])
             if isinstance(f, tf.DarningMap):
-                assert twins(f.collapsed_points, g.collapsed_points)
+                assert f.image() == g.image()
+                assert twins(speed_atoms(tf.pushforward_speed, f),
+                             speed_atoms(tf.pushforward_speed, g))
         for x in exact_points(iset, rng) + some_probes(iset, rng):
             lo, hi = (w0, x) if x >= w0 else (x, w0)
             for which in ("G", "F"):

@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 import traceform as tf
 from traceform import PreconditionError, Tail, ValidationError
 
-from helpers import geometry_sets, probe_points, random_iset, speed_measures, tent_integral_loop
+from helpers import (darning_image_dict, geometry_sets, probe_points, random_iset, speed_measures,
+                     tent_integral_loop)
 
 isets = st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s)))
 window_fracs = st.fractions(min_value=0, max_value=1, max_denominator=96)
+
+
+def collapsed_positions(dm):
+    """The collapsed points: the finite atoms of the Lebesgue pushforward."""
+    return [p for p, m in tf.pushforward_speed(dm).atoms if m != math.inf]
 
 
 def first_gap_interior(iset):
@@ -93,9 +99,10 @@ class TestDarningMap:
 
     def test_collapsed_point(self, svc1):
         j = tf.DarningMap(svc1, z=0)
-        (cp,) = j.collapsed_points
-        assert cp.position == Fr(3, 8)
-        assert cp.width == Fr(1, 4)
+        ((position, width),) = tf.pushforward_speed(j).atoms
+        assert position == Fr(3, 8)
+        assert width == Fr(1, 4)
+        assert j.image()["collapsed"] == [{"index": 0, "position": "3/8", "width": "1/4"}]
 
     def test_anchor_in_g_rejected(self, svc1):
         with pytest.raises(PreconditionError):
@@ -112,9 +119,23 @@ class TestDarningMap:
 
     def test_image_boundary_membership(self, svc1, svc1_allg):
         img_f = tf.DarningMap(svc1, z=0).image()
-        assert not img_f.bounded_left and not img_f.bounded_right
+        assert not img_f["bounded_left"] and not img_f["bounded_right"]
         img_g = tf.DarningMap(svc1_allg).image()
-        assert img_g.bounded_left and img_g.bounded_right
+        assert img_g["bounded_left"] and img_g["bounded_right"]
+
+    def test_image_of_a_point(self):
+        # an anchor past a window that G fills: the image is one point, which
+        # image() describes and pushforward_speed refuses
+        iset = tf.build_interval_set([(0, 1)], (0, 1))
+        dm = tf.DarningMap(iset, z=2)
+        img = dm.image()
+        assert img == darning_image_dict(dm)
+        assert img["lo"] == img["hi"] == "-1"
+        assert img["collapsed"] == [{"index": 0, "position": "-1", "width": "1"}]
+        img["collapsed"].clear()  # a fresh dict each call
+        assert dm.image() == darning_image_dict(dm)
+        with pytest.raises(PreconditionError, match="single point"):
+            tf.pushforward_speed(dm)
 
     def test_round_trip_on_f(self, svc1):
         j = tf.DarningMap(svc1, z=0)
@@ -201,7 +222,7 @@ class TestArrayPath:
                 & (xs[:, None] <= rights + iset.end_slack))
         # an F stretch narrower than the slack leaves a point near two gaps
         one = near.sum(axis=1) == 1
-        positions = np.array([float(c.position) for c in dm.collapsed_points])
+        positions = np.array([float(p) for p in collapsed_positions(dm)])
         assert np.all(got[one] == positions[near[one].nonzero()[1]])
 
     @settings(max_examples=60, deadline=None)
@@ -240,7 +261,7 @@ class TestArrayPath:
         w0, w1 = iset.window
         ys = [dm(x) for x in _exact_points(iset, np.random.default_rng(seed))
               if w0 <= x <= w1 and not iset.in_g(x)]
-        ys += [c.position for c in dm.collapsed_points]
+        ys += collapsed_positions(dm)
         want = np.array([[float(v) for v in dm.inverse(y)] for y in ys])
         lo, hi = dm.inverse(np.array([float(y) for y in ys]))
         assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
@@ -270,7 +291,8 @@ class TestArrayPath:
         # folding back k periods rounds; the plateau must still come back whole
         iset = tf.build_interval_set(comps, (0, 1), tails=(Tail.PERIODIC, Tail.PERIODIC))
         sf = tf.ScaleFunction(iset)
-        ys = [v + k * iset.g_mass_window for v, _, _ in sf._plateaus for k in range(-3, 4)]
+        values = [v for v, _ in tf.scale_pushforward_speed(sf).atoms]
+        ys = [v + k * iset.g_mass_window for v in values for k in range(-3, 4)]
         want = np.array([[float(v) for v in sf.inverse(y)] for y in ys])
         lo, hi = sf.inverse(np.array([float(y) for y in ys]))
         assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
