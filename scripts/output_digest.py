@@ -13,8 +13,11 @@ the speed measures both scale functions and both darning maps push forward
 there, with their float64 atom arrays (``digest_speeds``).  The
 walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
 nodes and holding means of walk chains built from the trace measures of
-fat-Cantor sets.  The CLI lines cover every leaf command, the ones the
-``cli`` workload skips included, and the ``format_help()`` text of every
+fat-Cantor sets.  The exit lines give library-level hitting and Laplace
+estimates (alpha 0.5 and 2) on one gap and seed, at n = 50,000 and 100,000
+and workers 1, 2 and None, with estimate and stderr by ``repr``.  The CLI
+lines cover every leaf command, the ones the ``cli`` workload skips
+included, and the ``format_help()`` text of every
 parser at a fixed width of 100 columns.
 traceform itself is whatever ``PYTHONPATH`` selects, so one copy of this
 script drives both checkouts.
@@ -55,7 +58,8 @@ import helpers as H  # noqa: E402
 import traceform as tf  # noqa: E402
 from traceform.cli import build_parser, main as cli_main  # noqa: E402
 from traceform.simulate import (  # noqa: E402
-    occupation_fractions, simulate_xs, walk_occupation, walk_paths)
+    estimate_hitting, estimate_laplace, occupation_fractions, simulate_xs, walk_occupation,
+    walk_paths)
 from traceform.trace import trace_jump_energy, trace_local_energy  # noqa: E402
 
 SEEDS = 60
@@ -282,6 +286,23 @@ def digest_walks(dg):
             tf.trace_measure(tf.svc_complement(d)).line_speed(), 2**-(2 * d))))
 
 
+def digest_exits(dg):
+    """Exit estimates at criterion 6's corrected setting."""
+    a, b = Fraction(-1, 4), Fraction(3, 2)
+    gap = tf.build_interval_set([(a, b)], (a, b))
+    dt = (float(b - a) / 40) ** 2
+    for n in (50_000, 100_000):
+        for workers in (1, 2, None):
+            calls = [("hitting", lambda: estimate_hitting(
+                gap, 0.3, n, 17, dt=dt, correct=True, workers=workers))]
+            calls += [(f"laplace {alpha}", lambda alpha=alpha: estimate_laplace(
+                gap, 0.3, alpha, n, 17, dt=dt, correct=True, workers=workers))
+                for alpha in (0.5, 2.0)]
+            for name, fn in calls:
+                dg.record(f"exit {name} n={n} workers={workers}",
+                          lambda: [[repr(r.estimate), repr(r.stderr)] for r in fn()])
+
+
 def _chain_fields(chain):
     return [chain.nodes, chain.holds, chain.absorbing, chain.atom_nodes]
 
@@ -390,6 +411,7 @@ def digest_all(out: Path) -> int:
         for k, iset in enumerate(isets):
             digest_set(dg, f"{seed}.{k}", iset, rng)
     digest_walks(dg)
+    digest_exits(dg)
     digest_cli(dg)
     digest_help(dg)
     out.write_text("\n".join(dg.lines) + "\n")

@@ -25,6 +25,8 @@ import csv
 import io
 import math
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -41,7 +43,7 @@ OVERSHOOT = 0.5825971579390107
 
 EXIT_CHUNK = 1 << 14  # paths per generator stream
 EXIT_BLOCK = 128  # steps per surviving path drawn at once
-EXIT_TILE = 1 << 11  # rows per in-place tile of a step block
+EXIT_TILE = 1 << 10  # rows per in-place tile of a step block
 WALK_BLOCK = 1 << 20  # walk steps drawn at once
 POINT_TOL = 1e-9  # a state this close to a point target occupies it
 DEFAULT_GAP_FRACTION = 50  # sqrt(dt) <= gap / 50
@@ -178,19 +180,22 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
                          seed=seed ^ i, horizon=horizon)
 
 
-def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
-                shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exit side and exit time for m discretized paths in the gap (a, b).
+def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng, shift: float):
+    """Stepper for the exit side and exit time of m discretized paths in the
+    gap (a, b): a generator that yields the number of surviving paths and
+    returns (left, tau).
 
-    Steps are drawn in blocks of EXIT_BLOCK per surviving path; the first
-    boundary crossing inside a block ends that path at the crossing step.
-    With a nonzero shift the effective boundaries move inward, compensating
-    the mean overshoot of the discrete walk past a continuum level.
+    Prime it with ``next``.  Each ``send(buf)`` advances every surviving path
+    by EXIT_BLOCK steps, with ``buf`` (min(m, EXIT_TILE) rows or more) as
+    scratch; the first boundary crossing inside a block ends that path at the
+    crossing step.  With a nonzero shift the effective boundaries move
+    inward, compensating the mean overshoot of the discrete walk past a
+    continuum level.
 
     Each block is drawn, summed and tested in place, EXIT_TILE surviving
-    rows at a time, in one reused buffer.  The tiles take the generator's
-    normals in row order, so the result equals that of drawing the whole
-    block at once, bit for bit, for any tile size.
+    rows at a time.  The tiles take the generator's normals in row order, so
+    the result equals that of drawing the whole block at once, bit for bit,
+    for any tile size and whoever's buffer a step uses.
     """
     lo = a + shift
     hi = b - shift
@@ -199,10 +204,10 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng,
     idx = np.arange(m)
     left = np.zeros(m, dtype=bool)
     tau = np.zeros(m)
-    buf = np.empty((min(m, EXIT_TILE), EXIT_BLOCK))
     base = 0
     max_steps = max(10_000, int(200 * (b - a) ** 2 / dt))
     while idx.size:
+        buf = yield idx.size
         if base > max_steps:
             raise StepCapError(
                 f"exit walk exceeded its step cap of {max_steps} steps; "
@@ -245,6 +250,14 @@ def _worker_count(workers: int | None, n_chunks: int) -> int:
 
 def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
                   correct: bool, workers: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Exit sides and times of n paths.
+
+    Each thread takes the chunk at the head of one FIFO queue, advances it by
+    one block in its own buffer and puts it back, so no thread idles while a
+    chunk has blocks left; at most threads + 1 chunks are unfinished at once.
+    Once fewer than EXIT_TILE paths of a chunk survive, the thread keeps it
+    to its end, so its cheap tail blocks never wait behind full ones.
+    """
     if n < 1:
         raise PreconditionError(f"path count n must be at least 1, got {n}")
     if not 0 < dt < math.inf:
@@ -255,20 +268,54 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
             f"start point {x0} is not interior to the effective gap "
             f"({a + shift}, {b - shift})"
         )
-    chunks = [(c, min(EXIT_CHUNK, n - c * EXIT_CHUNK))
-              for c in range((n + EXIT_CHUNK - 1) // EXIT_CHUNK)]
-    workers = _worker_count(workers, len(chunks))
+    n_chunks = (n + EXIT_CHUNK - 1) // EXIT_CHUNK
+    threads = _worker_count(workers, n_chunks)
+    parts = [None] * n_chunks
+    queue = deque()
+    lock = threading.Lock()
+    started = live = 0
+    failed = False
 
-    def run(chunk):
-        c, m = chunk
-        rng = np.random.default_rng(seed ^ c)
-        return _exit_chunk(a, b, x0, m, dt, rng, shift)
+    def work():
+        nonlocal started, live, failed
+        buf = np.empty((min(n, EXIT_CHUNK, EXIT_TILE), EXIT_BLOCK))
+        item = None
+        while True:
+            with lock:
+                if item is not None:
+                    queue.append(item)
+                if not failed and started < n_chunks and live <= threads:
+                    m = min(EXIT_CHUNK, n - started * EXIT_CHUNK)
+                    chunk = _exit_chunk(a, b, x0, m, dt,
+                                        np.random.default_rng(seed ^ started), shift)
+                    next(chunk)
+                    queue.append((started, chunk))
+                    started += 1
+                    live += 1
+                if failed or not queue:
+                    return
+                item = queue.popleft()
+            c, chunk = item
+            try:
+                # a block of one tile is too cheap to queue: keep the chunk
+                while chunk.send(buf) < EXIT_TILE and not failed:
+                    pass
+            except StopIteration as done:
+                parts[c] = done.value
+                item = None
+                with lock:
+                    live -= 1
+            except BaseException:
+                with lock:
+                    failed = True
+                raise
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(work) for _ in range(threads)]:
+                future.result()
     else:
-        parts = [run(chunk) for chunk in chunks]
+        work()
     left = np.concatenate([p[0] for p in parts])
     tau = np.concatenate([p[1] for p in parts])
     return left, tau
@@ -296,7 +343,10 @@ def estimate_hitting(iset: IntervalSet, x0: float, n: int, seed: int,
 
     The closed form (b - x0) / (b - a) for the left endpoint is never used
     here; it is the oracle the estimate is tested against.  ``correct``
-    enables the overshoot boundary correction (off by default).  ``workers``
+    enables the overshoot boundary correction (off by default).  The defaults
+    are biased: on the gap (0, 1) from 0.2, n = 1e5 and seed 1 give
+    z = -5.6 against the closed form.  ``correct=True`` with dt = (d/40)**2
+    for a gap of width d is the validated setting.  ``workers``
     threads share the chunks (default: one per usable CPU); the result is
     the same for every worker count.
     """
@@ -313,7 +363,13 @@ def estimate_laplace(iset: IntervalSet, x0: float, alpha: float, n: int, seed: i
                      dt: float | None = None, correct: bool = False,
                      workers: int | None = None) -> tuple[EstimatorResult, EstimatorResult]:
     """Means of exp(-alpha * exit_time) on each exit side; alpha = 0 recovers
-    the plain hitting probabilities."""
+    the plain hitting probabilities.
+
+    Settings and bias are those of ``estimate_hitting``: the
+    defaults are biased, and ``correct=True`` with dt = (d/40)**2 is the
+    validated setting (acceptance criterion 6 also checks dt = (d/50)**2
+    against dt / 2).
+    """
     if not 0 <= alpha < math.inf:
         raise PreconditionError(f"alpha must be nonnegative and finite, got {alpha}")
     a, b = _gap_of(iset, x0)

@@ -1,6 +1,7 @@
 """Path sampling: exit estimators, speed-measure walks, occupation batching."""
 
 import math
+import threading
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -30,6 +31,18 @@ from traceform.simulate import (
 
 from helpers import (ZeroSteps, chain_holds_loop, chain_stationary, exit_chunk_untiled,
                      geometry_sets, speed_measures)
+
+
+def _run_chunk(*args):
+    """Step one ``_exit_chunk`` to its end in a buffer of EXIT_TILE rows."""
+    chunk = _exit_chunk(*args)
+    next(chunk)
+    buf = np.empty((simulate.EXIT_TILE, simulate.EXIT_BLOCK))
+    try:
+        while True:
+            chunk.send(buf)
+    except StopIteration as done:
+        return done.value
 
 
 def _lebesgue_speed(svc):
@@ -135,16 +148,16 @@ class TestExitEstimators:
 
 
 class TestExitEngine:
-    """The tiled engine against the untiled oracle in ``helpers``, bit for bit."""
+    """The stepping engine against the untiled oracle in ``helpers``, bit for bit."""
 
     @staticmethod
     def _both(m, seed, correct, dt=(1 / 40) ** 2):
         shift = OVERSHOOT * math.sqrt(dt) if correct else 0.0
-        got = _exit_chunk(0.0, 1.0, 0.3, m, dt, np.random.default_rng(seed), shift)
+        got = _run_chunk(0.0, 1.0, 0.3, m, dt, np.random.default_rng(seed), shift)
         want = exit_chunk_untiled(0.0, 1.0, 0.3, m, dt, np.random.default_rng(seed), shift)
         return got, want
 
-    @pytest.mark.parametrize("tile", [1, 7, EXIT_TILE, 4096])
+    @pytest.mark.parametrize("tile", [1, 7, EXIT_TILE, 2048, 4096])
     @pytest.mark.parametrize("correct", [False, True])
     def test_tiles_match_the_untiled_oracle(self, monkeypatch, tile, correct):
         monkeypatch.setattr(simulate, "EXIT_TILE", tile)
@@ -155,7 +168,7 @@ class TestExitEngine:
             assert np.array_equal(tau, want_tau), (tile, m)
             assert np.all(tau > 0)
 
-    @pytest.mark.parametrize("tile", [EXIT_TILE, 4096])
+    @pytest.mark.parametrize("tile", [EXIT_TILE, 2048, 4096])
     @pytest.mark.parametrize("correct", [False, True])
     def test_several_chunks_match_the_oracle(self, monkeypatch, tile, correct):
         monkeypatch.setattr(simulate, "EXIT_TILE", tile)
@@ -173,10 +186,52 @@ class TestExitEngine:
 
     def test_step_cap_is_a_typed_error(self):
         with pytest.raises(StepCapError, match="step cap") as info:
-            _exit_chunk(0.0, 1.0, 0.5, 5, 1e-3, ZeroSteps(), 0.0)
+            _run_chunk(0.0, 1.0, 0.5, 5, 1e-3, ZeroSteps(), 0.0)
         # older handlers that catch RuntimeError still see it
         assert isinstance(info.value, RuntimeError)
         assert isinstance(info.value, TraceformError)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_one_spare_chunk_in_flight(self, monkeypatch, workers):
+        live, peak, lock = [0], [0], threading.Lock()
+
+        def counted(*args):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            result = yield from _exit_chunk(*args)
+            with lock:
+                live[0] -= 1
+            return result
+
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", 256)
+        monkeypatch.setattr(simulate, "EXIT_TILE", 16)  # chunks queue for about five blocks
+        args = (0.0, 1.0, 0.4, 10 * 256, 1e-3, 5, False)
+        want = _exit_samples(*args, 1)
+        monkeypatch.setattr(simulate, "_exit_chunk", counted)
+        left, tau = _exit_samples(*args, workers)
+        assert peak[0] == workers + 1 and live[0] == 0
+        assert np.array_equal(left, want[0]) and np.array_equal(tau, want[1])
+
+    def test_step_cap_in_a_worker_reaches_the_caller(self, monkeypatch):
+        calls, finished = [], []
+
+        def second_stuck(a, b, x0, m, dt, rng, shift):
+            calls.append(m)
+            if len(calls) == 2:  # no path ever moves: the cap of 10,000 steps is hit
+                return (yield from _exit_chunk(a, b, x0, m, 0.05, ZeroSteps(), shift))
+            result = yield from _exit_chunk(a, b, x0, m, dt, rng, shift)
+            finished.append(m)
+            return result
+
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", 64)
+        monkeypatch.setattr(simulate, "_exit_chunk", second_stuck)
+        before = threading.active_count()
+        with pytest.raises(StepCapError, match="step cap"):
+            # a regular chunk needs thousands of blocks at this dt
+            _exit_samples(0.0, 1.0, 0.5, 20 * 64, 1e-6, 3, False, 2)
+        assert threading.active_count() == before
+        assert len(calls) <= 3 and not finished  # the other worker stopped
 
 
 class TestBuildChain:
