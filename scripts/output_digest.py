@@ -5,10 +5,12 @@ and diffs the two files.  Inputs come from the generators in
 ``tests/helpers.py`` (random ``/240`` sets, fat-Cantor sets of every case,
 periodic sets, float-endpoint sets) and from the ``cli`` workload of
 ``perfbench/``.  Per set it records every energy form, the energy measure,
-the unit contraction, the trace measure, the trace and darning transports,
-and the scalar scale and darning maps and their inverses at every adapted
-node, given exactly and as floats.  It also records the scalar geometry at
-float probe points in G, in F and past the window (``digest_probes``), and
+the unit contraction, the trace measure (as ``traceform trace measure``
+writes it, and as a speed measure with its float64 atom arrays), the trace
+and darning transports, and the scalar scale and darning maps and their
+inverses at every adapted node, given exactly and as floats.  It also
+records the scalar geometry at float probe points in G, in F and past the
+window (``digest_probes``), and
 the speed measures both scale functions and both darning maps push forward
 there, with their float64 atom arrays (``digest_speeds``).  The
 walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
@@ -60,7 +62,7 @@ from traceform.cli import build_parser, main as cli_main  # noqa: E402
 from traceform.simulate import (  # noqa: E402
     estimate_hitting, estimate_laplace, occupation_fractions, simulate_xs, walk_occupation,
     walk_paths)
-from traceform.trace import trace_jump_energy, trace_local_energy  # noqa: E402
+from traceform.trace import trace_jump_energy, trace_local_energy, trace_measure_dict  # noqa: E402
 
 SEEDS = 60
 WORK = Path(tempfile.gettempdir()) / "traceform-output-digest"
@@ -145,7 +147,8 @@ def digest_set(dg, t, iset, rng):
     rec(t + " energy_measure", lambda: tf.energy_measure(u, (0.1, 0.8), iset=iset, subspace=True))
     rec(t + " energy_measure full", lambda: tf.energy_measure(u, (0.1, 0.8)))
     rec(t + " unit_contraction", lambda: tf.unit_contraction(u))
-    rec(t + " trace_measure", lambda: tf.trace_measure(iset))
+    rec(t + " trace_measure", lambda: trace_measure_dict(iset))
+    rec(t + " trace_measure speed", lambda: tf.trace_measure(iset))
     rec(t + " project u", lambda: tf.project_subspace(u, sf))
     rec(t + " project s", lambda: tf.project_subspace(s1, sf))
     c = H.random_complement_member(rng, sf)
@@ -283,7 +286,7 @@ def digest_walks(dg):
     for d in (1, 3, 5):
         # a WalkChain has no to_dict and its repr shortens the arrays
         dg.record(f"build_chain trace svc{d}", lambda: _chain_fields(tf.build_chain(
-            tf.trace_measure(tf.svc_complement(d)).line_speed(), 2**-(2 * d))))
+            tf.trace_measure(tf.svc_complement(d)), 2**-(2 * d))))
 
 
 def digest_exits(dg):

@@ -48,7 +48,6 @@ from .energy import (
 from .decompose import Decomposition, decompose_harmonic, is_in_complement, project_subspace
 from .trace import (
     TraceFunction,
-    TraceMeasure,
     alpha_hitting,
     feller_numeric,
     feller_weight,
@@ -118,7 +117,6 @@ __all__ = [
     "is_in_complement",
     "project_subspace",
     "TraceFunction",
-    "TraceMeasure",
     "alpha_hitting",
     "feller_numeric",
     "feller_weight",

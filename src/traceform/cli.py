@@ -32,7 +32,8 @@ from .intervals import IntervalSet, Tail, build_interval_set, svc_complement
 from .simulate import (PathSample, bm_paths, estimate_hitting, estimate_laplace,
                        occupation_fractions, simulate_xs, walk_paths)
 from .trace import (TraceFunction, feller_numeric, feller_weight, jump_table_csv,
-                    trace_complement_energy, trace_energy, trace_measure, trace_subspace_energy)
+                    trace_complement_energy, trace_energy, trace_measure_dict,
+                    trace_subspace_energy)
 from .transforms import DarningMap, ScaleFunction, SpeedMeasure, classify_case, pushforward_speed
 
 
@@ -312,7 +313,7 @@ def cmd_trace_jump_table(args):
 
 
 def cmd_trace_measure(args):
-    return {"trace_measure.json": _json_text(trace_measure(_load_set(args)).to_dict())}, ()
+    return {"trace_measure.json": _json_text(trace_measure_dict(_load_set(args)))}, ()
 
 
 def cmd_feller(args):

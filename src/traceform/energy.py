@@ -8,7 +8,8 @@ brought to a common grid by node union before integrating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +23,26 @@ from .gridfn import (
 from .intervals import IntervalSet
 from .transforms import _ordered_sum
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyReport:
-    """Energy value with its per-cell breakdown; value == sum(contributions)."""
+    """Energy value with its per-cell breakdown; value == sum(contributions).
+    The rows are built from the cell arrays on first use."""
 
     form: str
     value: float
-    breakdown: tuple[tuple[float, float, float], ...]  # (x0, x1, contribution)
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)  # x0, x1, contribution
+
+    @cached_property
+    def breakdown(self) -> tuple[tuple[float, float, float], ...]:  # (x0, x1, contribution)
+        return tuple(zip(*(a.tolist() for a in self.cells)))
+
+    def __eq__(self, other):
+        if not isinstance(other, EnergyReport):
+            return NotImplemented
+        return (self.form, self.value, self.breakdown) == (other.form, other.value, other.breakdown)
+
+    def __hash__(self):
+        return hash((self.form, self.value, self.breakdown))
 
     def to_dict(self) -> dict:
         return {
@@ -47,16 +61,15 @@ def _finite(what: str, value: float) -> float:
 
 
 def _report(form: str, x0: np.ndarray, x1: np.ndarray, contribs: np.ndarray) -> EnergyReport:
-    value = _finite(f"{form} energy", float(contribs.sum()))
-    breakdown = tuple(zip(x0.tolist(), x1.tolist(), contribs.tolist()))
-    return EnergyReport(form=form, value=value, breakdown=breakdown)
+    return EnergyReport(form, _finite(f"{form} energy", float(contribs.sum())), (x0, x1, contribs))
 
 
 def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
                mask: np.ndarray | None = None) -> EnergyReport:
     """Cell sum (1/2) sum u' v' L of two functions on one grid, keeping only
     the cells selected by ``mask`` when one is given."""
-    contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
     if mask is not None:
         contribs = np.where(mask, contribs, 0.0)
     return _report(form, ru.grid[:-1], ru.grid[1:], contribs)
@@ -144,7 +157,8 @@ def energy_measure(u: GridFunction, interval: tuple[float, float], *,
     if subspace:
         keep &= cell_in_g(u, iset)  # raises on a grid not adapted to the set
     slopes = u.slopes[keep]
-    return _finite("energy measure", _ordered_sum(slopes * slopes * (right - left)[keep]))
+    with np.errstate(over="ignore"):
+        return _finite("energy measure", _ordered_sum(slopes * slopes * (right - left)[keep]))
 
 
 def unit_contraction(u: GridFunction) -> GridFunction:

@@ -55,7 +55,10 @@ class GridFunction:
 
     @cached_property
     def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.grid)
+        # a cell too short for the change across it gives an infinite slope,
+        # which each reader checks
+        with np.errstate(over="ignore"):
+            return np.diff(self.values) / np.diff(self.grid)
 
     @cached_property
     def cell_lengths(self) -> np.ndarray:

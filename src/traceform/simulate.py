@@ -423,17 +423,14 @@ def build_chain(speed: SpeedMeasure, h: float,
         if side not in ("reflect", "absorb"):
             raise PreconditionError(f"boundary must be 'reflect' or 'absorb', got {side!r}")
     nodes = lo + h * np.arange(n_cells + 1)
-    atom_positions = sorted(speed.atoms, key=lambda t: t[0])
-    if len(atom_positions) > 1:
-        min_spacing = min(
-            float(q[0] - p[0]) for p, q in zip(atom_positions, atom_positions[1:])
-        )
+    positions, masses = speed._atom_arrays
+    if positions.size > 1:
+        min_spacing = float(np.diff(np.sort(positions)).min())
         if h > min_spacing:
             raise PreconditionError(
                 f"step h = {h} exceeds the smallest atom spacing {min_spacing}; "
                 "snapped atoms would collide"
             )
-    positions, masses = speed._atom_arrays
     snapped = np.clip(np.rint((positions - lo) / h).astype(int), 0, n_cells)
     order = np.argsort(snapped, kind="stable")
     again = order[1:][np.diff(snapped[order]) == 0]  # each later atom on a taken node

@@ -10,7 +10,8 @@ only the local part.
 
 Resolvent hitting kernels sinh(c (b-x)) / sinh(c d) with c = sqrt(2 alpha)
 are evaluated in an exp-shifted form that stays finite for c d far beyond
-the naive overflow point.
+the naive overflow point.  The trace process itself is Brownian motion time
+changed by the speed measure ``trace_measure``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
 from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, require_adapted
-from .intervals import IntervalSet, Real, Tail, _encode
+from .intervals import IntervalSet, Tail, _encode, _Table
 from .transforms import SpeedMeasure, _encode_mass
 
 
@@ -208,35 +209,35 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
     return _cell_form("trace_complement", r1, r2, phi.iset.classify(r1.midpoints) < 0)
 
 
-@dataclass(frozen=True)
-class TraceMeasure:
-    """Measure 1_F dx plus half-width atoms at both endpoints of every finite
-    gap; the finite endpoint of an unbounded gap carries an infinite atom."""
-
-    iset: IntervalSet
-    atoms: tuple[tuple[Real, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "density": "indicator_F",
-            "f_components": [[_encode(a), _encode(b)] for a, b in self.iset.f_components],
-            "atoms": [[_encode(p), _encode_mass(m)] for p, m in self.atoms],
-        }
-
-    def line_speed(self) -> SpeedMeasure:
-        """The measure itself as a SpeedMeasure on the window (for simulation)."""
-        w0, w1 = self.iset.window
-        pieces = tuple((lo, hi, 1) for lo, hi in self.iset.f_components)
-        return SpeedMeasure((w0, w1), pieces, tuple(self.atoms))
-
-
-def trace_measure(iset: IntervalSet) -> TraceMeasure:
+def trace_measure(iset: IntervalSet) -> SpeedMeasure:
+    """The speed measure of the trace on F: 1_F dx on the window plus
+    half-width atoms at both endpoints of every finite gap; the finite
+    endpoint of an unbounded gap carries an infinite atom.  Built from the
+    set's tables, the exact atoms only when asked."""
     # in order, none shared: components are sorted and share no end, and an
-    # all-G edge meets no component
-    left = [(iset.window[0], math.inf)] if iset.tail_left is Tail.ALL_G else []
-    right = [(iset.window[1], math.inf)] if iset.tail_right is Tail.ALL_G else []
-    atoms = [(e, (b - a) / 2) for a, b in iset.components for e in (a, b)]
-    return TraceMeasure(iset=iset, atoms=tuple(left + atoms + right))
+    # all-G edge meets no component; each gap gives its left end, then its
+    # right, and each end half the gap's width
+    (w0, w1), ends = iset.window, iset._ends
+    halves = _Table([b - a for a, b in zip(iset._lo, iset._hi) for _ in (a, b)], 2 * iset.den)
+    left = [(w0, math.inf)] * (iset.tail_left is Tail.ALL_G)
+    right = [(w1, math.inf)] * (iset.tail_right is Tail.ALL_G)
+    positions = np.concatenate([[float(w0)] * len(left), np.column_stack(iset.float_ends).ravel(),
+                                [float(w1)] * len(right)])
+    masses = np.concatenate([[math.inf] * len(left), halves.floats(), [math.inf] * len(right)])
+    pieces = tuple((lo, hi, 1) for lo, hi in iset.f_components)
+    return SpeedMeasure._from_table((w0, w1), pieces, (positions, masses), lambda: (
+        *left, *zip(map(ends.value, ends.nums), map(halves.value, halves.nums)), *right))
+
+
+def trace_measure_dict(iset: IntervalSet) -> dict:
+    """For JSON: the trace measure as its density, the indicator of F, its
+    F-components and its atoms."""
+    speed = trace_measure(iset)
+    return {
+        "density": "indicator_F",
+        "f_components": [[_encode(a), _encode(b)] for a, b, _ in speed.density_pieces],
+        "atoms": [[_encode(p), _encode_mass(m)] for p, m in speed.atoms],
+    }
 
 
 def jump_table(iset: IntervalSet) -> list[tuple[float, float, float, float]]:

@@ -448,17 +448,14 @@ class SpeedMeasure:
         self._check()
 
     @classmethod
-    def _from_table(cls, carrier, arrays, atoms) -> "SpeedMeasure":
-        """Density one on the carrier plus the atoms of a map's tables, in
-        order: ``arrays`` holds their float64 positions and masses, and
-        ``atoms()`` makes the exact tuple on first use.  A float carrier comes
-        from a float anchor, whose sums may round atoms together or past the
-        carrier, so it is checked as the constructor checks."""
+    def _from_table(cls, carrier, pieces, arrays, atoms) -> "SpeedMeasure":
+        """The density ``pieces`` plus the atoms of a set's or a map's tables,
+        in order and apart, unchecked: ``arrays`` holds their float64
+        positions and masses, and ``atoms()`` makes the exact tuple on first
+        use."""
         self = cls.__new__(cls)
-        self.__dict__.update(carrier=carrier, density_pieces=((*carrier, 1),),
+        self.__dict__.update(carrier=carrier, density_pieces=pieces,
                              _atom_arrays=arrays, _atoms=atoms)
-        if isinstance(carrier[0], float):
-            self._check()
         return self
 
     @cached_property
@@ -585,6 +582,20 @@ class SpeedMeasure:
 PUSHFORWARD_SOURCES = ("lebesgue", "f_indicator", "trace")
 
 
+def _check_float_sums(anchor: str, lo: float, hi: float, positions: np.ndarray) -> None:
+    """The float sums of a float anchor may round an atom past the image
+    [lo, hi] of the window, or onto the atom before it; no measure has such
+    atoms.  Names the first one."""
+    bad = (positions < lo) | (positions > hi)
+    bad[1:] |= positions[1:] <= positions[:-1]
+    if bad.any():
+        p = float(positions[bad.argmax()])
+        where = f"outside the image [{lo}, {hi}]" if not lo <= p <= hi else "twice"
+        raise PreconditionError(
+            f"float {anchor}: its float sums put an atom at {p} {where}; "
+            "give the anchor exactly")
+
+
 def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
     """Pushforward of a reference measure under the darning map.
 
@@ -603,7 +614,8 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
             "darning image is a single point: F has no mass in the window"
         )
     if source == "f_indicator":
-        return SpeedMeasure._from_table((lo, hi), (np.zeros(0), np.zeros(0)), tuple)
+        return SpeedMeasure._from_table((lo, hi), ((lo, hi, 1),), (np.zeros(0), np.zeros(0)),
+                                        tuple)
     # in order: an all-G edge meets no component, so its image lies outside
     # every collapsed point
     iset = dm.base
@@ -611,7 +623,9 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
     right = [(hi, math.inf)] * (iset.tail_right is Tail.ALL_G)
     positions = np.concatenate([[float(lo)] * len(left), dm._tables[0], [float(hi)] * len(right)])
     masses = np.concatenate([[math.inf] * len(left), iset.gap_widths, [math.inf] * len(right)])
-    return SpeedMeasure._from_table((lo, hi), (positions, masses),
+    if isinstance(lo, float):  # the image of a float anchor
+        _check_float_sums(f"darning anchor {dm.z}", lo, hi, positions)
+    return SpeedMeasure._from_table((lo, hi), ((lo, hi, 1),), (positions, masses),
                                     lambda: (*left, *dm._collapsed(), *right))
 
 
@@ -630,6 +644,8 @@ def scale_pushforward_speed(sf: ScaleFunction) -> SpeedMeasure:
     lows, highs = (t.nums[r.start:r.stop] for t in iset._f_ends)
     widths = _Table(list(map(sub, highs, lows)), iset.den)
     values = levels.nums[r.start:r.stop]
+    if isinstance(lo, float):
+        _check_float_sums(f"scale anchor {sf.anchor}", lo, hi, sf._tables[1])
     return SpeedMeasure._from_table(
-        (lo, hi), (sf._tables[1], widths.floats()),
+        (lo, hi), ((lo, hi, 1),), (sf._tables[1], widths.floats()),
         lambda: tuple(zip(map(levels.value, values), map(widths.value, widths.nums))))

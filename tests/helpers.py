@@ -652,7 +652,7 @@ def speed_measures(iset):
     piece per F-component, infinite atoms at all-G edges), and its darning
     pushforwards of Lebesgue measure (atoms) and of 1_F dx (none), where F
     has mass in the window."""
-    out = [tf.trace_measure(iset).line_speed()]
+    out = [tf.trace_measure(iset)]
     try:
         dm = tf.DarningMap(iset)
     except tf.PreconditionError:
@@ -824,6 +824,8 @@ def pushforward_per_gap(dm, source="lebesgue"):
             atoms.insert(0, (lo, math.inf))
         if dm.base.tail_right is Tail.ALL_G:
             atoms.append((hi, math.inf))
+    if isinstance(lo, float):
+        check_float_sums(f"darning anchor {dm.z}", lo, hi, atoms)
     return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
 
 
@@ -838,4 +840,20 @@ def scale_pushforward_per_plateau(sf):
             "(the whole window collapses)"
         )
     plateaus = [(sf._levels.get(k), *iset._f_pair(k)) for k in iset.f_ranks]
-    return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple((v, b - a) for v, a, b in plateaus))
+    atoms = [(v, b - a) for v, a, b in plateaus]
+    if isinstance(lo, float):
+        check_float_sums(f"scale anchor {sf.anchor}", lo, hi, atoms)
+    return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
+
+
+def check_float_sums(anchor, lo, hi, atoms):
+    """The former constructor check of a float anchor's atoms, one at a time,
+    raising as the table builders do."""
+    seen = set()
+    for p, _ in atoms:
+        if not lo <= p <= hi or p in seen:
+            where = "twice" if lo <= p <= hi else f"outside the image [{lo}, {hi}]"
+            raise tf.PreconditionError(
+                f"float {anchor}: its float sums put an atom at {p} {where}; "
+                "give the anchor exactly")
+        seen.add(p)

@@ -301,8 +301,10 @@ LAPLACE = ["estimate", "laplace", "--gap", "0,1", "--x0", "0.5", "--n", "10", "-
 BM = ["simulate", "bm", "--n", "1", "--seed", "1"]
 EQUIV = ["equivalence", "--svc-depth", "1", "--samples", "{d}/u.csv"]
 
-# (argv, exit code, whether a missing check would let it run for ever);
-# "{d}" is the input directory
+# (argv, exit code, whether it runs in a child process: a walk that a missing
+# check would let run for ever fails on the timeout there, and a warning reaches
+# stderr as it would from the shell, not pytest's capture); "{d}" is the input
+# directory
 EDGE_INPUTS = {
     "walk horizon nan": (WALK + ["--horizon", "nan"], 3, True),
     "walk horizon inf": (WALK + ["--horizon", "inf"], 3, True),
@@ -348,22 +350,26 @@ EDGE_INPUTS = {
     "equivalence tol nan": (EQUIV + ["--tol", "nan"], 3, False),
     "equivalence tol inf": (EQUIV + ["--tol", "inf"], 3, False),
     "equivalence tol negative": (EQUIV + ["--tol=-1e-12"], 3, False),
+    "energy of a subnormal cell": (["energy", "full", "--u", "{d}/subnormal.csv"], 3, True),
+    "measure of an overflowing slope": (["energy", "measure", "--u", "{d}/huge.csv",
+                                         "--interval", "0,1"], 3, True),
 }
 
 
 @pytest.mark.parametrize("case", list(EDGE_INPUTS))
 def test_edge_input_fails_on_one_line(case, tmp_path):
     """Each input exits 2 or 3 with one stderr line and writes nothing."""
-    argv, code, may_hang = EDGE_INPUTS[case]
+    argv, code, child = EDGE_INPUTS[case]
     speed = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1), z=0), "lebesgue")
     (tmp_path / "speed.json").write_text(json.dumps(speed.to_dict()))
     (tmp_path / "set.json").write_text(json.dumps(tf.svc_complement(1).to_dict()))
     (tmp_path / "u.csv").write_text(MEMBER_CSV)
     (tmp_path / "bad.bin").write_bytes(b"\xff\xfe")
+    (tmp_path / "subnormal.csv").write_text("x,value\n0,0\n5e-324,1\n1,2\n")
+    (tmp_path / "huge.csv").write_text("x,value\n0,0\n1e-300,1e300\n1,2\n")
     (tmp_path / "path.csv").write_text(next(tf.bm_paths(1, 0.1, 1.0, 0.0, seed=1)).to_csv())
     argv = [a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
-    if may_hang:
-        # a child process, so that a walk that never ends fails on the timeout
+    if child:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "traceform.cli", *argv], env=env,

@@ -135,7 +135,7 @@ class TestTables:
 def speed_or_error(build):
     """build(), or the type and message of the error it raises: a float
     anchor's sums may round two atoms onto one float, or one past the
-    carrier, which the constructor refuses."""
+    carrier, which both builders refuse."""
     try:
         return build()
     except tf.TraceformError as exc:

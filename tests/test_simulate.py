@@ -243,6 +243,13 @@ class TestBuildChain:
         with pytest.raises(PreconditionError, match="exceeds the smallest atom spacing"):
             build_chain(_lebesgue_speed(svc2), h=5 / 16)
 
+    def test_reads_no_exact_atoms(self):
+        # the spacing check, the snapping and the holds read the float atom arrays
+        speed = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(14)), "lebesgue")
+        lo, hi = (float(x) for x in speed.carrier)
+        build_chain(speed, (hi - lo) / 2**17)
+        assert "atoms" not in speed.__dict__
+
     def test_tent_holds(self, svc1):
         h = 3 / 128
         chain = build_chain(_lebesgue_speed(svc1), h=h)

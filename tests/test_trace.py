@@ -233,8 +233,9 @@ class TestTraceMeasure:
         assert math.isinf(masses[Fr(0)]) and math.isinf(masses[Fr(1)])
         assert masses[Fr(3, 8)] == Fr(1, 8)
 
-    def test_line_speed_density_lives_on_f(self, svc1):
-        sp = tf.trace_measure(svc1).line_speed()
+    def test_density_lives_on_f(self, svc1):
+        sp = tf.trace_measure(svc1)
+        assert sp.carrier == (0, 1)
         assert sp.density_pieces == ((0, Fr(3, 8), 1), (Fr(5, 8), 1, 1))
 
     def test_pushforward_merges_to_m_j(self, svc1):
@@ -242,6 +243,18 @@ class TestTraceMeasure:
         assert tf.pushforward_speed(dm, "trace") == tf.pushforward_speed(dm, "lebesgue")
         assert tf.pushforward_speed(dm, "trace").atoms == ((Fr(3, 8), Fr(1, 4)),)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets)
+    def test_table_build_matches_constructor(self, iset):
+        # the measure the validating constructor makes from the former atoms
+        pieces = tuple((lo, hi, 1) for lo, hi in iset.f_components)
+        want = tf.SpeedMeasure(iset.window, pieces, trace_atoms_merged(iset))
+        got = tf.trace_measure(iset)
+        for g, w in zip(got._atom_arrays, want._atom_arrays):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert "atoms" not in got.__dict__
+        assert got == want and got.atoms == want.atoms and got.density_pieces == pieces
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_sets)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import traceform as tf
 from traceform import PreconditionError, Tail, ValidationError
 
-from helpers import (darning_image_dict, geometry_sets, probe_points, random_iset, speed_measures,
-                     tent_integral_loop)
+from helpers import (_float_pair_set, darning_image_dict, geometry_sets, probe_points, random_iset,
+                     speed_measures, tent_integral_loop)
 
 isets = st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s)))
 window_fracs = st.fractions(min_value=0, max_value=1, max_denominator=96)
@@ -251,6 +251,9 @@ class TestArrayPath:
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_sets, st.integers(0, 10**6))
+    # the right F-stretch (1 - 2**-53, 1) darns onto [1/2, 1/2 + 2**-53], so the
+    # float of its image is the collapsed point 1/2, whose preimage is the gap
+    @example(_float_pair_set([0.5, 0.9999999999999999]), 0)
     def test_darning_inverse(self, iset, seed):
         try:
             dm = tf.DarningMap(iset)
@@ -259,11 +262,15 @@ class TestArrayPath:
         # points of F and the collapsed points: inside a gap with float ends
         # the scalar map rounds off the collapsed point it should hit
         w0, w1 = iset.window
-        ys = [dm(x) for x in _exact_points(iset, np.random.default_rng(seed))
+        positions = collapsed_positions(dm)
+        ys = [float(dm(x)) for x in _exact_points(iset, np.random.default_rng(seed))
               if w0 <= x <= w1 and not iset.in_g(x)]
-        ys += collapsed_positions(dm)
-        want = np.array([[float(v) for v in dm.inverse(y)] for y in ys])
-        lo, hi = dm.inverse(np.array([float(y) for y in ys]))
+        ys += [float(p) for p in positions]
+        # the exact value of each float the array path gets, where the float of
+        # a collapsed point (the first of those that share it) stands for it
+        snap = {float(p): p for p in reversed(positions)}
+        want = np.array([[float(v) for v in dm.inverse(snap.get(y, Fr(y)))] for y in ys])
+        lo, hi = dm.inverse(np.array(ys))
         assert _close(lo, want[:, 0]) and _close(hi, want[:, 1])
 
     @settings(max_examples=60, deadline=None)
@@ -346,6 +353,17 @@ class TestPushforward:
     def test_unknown_source(self, svc1):
         with pytest.raises(PreconditionError):
             tf.pushforward_speed(tf.DarningMap(svc1, z=0), "counting")
+
+    def test_float_anchor_past_the_image_names_the_anchor(self):
+        # the float sums put the last collapsed point an ulp past j(w1)
+        iset = tf.build_interval_set(
+            [(0.06608249672407474, 0.0666900087671014), (0.8413172796123832, 1.0)], (0.0, 1.0))
+        dm = tf.DarningMap(iset, z=0.4540036441897423)
+        named = r"^float darning anchor 0\.4540036441897423: .* atom at 0\.3873136354226409 outside"
+        for source in ("lebesgue", "trace"):
+            with pytest.raises(PreconditionError, match=named):
+                tf.pushforward_speed(dm, source)
+        assert tf.pushforward_speed(dm, "f_indicator").atoms == ()
 
     def test_allg_tails_add_infinite_atoms(self, svc1_allg):
         sp = tf.pushforward_speed(tf.DarningMap(svc1_allg))
