@@ -12,7 +12,9 @@ inverses at every adapted node, given exactly and as floats.  It also
 records the scalar geometry at float probe points in G, in F and past the
 window (``digest_probes``), and
 the speed measures both scale functions and both darning maps push forward
-there, with their float64 atom arrays (``digest_speeds``).  The
+there, with their float64 atom arrays (``digest_speeds``).  Every speed
+measure recorded is followed by the holding means and absorbing flags of a
+64-cell walk chain on it (``digest_chain``).  The
 walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
 nodes and holding means of walk chains built from the trace measures of
 fat-Cantor sets.  The exit lines give library-level hitting and Laplace
@@ -148,7 +150,8 @@ def digest_set(dg, t, iset, rng):
     rec(t + " energy_measure full", lambda: tf.energy_measure(u, (0.1, 0.8)))
     rec(t + " unit_contraction", lambda: tf.unit_contraction(u))
     rec(t + " trace_measure", lambda: trace_measure_dict(iset))
-    rec(t + " trace_measure speed", lambda: tf.trace_measure(iset))
+    speed = rec(t + " trace_measure speed", lambda: tf.trace_measure(iset))
+    digest_chain(dg, t + " trace_measure speed", speed)
     rec(t + " project u", lambda: tf.project_subspace(u, sf))
     rec(t + " project s", lambda: tf.project_subspace(s1, sf))
     c = H.random_complement_member(rng, sf)
@@ -258,10 +261,26 @@ def digest_speeds(dg, t, maps):
     of every source under each darning map."""
     for name, f in maps:
         if isinstance(f, tf.ScaleFunction):
-            dg.record(f"{t} speed {name}", lambda: tf.scale_pushforward_speed(f))
+            tag = f"{t} speed {name}"
+            digest_chain(dg, tag, dg.record(tag, lambda: tf.scale_pushforward_speed(f)))
             continue
         for source in ("lebesgue", "f_indicator", "trace"):
-            dg.record(f"{t} speed {name} {source}", lambda: tf.pushforward_speed(f, source))
+            tag = f"{t} speed {name} {source}"
+            digest_chain(dg, tag, dg.record(tag, lambda: tf.pushforward_speed(f, source)))
+
+
+def digest_chain(dg, tag, speed):
+    """The holding means and absorbing flags of the walk chain on a recorded
+    speed measure with 64 cells; none when the measure raised."""
+    if speed is None:
+        return
+    lo, hi = (float(x) for x in speed.carrier)
+
+    def fields():
+        chain = tf.build_chain(speed, (hi - lo) / 64)
+        return [chain.holds, chain.absorbing]
+
+    dg.record(tag + " chain", fields)
 
 
 def _float_z(iset):

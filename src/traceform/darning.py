@@ -54,10 +54,10 @@ def darned_l2(uh: GridFunction, speed: SpeedMeasure) -> float:
     mass * value^2 per atom.  An infinite atom forces value zero there; a
     nonzero value makes the norm infinite."""
     total = 0.0
-    for x0, x1, c in speed.density_pieces:
-        piece = uh.refine([float(x0), float(x1)])
-        mask = (piece.grid[:-1] >= float(x0) - 1e-15) & (piece.grid[1:] <= float(x1) + 1e-15)
-        total += float(c) * _l2_cells(piece, mask)
+    for x0, x1, c in zip(*(a.tolist() for a in speed._piece_arrays)):
+        piece = uh.refine([x0, x1])
+        mask = (piece.grid[:-1] >= x0 - 1e-15) & (piece.grid[1:] <= x1 + 1e-15)
+        total += c * _l2_cells(piece, mask)
     positions, masses = speed._atom_arrays
     values, inf = uh(positions), np.isinf(masses)
     if np.any(np.abs(values[inf]) > SUBSPACE_TOL):

@@ -94,9 +94,9 @@ def _lt(x, y) -> bool:
 
 
 class _Table(NamedTuple):
-    """Sorted exact values: int numerators over one denominator.  A
-    ``floated`` table holds floats (the levels of a float anchor) and hands
-    them out as floats."""
+    """Exact values, sorted where they are bisected: int numerators over one
+    denominator.  A ``floated`` table holds floats (the levels of a float
+    anchor) and hands them out as floats."""
 
     nums: list
     den: int
@@ -324,7 +324,12 @@ class IntervalSet:
     def g_prefix(self) -> list:
         """G-mass of the window left of each component, then the window's
         whole G-mass: m + 1 running sums, as int numerators over ``den``."""
-        return list(accumulate(map(sub, self._hi, self._lo), initial=0))
+        return list(accumulate(self._g_widths.nums, initial=0))
+
+    @cached_property
+    def _g_widths(self) -> _Table:
+        """Width b - a of each component, in order."""
+        return _Table(list(map(sub, self._hi, self._lo)), self.den)
 
     @cached_property
     def _prefix(self) -> _Table:
@@ -344,8 +349,13 @@ class IntervalSet:
         """F-mass of the window left of each point where an F-stretch ends (0
         at w0, then at each component's left end, then at w1): the running
         sums of the F-stretch widths."""
+        return _Table(list(accumulate(self._f_widths.nums, initial=0)), self.den)
+
+    @cached_property
+    def _f_widths(self) -> _Table:
+        """Width of the F-stretch of each rank, 0 for an empty one."""
         lows, highs = (t.nums for t in self._f_ends)
-        return _Table(list(accumulate(map(sub, highs, lows), initial=0)), self.den)
+        return _Table(list(map(sub, highs, lows)), self.den)
 
     def _f_pair(self, k: int) -> tuple[Fraction, Fraction]:
         lows, highs = self._f_ends
@@ -430,7 +440,7 @@ class IntervalSet:
     @cached_property
     def gap_widths(self) -> np.ndarray:
         """float64 width of each component: b - a, rounded once."""
-        return _Table(list(map(sub, self._hi, self._lo)), self.den).floats()
+        return self._g_widths.floats()
 
     @cached_property
     def end_slack(self) -> np.ndarray:
@@ -635,8 +645,8 @@ class IntervalSet:
         if self.g_prefix[-1] == 0:
             return False, (tuple(self.window),)
         ceil = self._ends.key(delta)[1]  # an F-width n / D is at least delta iff n >= ceil
-        lows, highs = (t.nums for t in self._f_ends)
-        bad = tuple(self._f_pair(k) for k in self.f_ranks if highs[k] - lows[k] >= ceil)
+        widths = self._f_widths.nums
+        bad = tuple(self._f_pair(k) for k in self.f_ranks if widths[k] >= ceil)
         return not bad, bad
 
     def validate(self, delta: Real) -> ValidationReport:

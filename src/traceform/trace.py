@@ -28,7 +28,7 @@ from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
 from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, require_adapted
 from .intervals import IntervalSet, Tail, _encode, _Table
-from .transforms import SpeedMeasure, _encode_mass
+from .transforms import SpeedMeasure, _encode_mass, _gap_atoms
 
 
 @dataclass(frozen=True)
@@ -213,20 +213,17 @@ def trace_measure(iset: IntervalSet) -> SpeedMeasure:
     """The speed measure of the trace on F: 1_F dx on the window plus
     half-width atoms at both endpoints of every finite gap; the finite
     endpoint of an unbounded gap carries an infinite atom.  Built from the
-    set's tables, the exact atoms only when asked."""
+    set's tables, the exact pieces and atoms only when asked."""
     # in order, none shared: components are sorted and share no end, and an
     # all-G edge meets no component; each gap gives its left end, then its
     # right, and each end half the gap's width
-    (w0, w1), ends = iset.window, iset._ends
-    halves = _Table([b - a for a, b in zip(iset._lo, iset._hi) for _ in (a, b)], 2 * iset.den)
-    left = [(w0, math.inf)] * (iset.tail_left is Tail.ALL_G)
-    right = [(w1, math.inf)] * (iset.tail_right is Tail.ALL_G)
-    positions = np.concatenate([[float(w0)] * len(left), np.column_stack(iset.float_ends).ravel(),
-                                [float(w1)] * len(right)])
-    masses = np.concatenate([[math.inf] * len(left), halves.floats(), [math.inf] * len(right)])
-    pieces = tuple((lo, hi, 1) for lo, hi in iset.f_components)
-    return SpeedMeasure._from_table((w0, w1), pieces, (positions, masses), lambda: (
-        *left, *zip(map(ends.value, ends.nums), map(halves.value, halves.nums)), *right))
+    ends = iset._ends
+    halves = _Table([w for w in iset._g_widths.nums for _ in (0, 1)], 2 * iset.den)
+    atoms = _gap_atoms(iset, iset.window, np.column_stack(iset.float_ends).ravel(), halves.floats(),
+                       lambda: zip(map(ends.value, ends.nums), map(halves.value, halves.nums)))
+    return SpeedMeasure._from_table(iset.window, (*iset._f_floats, np.ones(len(iset.f_ranks))),
+                                    lambda: tuple((lo, hi, 1) for lo, hi in iset.f_components),
+                                    *atoms)
 
 
 def trace_measure_dict(iset: IntervalSet) -> dict:

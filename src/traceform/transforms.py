@@ -15,12 +15,11 @@ import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import cached_property
-from operator import sub
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, Real, Tail, _decode, _encode, _lt, _Table
+from .intervals import IntervalSet, Real, Tail, _decode, _encode, _lt
 
 
 class Case(Enum):
@@ -313,8 +312,7 @@ class DarningMap:
 
     def _collapsed(self):
         """(position, width) of each collapsed component closure, exactly."""
-        iset, levels = self.base, self._levels
-        widths = _Table(list(map(sub, iset._hi, iset._lo)), iset.den)
+        levels, widths = self._levels, self.base._g_widths
         return zip(map(levels.value, levels.nums[1:-1]), map(widths.value, widths.nums))
 
     def image(self) -> dict:
@@ -435,11 +433,19 @@ def _encode_mass(m):
     return "inf" if isinstance(m, float) and math.isinf(m) else _encode(m)
 
 
+def _float_columns(rows, k: int) -> tuple[np.ndarray, ...]:
+    """The float64 columns of a sequence of k-tuples."""
+    return tuple(np.array([[float(v) for v in row] for row in rows]).reshape(-1, k).T)
+
+
 class SpeedMeasure:
     """Piecewise-constant density plus point atoms on a finite carrier.
 
     Atom masses live in (0, inf]; an infinite atom marks an absorbing point.
-    Immutable; equal when carrier, density pieces and atoms are.
+    Immutable; equal when carrier, density pieces and atoms are.  Numeric
+    readers use the float64 tables ``_piece_arrays`` (lo, hi, c) and
+    ``_atom_arrays`` (positions, masses); the exact ``density_pieces`` and
+    ``atoms`` tuples serve equality and JSON.
     """
 
     def __init__(self, carrier, density_pieces=(), atoms=()):
@@ -448,19 +454,23 @@ class SpeedMeasure:
         self._check()
 
     @classmethod
-    def _from_table(cls, carrier, pieces, arrays, atoms) -> "SpeedMeasure":
-        """The density ``pieces`` plus the atoms of a set's or a map's tables,
-        in order and apart, unchecked: ``arrays`` holds their float64
-        positions and masses, and ``atoms()`` makes the exact tuple on first
-        use."""
+    def _from_table(cls, carrier, pieces, exact_pieces, atoms, exact_atoms) -> "SpeedMeasure":
+        """A measure from float64 tables, unchecked: ``pieces`` holds the lo,
+        hi and c of its density pieces and ``atoms`` the positions and masses
+        of its atoms, each in order and apart.  ``exact_pieces()`` and
+        ``exact_atoms()`` make the exact tuples on first use."""
         self = cls.__new__(cls)
-        self.__dict__.update(carrier=carrier, density_pieces=pieces,
-                             _atom_arrays=arrays, _atoms=atoms)
+        self.__dict__.update(carrier=carrier, _piece_arrays=pieces, _atom_arrays=atoms,
+                             _exact=(exact_pieces, exact_atoms))
         return self
 
     @cached_property
+    def density_pieces(self) -> tuple[tuple[Real, Real, Real], ...]:
+        return self._exact[0]()
+
+    @cached_property
     def atoms(self) -> tuple[tuple[Real, Real], ...]:
-        return self._atoms()
+        return self._exact[1]()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SpeedMeasure is immutable: cannot set {name!r}")
@@ -499,64 +509,28 @@ class SpeedMeasure:
                 raise ValidationError(f"duplicate atom at {p}")
             seen.add(p)
 
-    def mass(self, lo: Real, hi: Real, include_atoms: bool = True, skip_infinite: bool = False) -> Real:
-        """Total mass of [lo, hi].  Infinite atoms make the result inf unless
-        ``skip_infinite`` excludes them."""
-        if lo > hi:
-            raise PreconditionError(f"query interval has lo {lo} > hi {hi}")
-        total: Real = 0
-        for x0, x1, c in self.density_pieces:
-            left = x0 if x0 > lo else lo
-            right = x1 if x1 < hi else hi
-            if right > left:
-                total = total + c * (right - left)
-        if include_atoms:
-            for p, m in self.atoms:
-                if lo <= p <= hi:
-                    if math.isinf(m):
-                        if skip_infinite:
-                            continue
-                        return math.inf
-                    total = total + m
-        return total
-
-    def tent_integral(self, y: Real, h: Real) -> float:
-        """Integral of the tent kernel (h - |xi - y|)+ against the measure,
-        in float64.
-
-        This is the expected holding produced by an h-step walk at node y:
-        density c contributes c*h*h on an interior node, an atom of mass w at
-        y contributes h*w, and an infinite atom makes the node absorbing.
-        """
-        y, h = float(y), float(h)
-        positions, masses = self._atom_arrays
-        k = h - np.abs(positions - y)
-        near, inf = k > 0, np.isinf(masses)
-        if np.any(near & inf):
-            return math.inf
-        near &= ~inf
-        return _ordered_sum(k[near] * masses[near], self._tent_density(np.array([y]), h)[0])
-
     def _tent_density(self, ys: np.ndarray, h: float) -> np.ndarray:
-        """The density part of ``tent_integral`` at every point of ``ys``:
-        per point, the pieces added in order."""
+        """The integral of the tent kernel (h - |xi - y|)+ against the density
+        at every point y of ``ys``: per point, the pieces added in order."""
         def prim(t):
             # antiderivative of (h - |tau|) on [-h, h], clamped outside
             t = np.clip(t, -h, h)
             return h * t - np.copysign(t * t, t) / 2
 
         total = np.zeros(ys.shape)
-        for x0, x1, c in self.density_pieces:
-            left = np.maximum(float(x0), ys - h)
-            right = np.minimum(float(x1), ys + h)
-            total += np.where(right > left, float(c) * (prim(right - ys) - prim(left - ys)), 0.0)
+        for x0, x1, c in zip(*(a.tolist() for a in self._piece_arrays)):
+            left = np.maximum(x0, ys - h)
+            right = np.minimum(x1, ys + h)
+            total += np.where(right > left, c * (prim(right - ys) - prim(left - ys)), 0.0)
         return total
 
     @cached_property
-    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # float64 atom positions and masses, in atom order
-        pairs = np.array([(float(p), float(m)) for p, m in self.atoms]).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
+    def _piece_arrays(self) -> tuple[np.ndarray, ...]:
+        return _float_columns(self.density_pieces, 3)  # lo, hi and c, in piece order
+
+    @cached_property
+    def _atom_arrays(self) -> tuple[np.ndarray, ...]:
+        return _float_columns(self.atoms, 2)  # positions and masses, in atom order
 
     def to_dict(self) -> dict:
         return {
@@ -596,6 +570,22 @@ def _check_float_sums(anchor: str, lo: float, hi: float, positions: np.ndarray) 
             "give the anchor exactly")
 
 
+def _unit_density(lo: Real, hi: Real) -> tuple:
+    """The float64 piece table and the exact thunk of density one on [lo, hi]."""
+    return (np.array([float(lo)]), np.array([float(hi)]), np.ones(1)), lambda: ((lo, hi, 1),)
+
+
+def _gap_atoms(iset: IntervalSet, carrier, positions, masses, exact) -> tuple:
+    """The float64 atom table and the exact thunk of a set's gap atoms, in
+    order between the infinite atoms that an all-G tail puts at the carrier's
+    ends: ``positions`` and ``masses`` are the gap atoms' floats, ``exact()``
+    their exact pairs."""
+    (lo, hi), n0, n1 = carrier, *(int(t is Tail.ALL_G) for t in (iset.tail_left, iset.tail_right))
+    return ((np.concatenate([[float(lo)] * n0, positions, [float(hi)] * n1]),
+             np.concatenate([[math.inf] * n0, masses, [math.inf] * n1])),
+            lambda: (*[(lo, math.inf)] * n0, *exact(), *[(hi, math.inf)] * n1))
+
+
 def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
     """Pushforward of a reference measure under the darning map.
 
@@ -614,19 +604,16 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
             "darning image is a single point: F has no mass in the window"
         )
     if source == "f_indicator":
-        return SpeedMeasure._from_table((lo, hi), ((lo, hi, 1),), (np.zeros(0), np.zeros(0)),
-                                        tuple)
+        return SpeedMeasure._from_table((lo, hi), *_unit_density(lo, hi),
+                                        (np.zeros(0), np.zeros(0)), tuple)
     # in order: an all-G edge meets no component, so its image lies outside
     # every collapsed point
     iset = dm.base
-    left = [(lo, math.inf)] * (iset.tail_left is Tail.ALL_G)
-    right = [(hi, math.inf)] * (iset.tail_right is Tail.ALL_G)
-    positions = np.concatenate([[float(lo)] * len(left), dm._tables[0], [float(hi)] * len(right)])
-    masses = np.concatenate([[math.inf] * len(left), iset.gap_widths, [math.inf] * len(right)])
+    speed = SpeedMeasure._from_table((lo, hi), *_unit_density(lo, hi), *_gap_atoms(
+        iset, (lo, hi), dm._tables[0], iset.gap_widths, dm._collapsed))
     if isinstance(lo, float):  # the image of a float anchor
-        _check_float_sums(f"darning anchor {dm.z}", lo, hi, positions)
-    return SpeedMeasure._from_table((lo, hi), ((lo, hi, 1),), (positions, masses),
-                                    lambda: (*left, *dm._collapsed(), *right))
+        _check_float_sums(f"darning anchor {dm.z}", lo, hi, speed._atom_arrays[0])
+    return speed
 
 
 def scale_pushforward_speed(sf: ScaleFunction) -> SpeedMeasure:
@@ -640,12 +627,10 @@ def scale_pushforward_speed(sf: ScaleFunction) -> SpeedMeasure:
             "scale image of the window is a single point: G has no mass there "
             "(the whole window collapses)"
         )
-    r = iset.f_ranks
-    lows, highs = (t.nums[r.start:r.stop] for t in iset._f_ends)
-    widths = _Table(list(map(sub, highs, lows)), iset.den)
-    values = levels.nums[r.start:r.stop]
+    r, widths = iset.f_ranks, iset._f_widths
     if isinstance(lo, float):
         _check_float_sums(f"scale anchor {sf.anchor}", lo, hi, sf._tables[1])
     return SpeedMeasure._from_table(
-        (lo, hi), ((lo, hi, 1),), (sf._tables[1], widths.floats()),
-        lambda: tuple(zip(map(levels.value, values), map(widths.value, widths.nums))))
+        (lo, hi), *_unit_density(lo, hi), (sf._tables[1], widths.floats()[r.start:r.stop]),
+        lambda: tuple(zip(map(levels.value, levels.nums[r.start:r.stop]),
+                          map(widths.value, widths.nums[r.start:r.stop]))))

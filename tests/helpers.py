@@ -766,6 +766,17 @@ def darned_l2_loop(uh, speed):
     return float(total)
 
 
+def speed_mass(speed, lo, hi):
+    """The finite mass of [lo, hi] under a speed measure, exactly: each
+    density piece clipped to [lo, hi], then each finite atom in it."""
+    total = 0
+    for x0, x1, c in speed.density_pieces:
+        left, right = max(x0, lo), min(x1, hi)
+        if right > left:
+            total += c * (right - left)
+    return total + sum(m for p, m in speed.atoms if lo <= p <= hi and m != math.inf)
+
+
 def trace_atoms_merged(iset):
     """``trace_measure``'s atoms in their former form: appended, sorted by
     position, and merged where two share a position."""

@@ -249,6 +249,11 @@ class TestBuildChain:
         lo, hi = (float(x) for x in speed.carrier)
         build_chain(speed, (hi - lo) / 2**17)
         assert "atoms" not in speed.__dict__
+        # and the holds and the darned L2 norm read the float piece table too
+        speed = tf.trace_measure(tf.svc_complement(6))
+        chain = build_chain(speed, 2**-12)
+        tf.darning.darned_l2(tf.GridFunction(chain.nodes, np.cos(chain.nodes)), speed)
+        assert "density_pieces" not in speed.__dict__ and "atoms" not in speed.__dict__
 
     def test_tent_holds(self, svc1):
         h = 3 / 128

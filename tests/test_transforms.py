@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import traceform as tf
 from traceform import PreconditionError, Tail, ValidationError
+from traceform.simulate import build_chain
 
 from helpers import (_float_pair_set, darning_image_dict, geometry_sets, probe_points, random_iset,
-                     speed_measures, tent_integral_loop)
+                     speed_mass, speed_measures, tent_integral_loop)
 
 isets = st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s)))
 window_fracs = st.fractions(min_value=0, max_value=1, max_denominator=96)
@@ -386,7 +387,7 @@ class TestPushforward:
         x, y = min(x, y), max(x, y)
         j = tf.DarningMap(iset)
         sp = tf.pushforward_speed(j)
-        assert sp.mass(j(x), j(y), skip_infinite=True) == y - x
+        assert speed_mass(sp, j(x), j(y)) == y - x
 
 
 class TestScalePushforward:
@@ -413,7 +414,7 @@ class TestScalePushforward:
             return
         sp = tf.scale_pushforward_speed(tf.ScaleFunction(iset, anchor=iset.window[0]))
         lo, hi = sp.carrier
-        assert sp.mass(lo, hi) == iset.window[1] - iset.window[0]
+        assert speed_mass(sp, lo, hi) == iset.window[1] - iset.window[0]
 
 
 class TestSpeedMeasure:
@@ -454,31 +455,63 @@ class TestSpeedMeasure:
             warnings.simplefilter("error")
             density = speed._tent_density(ys, h)
             for y, d in zip(ys.tolist(), density.tolist()):
-                assert speed.tent_integral(y, h) == tent_integral_loop(speed, y, h), y
                 assert d == tent_integral_loop(speed, y, h, atoms=False), y
 
+    # the holds of a walk chain are the tent integrals of its speed measure
+
     def test_tent_integral_interior(self):
-        sp = tf.SpeedMeasure((0, 1), ((0, 1, 1),))
-        assert sp.tent_integral(0.5, 0.125) == pytest.approx(0.125**2, rel=1e-12)
+        chain = build_chain(tf.SpeedMeasure((0, 1), ((0, 1, 1),)), 0.125)
+        assert chain.holds[4] == pytest.approx(0.125**2, rel=1e-12)
 
     def test_tent_integral_boundary_is_half(self):
+        # half the kernel lies past the end; a reflecting end folds it back
         sp = tf.SpeedMeasure((0, 1), ((0, 1, 1),))
-        assert sp.tent_integral(0.0, 0.125) == pytest.approx(0.5 * 0.125**2, rel=1e-12)
+        assert sp._tent_density(np.array([0.0]), 0.125)[0] == pytest.approx(0.5 * 0.125**2,
+                                                                            rel=1e-12)
+        holds = build_chain(sp, 0.125).holds
+        assert holds[0] == holds[-1] == pytest.approx(0.125**2, rel=1e-12)
 
     def test_tent_integral_atom_contribution(self):
+        # an atom adds h times its mass at the one node it snaps to
         h = 0.125
-        sp = tf.SpeedMeasure((0, 1), ((0, 1, 1),), atoms=((0.5, 2.0),))
-        assert sp.tent_integral(0.5, h) == pytest.approx(h * h + h * 2.0, rel=1e-12)
-        assert sp.tent_integral(0.5 + h / 2, h) == pytest.approx(h * h + (h / 2) * 2.0, rel=1e-12)
+        for p in (0.5, 0.5 + h / 4):
+            chain = build_chain(tf.SpeedMeasure((0, 1), ((0, 1, 1),), atoms=((p, 2.0),)), h)
+            assert chain.atom_nodes == (4,)
+            assert chain.holds[4] == pytest.approx(h * h + h * 2.0, rel=1e-12)
+            assert chain.holds[5] == pytest.approx(h * h, rel=1e-12)
 
     def test_tent_integral_infinite_atom(self):
         sp = tf.SpeedMeasure((0, 1), ((0, 1, 1),), atoms=((0.5, float("inf")),))
-        assert math.isinf(sp.tent_integral(0.5, 0.125))
+        chain = build_chain(sp, 0.125)
+        assert np.flatnonzero(chain.absorbing).tolist() == [4] and math.isinf(chain.holds[4])
 
-    def test_mass_queries(self):
-        sp = tf.SpeedMeasure((0, 1), ((0, 1, 2),), atoms=((Fr(1, 2), Fr(1, 4)),))
-        assert sp.mass(0, 1) == 2 + Fr(1, 4)
-        assert sp.mass(0, 1, include_atoms=False) == 2
+    @settings(max_examples=80, deadline=None)
+    @given(geometry_sets, st.booleans())
+    def test_tables_match_constructor(self, iset, float_anchor):
+        # every table-built measure against the validating constructor given
+        # its exact tuples: bit-equal float tables and an equal measure
+        def tried(build):
+            # no measure where an image is one point or a float anchor's sums break
+            try:
+                return [build()]
+            except PreconditionError:
+                return []
+
+        w0, w1 = (float(x) for x in iset.window)
+        speeds = speed_measures(iset)
+        for anchor in (0, w0 + 0.3 * (w1 - w0)) if float_anchor else (0,):
+            speeds += tried(lambda: tf.scale_pushforward_speed(tf.ScaleFunction(iset, anchor)))
+        if float_anchor and iset.f_components:
+            lo, hi = iset.f_components[-1]
+            for source in tf.transforms.PUSHFORWARD_SOURCES:
+                speeds += tried(lambda: tf.pushforward_speed(
+                    tf.DarningMap(iset, (float(lo) + float(hi)) / 2), source))
+        for got in speeds:
+            want = tf.SpeedMeasure(got.carrier, got.density_pieces, got.atoms)
+            for g, w in zip(got._piece_arrays + got._atom_arrays,
+                            want._piece_arrays + want._atom_arrays):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert got == want and hash(got) == hash(want)
 
 
 class TestPeriodicFold:
