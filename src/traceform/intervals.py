@@ -17,11 +17,12 @@ correctly rounded, which is the float of each exact value.
 
 ``window``, ``period``, ``components``, ``endpoints``, ``f_components`` and
 every value derived from the table are ``Fraction`` values; ``to_dict`` and
-the messages that name a gap give the ends as they were given.  A result is
-exact where every argument is, and a float where a float argument (a float
-query, or a float anchor of a scale function or darning map) takes part, with
-the float operations Python performs on the same expression: an exact value
-is rounded once where it meets a float.
+the messages that name a gap give the ends as they were given.  The anchor of
+a scale function or darning map is exact as an end is: a float anchor stands
+for its exact binary value.  A result is exact where every argument is, and a
+float where a float query takes part, with the float operations Python
+performs on the same expression: an exact value is rounded once where it
+meets a float.
 """
 
 from __future__ import annotations
@@ -95,12 +96,10 @@ def _lt(x, y) -> bool:
 
 class _Table(NamedTuple):
     """Exact values, sorted where they are bisected: int numerators over one
-    denominator.  A ``floated`` table holds floats (the levels of a float
-    anchor) and hands them out as floats."""
+    denominator."""
 
     nums: list
     den: int
-    floated: bool = False
 
     def key(self, x) -> tuple:
         """floor and ceiling of x * den.  For a numerator n: n < x iff n < ceil,
@@ -119,9 +118,9 @@ class _Table(NamedTuple):
         return self.value(self.nums[j], like)
 
     def value(self, n: int, like=None) -> Real:
-        """n / den, as a float when the table is floated or ``like`` is a float
-        (Python would round it to meet ``like`` anyway), else as a ``Fraction``."""
-        return n / self.den if self.floated or isinstance(like, float) else Fraction(n, self.den)
+        """n / den, as a float when ``like`` is a float (Python would round it
+        to meet ``like`` anyway), else as a ``Fraction``."""
+        return n / self.den if isinstance(like, float) else Fraction(n, self.den)
 
     def floats(self) -> np.ndarray:
         """float64 n / den for each n, correctly rounded as Python divides ints:
@@ -368,12 +367,7 @@ class IntervalSet:
         return tuple(t.floats()[r.start:r.stop] for t in self._f_ends)
 
     def _anchored(self, anchor: Real, inner: _Table) -> _Table:
-        """The values anchor + inner[j]: exact for an exact anchor; for a float
-        anchor the floats anchor + float(inner[j]), as Python adds them, in a
-        floated table."""
-        if isinstance(anchor, float):
-            d = inner.den
-            return _Table(*_over([(anchor + n / d).as_integer_ratio() for n in inner.nums]), True)
+        """The exact values anchor + inner[j]."""
         p, q = _ratio(anchor)
         den = math.lcm(inner.den, q)
         s, c = p * (den // q), den // inner.den

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +65,13 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
     return xin, gain
 
 
+def _exact(anchor: Real, name: str) -> Real:
+    """A float anchor as its exact value, as a float end of a set is taken."""
+    if isinstance(anchor, float) and not math.isfinite(anchor):
+        raise PreconditionError(f"{name} must be finite, got {anchor}")
+    return Fraction(anchor) if isinstance(anchor, float) else anchor
+
+
 def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """Each y within ``slack`` of the nearest of the sorted ``values``
     becomes that value."""
@@ -76,13 +84,14 @@ def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
 class ScaleFunction:
     """s(x) = signed G-mass between the anchor and x; s(anchor) = 0.
 
-    Scalar calls are exact for ``Fraction`` input.  A float ndarray maps
-    elementwise through the float64 tables, by bisection.
+    A float anchor is taken as its exact value, so scalar calls are exact
+    for exact input.  A float ndarray maps elementwise through the float64
+    tables, by bisection.
     """
 
     def __init__(self, base: IntervalSet, anchor: Real = 0):
         self.base = base
-        self.anchor = anchor
+        self.anchor = _exact(anchor, "scale anchor")
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
@@ -106,6 +115,11 @@ class ScaleFunction:
     def window_image(self) -> tuple[Real, Real]:
         return self._levels.get(0), self._levels.get(-1)
 
+    @cached_property
+    def _slack(self) -> float:  # as DarningMap._slack
+        s0, s1 = self.window_image()
+        return 1e-12 * max(1.0, abs(float(s1 - s0)))
+
     def _map(self, xs: np.ndarray) -> np.ndarray:
         iset = self.base
         levels = self._tables[0]
@@ -124,7 +138,9 @@ class ScaleFunction:
         Returns (lo, hi); lo == hi when y is hit inside a G-component, and the
         closed F-component on which s plateaus at y otherwise.  Values never
         attained by s raise ``PreconditionError``; a float value is past the
-        window's image when it is past the float of s(w0) or s(w1).  With
+        window's image when it is past the float of s(w0) or s(w1), and where
+        s takes no values past it (an all-F tail, or Periodic with no G-mass),
+        a float within 1e-12 max(1, |s(w1) - s(w0)|) of it is that edge value.  With
         Periodic tails a value past the window's image is folded back by
         whole periods, once; one that lands on the seam value s(w0) = s(w1) -
         period mass gives the whole plateau across the seam, the F-stretches
@@ -171,6 +187,9 @@ class ScaleFunction:
             x = w0 - (s0 - y) if below else w1 + (y - s1)
             return x, x
         if tail is Tail.ALL_F or iset.g_prefix[-1] == 0:
+            edge = s0 if below else s1
+            if isinstance(y, float) and abs(y - float(edge)) <= self._slack:
+                return self.inverse(edge)  # rounded a hair past the image's edge
             side = "below" if below else "above"
             raise PreconditionError(f"value {y} is {side} the range of the scale function")
         per_mass, p = iset.g_mass_window, iset.period
@@ -220,22 +239,25 @@ class ScaleFunction:
         sides = ((ys < s0, iset.tail_left, "below", s0, w0),
                  (ys > s1, iset.tail_right, "above", s1, w1))
         yin, shift = np.clip(ys, s0, s1), np.zeros(ys.shape)
+        folded = np.zeros(ys.shape, dtype=bool)
         for out, tail, side, s_edge, _ in sides:
             if not out.any():
                 continue
             if tail is Tail.ALL_F or (tail is Tail.PERIODIC and iset.g_prefix[-1] == 0):
-                raise PreconditionError(
-                    f"value {ys[out][0]} is {side} the range of the scale function")
-            if tail is Tail.PERIODIC:
+                far = ys[out][np.abs(ys[out] - s_edge) > self._slack]  # the rest clip onto it
+                if far.size:
+                    raise PreconditionError(f"value {far[0]} is {side} the range of the scale function")
+            elif tail is Tail.PERIODIC:
                 # whole periods back into the window's image, counted as the scalar
                 # path does; the subtraction rounds, so within 1e-12 of a whole
                 # number of periods, or of a plateau value that many out, is that value
                 per, d = float(iset.g_mass_window), ys[out] - s_edge
                 slack = 1e-12 * np.maximum(1.0, np.abs(ys[out]))
                 k = np.sign(d) * np.ceil((np.abs(d) - slack) / per)
-                folded = np.clip(ys[out] - k * per, s0, s1)
-                yin[out] = _snap(folded, np.concatenate([[s0], values, [s1]]), slack)
+                back = np.clip(ys[out] - k * per, s0, s1)
+                yin[out] = _snap(back, np.concatenate([[s0], values, [s1]]), slack)
                 shift[out] = k * float(iset.period)
+                folded |= out
         x = np.zeros(ys.shape)
         lefts = iset.float_ends[0]
         if lefts.size:
@@ -246,8 +268,8 @@ class ScaleFunction:
             k = np.minimum(np.searchsorted(values, yin), values.size - 1)
             flat = values[k] == yin
             lo, hi = np.where(flat, lows[k], x), np.where(flat, highs[k], x)
-        if Tail.PERIODIC in (iset.tail_left, iset.tail_right):
-            seam = (ys != yin) & ((yin == s0) | (yin == s1))  # folded onto the seam value
+        if folded.any():
+            seam = folded & ((yin == s0) | (yin == s1))  # folded onto the seam value
             seam_lo, seam_hi = (float(v) for v in self._seam())
             p = np.where(yin == s1, float(iset.period), 0.0)
             lo, hi = np.where(seam, seam_lo + p, lo), np.where(seam, seam_hi + p, hi)
@@ -265,7 +287,7 @@ class DarningMap:
     The anchor must lie in F but not at a component endpoint.  When omitted it
     is chosen deterministically: the left end of the first positive-length
     F-component if that end is not a component endpoint, else that
-    component's midpoint.
+    component's midpoint.  A float anchor is taken as its exact value.
     """
 
     def __init__(self, base: IntervalSet, z: Real | None = None):
@@ -273,7 +295,7 @@ class DarningMap:
         if z is None:
             z = self._default_anchor(base)
         self._check_anchor(z)
-        self.z = z
+        self.z = _exact(z, "darning anchor")
 
     @staticmethod
     def _default_anchor(iset: IntervalSet) -> Real:
@@ -556,20 +578,6 @@ class SpeedMeasure:
 PUSHFORWARD_SOURCES = ("lebesgue", "f_indicator", "trace")
 
 
-def _check_float_sums(anchor: str, lo: float, hi: float, positions: np.ndarray) -> None:
-    """The float sums of a float anchor may round an atom past the image
-    [lo, hi] of the window, or onto the atom before it; no measure has such
-    atoms.  Names the first one."""
-    bad = (positions < lo) | (positions > hi)
-    bad[1:] |= positions[1:] <= positions[:-1]
-    if bad.any():
-        p = float(positions[bad.argmax()])
-        where = f"outside the image [{lo}, {hi}]" if not lo <= p <= hi else "twice"
-        raise PreconditionError(
-            f"float {anchor}: its float sums put an atom at {p} {where}; "
-            "give the anchor exactly")
-
-
 def _unit_density(lo: Real, hi: Real) -> tuple:
     """The float64 piece table and the exact thunk of density one on [lo, hi]."""
     return (np.array([float(lo)]), np.array([float(hi)]), np.ones(1)), lambda: ((lo, hi, 1),)
@@ -609,11 +617,8 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
     # in order: an all-G edge meets no component, so its image lies outside
     # every collapsed point
     iset = dm.base
-    speed = SpeedMeasure._from_table((lo, hi), *_unit_density(lo, hi), *_gap_atoms(
+    return SpeedMeasure._from_table((lo, hi), *_unit_density(lo, hi), *_gap_atoms(
         iset, (lo, hi), dm._tables[0], iset.gap_widths, dm._collapsed))
-    if isinstance(lo, float):  # the image of a float anchor
-        _check_float_sums(f"darning anchor {dm.z}", lo, hi, speed._atom_arrays[0])
-    return speed
 
 
 def scale_pushforward_speed(sf: ScaleFunction) -> SpeedMeasure:
@@ -628,8 +633,6 @@ def scale_pushforward_speed(sf: ScaleFunction) -> SpeedMeasure:
             "(the whole window collapses)"
         )
     r, widths = iset.f_ranks, iset._f_widths
-    if isinstance(lo, float):
-        _check_float_sums(f"scale anchor {sf.anchor}", lo, hi, sf._tables[1])
     return SpeedMeasure._from_table(
         (lo, hi), *_unit_density(lo, hi), (sf._tables[1], widths.floats()[r.start:r.stop]),
         lambda: tuple(zip(map(levels.value, levels.nums[r.start:r.stop]),

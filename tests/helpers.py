@@ -387,10 +387,12 @@ class OracleSet:
     kept as a tuple of numbers.  This was traceform's own scalar path before
     its exact integer table, and every result of the table must equal it:
     exactly where the result is exact, and within 1e-12 where a float query
-    or anchor makes it a float.  The scale and darning inverses
+    makes it a float.  The scale and darning inverses
     follow the rules the table brought: a float value is a plateau value or
     a collapsed point when it is that value's float, and past the scale
-    image only when past the float of its edge; a periodic value folds
+    image only when past the float of its edge, and then, where s has no
+    values past that edge, only when more than 1e-12 max(1, |s1 - s0|) past
+    it (closer, it is that edge value); a periodic value folds
     back into the image once, a float one onto a plateau or seam value within
     1e-12, and onto the whole plateau across the seam; and a darning value
     past the collapsed point of a component at a window edge is that
@@ -517,6 +519,10 @@ class OracleScale:
             x = w0 + (y - s0) if below else w1 + (y - s1)
             return x, x
         if (o.tail_left if below else o.tail_right) is Tail.ALL_F or o.g_mass_window == 0:
+            # a float within 1e-12 max(1, |s1 - s0|) of the float of the edge is that edge
+            edge = s0 if below else s1
+            if isinstance(y, float) and abs(y - float(edge)) <= 1e-12 * max(1.0, abs(float(s1 - s0))):
+                return self._window_inverse(edge)
             raise tf.PreconditionError(f"value {y} is outside the range")
         per, p = o.g_mass_window, o.period
         if below:
@@ -835,8 +841,6 @@ def pushforward_per_gap(dm, source="lebesgue"):
             atoms.insert(0, (lo, math.inf))
         if dm.base.tail_right is Tail.ALL_G:
             atoms.append((hi, math.inf))
-    if isinstance(lo, float):
-        check_float_sums(f"darning anchor {dm.z}", lo, hi, atoms)
     return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
 
 
@@ -852,19 +856,4 @@ def scale_pushforward_per_plateau(sf):
         )
     plateaus = [(sf._levels.get(k), *iset._f_pair(k)) for k in iset.f_ranks]
     atoms = [(v, b - a) for v, a, b in plateaus]
-    if isinstance(lo, float):
-        check_float_sums(f"scale anchor {sf.anchor}", lo, hi, atoms)
     return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
-
-
-def check_float_sums(anchor, lo, hi, atoms):
-    """The former constructor check of a float anchor's atoms, one at a time,
-    raising as the table builders do."""
-    seen = set()
-    for p, _ in atoms:
-        if not lo <= p <= hi or p in seen:
-            where = "twice" if lo <= p <= hi else f"outside the image [{lo}, {hi}]"
-            raise tf.PreconditionError(
-                f"float {anchor}: its float sums put an atom at {p} {where}; "
-                "give the anchor exactly")
-        seen.add(p)

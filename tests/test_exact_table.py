@@ -6,6 +6,7 @@ which computes on the endpoint objects one comparison at a time: exact and
 equal in value where the result is exact, within 1e-12 where it is a float.
 """
 
+import json
 import math
 import resource
 import time
@@ -93,7 +94,8 @@ class TestTables:
     def test_scale_tables(self, iset, anchor):
         anchor = {0: 0, "float": float(iset.window[0]) + 0.3,
                   "fraction": Fr(iset.window[0]) + Fr(1, 3)}[anchor]
-        sf, want = tf.ScaleFunction(iset, anchor), OracleScale(OracleSet(iset), anchor)
+        # a float anchor stands for its exact value
+        sf, want = tf.ScaleFunction(iset, anchor), OracleScale(OracleSet(iset), Fr(anchor))
         assert same([sf._levels.get(j) for j in range(len(want.levels))], want.levels)
         # the plateaus as atoms: each value and its F-width
         got = speed_atoms(tf.scale_pushforward_speed, sf)
@@ -133,9 +135,8 @@ class TestTables:
 
 
 def speed_or_error(build):
-    """build(), or the type and message of the error it raises: a float
-    anchor's sums may round two atoms onto one float, or one past the
-    carrier, which both builders refuse."""
+    """build(), or the type and message of the error it raises: both
+    builders refuse a window whose image is one point."""
     try:
         return build()
     except tf.TraceformError as exc:
@@ -206,7 +207,7 @@ class TestScalarMaps:
         o = OracleSet(iset)
         w0 = iset.window[0]
         maps = [(tf.ScaleFunction(iset), OracleScale(o)),
-                (tf.ScaleFunction(iset, float(w0) + 0.3), OracleScale(o, float(w0) + 0.3))]
+                (tf.ScaleFunction(iset, float(w0) + 0.3), OracleScale(o, Fr(float(w0) + 0.3)))]
         for z in (None, darning_anchor(iset)):
             try:
                 dm = tf.DarningMap(iset, z)
@@ -296,6 +297,50 @@ class TestFractionTwin:
             lo, hi = (w0, x) if x >= w0 else (x, w0)
             for which in ("G", "F"):
                 assert twins(twin.lebesgue(lo, hi, which), iset.lebesgue(lo, hi, which)), x
+            for f, g in pairs:
+                y = g(x)
+                assert twins(f(x), y), (x, g)
+                assert twins(outcome(f.inverse, y), outcome(g.inverse, y)), (x, y, g)
+
+
+class TestExactAnchor:
+    """A float anchor and its ``Fraction`` are one anchor: every scalar map
+    and inverse, table, image and pushforward gives the same numbers of the
+    same type, and the same float64 tables bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_float_anchor_is_its_fraction(self, iset, seed):
+        rng = np.random.default_rng(seed)
+        w0, w1 = (float(v) for v in iset.window)
+        a = w0 + 0.3 * (w1 - w0)
+        pairs = [(tf.ScaleFunction(iset, a), tf.ScaleFunction(iset, Fr(a)))]
+        z = darning_anchor(iset)
+        if z is not None:
+            pairs.append((tf.DarningMap(iset, z), tf.DarningMap(iset, Fr(z))))
+        for f, g in pairs:
+            for t, u in zip(f._tables, g._tables):
+                assert t.dtype == u.dtype and t.shape == u.shape and t.tobytes() == u.tobytes()
+            if isinstance(f, tf.DarningMap):
+                assert twins(f._ends, g._ends)
+                assert json.dumps(f.image()) == json.dumps(g.image())
+                speeds = [(lambda h, s=s: tf.pushforward_speed(h, s))
+                          for s in tf.transforms.PUSHFORWARD_SOURCES]
+            else:
+                assert twins(f.window_image(), g.window_image())
+                speeds = [tf.scale_pushforward_speed]
+            for build in speeds:
+                got, want = speed_or_error(lambda: build(f)), speed_or_error(lambda: build(g))
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert twins(got.carrier, want.carrier)
+                assert twins(got.density_pieces, want.density_pieces)
+                assert twins(got.atoms, want.atoms)
+                for t, u in zip(got._piece_arrays + got._atom_arrays,
+                                want._piece_arrays + want._atom_arrays):
+                    assert t.dtype == u.dtype and t.shape == u.shape and t.tobytes() == u.tobytes()
+        for x in exact_points(iset, rng) + some_probes(iset, rng):
             for f, g in pairs:
                 y = g(x)
                 assert twins(f(x), y), (x, g)

@@ -13,8 +13,8 @@ import traceform as tf
 from traceform import PreconditionError, Tail, ValidationError
 from traceform.simulate import build_chain
 
-from helpers import (_float_pair_set, darning_image_dict, geometry_sets, probe_points, random_iset,
-                     speed_mass, speed_measures, tent_integral_loop)
+from helpers import (OracleScale, OracleSet, _float_pair_set, darning_image_dict, geometry_sets,
+                     probe_points, random_iset, speed_mass, speed_measures, tent_integral_loop)
 
 isets = st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s)))
 window_fracs = st.fractions(min_value=0, max_value=1, max_denominator=96)
@@ -276,6 +276,9 @@ class TestArrayPath:
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_sets, st.integers(0, 10**6))
+    # s of the float one ulp below 199/240, in the last gap, rounds one ulp past
+    # the float of s(w1), past which the all-F tail gives s no values
+    @example(random_iset(np.random.default_rng(26974)), 0)
     def test_round_trips(self, iset, seed):
         w0, w1 = (float(v) for v in iset.window)
         xs = probe_points(iset, np.random.default_rng(seed), 0.0)
@@ -290,6 +293,20 @@ class TestArrayPath:
         for f, slack in maps:
             lo, hi = f.inverse(f(xs))
             assert np.all((lo - slack <= xs) & (xs <= hi + slack))
+
+    def test_a_hair_past_an_allf_edge_is_that_edge(self):
+        # the value a hair past the float of s(w1) is s(w1), whose preimage is
+        # the last F-component, on the scalar path, the array path and the
+        # oracle; a value further out is refused
+        sf = tf.ScaleFunction(random_iset(np.random.default_rng(26974)))
+        y = sf(0.8291666666666666)
+        assert y > float(sf.window_image()[1])
+        assert sf.inverse(y) == OracleScale(OracleSet(sf.base)).inverse(y) == (Fr(199, 240), 1)
+        lo, hi = sf.inverse(np.array([y]))
+        assert (lo.tolist(), hi.tolist()) == ([199 / 240], [1.0])
+        for far in (y + 1e-9, np.array([y, y + 1e-9])):
+            with pytest.raises(PreconditionError, match="above the range"):
+                sf.inverse(far)
 
     @pytest.mark.parametrize("comps", [
         [(0, Fr(3, 10)), (Fr(7, 15), Fr(101, 120))],  # a plateau ends at the seam
@@ -355,16 +372,20 @@ class TestPushforward:
         with pytest.raises(PreconditionError):
             tf.pushforward_speed(tf.DarningMap(svc1, z=0), "counting")
 
-    def test_float_anchor_past_the_image_names_the_anchor(self):
-        # the float sums put the last collapsed point an ulp past j(w1)
+    def test_float_anchor_is_its_exact_value(self):
+        # the last gap ends at w1, so its collapsed point is j(w1), the end of
+        # the carrier, and no further
         iset = tf.build_interval_set(
             [(0.06608249672407474, 0.0666900087671014), (0.8413172796123832, 1.0)], (0.0, 1.0))
-        dm = tf.DarningMap(iset, z=0.4540036441897423)
-        named = r"^float darning anchor 0\.4540036441897423: .* atom at 0\.3873136354226409 outside"
-        for source in ("lebesgue", "trace"):
-            with pytest.raises(PreconditionError, match=named):
-                tf.pushforward_speed(dm, source)
-        assert tf.pushforward_speed(dm, "f_indicator").atoms == ()
+        z = 0.4540036441897423
+        dm, exact = tf.DarningMap(iset, z=z), tf.DarningMap(iset, z=Fr(z))
+        for source in tf.transforms.PUSHFORWARD_SOURCES:
+            sp = tf.pushforward_speed(dm, source)
+            assert sp == tf.pushforward_speed(exact, source)
+            (lo, hi), positions = sp.carrier, [p for p, _ in sp.atoms]
+            assert all(lo <= p <= hi for p in positions)
+            assert all(p < q for p, q in zip(positions, positions[1:]))
+        assert [p for p, _ in tf.pushforward_speed(dm).atoms][-1] == dm(1)
 
     def test_allg_tails_add_infinite_atoms(self, svc1_allg):
         sp = tf.pushforward_speed(tf.DarningMap(svc1_allg))
@@ -491,7 +512,7 @@ class TestSpeedMeasure:
         # every table-built measure against the validating constructor given
         # its exact tuples: bit-equal float tables and an equal measure
         def tried(build):
-            # no measure where an image is one point or a float anchor's sums break
+            # no measure where an image is one point
             try:
                 return [build()]
             except PreconditionError:
@@ -547,7 +568,7 @@ class TestPeriodicFold:
         assert _close(lo, [-2.5, 2.5]) and _close(hi, [-1.75, 3.25])
 
     def test_float_fold_does_not_loop(self):
-        # with a float anchor the fold rounded back and forth across the seam
+        # the float image of the seam point w0 inverts to a preimage holding it
         iset = tf.build_interval_set([(0, Fr(67, 240)), (Fr(149, 240), Fr(17, 24))], (0, 1),
                                      tails=(Tail.PERIODIC, Tail.PERIODIC))
         sf = tf.ScaleFunction(iset, anchor=0.3)
@@ -576,7 +597,8 @@ class TestPeriodicFold:
 class TestDarningEdge:
     def test_past_the_last_collapsed_point(self):
         # a component at the right window edge leaves no F-span past its
-        # collapsed point; a float anchor rounds j(w1) a hair beyond it
+        # collapsed point, which is j(w1): that value and its float both
+        # invert to the component
         iset = tf.build_interval_set([(0, Fr(91, 240)), (Fr(17, 40), 1)], (0, 1))
         dm = tf.DarningMap(iset, z=(91 / 240 + 17 / 40) / 2)
         assert dm.inverse(dm(1)) == (Fr(17, 40), 1)
