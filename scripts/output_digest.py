@@ -10,7 +10,8 @@ writes it, and as a speed measure with its float64 atom arrays), the trace
 and darning transports, and the scalar scale and darning maps and their
 inverses at every adapted node, given exactly and as floats.  It also
 records the scalar geometry at float probe points in G, in F and past the
-window (``digest_probes``), and
+window (``digest_probes``), and at exact ``Fraction`` probes inside gaps, inside
+F-components and past the window (``digest_exact_probes``), and
 the speed measures both scale functions and both darning maps push forward
 there, with their float64 atom arrays (``digest_speeds``).  Every speed
 measure recorded is followed by the holding means and absorbing flags of a
@@ -249,11 +250,44 @@ def digest_probes(dg, t, iset, rng):
         dm = rec(f"{t} probe {name} map", make)
         if dm is not None:
             maps.append((name, dm))
-    for name, f in maps:
-        ys = rec(f"{t} probe {name}", lambda: each(f, xs))
-        rec(f"{t} probe {name} inverse", lambda: each(
-            lambda y: y if isinstance(y, list) else f.inverse(y), ys))
+    digest_maps(dg, f"{t} probe", maps, xs)
+    # exact probes from a generator of their own, so the float probes keep their draws
+    seed = [int(v) for v in t.split(".")] + [1]
+    digest_exact_probes(dg, t, iset, maps, np.random.default_rng(seed))
     digest_speeds(dg, t, maps)
+
+
+def digest_maps(dg, tag, maps, xs):
+    """Each map and its inverse at every point of ``xs``."""
+    for name, f in maps:
+        ys = dg.record(f"{tag} {name}", lambda: each(f, xs))
+        dg.record(f"{tag} {name} inverse", lambda: each(
+            lambda y: y if isinstance(y, list) else f.inverse(y), ys))
+
+
+def digest_exact_probes(dg, t, iset, maps, rng):
+    """The scalar geometry at exact interior probes: ``Fraction`` points
+    inside gaps, inside F-components and past either window edge (two and a
+    half periods for periodic sets), through ``lebesgue`` from the left
+    window edge, ``component_index``, ``in_g`` and the maps of
+    ``digest_probes``."""
+    w0, w1 = iset.window
+    beyond = Fraction(5, 2) * iset.period if iset.period is not None else Fraction(1, 2)
+
+    def inside(pieces, n):
+        picks = rng.permutation(len(pieces))[:n].tolist()
+        return [lo + (hi - lo) * Fraction(int(k), 997)
+                for i in picks for lo, hi in [pieces[i]] for k in rng.integers(1, 997, size=2)]
+
+    xs = inside(iset.components, 8) + inside(iset.f_components, 8)
+    xs += [w0 - beyond * Fraction(int(k), 997) for k in rng.integers(1, 998, size=4)]
+    xs += [w1 + beyond * Fraction(int(k), 997) for k in rng.integers(1, 998, size=4)]
+    for which in ("G", "F"):
+        dg.record(f"{t} exact probe lebesgue {which}", lambda: each(
+            lambda x: iset.lebesgue(w0, x, which) if x >= w0 else iset.lebesgue(x, w0, which), xs))
+    dg.record(f"{t} exact probe component_index", lambda: each(iset.component_index, xs))
+    dg.record(f"{t} exact probe in_g", lambda: each(iset.in_g, xs))
+    digest_maps(dg, f"{t} exact probe", maps, xs)
 
 
 def digest_speeds(dg, t, maps):
