@@ -11,18 +11,28 @@ floats; a float end stands for its exact binary value and an int end for
 the ``Fraction`` of the same value.  Every set keeps one exact table: the
 window ends and the component ends as Python-int numerators over one common
 denominator D, the least common multiple of their denominators.  A scalar
-query is turned into its exact ratio once and placed in the table by int
-comparison and bisection.  The float64 tables are the numerators over D,
-correctly rounded, which is the float of each exact value.
+query is placed in the table once: its exact ratio, and the floor and ceiling
+of its value times D, found among the numerators by int comparison and
+bisection.  Its masses are summed as int pairs (numerator, denominator), and
+an exact result becomes one ``Fraction`` at the end.  The float64 tables are
+the numerators over D, correctly rounded, which is the float of each exact
+value.
 
 ``window``, ``period``, ``components``, ``endpoints``, ``f_components`` and
 every value derived from the table are ``Fraction`` values; ``to_dict`` and
 the messages that name a gap give the ends as they were given.  The anchor of
 a scale function or darning map is exact as an end is: a float anchor stands
-for its exact binary value.  A result is exact where every argument is, and a
-float where a float query takes part, with the float operations Python
-performs on the same expression: an exact value is rounded once where it
-meets a float.
+for its exact binary value.  A result is what Python computes on the same
+expression of numbers.  Exact sums stay exact, and an exact value meets a
+float as its ``float()``, rounded once: Python defines ``Fraction op float``
+as ``float(Fraction) op float``, and n / d of two ints is that float.  So a
+result is a float only where a float query enters the sum, as the end of a
+part of a component that it cuts.  Where a float query only decides which
+whole pieces are summed, the result is exact: on ``svc_complement(2)``,
+``ScaleFunction(iset)(0.3)`` is ``Fraction(1, 16)``, the whole gap left of
+0.3, and ``(0.0)`` is the int 0.  An exact result is a ``Fraction`` where a
+value of the table takes part, and an int where only int queries do, or
+nothing: an empty sum is the int 0.
 """
 
 from __future__ import annotations
@@ -33,9 +43,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain, islice
-from operator import lt, sub
+from operator import add, lt, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -85,13 +95,30 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"{x!r} is not a real number")
 
 
-def _lt(x, y) -> bool:
-    """x < y, exactly."""
-    try:
-        (p, q), (r, s) = _ratio(x), _ratio(y)
-    except (OverflowError, ValueError):  # an infinite or NaN float compares as itself
-        return x < y
-    return p * s < r * q
+def _combine(x, y, op=add):
+    """x + y, or op(x, y) for ``sub``, as Python computes it on the numbers x
+    and y stand for, where a pair (n, d) stands for ``Fraction(n, d)``: an
+    exact pair where neither is a float (an int where both are ints), else a
+    float, a pair meeting a float as n / d, which is its ``float()``."""
+    if type(x) is tuple:
+        n, d = x
+        if type(y) is tuple:
+            m, e = y
+            return (op(n, m), d) if d == e else (op(n * e, m * d), d * e)
+        return op(n / d, y) if isinstance(y, float) else (op(n, y * d), d)
+    if type(y) is tuple:
+        m, e = y
+        return op(x, m / e) if isinstance(x, float) else (op(x * e, m), e)
+    return op(x, y)
+
+
+def _neg(x):
+    return (-x[0], x[1]) if type(x) is tuple else -x
+
+
+def _number(x) -> Real:
+    """A pair made the one ``Fraction`` it stands for; any other number as it is."""
+    return Fraction(*x) if type(x) is tuple else x
 
 
 class _Table(NamedTuple):
@@ -114,13 +141,25 @@ class _Table(NamedTuple):
         f, r = divmod(p * self.den, q)
         return f, f + (r > 0)
 
-    def get(self, j: int, like=None) -> Real:
-        return self.value(self.nums[j], like)
+    def place(self, x) -> tuple:
+        """x placed once for the sums: (v, f, c, p, q), with f and c as ``key``
+        gives them, p / q the exact value of x, and v the number x enters
+        sums as: x itself where it is a float or an int, else its exact value
+        as a pair, (f, den) where it lies on the table.  An infinite or NaN
+        float is placed as itself with q = 0."""
+        try:
+            p, q = x.as_integer_ratio() if isinstance(x, (float, int, Fraction)) else _ratio(x)
+        except (OverflowError, ValueError):
+            return x, x, x, x, 0
+        f, r = divmod(p * self.den, q)
+        v = x if isinstance(x, (float, int)) else (p, q) if r else (f, self.den)
+        return v, f, f + (r > 0), p, q
 
-    def value(self, n: int, like=None) -> Real:
-        """n / den, as a float when ``like`` is a float (Python would round it
-        to meet ``like`` anyway), else as a ``Fraction``."""
-        return n / self.den if isinstance(like, float) else Fraction(n, self.den)
+    def get(self, j: int) -> Fraction:
+        return self.value(self.nums[j])
+
+    def value(self, n: int) -> Fraction:
+        return Fraction(n, self.den)
 
     def floats(self) -> np.ndarray:
         """float64 n / den for each n, correctly rounded as Python divides ints:
@@ -358,7 +397,7 @@ class IntervalSet:
 
     def _f_pair(self, k: int) -> tuple[Fraction, Fraction]:
         lows, highs = self._f_ends
-        return lows.get(k), highs.get(k)
+        return Fraction(lows.nums[k], self.den), Fraction(highs.nums[k], self.den)
 
     @cached_property
     def _f_floats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -510,54 +549,51 @@ class IntervalSet:
         return self._component_at(f, c) is not None
 
     # -- Lebesgue masses -------------------------------------------------
+    #
+    # A query is placed once in the table (``_Table.place``) and its masses are
+    # summed as pairs (n, d) of ints, added as Python would add the numbers
+    # they stand for: an exact sum stays a pair until the one ``Fraction`` of
+    # the result, and a pair meets a float as n / d.  Masses are never -0.0,
+    # so adding a mass to int 0 is the identity and those adds are left out.
 
-    def _add(self, x, y):
-        """x + y, where an exact piece of the table may stand as its numerator
-        over D in a 1-tuple: two such pieces add exactly."""
-        if type(x) is tuple and type(y) is tuple:
-            return (x[0] + y[0],)
-        return self._value(x, y) + self._value(y, x)
+    @cached_property
+    def _w_points(self) -> tuple:
+        place = self._ends.place
+        return place(self.window[0]), place(self.window[1])
 
-    def _value(self, x, like=None):
-        """A 1-tuple piece made a number (a float when ``like`` is one), else x."""
-        return self._prefix.value(x[0], like) if type(x) is tuple else x
-
-    def _part(self, i, lo, hi, klo, khi):
-        """G-mass of component i inside [lo, hi], a piece when it is the whole
-        component."""
+    def _part(self, i, lo, hi):
+        """G-mass of component i inside [lo, hi], for placed points, where
+        it is the only component that [lo, hi] meets."""
         a, b = self._lo[i], self._hi[i]
-        cut_lo, cut_hi = klo[0] >= a, khi[1] <= b  # lo >= a, hi <= b
+        cut_lo, cut_hi = lo[1] >= a, hi[2] <= b  # lo >= a, hi <= b
         if not (cut_lo or cut_hi):
-            return (b - a,)
+            return b - a, self.den
         if cut_lo and cut_hi:
-            inside = _lt(lo, hi)
+            inside = lo[3] * hi[4] < hi[3] * lo[4]  # lo < hi
         else:
-            inside = b > klo[0] if cut_lo else khi[1] > a
+            inside = b > lo[1] if cut_lo else hi[2] > a
         if not inside:
             return 0
-        end = self._ends.get
-        right = hi if cut_hi else end(2 * i + 1, lo)
-        left = lo if cut_lo else end(2 * i, hi)
-        return right - left
+        return _combine(hi[0] if cut_hi else (b, self.den), lo[0] if cut_lo else (a, self.den), sub)
 
-    def _g_window_piece(self, lo, hi, klo, khi):
-        """G-mass of [lo, hi] assuming w0 <= lo <= hi <= w1, as a number or a
-        piece: the parts of the first and last components it meets, and the
-        prefix sums between them, added left to right."""
-        lefts = self._lo
-        first = max(bisect_right(lefts, klo[0]) - 1, 0)
-        last = bisect_left(lefts, khi[1]) - 1  # the last component starting below hi
-        if last < first:
-            return 0
-        total = self._part(first, lo, hi, klo, khi)
-        if last > first:
+    def _window_mass(self, lo, hi):
+        """G-mass of [lo, hi] for placed points with w0 <= lo <= hi <= w1: the
+        parts of the first and last components it meets, and the prefix sums
+        between them, added left to right."""
+        lefts, rights, den = self._lo, self._hi, self.den
+        first = max(bisect_right(lefts, lo[1]) - 1, 0)
+        last = bisect_left(lefts, hi[2]) - 1  # the last component starting below hi
+        if last <= first:
+            return self._part(first, lo, hi) if last == first else 0
+        if lo[1] >= lefts[first]:  # lo cuts the first component: b - lo, or none past b
+            b = rights[first]
+            total = _combine((b, den), lo[0], sub) if b > lo[1] else 0
             if last > first + 1:
-                total = self._add(total, (self.g_prefix[last] - self.g_prefix[first + 1],))
-            total = self._add(total, self._part(last, lo, hi, klo, khi))
-        return total
-
-    def _g_window_mass(self, lo: Real, hi: Real) -> Real:
-        return self._value(self._g_window_piece(lo, hi, self._ends.key(lo), self._ends.key(hi)))
+                total = _combine(total, (self.g_prefix[last] - self.g_prefix[first + 1], den))
+        else:  # the first component whole and the whole ones after it, added exactly
+            total = self.g_prefix[last] - self.g_prefix[first], den
+        a, b = lefts[last], rights[last]  # hi lies past a
+        return _combine(total, _combine(hi[0], (a, den), sub) if hi[2] <= b else (b - a, den))
 
     def _g_periodic_mass(self, lo: Real, hi: Real) -> Real:
         """G-mass of [lo, hi] for the full periodic extension of the window pattern."""
@@ -568,21 +604,60 @@ class IntervalSet:
         total = k * self.g_mass_window
         rem = length - k * p
         if rem > 0:
+            place = self._ends.place
+
+            def window_mass(a, b):
+                return _number(self._window_mass(place(a), place(b)))
+
             phase = (lo - w0) % p
             if phase + rem <= p:
-                total = total + self._g_window_mass(w0 + phase, w0 + phase + rem)
+                total = total + window_mass(w0 + phase, w0 + phase + rem)
             else:
-                total = total + self._g_window_mass(w0 + phase, w0 + p)
-                total = total + self._g_window_mass(w0, w0 + (phase + rem - p))
+                total = total + window_mass(w0 + phase, w0 + p)
+                total = total + window_mass(w0, w0 + (phase + rem - p))
         return total
 
-    def _g_tail_mass(self, lo: Real, hi: Real, tail: Tail) -> Real:
-        # lo < hi
+    def _tail_mass(self, lo, hi, tail: Tail):
+        # placed points, lo < hi
         if tail is Tail.ALL_G:
-            return hi - lo
+            return _combine(hi[0], lo[0], sub)
         if tail is Tail.ALL_F:
             return 0
-        return self._g_periodic_mass(lo, hi)
+        m = self._g_periodic_mass(_number(lo[0]), _number(hi[0]))
+        return m.as_integer_ratio() if isinstance(m, Fraction) else m
+
+    def _mass(self, lo, hi, which: str):
+        """``lebesgue`` on placed points, lo <= hi, an exact result still a pair."""
+        v0, f0, c0, p0, q0 = lo
+        v1, f1, c1, p1, q1 = hi
+        if not (q0 and q1):
+            raise PreconditionError("lebesgue query endpoints must be finite")
+        proper = p0 * q1 < p1 * q0
+        w0n, w1n = self._w
+        lo_in, hi_in = f0 >= w0n, c1 <= w1n
+        if lo_in and hi_in:  # [lo, hi] inside the window
+            g = self._window_mass(lo, hi) if proper else 0
+        else:
+            (w0, w1), parts = self._w_points, []
+            if proper and not lo_in:  # the left tail [lo, min(hi, w0)]
+                parts.append(self._tail_mass(lo, hi if c1 <= w0n else w0, self.tail_left))
+            if f0 < w1n and c1 > w0n:  # the window part [max(lo, w0), min(hi, w1)]
+                parts.append(self._window_mass(lo if lo_in else w0, hi if hi_in else w1))
+            if f0 >= w1n:  # the right tail [max(lo, w1), hi]
+                if proper:
+                    parts.append(self._tail_mass(lo, hi, self.tail_right))
+            elif c1 > w1n:
+                parts.append(self._tail_mass(w1, hi, self.tail_right))
+            g = reduce(_combine, parts) if parts else 0
+        return g if which == "G" else _combine(_combine(v1, v0, sub), g, sub)
+
+    def _mass_from(self, anchor, x: Real, which: str) -> Real:
+        """The mass of ``which`` from a placed anchor to x, negative left of
+        the anchor: the scale function for G, the darning map for F."""
+        at = self._ends.place(x)
+        if at[3] * anchor[4] < anchor[3] * at[4]:  # x < anchor
+            return _number(_neg(self._mass(at, anchor, which)))
+        return _number(self._mass(anchor, at, which))
 
     def lebesgue(self, lo: Real, hi: Real, which: str = "G") -> Real:
         """Lebesgue mass of G (or F) inside the finite interval [lo, hi].
@@ -592,33 +667,11 @@ class IntervalSet:
         """
         if which not in ("G", "F"):
             raise PreconditionError(f"which must be 'G' or 'F', got {which!r}")
-        if isinstance(lo, float) and not math.isfinite(lo) or isinstance(hi, float) and not math.isfinite(hi):
-            raise PreconditionError("lebesgue query endpoints must be finite")
-        if _lt(hi, lo):
+        place = self._ends.place
+        a, b = place(lo), place(hi)
+        if a[4] and b[4] and b[3] * a[4] < a[3] * b[4]:  # finite, and hi < lo
             raise PreconditionError(f"query interval has lo {lo} > hi {hi}")
-        (w0, w1), (w0n, w1n) = self.window, self._w
-        klo, khi = self._ends.key(lo), self._ends.key(hi)
-        proper = klo[0] < khi[0] or _lt(lo, hi)
-        g = 0
-        if proper and klo[0] < w0n:  # the left tail [lo, min(hi, w0)]
-            g = self._g_tail_mass(lo, hi if khi[1] <= w0n else w0, self.tail_left)
-        # the window part [max(lo, w0), min(hi, w1)]
-        lo_in, hi_in = klo[0] >= w0n, khi[1] <= w1n
-        if lo_in:
-            nonempty = proper if hi_in else klo[0] < w1n
-        else:
-            nonempty = khi[1] > w0n if hi_in else True
-        if nonempty:
-            g = g + self._value(self._g_window_piece(
-                lo if lo_in else w0, hi if hi_in else w1,
-                klo if lo_in else (w0n, w0n), khi if hi_in else (w1n, w1n)))
-        if klo[0] >= w1n:  # the right tail [max(lo, w1), hi]
-            g = g + (self._g_tail_mass(lo, hi, self.tail_right) if proper else 0)
-        else:
-            g = g + (self._g_tail_mass(w1, hi, self.tail_right) if khi[1] > w1n else 0)
-        if which == "G":
-            return g
-        return (hi - lo) - g
+        return _number(self._mass(a, b, which))
 
     def side_mass_infinite(self, side: str) -> bool:
         """Whether the G-mass of the half line to the given side is infinite."""

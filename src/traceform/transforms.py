@@ -16,11 +16,12 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, Real, Tail, _decode, _encode, _lt
+from .intervals import IntervalSet, Real, Tail, _combine, _decode, _encode, _number
 
 
 class Case(Enum):
@@ -96,9 +97,11 @@ class ScaleFunction:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._map(np.asarray(x, dtype=float))
-        if not _lt(x, self.anchor):
-            return self.base.lebesgue(self.anchor, x, "G")
-        return -self.base.lebesgue(x, self.anchor, "G")
+        return self.base._mass_from(self._anchor, x, "G")
+
+    @cached_property
+    def _anchor(self) -> tuple:
+        return self.base._ends.place(self.anchor)
 
     @cached_property
     def _levels(self):
@@ -111,6 +114,11 @@ class ScaleFunction:
         # float64 levels, plateau values, plateau lows and plateau highs
         levels, ranks = self._levels.floats(), self.base.f_ranks
         return (levels, levels[ranks.start:ranks.stop], *self.base._f_floats)
+
+    @cached_property
+    def _level_floats(self) -> list:
+        # the float levels as a list, bisected by the scalar inverse
+        return self._tables[0].tolist()
 
     def window_image(self) -> tuple[Real, Real]:
         return self._levels.get(0), self._levels.get(-1)
@@ -151,13 +159,13 @@ class ScaleFunction:
         """
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
-        iset = self.base
-        levels = self._levels
-        f, c = levels.key(y)
+        iset, levels = self.base, self._levels
+        nums, floats = levels.nums, self._level_floats
+        v, f, c, _, _ = levels.place(y)
         if isinstance(y, float):  # past the image's floats, as the array path clips
-            below, above = y < self._tables[0][0], y > self._tables[0][-1]
+            below, above = y < floats[0], y > floats[-1]
         else:
-            below, above = f < levels.nums[0], c > levels.nums[-1]
+            below, above = f < nums[0], c > nums[-1]
         if below or above:
             return self._tail_inverse(y, below)
         # the first plateau value at or above y, then the left end of the
@@ -165,17 +173,16 @@ class ScaleFunction:
         # equals that value's float, as in the array path
         ranks = iset.f_ranks
         if isinstance(y, float):
-            values = self._tables[1]
-            k = int(np.searchsorted(values, y))
-            if k < values.size and values[k] == y:
-                return iset._f_pair(ranks.start + k)
+            k = bisect_left(floats, y, ranks.start, ranks.stop)
+            if k < ranks.stop and floats[k] == y:
+                return iset._f_pair(k)
         else:
-            k = max(bisect_left(levels.nums, c), ranks.start)
-            if k < ranks.stop and f == c == levels.nums[k]:
+            k = max(bisect_left(nums, c), ranks.start)
+            if k < ranks.stop and f == c == nums[k]:
                 return iset._f_pair(k)
         # a float equal to the float of s(w0) may lie just below s(w0)
-        i = max(min(bisect_right(levels.nums, f), len(iset._lo)) - 1, 0)
-        x = iset._ends.get(2 * i, y) + (y - levels.get(i, y))
+        i = max(min(bisect_right(nums, f), len(iset._lo)) - 1, 0)
+        x = _number(_combine((iset._lo[i], iset.den), _combine(v, (nums[i], levels.den), sub)))
         return x, x
 
     def _tail_inverse(self, y, below: bool):
@@ -297,6 +304,10 @@ class DarningMap:
         self._check_anchor(z)
         self.z = _exact(z, "darning anchor")
 
+    @cached_property
+    def _anchor(self) -> tuple:
+        return self.base._ends.place(self.z)
+
     @staticmethod
     def _default_anchor(iset: IntervalSet) -> Real:
         if not iset.f_ranks:
@@ -317,9 +328,7 @@ class DarningMap:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._images(np.asarray(x, dtype=float))[0]
-        if not _lt(x, self.z):
-            return self.base.lebesgue(self.z, x, "F")
-        return -self.base.lebesgue(x, self.z, "F")
+        return self.base._mass_from(self._anchor, x, "F")
 
     @cached_property
     def _ends(self) -> tuple[Real, Real]:
@@ -356,6 +365,12 @@ class DarningMap:
         return (j[1:-1], j[ranks.start:ranks.stop], j[ranks.start + 1:ranks.stop + 1],
                 *iset._f_floats)
 
+    @cached_property
+    def _level_floats(self) -> list:
+        # j(w0), the float collapsed points and j(w1) as a list, bisected by
+        # the scalar inverse
+        return self._levels.floats().tolist()
+
     def _images(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """j of float points, and the index of the component whose closure
         holds each window point, else -1 (``IntervalSet.closure_index``, the
@@ -388,29 +403,32 @@ class DarningMap:
         if isinstance(y, np.ndarray):
             return self._inverse_map(np.asarray(y, dtype=float))
         iset, levels = self.base, self._levels
-        lo, hi = self._ends
-        if _lt(y, lo) or _lt(hi, y):
+        nums, floats, m = levels.nums, self._level_floats, len(iset._lo)
+        v, f, c, _, _ = levels.place(y)
+        below = f < nums[0]
+        if below or nums[-1] < c:
             # float inputs that went through the forward map can land one
             # ulp outside the exact rational image; clamp those, reject more
-            if lo - self._slack <= y <= hi + self._slack:
-                y = lo if _lt(y, lo) else hi
+            if floats[0] - self._slack <= y <= floats[-1] + self._slack:
+                y = self._ends[0 if below else 1]
+                v, f, c, _, _ = levels.place(y)
             else:
                 self._raise_outside(y)
         if isinstance(y, float):  # compared with the floats, as in the array path
-            positions = self._tables[0]
-            k = int(np.searchsorted(positions, y))  # collapsed points below y
-            hit = k < positions.size and positions[k] == y
+            # collapsed points below y; NaN sorts last, as np.searchsorted puts it
+            k = bisect_left(floats, y, 1, m + 1) - 1 if y == y else m
+            hit = k < m and floats[k + 1] == y
         else:
-            f, c = levels.key(y)
-            k = bisect_left(levels.nums, c, 1, len(iset._lo) + 1) - 1
-            hit = k < len(iset._lo) and f == c == levels.nums[k + 1]
+            k = bisect_left(nums, c, 1, m + 1) - 1
+            hit = k < m and f == c == nums[k + 1]
         if hit or k not in iset.f_ranks:
             # a component at a window edge leaves no F span there: y is off its
             # collapsed point only by the rounding of a float image
-            k = min(k, len(iset._lo) - 1)
-            return iset._ends.get(2 * k), iset._ends.get(2 * k + 1)
+            k = min(k, m - 1)
+            ends = iset._ends.nums
+            return Fraction(ends[2 * k], iset.den), Fraction(ends[2 * k + 1], iset.den)
         # y lies on the F span of rank k, between collapsed points k - 1 and k
-        x = iset._f_ends[0].get(k, y) + (y - levels.get(k, y))
+        x = _number(_combine((iset._f_ends[0].nums[k], iset.den), _combine(v, (nums[k], levels.den), sub)))
         return x, x
 
     def _raise_outside(self, y):

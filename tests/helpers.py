@@ -10,6 +10,7 @@ is used to check.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -330,8 +331,8 @@ def _mixed_set(seed):
 _allf_or_allg = st.sampled_from([Tail.ALL_F, Tail.ALL_G])
 
 # svc sets of every case, /240 sets (some with a component at a window edge),
-# periodic sets, float-endpoint sets, sets mixing float and Fraction ends, and
-# gaps narrower than the endpoint slack
+# periodic sets, float-endpoint sets, sets mixing float and Fraction ends, a set
+# with ends past 2, and gaps narrower than the endpoint slack
 geometry_sets = st.one_of(
     st.builds(lambda d, tl, tr: tf.svc_complement(d, tails=(tl, tr)),
               st.integers(0, 7), _allf_or_allg, _allf_or_allg),
@@ -354,6 +355,8 @@ geometry_sets = st.one_of(
                               (-2, 2)),
         tf.build_interval_set([(-1, 0), (0.25, Fraction(1, 3)), (Fraction(1, 2), 0.75)], (-2, 2),
                               tails=(Tail.ALL_F, Tail.ALL_G)),
+        # ends past 2, where the endpoint slack exceeds 2e-12
+        tf.build_interval_set([(0, 1), (3 / 2, 5 / 2), (3, 4)], (0, 5)),
     ]),
     st.builds(_narrow_gap_set, st.integers(1, 5), st.integers(9, 14)),
 )
@@ -857,3 +860,250 @@ def scale_pushforward_per_plateau(sf):
     plateaus = [(sf._levels.get(k), *iset._f_pair(k)) for k in iset.f_ranks]
     atoms = [(v, b - a) for v, a, b in plateaus]
     return tf.SpeedMeasure((lo, hi), ((lo, hi, 1),), tuple(atoms))
+
+
+# ---------------------------------------------------------------------------
+# the former scalar geometry: ``lebesgue`` and the scale and darning maps and
+# their inverses as they computed before each query was placed once in the
+# int table, through ``Fraction`` arithmetic on the numbers themselves, kept
+# as the oracle that the placed path must match in type and bit for bit
+
+
+def _former_lt(x, y):
+    """x < y, exactly."""
+    try:
+        (p, q), (r, s) = _former_ratio(x), _former_ratio(y)
+    except (OverflowError, ValueError):  # an infinite or NaN float compares as itself
+        return x < y
+    return p * s < r * q
+
+
+def _former_ratio(x):
+    if isinstance(x, (int, float, Fraction)):
+        return x.as_integer_ratio()
+    if isinstance(x, numbers.Rational):
+        return x.numerator, x.denominator
+    if isinstance(x, numbers.Real):
+        return float(x).as_integer_ratio()
+    raise TypeError(f"{x!r} is not a real number")
+
+
+def _former_key(den, x):
+    try:
+        p, q = x.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return x, x
+    except AttributeError:
+        p, q = _former_ratio(x)
+    f, r = divmod(p * den, q)
+    return f, f + (r > 0)
+
+
+def _former_get(nums, den, j, like=None):
+    """nums[j] / den, a float when ``like`` is a float, else a ``Fraction``."""
+    return nums[j] / den if isinstance(like, float) else Fraction(nums[j], den)
+
+
+def former_lebesgue(iset, lo, hi, which="G"):
+    """``IntervalSet.lebesgue`` in its former form: an exact piece of the
+    table as its numerator over D in a 1-tuple, and every other value a
+    Python number, added as Python adds them."""
+    den, lefts, rights, ends = iset.den, iset._lo, iset._hi, iset._ends.nums
+
+    def value(x, like=None):
+        return (x[0] / den if isinstance(like, float) else Fraction(x[0], den)) if type(x) is tuple else x
+
+    def plus(x, y):
+        if type(x) is tuple and type(y) is tuple:
+            return (x[0] + y[0],)
+        return value(x, y) + value(y, x)
+
+    def part(i, lo, hi, klo, khi):
+        a, b = lefts[i], rights[i]
+        cut_lo, cut_hi = klo[0] >= a, khi[1] <= b
+        if not (cut_lo or cut_hi):
+            return (b - a,)
+        if cut_lo and cut_hi:
+            inside = _former_lt(lo, hi)
+        else:
+            inside = b > klo[0] if cut_lo else khi[1] > a
+        if not inside:
+            return 0
+        right = hi if cut_hi else _former_get(ends, den, 2 * i + 1, lo)
+        left = lo if cut_lo else _former_get(ends, den, 2 * i, hi)
+        return right - left
+
+    def window_piece(lo, hi, klo, khi):
+        first = max(bisect_right(lefts, klo[0]) - 1, 0)
+        last = bisect_left(lefts, khi[1]) - 1
+        if last < first:
+            return 0
+        total = part(first, lo, hi, klo, khi)
+        if last > first:
+            if last > first + 1:
+                total = plus(total, (iset.g_prefix[last] - iset.g_prefix[first + 1],))
+            total = plus(total, part(last, lo, hi, klo, khi))
+        return total
+
+    def window_mass(lo, hi):
+        return value(window_piece(lo, hi, _former_key(den, lo), _former_key(den, hi)))
+
+    def periodic_mass(lo, hi):
+        p, w0 = iset.period, iset.window[0]
+        length = hi - lo
+        k = math.floor(length / p)
+        total = k * iset.g_mass_window
+        rem = length - k * p
+        if rem > 0:
+            phase = (lo - w0) % p
+            if phase + rem <= p:
+                total = total + window_mass(w0 + phase, w0 + phase + rem)
+            else:
+                total = total + window_mass(w0 + phase, w0 + p)
+                total = total + window_mass(w0, w0 + (phase + rem - p))
+        return total
+
+    def tail_mass(lo, hi, tail):
+        if tail is Tail.ALL_G:
+            return hi - lo
+        if tail is Tail.ALL_F:
+            return 0
+        return periodic_mass(lo, hi)
+
+    if which not in ("G", "F"):
+        raise tf.PreconditionError(f"which must be 'G' or 'F', got {which!r}")
+    if (isinstance(lo, float) and not math.isfinite(lo)
+            or isinstance(hi, float) and not math.isfinite(hi)):
+        raise tf.PreconditionError("lebesgue query endpoints must be finite")
+    if _former_lt(hi, lo):
+        raise tf.PreconditionError(f"query interval has lo {lo} > hi {hi}")
+    (w0, w1), (w0n, w1n) = iset.window, iset._w
+    klo, khi = _former_key(den, lo), _former_key(den, hi)
+    proper = klo[0] < khi[0] or _former_lt(lo, hi)
+    g = 0
+    if proper and klo[0] < w0n:
+        g = tail_mass(lo, hi if khi[1] <= w0n else w0, iset.tail_left)
+    lo_in, hi_in = klo[0] >= w0n, khi[1] <= w1n
+    if lo_in:
+        nonempty = proper if hi_in else klo[0] < w1n
+    else:
+        nonempty = khi[1] > w0n if hi_in else True
+    if nonempty:
+        g = g + value(window_piece(lo if lo_in else w0, hi if hi_in else w1,
+                                   klo if lo_in else (w0n, w0n), khi if hi_in else (w1n, w1n)))
+    if klo[0] >= w1n:
+        g = g + (tail_mass(lo, hi, iset.tail_right) if proper else 0)
+    else:
+        g = g + (tail_mass(w1, hi, iset.tail_right) if khi[1] > w1n else 0)
+    if which == "G":
+        return g
+    return (hi - lo) - g
+
+
+def former_scale(sf, x):
+    """``ScaleFunction.__call__`` at a scalar in its former form."""
+    if not _former_lt(x, sf.anchor):
+        return former_lebesgue(sf.base, sf.anchor, x, "G")
+    return -former_lebesgue(sf.base, x, sf.anchor, "G")
+
+
+def former_darn(dm, x):
+    """``DarningMap.__call__`` at a scalar in its former form."""
+    if not _former_lt(x, dm.z):
+        return former_lebesgue(dm.base, dm.z, x, "F")
+    return -former_lebesgue(dm.base, x, dm.z, "F")
+
+
+def former_scale_inverse(sf, y):
+    """``ScaleFunction.inverse`` at a scalar in its former form: one
+    ``np.searchsorted`` per float lookup and ``Fraction`` arithmetic."""
+    iset, levels = sf.base, sf._levels
+    nums, den = levels.nums, levels.den
+    f, c = _former_key(den, y)
+    if isinstance(y, float):
+        below, above = y < sf._tables[0][0], y > sf._tables[0][-1]
+    else:
+        below, above = f < nums[0], c > nums[-1]
+    if below or above:
+        return _former_scale_tail_inverse(sf, y, below)
+    ranks = iset.f_ranks
+    if isinstance(y, float):
+        values = sf._tables[1]
+        k = int(np.searchsorted(values, y))
+        if k < values.size and values[k] == y:
+            return iset._f_pair(ranks.start + k)
+    else:
+        k = max(bisect_left(nums, c), ranks.start)
+        if k < ranks.stop and f == c == nums[k]:
+            return iset._f_pair(k)
+    i = max(min(bisect_right(nums, f), len(iset._lo)) - 1, 0)
+    x = _former_get(iset._ends.nums, iset.den, 2 * i, y) + (y - _former_get(nums, den, i, y))
+    return x, x
+
+
+def _former_scale_tail_inverse(sf, y, below):
+    iset = sf.base
+    w0, w1 = iset.window
+    s0, s1 = sf.window_image()
+    tail = iset.tail_left if below else iset.tail_right
+    if tail is Tail.ALL_G:
+        x = w0 - (s0 - y) if below else w1 + (y - s1)
+        return x, x
+    if tail is Tail.ALL_F or iset.g_prefix[-1] == 0:
+        edge = s0 if below else s1
+        if isinstance(y, float) and abs(y - float(edge)) <= sf._slack:
+            return former_scale_inverse(sf, edge)
+        side = "below" if below else "above"
+        raise tf.PreconditionError(f"value {y} is {side} the range of the scale function")
+    per_mass, p = iset.g_mass_window, iset.period
+    if below:
+        k = math.ceil((s0 - y) / per_mass)
+        yk, shift = y + k * per_mass, -k * p
+    else:
+        k = math.ceil((y - s1) / per_mass)
+        yk, shift = y - k * per_mass, k * p
+    yk = s0 if yk < s0 else s1 if yk > s1 else yk
+    plateau = None
+    if isinstance(yk, float):
+        levels, values = sf._tables[:2]
+        ends = np.concatenate([levels[:1], values, levels[-1:]])
+        near = tf.transforms._snap(np.array([yk]), ends, np.array(1e-12 * max(1.0, abs(y))))[0]
+        yk = s0 if near == levels[0] else s1 if near == levels[-1] else yk
+        if near in values:
+            plateau = iset.f_ranks.start + int(np.searchsorted(values, near))
+    if yk == s0 or yk == s1:
+        lo, hi = sf._seam()
+        if yk == s1:
+            shift = shift + p
+    elif plateau is not None:
+        lo, hi = iset._f_pair(plateau)
+    else:
+        lo, hi = former_scale_inverse(sf, yk)
+    return lo + shift, hi + shift
+
+
+def former_darn_inverse(dm, y):
+    """``DarningMap.inverse`` at a scalar in its former form."""
+    iset, levels = dm.base, dm._levels
+    nums, den, m = levels.nums, levels.den, len(iset._lo)
+    lo, hi = dm._ends
+    if _former_lt(y, lo) or _former_lt(hi, y):
+        if lo - dm._slack <= y <= hi + dm._slack:
+            y = lo if _former_lt(y, lo) else hi
+        else:
+            raise tf.PreconditionError(
+                f"value {y} is outside the window image [{lo}, {hi}] of the darning map")
+    if isinstance(y, float):
+        positions = dm._tables[0]
+        k = int(np.searchsorted(positions, y))
+        hit = k < positions.size and positions[k] == y
+    else:
+        f, c = _former_key(den, y)
+        k = bisect_left(nums, c, 1, m + 1) - 1
+        hit = k < m and f == c == nums[k + 1]
+    if hit or k not in iset.f_ranks:
+        k = min(k, m - 1)
+        return iset._ends.get(2 * k), iset._ends.get(2 * k + 1)
+    lows = iset._f_ends[0]
+    x = _former_get(lows.nums, lows.den, k, y) + (y - _former_get(nums, den, k, y))
+    return x, x

@@ -20,8 +20,10 @@ import traceform as tf
 from traceform import PreconditionError, Tail
 from traceform.intervals import _decode
 
-from helpers import (OracleDarning, OracleScale, OracleSet, darning_image_dict, geometry_sets,
-                     probe_points, pushforward_per_gap, scale_pushforward_per_plateau, svc_g_mass)
+from helpers import (OracleDarning, OracleScale, OracleSet, darning_image_dict, former_darn,
+                     former_darn_inverse, former_lebesgue, former_scale, former_scale_inverse,
+                     geometry_sets, probe_points, pushforward_per_gap,
+                     scale_pushforward_per_plateau, svc_g_mass)
 
 
 def same(got, want) -> bool:
@@ -241,9 +243,89 @@ class TestScalarMaps:
             pass
         for f, g in maps:
             want = np.array([float(g(Fr(x))) for x in xs.tolist()])
-            # the darning map moves a point within the endpoint slack onto its gap
-            slack = 2e-12 if isinstance(f, tf.DarningMap) else 1e-12
-            assert np.all(np.abs(f(xs) - want) <= slack * np.maximum(1.0, np.abs(want)))
+            bound = 1e-12 * np.maximum(1.0, np.abs(want))
+            if isinstance(f, tf.DarningMap):
+                # a window point within the endpoint slack of a gap's closure
+                # (``IntervalSet.end_slack``) moves onto its collapsed point
+                i = iset.closure_index(tf.transforms._fold(iset, xs, "F")[0])
+                bound = bound + np.append(iset.end_slack, 0.0)[i]
+            assert np.all(np.abs(f(xs) - want) <= bound)
+
+
+def bits(fn, *args):
+    """fn(*args) as the type and bits of each number (a float by its hex, so
+    the sign of a zero counts), or the type and message of the error it raises."""
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _bits(got)
+
+
+def _bits(v):
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+class TestFormerScalarPath:
+    """``lebesgue`` and the scale and darning maps and inverses against
+    their former forms in ``helpers``, which compute with ``Fraction`` and
+    float arithmetic on the numbers themselves: the same type and the same
+    bits for every result, and the same error type and message, at exact
+    points, float probes, ints and signed zeros, for exact and float anchors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets, st.integers(0, 10**6))
+    def test_bit_for_bit(self, iset, seed):
+        rng = np.random.default_rng(seed)
+        w0, w1 = iset.window
+        a = float(w0) + 0.3 * float(w1 - w0)
+        maps = [(tf.ScaleFunction(iset, anchor), former_scale, former_scale_inverse)
+                for anchor in (0, a, Fr(1, 3))]
+        for z in (None, darning_anchor(iset)):
+            try:
+                maps.append((tf.DarningMap(iset, z), former_darn, former_darn_inverse))
+            except PreconditionError:
+                continue
+        xs = exact_points(iset, rng) + some_probes(iset, rng) + [0, 1, -2, 3, 0.0, -0.0]
+        for x in xs:
+            for lo, hi in ((w0, x), (x, w0), (a, x), (x, x)):
+                for which in ("G", "F"):
+                    assert bits(iset.lebesgue, lo, hi, which) == bits(
+                        former_lebesgue, iset, lo, hi, which), (lo, hi, which)
+            for f, forward, inverse in maps:
+                y = bits(f, x)
+                assert y == bits(forward, f, x), (x, f)
+                for v in ([f(x)] if y[0] is not PreconditionError else []) + [x]:
+                    assert bits(f.inverse, v) == bits(inverse, f, v), (x, v, f)
+
+
+def test_float_queries_build_no_fraction(monkeypatch):
+    """A float query of the darning map, or of the F-mass of ``lebesgue``,
+    whose result is a float builds no ``Fraction`` on the way: exact parts
+    stay int pairs and meet the float as n / d."""
+    iset = tf.svc_complement(3, tails=(Tail.ALL_G, Tail.ALL_F))
+    maps = [tf.DarningMap(iset), tf.DarningMap(iset, darning_anchor(iset))]
+    xs = probe_points(iset, np.random.default_rng(3)).tolist()
+    calls = [(dm, x) for dm in maps for x in xs]
+    calls += [(lambda x, lo=lo: iset.lebesgue(lo, x, "F"), x)
+              for lo in (iset.window[0], -0.25, Fr(1, 3)) for x in xs if x >= lo]
+    # the first pass fills every cache; the second counts
+    calls = [(f, x) for f, x in calls if isinstance(f(x), float)]
+    assert len(calls) > 300
+    built = []
+    new = Fr.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fr, "__new__", staticmethod(counting_new))
+    for f, x in calls:
+        f(x)
+    monkeypatch.undo()
+    assert not built, built[:3]
 
 
 def fraction_twin(iset):
