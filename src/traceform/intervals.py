@@ -26,13 +26,14 @@ for its exact binary value.  A result is what Python computes on the same
 expression of numbers.  Exact sums stay exact, and an exact value meets a
 float as its ``float()``, rounded once: Python defines ``Fraction op float``
 as ``float(Fraction) op float``, and n / d of two ints is that float.  So a
-result is a float only where a float query enters the sum, as the end of a
-part of a component that it cuts.  Where a float query only decides which
-whole pieces are summed, the result is exact: on ``svc_complement(2)``,
-``ScaleFunction(iset)(0.3)`` is ``Fraction(1, 16)``, the whole gap left of
-0.3, and ``(0.0)`` is the int 0.  An exact result is a ``Fraction`` where a
-value of the table takes part, and an int where only int queries do, or
-nothing: an empty sum is the int 0.
+G-mass is a float only where a float query enters the sum, as the end of a
+part of a component that it cuts, while an F-mass, the length hi - lo less
+the G-mass, is a float wherever a float query is.  Where a float query only
+decides which whole pieces are summed, the G-mass is exact: on
+``svc_complement(2)``, ``ScaleFunction(iset)(0.3)`` is ``Fraction(1, 16)``,
+the whole gap left of 0.3, and ``(0.0)`` is the int 0.  An exact result is a
+``Fraction`` where a value of the table takes part, and an int where only int
+queries do, or nothing: an empty sum is the int 0.
 """
 
 from __future__ import annotations
