@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyReport, dirichlet_energy
+from .energy import EnergyReport, _same_grid, dirichlet_energy
 from .errors import PreconditionError
 from .gridfn import SUBSPACE_TOL, GridFunction, _collapse_nodes, darn_function
 from .intervals import Tail
@@ -129,6 +129,15 @@ def darn_trace(phi: TraceFunction, dm: DarningMap) -> GridFunction:
     return _collapse_nodes(phi.nodes, phi.values, dm)
 
 
+def _trace_match(uh: GridFunction, phih: GridFunction) -> float:
+    """The largest node-wise gap between the line-side and trace-side
+    transports, on the union of their grids."""
+    if not _same_grid(uh, phih):
+        common = np.union1d(uh.grid, phih.grid)
+        uh, phih = uh.refine(common), phih.refine(common)
+    return float(np.max(np.abs(uh.values - phih.values)))
+
+
 def equivalence_report(samples: list[GridFunction], dm: DarningMap,
                        tol: float = 1e-12) -> DarnedSpaceReport:
     """Check that darning preserves sup norm, L2 norm, and energy for each
@@ -143,9 +152,7 @@ def equivalence_report(samples: list[GridFunction], dm: DarningMap,
     rows = []
     for u in samples:
         uh = darn_function(u, dm)
-        phih = darn_trace(restrict_to_f(u, dm.base), dm)
-        common = np.union1d(uh.grid, phih.grid)
-        trace_match = float(np.max(np.abs(uh.refine(common).values - phih.refine(common).values)))
+        trace_match = _trace_match(uh, darn_trace(restrict_to_f(u, dm.base), dm))
         rows.append(
             SampleEquivalence(
                 sup_line=float(np.max(np.abs(u.values))),

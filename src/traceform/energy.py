@@ -75,14 +75,19 @@ def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
     return _report(form, ru.grid[:-1], ru.grid[1:], contribs)
 
 
+def _same_grid(u: GridFunction, v: GridFunction) -> bool:
+    """Whether u and v have the same grid bits (bytes, so -0.0 and 0.0
+    differ): refining either onto the other's grid would change nothing, as
+    np.interp gives back each node value exactly."""
+    return u.grid is v.grid or u.grid.tobytes() == v.grid.tobytes()
+
+
 def common_grid(u: GridFunction, v: GridFunction) -> tuple[GridFunction, GridFunction]:
     if u.span != v.span:
         raise PreconditionError(
             f"incompatible windows: spans {u.span} and {v.span} differ"
         )
-    # refining onto the same bits (bytes, so -0.0 and 0.0 differ) would change
-    # nothing: np.interp gives back each node value exactly
-    if u.grid is v.grid or u.grid.tobytes() == v.grid.tobytes():
+    if _same_grid(u, v):
         return u, v
     grid = np.union1d(u.grid, v.grid)
     return u.refine(grid), v.refine(grid)
@@ -100,7 +105,7 @@ def subspace_energy(u: GridFunction, v: GridFunction | None = None, *,
                     iset: IntervalSet) -> EnergyReport:
     """(1/2) integral of u'v' restricted to G; both arguments must be flat on F."""
     v = u if v is None else v
-    for name, w in (("first", u), ("second", v)):
+    for name, w in (("first", u), ("second", v))[:2 - (v is u)]:  # one object, checked once
         if not is_in_subspace(w, iset):
             raise PreconditionError(
                 f"{name} argument is not a subspace member: its derivative does "
@@ -118,7 +123,7 @@ def part_energy(u: GridFunction, v: GridFunction | None = None, *,
     checked and a violation raises, since it signals inconsistent inputs.
     """
     v = u if v is None else v
-    for name, w in (("first", u), ("second", v)):
+    for name, w in (("first", u), ("second", v))[:2 - (v is u)]:
         if not vanishes_on_f(w, iset):
             raise PreconditionError(
                 f"{name} argument does not vanish on F within tolerance"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -44,9 +45,10 @@ class GridFunction:
             )
         if grid.size < 2:
             raise ValidationError("a grid function needs at least two nodes")
-        if not np.all(np.diff(grid) > 0):
+        if not (grid[1:] > grid[:-1]).all():
             raise ValidationError("grid nodes must be strictly increasing")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        # on a strictly increasing grid, finite ends make every node finite
+        if not (math.isfinite(grid[0]) and math.isfinite(grid[-1]) and np.isfinite(values).all()):
             raise ValidationError("grid nodes and values must be finite")
 
     @property
@@ -71,9 +73,11 @@ class GridFunction:
     def __call__(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
         lo, hi = self.span
-        # points within float slack of the span count as boundary hits
+        # points within float slack of the span count as boundary hits; NaN
+        # points pass, as they compare false (fmin and fmax skip them)
         slack = 1e-12 * max(1.0, abs(hi - lo))
-        if np.any(xs < lo - slack) or np.any(xs > hi + slack):
+        if xs.size and (np.fmin.reduce(xs, axis=None) < lo - slack
+                        or np.fmax.reduce(xs, axis=None) > hi + slack):
             raise PreconditionError(
                 f"evaluation point outside the span [{lo}, {hi}]"
             )
@@ -134,7 +138,10 @@ def adapted_grid(iset: IntervalSet, extra: Sequence[float] = ()) -> np.ndarray:
     """Window-spanning grid containing every component endpoint (all of
     them lie in the window)."""
     nodes = iset._adapted
-    arr = np.union1d(nodes, np.array([float(x) for x in extra]))
+    extra = np.array([float(x) for x in extra])
+    if not extra.size:
+        return nodes.copy()
+    arr = np.union1d(nodes, extra)
     if arr[0] < nodes[0] or arr[-1] > nodes[-1]:
         raise PreconditionError("extra nodes must lie inside the window")
     return arr

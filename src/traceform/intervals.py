@@ -396,9 +396,26 @@ class IntervalSet:
         lows, highs = (t.nums for t in self._f_ends)
         return _Table(list(map(sub, highs, lows)), self.den)
 
+    @cached_property
+    def _pairs(self) -> tuple[dict, dict]:
+        """The exact F-stretches by rank and component closures by index that
+        the scalar inverses return, each built on its first return and shared
+        after; never all at once (a depth-20 set has 2**20 components)."""
+        return {}, {}
+
     def _f_pair(self, k: int) -> tuple[Fraction, Fraction]:
-        lows, highs = self._f_ends
-        return Fraction(lows.nums[k], self.den), Fraction(highs.nums[k], self.den)
+        """The F-stretch of rank k as exact (low, high), built once."""
+        pairs = self._pairs[0]
+        if k not in pairs:
+            pairs[k] = self._f_ends[0].get(k), self._f_ends[1].get(k)
+        return pairs[k]
+
+    def _g_pair(self, i: int) -> tuple[Fraction, Fraction]:
+        """The closure of component i as exact (a, b), built once."""
+        pairs = self._pairs[1]
+        if i not in pairs:
+            pairs[i] = self._ends.get(2 * i), self._ends.get(2 * i + 1)
+        return pairs[i]
 
     @cached_property
     def _f_floats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -418,7 +435,8 @@ class IntervalSet:
     @cached_property
     def f_components(self) -> tuple[tuple[Real, Real], ...]:
         """Closed positive-length intervals of F inside the window, in order."""
-        return tuple(self._f_pair(k) for k in self.f_ranks)
+        lows, highs = self._f_ends
+        return tuple((lows.get(k), highs.get(k)) for k in self.f_ranks)
 
     @cached_property
     def f_ranks(self) -> range:
@@ -483,18 +501,22 @@ class IntervalSet:
         lefts, rights = self.float_ends
         return 1e-12 * np.maximum(1.0, np.maximum(np.abs(lefts), np.abs(rights)))
 
+    @cached_property
+    def _widened_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """float64 left ends less ``end_slack`` and right ends plus it."""
+        (lefts, rights), slack = self.float_ends, self.end_slack
+        return lefts - slack, rights + slack
+
     def closure_index(self, points) -> np.ndarray:
         """Index of the component whose closure, widened by ``end_slack`` at
         both ends, holds each point, else -1.  Where two widened closures
         overlap, the later component wins."""
         xs = np.asarray(points, dtype=float)
-        lefts, rights = self.float_ends
-        if not lefts.size:
+        if not self._lo:
             return np.full(xs.shape, -1, dtype=np.intp)
-        slack = self.end_slack
-        i = np.searchsorted(lefts - slack, xs, side="right") - 1
-        c = np.maximum(i, 0)
-        return np.where((i >= 0) & (xs <= rights[c] + slack[c]), i, -1)
+        lows, highs = self._widened_ends
+        i = np.searchsorted(lows, xs, side="right") - 1
+        return np.where((i >= 0) & (xs <= highs[np.maximum(i, 0)]), i, -1)
 
     def classify(self, points, nodes: bool = False) -> np.ndarray:
         """Component index of each point, or -1 for points of F.
@@ -596,27 +618,43 @@ class IntervalSet:
         a, b = lefts[last], rights[last]  # hi lies past a
         return _combine(total, _combine(hi[0], (a, den), sub) if hi[2] <= b else (b - a, den))
 
-    def _g_periodic_mass(self, lo: Real, hi: Real) -> Real:
-        """G-mass of [lo, hi] for the full periodic extension of the window pattern."""
-        p = self.period
-        w0 = self.window[0]
-        length = hi - lo
-        k = math.floor(length / p)
-        total = k * self.g_mass_window
-        rem = length - k * p
-        if rem > 0:
-            place = self._ends.place
+    def _g_periodic_mass(self, lo, hi):
+        """G-mass of [lo, hi] for the full periodic extension of the window
+        pattern, for lo and hi as they enter sums: the whole periods, then the
+        rest folded into the window, as Python folds the numbers they stand
+        for (a float meets the exact period p as its float, and compares with
+        it exactly, and a float type, such as numpy's, becomes Python's float)."""
+        (w0n, w1n), den, place = self._w, self.den, self._ends.place
+        w0, pn = (w0n, den), w1n - w0n  # p = pn / den
+        lo, hi = (float(x) if isinstance(x, float) else x for x in (lo, hi))
+        length = _combine(hi, lo, sub)
+        if isinstance(length, float):
+            k = math.floor(length / (pn / den))
+        else:
+            n, d = length if type(length) is tuple else (length, 1)
+            k = n * den // (d * pn)
+        total, rem = (k * self.g_prefix[-1], den), _combine(length, (k * pn, den), sub)
+        if not (rem > 0 if isinstance(rem, float) else rem[0] > 0):
+            return total
+        phase = _combine(lo, w0, sub)  # then modulo p
+        phase = phase % (pn / den) if isinstance(phase, float) else (
+            phase[0] * den % (phase[1] * pn), phase[1] * den)
+        end = _combine(phase, rem)
+        n, d = end.as_integer_ratio() if isinstance(end, float) else end
 
-            def window_mass(a, b):
-                return _number(self._window_mass(place(a), place(b)))
+        def placed(x):  # a pair placed as the Fraction it stands for
+            if type(x) is not tuple:
+                return place(x)
+            f, r = divmod(x[0] * den, x[1])
+            return x if r else (f, den), f, f + (r > 0), *x
 
-            phase = (lo - w0) % p
-            if phase + rem <= p:
-                total = total + window_mass(w0 + phase, w0 + phase + rem)
-            else:
-                total = total + window_mass(w0 + phase, w0 + p)
-                total = total + window_mass(w0, w0 + (phase + rem - p))
-        return total
+        start = _combine(w0, phase)
+        if n * den <= pn * d:  # phase + rem <= p: [w0 + phase, w0 + phase + rem]
+            return _combine(total, self._window_mass(placed(start), placed(_combine(start, rem))))
+        # [w0 + phase, w1], then [w0, w0 + (phase + rem - p)]
+        total = _combine(total, self._window_mass(placed(start), self._w_points[1]))
+        return _combine(total, self._window_mass(
+            self._w_points[0], placed(_combine(w0, _combine(end, (pn, den), sub)))))
 
     def _tail_mass(self, lo, hi, tail: Tail):
         # placed points, lo < hi
@@ -624,8 +662,7 @@ class IntervalSet:
             return _combine(hi[0], lo[0], sub)
         if tail is Tail.ALL_F:
             return 0
-        m = self._g_periodic_mass(_number(lo[0]), _number(hi[0]))
-        return m.as_integer_ratio() if isinstance(m, Fraction) else m
+        return self._g_periodic_mass(lo[0], hi[0])
 
     def _mass(self, lo, hi, which: str):
         """``lebesgue`` on placed points, lo <= hi, an exact result still a pair."""

@@ -49,7 +49,7 @@ class TraceFunction:
             raise ValidationError("nodes and values must have equal length")
         if nodes.size < 2:
             raise ValidationError("a trace function needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValidationError("trace nodes must be strictly increasing")
         missing = _missing_nodes(nodes, self.iset).tolist()
         if missing:
@@ -196,7 +196,7 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
     psi = phi if psi is None else psi
     if psi.iset is not phi.iset and psi.iset != phi.iset:
         raise PreconditionError("trace functions live on different sets")
-    for name, t in (("first", phi), ("second", psi)):
+    for name, t in (("first", phi), ("second", psi))[:2 - (psi is phi)]:
         bad = np.flatnonzero(np.abs(gap_jumps(t)) > SUBSPACE_TOL)
         if bad.size:
             i = int(bad[0])

@@ -53,9 +53,12 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
     mass of ``which`` ("G" or "F") from each window point to its original,
     as the tails declare it."""
     w0, w1 = (float(v) for v in iset.window)
-    xin = np.clip(xs, w0, w1)
+    below, above = xs < w0, xs > w1
     gain = np.zeros(xs.shape)
-    for out, tail in ((xs < w0, iset.tail_left), (xs > w1, iset.tail_right)):
+    if not (below.any() or above.any()):  # as np.clip gives them, -0.0 kept
+        return xs.copy(), gain
+    xin = np.clip(xs, w0, w1)
+    for out, tail in ((below, iset.tail_left), (above, iset.tail_right)):
         if tail is Tail.PERIODIC:
             p = float(iset.period)
             k = np.floor((xs[out] - w0) / p)
@@ -424,9 +427,7 @@ class DarningMap:
         if hit or k not in iset.f_ranks:
             # a component at a window edge leaves no F span there: y is off its
             # collapsed point only by the rounding of a float image
-            k = min(k, m - 1)
-            ends = iset._ends.nums
-            return Fraction(ends[2 * k], iset.den), Fraction(ends[2 * k + 1], iset.den)
+            return iset._g_pair(min(k, m - 1))
         # y lies on the F span of rank k, between collapsed points k - 1 and k
         x = _number(_combine((iset._f_ends[0].nums[k], iset.den), _combine(v, (nums[k], levels.den), sub)))
         return x, x

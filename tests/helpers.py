@@ -1107,3 +1107,105 @@ def former_darn_inverse(dm, y):
     lows = iset._f_ends[0]
     x = _former_get(lows.nums, lows.den, k, y) + (y - _former_get(nums, den, k, y))
     return x, x
+
+
+# ---------------------------------------------------------------------------
+# former per-call forms: each expression as it stood before the work it
+# repeated on every call was taken out, kept as the oracle that the present
+# form must match bit for bit, error messages included
+
+
+def former_fold(iset, xs, which):
+    """``transforms._fold``, clipping every point and masking each tail."""
+    w0, w1 = (float(v) for v in iset.window)
+    xin = np.clip(xs, w0, w1)
+    gain = np.zeros(xs.shape)
+    for out, tail in ((xs < w0, iset.tail_left), (xs > w1, iset.tail_right)):
+        if tail is Tail.PERIODIC:
+            p = float(iset.period)
+            k = np.floor((xs[out] - w0) / p)
+            xin[out] = np.clip(xs[out] - k * p, w0, w1)
+            gain[out] = k * float(iset.g_mass_window if which == "G" else iset.f_mass_window)
+        elif (tail is Tail.ALL_G) == (which == "G"):
+            gain[out] = xs[out] - xin[out]
+    return xin, gain
+
+
+def former_closure_index(iset, points):
+    """``IntervalSet.closure_index``, widening the ends on every call."""
+    xs = np.asarray(points, dtype=float)
+    lefts, rights = iset.float_ends
+    if not lefts.size:
+        return np.full(xs.shape, -1, dtype=np.intp)
+    slack = iset.end_slack
+    i = np.searchsorted(lefts - slack, xs, side="right") - 1
+    c = np.maximum(i, 0)
+    return np.where((i >= 0) & (xs <= rights[c] + slack[c]), i, -1)
+
+
+def former_classify_nodes(iset, points):
+    """``IntervalSet.classify(points, nodes=True)`` on the former closure index."""
+    xs = np.asarray(points, dtype=float)
+    lefts, rights = iset.float_ends
+    if not lefts.size:
+        return np.full(xs.shape, -1, dtype=np.intp)
+    i = former_closure_index(iset, xs)
+    c = np.maximum(i, 0)
+    return np.where(np.minimum(xs - lefts[c], rights[c] - xs) > iset.end_slack[c], i, -1)
+
+
+def former_grid_checks(grid, values):
+    """The checks of ``GridFunction``, in order, on the float arrays; raises
+    the first one's ``ValidationError``."""
+    grid, values = np.asarray(grid, dtype=float), np.asarray(values, dtype=float)
+    if grid.ndim != 1 or values.ndim != 1:
+        raise tf.ValidationError("grid and values must be one-dimensional")
+    if grid.size != values.size:
+        raise tf.ValidationError(
+            f"grid has {grid.size} nodes but values has {values.size} entries")
+    if grid.size < 2:
+        raise tf.ValidationError("a grid function needs at least two nodes")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as the checks ran
+        increasing = np.all(np.diff(grid) > 0)
+    if not increasing:
+        raise tf.ValidationError("grid nodes must be strictly increasing")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise tf.ValidationError("grid nodes and values must be finite")
+
+
+def former_trace_checks(iset, nodes, values):
+    """The checks of ``TraceFunction``, in order; raises the first one's
+    ``ValidationError``."""
+    nodes, values = np.asarray(nodes, dtype=float), np.asarray(values, dtype=float)
+    if nodes.size != values.size:
+        raise tf.ValidationError("nodes and values must have equal length")
+    if nodes.size < 2:
+        raise tf.ValidationError("a trace function needs at least two nodes")
+    with np.errstate(invalid="ignore", over="ignore"):
+        increasing = np.all(np.diff(nodes) > 0)
+    if not increasing:
+        raise tf.ValidationError("trace nodes must be strictly increasing")
+    missing = tf.gridfn._missing_nodes(nodes, iset).tolist()
+    if missing:
+        raise tf.ValidationError(f"trace nodes must include {missing}")
+    inside = np.flatnonzero(former_classify_nodes(iset, nodes) >= 0)
+    if inside.size:
+        raise tf.ValidationError(f"trace node {nodes[inside[0]]} lies inside a gap, not in F")
+
+
+def former_evaluate(u, x):
+    """``GridFunction.__call__``, its span check by two ``np.any``."""
+    xs = np.asarray(x, dtype=float)
+    lo, hi = u.span
+    slack = 1e-12 * max(1.0, abs(hi - lo))
+    if np.any(xs < lo - slack) or np.any(xs > hi + slack):
+        raise tf.PreconditionError(f"evaluation point outside the span [{lo}, {hi}]")
+    out = np.interp(xs, u.grid, u.values)
+    return float(out) if np.isscalar(x) else out
+
+
+def former_trace_match(uh, phih):
+    """``SampleEquivalence.trace_match``: both transports refined onto the
+    union of their grids."""
+    common = np.union1d(uh.grid, phih.grid)
+    return float(np.max(np.abs(uh.refine(common).values - phih.refine(common).values)))

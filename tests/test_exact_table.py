@@ -301,6 +301,51 @@ class TestFormerScalarPath:
                     assert bits(f.inverse, v) == bits(inverse, f, v), (x, v, f)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(geometry_sets.filter(lambda s: s.period is not None), st.integers(0, 10**6))
+    def test_periodic_past_the_window(self, iset, seed):
+        """Queries past a Periodic window, folded back by whole periods: exact,
+        float and int ends, on one side of the window or across it."""
+        rng = np.random.default_rng(seed)
+        w0, w1 = iset.window
+        p = iset.period
+        xs = [Fr(w0) - 3 * p + 7 * p * Fr(int(k), 997) for k in rng.integers(0, 997, size=12)]
+        xs += [float(x) for x in rng.uniform(float(w0 - 3 * p), float(w1 + 3 * p), size=12)]
+        xs += [w0 - p, w1 + p, float(w1 + 2 * p), int(math.floor(w0 - p)), int(math.ceil(w1 + p))]
+        xs += [e + k * p for e in iset.endpoints[:3] for k in (-2, 1)]
+        for lo in xs:
+            for hi in xs:
+                for which in ("G", "F"):
+                    assert bits(iset.lebesgue, lo, hi, which) == bits(
+                        former_lebesgue, iset, lo, hi, which), (lo, hi, which)
+
+
+def test_periodic_fold_builds_one_fraction(monkeypatch):
+    """An exact query past a Periodic window builds one ``Fraction``, its
+    result, as one inside the window does, and a float query whose result is
+    a float builds none: the fold stays on int pairs."""
+    iset = tf.periodic_fat_cantor(2, 2)
+    calls = [(Fr(-7, 3), Fr(5, 2)), (Fr(1, 3), Fr(1, 2)), (Fr(-9, 2), Fr(17, 3)), (-7 / 3, 2.5),
+             (-11.2, -4.3), (Fr(1, 5), 9.75)]
+    iset.lebesgue(*calls[0])  # fills the set's caches
+    built = []
+    new = Fr.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    monkeypatch.setattr(Fr, "__new__", staticmethod(counting_new))
+    for lo, hi in calls:
+        for which in ("G", "F"):
+            built.clear()
+            got = iset.lebesgue(lo, hi, which)
+            counts.append((len(built), type(got)))
+    monkeypatch.undo()
+    assert counts == [(1, Fr)] * 6 + [(0, float)] * 6
+
+
 def test_float_queries_build_no_fraction(monkeypatch):
     """A float query of the darning map, or of the F-mass of ``lebesgue``,
     whose result is a float builds no ``Fraction`` on the way: exact parts

@@ -2,6 +2,7 @@
 
 import fcntl
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +24,26 @@ def test_output_digest_runs_one_at_a_time(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and "another run" in proc.stderr
     assert not out.exists() and not (tmp_path / "traceform-output-digest").exists()
+
+
+def test_ab_interleaved_runs_two_checkouts_read_only(tmp_path):
+    """Two rounds of one geometry operation a side, on two copies of this
+    checkout: each side imports its own traceform (the script refuses
+    another), a line per round and the median ratio are printed, and
+    nothing is written into either copy."""
+    skip = shutil.ignore_patterns("__pycache__", "_run", "_traces")
+    copies = []
+    for name in ("a", "b"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(REPO_ROOT / part, tmp_path / name / part, ignore=skip)
+        copies.append(tmp_path / name)
+    before = sorted(p for p in tmp_path.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "ab_interleaved.py"), *map(str, copies),
+         "--workload", "geometry", "--rounds", "2", "--ops", "1"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["round 1 (A first)", "round 2 (B first)"]
+    assert len(lines) == 3 and lines[2].startswith("geometry: B/A median")
+    assert sorted(p for p in tmp_path.rglob("*")) == before
