@@ -397,25 +397,18 @@ class IntervalSet:
         return _Table(list(map(sub, highs, lows)), self.den)
 
     @cached_property
-    def _pairs(self) -> tuple[dict, dict]:
-        """The exact F-stretches by rank and component closures by index that
-        the scalar inverses return, each built on its first return and shared
-        after; never all at once (a depth-20 set has 2**20 components)."""
-        return {}, {}
+    def _pairs(self) -> dict:
+        return {}
 
     def _f_pair(self, k: int) -> tuple[Fraction, Fraction]:
-        """The F-stretch of rank k as exact (low, high), built once."""
-        pairs = self._pairs[0]
+        """The F-stretch of rank k as exact (low, high), built on first use and
+        kept: the scalar inverses return these, and the closure of component i
+        is (high of rank i, low of rank i + 1).  Never all at once: a depth-20
+        set has 2**20 components."""
+        pairs = self._pairs
         if k not in pairs:
             pairs[k] = self._f_ends[0].get(k), self._f_ends[1].get(k)
         return pairs[k]
-
-    def _g_pair(self, i: int) -> tuple[Fraction, Fraction]:
-        """The closure of component i as exact (a, b), built once."""
-        pairs = self._pairs[1]
-        if i not in pairs:
-            pairs[i] = self._ends.get(2 * i), self._ends.get(2 * i + 1)
-        return pairs[i]
 
     @cached_property
     def _f_floats(self) -> tuple[np.ndarray, np.ndarray]:

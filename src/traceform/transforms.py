@@ -427,7 +427,8 @@ class DarningMap:
         if hit or k not in iset.f_ranks:
             # a component at a window edge leaves no F span there: y is off its
             # collapsed point only by the rounding of a float image
-            return iset._g_pair(min(k, m - 1))
+            k = min(k, m - 1)
+            return iset._f_pair(k)[1], iset._f_pair(k + 1)[0]
         # y lies on the F span of rank k, between collapsed points k - 1 and k
         x = _number(_combine((iset._f_ends[0].nums[k], iset.den), _combine(v, (nums[k], levels.den), sub)))
         return x, x
