@@ -9,9 +9,11 @@ the unit contraction, the trace measure (as ``traceform trace measure``
 writes it, and as a speed measure with its float64 atom arrays), the trace
 and darning transports, and the scalar scale and darning maps and their
 inverses at every adapted node, given exactly and as floats.  It also
-records the scalar geometry at float probe points in G, in F and past the
-window (``digest_probes``), and at exact ``Fraction`` probes inside gaps, inside
-F-components and past the window (``digest_exact_probes``), and
+records the classes of the cells and nodes of the adapted grid, and its
+darning images, on that grid and on a copy with one extra node
+(``digest_grid_classes``), the scalar geometry at float probe points in G, in
+F and past the window (``digest_probes``), and at exact ``Fraction`` probes
+inside gaps, inside F-components and past the window (``digest_exact_probes``), and
 the speed measures both scale functions and both darning maps push forward
 there, with their float64 atom arrays (``digest_speeds``).  Every speed
 measure recorded is followed by the holding means and absorbing flags of a
@@ -188,6 +190,7 @@ def digest_set(dg, t, iset, rng):
     digest_node_maps(dg, t, iset, maps)
     # a generator of its own, so the lines after these draw what they drew before
     digest_probes(dg, t, iset, np.random.default_rng([int(v) for v in t.split(".")]))
+    digest_grid_classes(dg, t, iset, dm)
     if dm is None:
         return
     uh = rec(t + " darn cf", lambda: tf.darn_function(cf, dm))
@@ -201,6 +204,21 @@ def digest_set(dg, t, iset, rng):
         rec(t + " darned energy", lambda: tf.darned_energy(uh))
     rec(t + " equivalence", lambda: tf.equivalence_report(
         [cf, H.random_complement_member(rng, sf, flat=True)], dm))
+
+
+def digest_grid_classes(dg, t, iset, dm):
+    """``classify`` of the cells and of the nodes, the darning map's array
+    images and ``darn_function`` of a function constant on each component
+    closure, on the adapted grid and on a copy with one extra node."""
+    adapted = tf.adapted_grid(iset)
+    extra = np.union1d(adapted, [(adapted[0] + adapted[1]) / 2])
+    for kind, grid in (("adapted", adapted), ("extra", extra)):
+        dg.record(f"{t} classify cells {kind}", lambda: iset.classify((grid[:-1] + grid[1:]) / 2))
+        dg.record(f"{t} classify nodes {kind}", lambda: iset.classify(grid, nodes=True))
+        if dm is not None:
+            dg.record(f"{t} darn images {kind}", lambda: dm(grid))
+            dg.record(f"{t} darn constant {kind}", lambda: tf.darn_function(
+                tf.GridFunction(grid, np.cos(dm(grid))), dm))
 
 
 def digest_node_maps(dg, t, iset, maps):

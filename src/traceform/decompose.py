@@ -129,7 +129,7 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     """
     iset = sf.base
     require_adapted(u, iset)
-    comp = iset.classify(u.midpoints)
+    comp = iset._grid_classes(u.grid)
     m = iset.gap_widths.size
     bad = np.flatnonzero(_component_spread(comp, m, u.slopes) > SUBSPACE_TOL)
     if bad.size:

@@ -60,15 +60,11 @@ class GridFunction:
         # a cell too short for the change across it gives an infinite slope,
         # which each reader checks
         with np.errstate(over="ignore"):
-            return np.diff(self.values) / np.diff(self.grid)
+            return np.diff(self.values) / self.cell_lengths
 
     @cached_property
     def cell_lengths(self) -> np.ndarray:
         return np.diff(self.grid)
-
-    @cached_property
-    def midpoints(self) -> np.ndarray:
-        return (self.grid[:-1] + self.grid[1:]) / 2
 
     def __call__(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
@@ -150,6 +146,8 @@ def adapted_grid(iset: IntervalSet, extra: Sequence[float] = ()) -> np.ndarray:
 def _missing_nodes(grid: np.ndarray, iset: IntervalSet) -> np.ndarray:
     """The window edges and component ends absent from the sorted ``grid``."""
     nodes = iset._adapted
+    if iset._is_adapted(grid):
+        return nodes[:0]
     at = grid[np.minimum(np.searchsorted(grid, nodes), grid.size - 1)]
     return nodes[at != nodes]
 
@@ -180,7 +178,7 @@ def cell_in_g(u: GridFunction, iset: IntervalSet) -> np.ndarray:
     G-component or one F-component and the midpoint decides which.
     """
     require_adapted(u, iset)
-    return iset.classify(u.midpoints) >= 0
+    return iset._grid_classes(u.grid) >= 0
 
 
 def is_in_subspace(u: GridFunction, iset: IntervalSet) -> bool:
@@ -193,7 +191,7 @@ def is_in_subspace(u: GridFunction, iset: IntervalSet) -> bool:
 def vanishes_on_f(u: GridFunction, iset: IntervalSet) -> bool:
     """Whether u is zero (within SUBSPACE_TOL) at every node lying in F."""
     require_adapted(u, iset)
-    on_f = iset.classify(u.grid, nodes=True) < 0
+    on_f = iset._grid_classes(u.grid, nodes=True) < 0
     return bool(np.all(np.abs(u.values[on_f]) <= SUBSPACE_TOL))
 
 
@@ -212,7 +210,7 @@ def _component_spread(comp: np.ndarray, n_components: int, *columns: np.ndarray)
 def _collapse_nodes(nodes: np.ndarray, values: np.ndarray, dm: DarningMap) -> GridFunction:
     """Map nodes through the darning map; the nodes in one component closure
     share its collapsed point, and only the first of them is kept."""
-    ys, closure = dm._images(nodes)
+    ys, closure = dm._adapted_images if dm.base._is_adapted(nodes) else dm._images(nodes)
     keep = np.concatenate([[True], (closure[1:] < 0) | (closure[1:] != closure[:-1])])
     return GridFunction(ys[keep], values[keep])
 
@@ -224,7 +222,7 @@ def darn_function(u: GridFunction, dm: DarningMap) -> GridFunction:
     iset = dm.base
     require_adapted(u, iset)
     # on an adapted grid the nodes of a closed component are the ends of its cells
-    spread = _component_spread(iset.classify(u.midpoints), iset.gap_widths.size,
+    spread = _component_spread(iset._grid_classes(u.grid), iset.gap_widths.size,
                                u.values[:-1], u.values[1:])
     bad = np.flatnonzero(spread > SUBSPACE_TOL)
     if bad.size:

@@ -33,7 +33,9 @@ decides which whole pieces are summed, the G-mass is exact: on
 ``svc_complement(2)``, ``ScaleFunction(iset)(0.3)`` is ``Fraction(1, 16)``,
 the whole gap left of 0.3, and ``(0.0)`` is the int 0.  An exact result is a
 ``Fraction`` where a value of the table takes part, and an int where only int
-queries do, or nothing: an empty sum is the int 0.
+queries do, or nothing: an empty sum is the int 0.  In that expression a table
+value meets a float as its float, a query or window end as a ``Fraction``: a
+numpy float64 left of a ``Fraction`` gives Python's float, elsewhere numpy's.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _combine(x, y, op=add):
     """x + y, or op(x, y) for ``sub``, as Python computes it on the numbers x
     and y stand for, where a pair (n, d) stands for ``Fraction(n, d)``: an
     exact pair where neither is a float (an int where both are ints), else a
-    float, a pair meeting a float as n / d, which is its ``float()``."""
+    float, a pair meeting a float as ``Fraction`` does: as n / d, its float,
+    and a numpy float64 left of it as Python's float."""
     if type(x) is tuple:
         n, d = x
         if type(y) is tuple:
@@ -109,8 +112,13 @@ def _combine(x, y, op=add):
         return op(n / d, y) if isinstance(y, float) else (op(n, y * d), d)
     if type(y) is tuple:
         m, e = y
-        return op(x, m / e) if isinstance(x, float) else (op(x * e, m), e)
+        return op(float(x), m / e) if isinstance(x, float) else (op(x * e, m), e)
     return op(x, y)
+
+
+def _float_end(n: int, den: int, x):
+    """Table value n / den as it meets x in a sum: its float where x is one, else the pair."""
+    return n / den if isinstance(x, float) else (n, den)
 
 
 def _neg(x):
@@ -173,6 +181,11 @@ class _Table(NamedTuple):
         except OverflowError:  # past int64
             pass
         return np.fromiter((n / den for n in nums), float, len(nums))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _over(ratios: list) -> tuple[list, int]:
@@ -478,9 +491,27 @@ class IntervalSet:
     @cached_property
     def _adapted(self) -> np.ndarray:
         """Sorted float64 window edges and component ends; shared, so read-only."""
-        nodes = np.union1d([float(x) for x in self.window], np.concatenate(self.float_ends))
-        nodes.flags.writeable = False
-        return nodes
+        return _read_only(np.union1d([float(x) for x in self.window], np.concatenate(self.float_ends)))
+
+    def _is_adapted(self, grid: np.ndarray) -> bool:
+        """Whether the float64 ``grid`` has the adapted grid's bytes: -0.0 is not 0.0."""
+        return grid.shape == self._adapted.shape and grid.tobytes() == self._adapted.tobytes()
+
+    @cached_property
+    def _cell_classes(self) -> np.ndarray:
+        a = self._adapted
+        return _read_only(self.classify((a[:-1] + a[1:]) / 2))
+
+    @cached_property
+    def _node_classes(self) -> np.ndarray:
+        return _read_only(self.classify(self._adapted, nodes=True))
+
+    def _grid_classes(self, grid: np.ndarray, nodes: bool = False) -> np.ndarray:
+        """``classify`` of the float64 ``grid``'s cell midpoints, or of its nodes;
+        on the adapted grid, the set's read-only table of them, made once."""
+        if self._is_adapted(grid):
+            return self._node_classes if nodes else self._cell_classes
+        return self.classify(grid if nodes else (grid[:-1] + grid[1:]) / 2, nodes)
 
     @cached_property
     def gap_widths(self) -> np.ndarray:
@@ -590,7 +621,8 @@ class IntervalSet:
             inside = b > lo[1] if cut_lo else hi[2] > a
         if not inside:
             return 0
-        return _combine(hi[0] if cut_hi else (b, self.den), lo[0] if cut_lo else (a, self.den), sub)
+        return _combine(hi[0] if cut_hi else (b, self.den),
+                        lo[0] if cut_lo else _float_end(a, self.den, hi[0]), sub)
 
     def _window_mass(self, lo, hi):
         """G-mass of [lo, hi] for placed points with w0 <= lo <= hi <= w1: the
@@ -605,11 +637,14 @@ class IntervalSet:
             b = rights[first]
             total = _combine((b, den), lo[0], sub) if b > lo[1] else 0
             if last > first + 1:
-                total = _combine(total, (self.g_prefix[last] - self.g_prefix[first + 1], den))
+                total = _combine(total, _float_end(self.g_prefix[last] - self.g_prefix[first + 1],
+                                                   den, total))
         else:  # the first component whole and the whole ones after it, added exactly
             total = self.g_prefix[last] - self.g_prefix[first], den
         a, b = lefts[last], rights[last]  # hi lies past a
-        return _combine(total, _combine(hi[0], (a, den), sub) if hi[2] <= b else (b - a, den))
+        if hi[2] <= b:  # hi cuts the last component
+            return _combine(total, _combine(hi[0], _float_end(a, den, hi[0]), sub))
+        return _combine(total, _float_end(b - a, den, total))
 
     def _g_periodic_mass(self, lo, hi):
         """G-mass of [lo, hi] for the full periodic extension of the window

@@ -54,7 +54,7 @@ class TraceFunction:
         missing = _missing_nodes(nodes, self.iset).tolist()
         if missing:
             raise ValidationError(f"trace nodes must include {missing}")
-        inside = np.flatnonzero(self.iset.classify(nodes, nodes=True) >= 0)
+        inside = np.flatnonzero(self.iset._grid_classes(nodes, nodes=True) >= 0)
         if inside.size:
             raise ValidationError(f"trace node {nodes[inside[0]]} lies inside a gap, not in F")
 
@@ -67,7 +67,7 @@ class TraceFunction:
 
     @cached_property
     def _cell_in_f(self) -> np.ndarray:
-        return self.iset.classify(self.extension.midpoints) < 0
+        return self.iset._grid_classes(self.nodes) < 0
 
 
 def harmonic_extension(phi: TraceFunction) -> GridFunction:
@@ -83,7 +83,7 @@ def gap_jumps(phi: TraceFunction) -> np.ndarray:
 def restrict_to_f(u: GridFunction, iset: IntervalSet) -> TraceFunction:
     """Trace of a grid function: keep only the nodes lying in F."""
     require_adapted(u, iset)
-    keep = iset.classify(u.grid, nodes=True) < 0
+    keep = iset._grid_classes(u.grid, nodes=True) < 0
     return TraceFunction(iset, u.grid[keep], u.values[keep])
 
 
@@ -206,7 +206,7 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
                 "restriction of a complement member"
             )
     r1, r2 = common_grid(phi.extension, psi.extension)
-    return _cell_form("trace_complement", r1, r2, phi.iset.classify(r1.midpoints) < 0)
+    return _cell_form("trace_complement", r1, r2, phi.iset._grid_classes(r1.grid) < 0)
 
 
 def trace_measure(iset: IntervalSet) -> SpeedMeasure:

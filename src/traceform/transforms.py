@@ -21,7 +21,8 @@ from operator import sub
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, Real, Tail, _combine, _decode, _encode, _number
+from .intervals import (IntervalSet, Real, Tail, _combine, _decode, _encode, _float_end, _number,
+                        _read_only)
 
 
 class Case(Enum):
@@ -185,7 +186,8 @@ class ScaleFunction:
                 return iset._f_pair(k)
         # a float equal to the float of s(w0) may lie just below s(w0)
         i = max(min(bisect_right(nums, f), len(iset._lo)) - 1, 0)
-        x = _number(_combine((iset._lo[i], iset.den), _combine(v, (nums[i], levels.den), sub)))
+        x = _number(_combine((iset._lo[i], iset.den),
+                               _combine(v, _float_end(nums[i], levels.den, v), sub)))
         return x, x
 
     def _tail_inverse(self, y, below: bool):
@@ -395,6 +397,10 @@ class DarningMap:
         return ys + gain, closure
 
     @cached_property
+    def _adapted_images(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, self._images(self.base._adapted)))
+
+    @cached_property
     def _slack(self) -> float:
         lo, hi = self._ends
         return 1e-12 * max(1.0, abs(float(hi - lo)))
@@ -430,7 +436,8 @@ class DarningMap:
             k = min(k, m - 1)
             return iset._f_pair(k)[1], iset._f_pair(k + 1)[0]
         # y lies on the F span of rank k, between collapsed points k - 1 and k
-        x = _number(_combine((iset._f_ends[0].nums[k], iset.den), _combine(v, (nums[k], levels.den), sub)))
+        x = _number(_combine((iset._f_ends[0].nums[k], iset.den),
+                               _combine(v, _float_end(nums[k], levels.den, v), sub)))
         return x, x
 
     def _raise_outside(self, y):

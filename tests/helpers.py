@@ -1185,12 +1185,32 @@ def former_trace_checks(iset, nodes, values):
         increasing = np.all(np.diff(nodes) > 0)
     if not increasing:
         raise tf.ValidationError("trace nodes must be strictly increasing")
-    missing = tf.gridfn._missing_nodes(nodes, iset).tolist()
+    missing = former_missing_nodes(nodes, iset).tolist()
     if missing:
         raise tf.ValidationError(f"trace nodes must include {missing}")
     inside = np.flatnonzero(former_classify_nodes(iset, nodes) >= 0)
     if inside.size:
         raise tf.ValidationError(f"trace node {nodes[inside[0]]} lies inside a gap, not in F")
+
+
+def former_missing_nodes(grid, iset):
+    """``gridfn._missing_nodes``, looking up every node of the adapted grid."""
+    nodes = iset._adapted
+    at = grid[np.minimum(np.searchsorted(grid, nodes), grid.size - 1)]
+    return nodes[at != nodes]
+
+
+def former_collapse_nodes(nodes, values, dm):
+    """``gridfn._collapse_nodes``, mapping the nodes on every call."""
+    ys, closure = dm._images(nodes)
+    keep = np.concatenate([[True], (closure[1:] < 0) | (closure[1:] != closure[:-1])])
+    return tf.GridFunction(ys[keep], values[keep])
+
+
+def former_slopes(u):
+    """``GridFunction.slopes``, diffing the grid a second time."""
+    with np.errstate(over="ignore"):
+        return np.diff(u.values) / np.diff(u.grid)
 
 
 def former_evaluate(u, x):

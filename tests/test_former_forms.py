@@ -2,12 +2,14 @@
 
 The fold of points that are already in the window, the widened closure ends,
 the validation checks, the check of an argument passed once for two, the
-trace match of equal grids, and the exact pairs the scalar inverses return
-are each done once now.  Every result keeps its type and its bits, the sign
-of a zero and a NaN included, and every error its type, message and
-precedence.
+trace match of equal grids, the exact pairs the scalar inverses return, the
+classes of each set's adapted grid and the darning images of it, and the
+grid diff under the slopes are each done once now.  Every result keeps its
+type and its bits, the sign of a zero and a NaN included, and every error its
+type, message and precedence.
 """
 
+from collections import Counter
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -18,12 +20,16 @@ from hypothesis import strategies as st
 import traceform as tf
 from traceform import Tail
 from traceform.darning import _trace_match, darn_trace
+from traceform.gridfn import _collapse_nodes
 from traceform.transforms import _fold
 
-from helpers import (former_classify_nodes, former_closure_index, former_evaluate, former_fold,
-                     former_grid_checks, former_trace_checks, former_trace_match, geometry_sets,
-                     probe_points, random_complement_member, random_gridfn, random_iset,
-                     random_subspace_member, random_trace_fn, random_vanishing)
+from helpers import (former_classify_nodes, former_closure_index, former_collapse_nodes,
+                     former_darn, former_darn_inverse, former_evaluate, former_fold,
+                     former_grid_checks, former_lebesgue, former_missing_nodes, former_scale,
+                     former_scale_inverse, former_slopes, former_trace_checks,
+                     former_trace_match, geometry_sets, probe_points, random_complement_member,
+                     random_gridfn, random_iset, random_subspace_member, random_trace_fn,
+                     random_vanishing)
 
 seeds = st.integers(0, 10**6)
 
@@ -258,3 +264,168 @@ def test_repeated_inverses_build_no_fraction(monkeypatch):
     assert all(x is y for a, b in zip(again, first) for x, y in zip(a, b))
     n = 2 * len(f_mids)
     assert first[:n:2] == list(iset.f_components) and first[n::2] == list(iset.components)
+
+
+class TestSlopes:
+    @settings(max_examples=80, deadline=None)
+    @given(seeds, st.sampled_from([1.0, 1e300]))
+    def test_bit_for_bit(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        u = random_gridfn(rng, random_iset(rng), scale=scale)
+        assert raw(u.slopes) == raw(former_slopes(u))
+
+    def test_subnormal_cells(self):
+        # cells too short for the change across them: infinite slopes, and a
+        # NaN-free 0 / tiny
+        grid = np.array([0.0, 5e-324, 1e-323, 1.0, np.nextafter(1.0, 2.0)])
+        u = tf.GridFunction(grid, np.array([0.0, 1e300, 1e300, -1.0, 1e-300]))
+        assert np.isinf(u.slopes).any()
+        assert raw(u.slopes) == raw(former_slopes(u))
+
+
+def _typed(fn, *args):
+    """fn(...) as the type and bits of each number it returns, or the type and
+    message of the error it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+    def bits(v):
+        return type(v), v.hex() if isinstance(v, float) else v
+    return [bits(v) for v in out] if isinstance(out, tuple) else bits(out)
+
+
+class TestNumpyFloatQueries:
+    """A numpy float64 query gives the type the former scalar path gives, as
+    Python's operators give it (np.float64 - Fraction is a Python float,
+    Fraction - np.float64 a numpy one), with the same bits."""
+
+    def test_examples(self):
+        iset = tf.svc_complement(2)
+        x = np.float64(0.3)
+        for got, want in ((iset.lebesgue(0, x, "F"), former_lebesgue(iset, 0, x, "F")),
+                          (tf.DarningMap(iset)(x), former_darn(tf.DarningMap(iset), x))):
+            assert type(got) is type(want) is float and got.hex() == want.hex()
+
+    @settings(max_examples=50, deadline=None)
+    @given(geometry_sets, seeds)
+    def test_types_and_bits(self, iset, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.choice(probe_points(iset, rng, beyond=0.5), size=10).tolist()
+        w0, w1 = iset.window
+        ends = [e for c in iset.components[:1] for e in c]
+        exact = [0, 2, w0, w1, Fr(1, 3)] + ends
+        sf = tf.ScaleFunction(iset)
+        dm = tf.DarningMap(iset) if iset.f_ranks else None
+        for x in xs:
+            n = np.float64(x)
+            for other in exact + [float(rng.choice(xs)), np.float64(rng.choice(xs))]:
+                for lo, hi in ((other, n), (n, other)):
+                    for which in ("G", "F"):
+                        assert (_typed(iset.lebesgue, lo, hi, which)
+                                == _typed(former_lebesgue, iset, lo, hi, which)), (lo, hi, which)
+            maps = [(sf, former_scale, former_scale_inverse)]
+            maps += [(dm, former_darn, former_darn_inverse)] if dm is not None else []
+            for f, forward, inverse in maps:
+                assert _typed(f, n) == _typed(forward, f, n), n
+                y = f(n)
+                if isinstance(y, float):
+                    y = np.float64(y)
+                    assert _typed(f.inverse, y) == _typed(inverse, f, y), y
+
+
+def _grid_sets():
+    return [tf.svc_complement(3), tf.svc_complement(2, tails=(Tail.ALL_G, Tail.ALL_G)),
+            tf.periodic_fat_cantor(2, 2),
+            tf.build_interval_set([(0.1, 0.2), (0.30000000000000004, 0.7)], (0, 1))]
+
+
+class TestGridTables:
+    """Each set classifies its adapted grid once and each darning map maps it
+    once; a grid that differs from it in any bit is computed as before."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry_sets)
+    def test_tables_match_the_kernel(self, iset):
+        grid = tf.adapted_grid(iset)
+        tables = [(iset._cell_classes, iset.classify((grid[:-1] + grid[1:]) / 2)),
+                  (iset._node_classes, iset.classify(grid, nodes=True))]
+        assert iset._grid_classes(grid) is iset._cell_classes
+        assert iset._grid_classes(grid, nodes=True) is iset._node_classes
+        if iset.f_ranks:
+            dm = tf.DarningMap(iset)
+            tables += list(zip(dm._adapted_images, dm._images(grid)))
+            values = np.cos(dm(grid))  # constant on each closure
+            got, want = _collapse_nodes(grid, values, dm), former_collapse_nodes(grid, values, dm)
+            assert [raw(got.grid), raw(got.values)] == [raw(want.grid), raw(want.values)]
+        for table, computed in tables:
+            assert raw(table) == raw(computed)
+            assert not table.flags.writeable
+        assert not tf.gridfn._missing_nodes(grid, iset).size
+
+    @pytest.mark.parametrize("edit", ["signed zero", "extra node", "ulp"])
+    @pytest.mark.parametrize("k", range(4))
+    def test_other_grids_are_computed(self, k, edit):
+        iset = _grid_sets()[k]
+        dm = tf.DarningMap(iset)
+        grid = tf.adapted_grid(iset)
+        if edit == "signed zero":
+            grid[0] = -0.0  # every window here starts at 0
+        elif edit == "extra node":
+            grid = np.union1d(grid, [(grid[1] + grid[2]) / 2])
+        else:
+            grid[2] = np.nextafter(grid[2], np.inf)
+        assert not iset._is_adapted(grid)
+        mids = (grid[:-1] + grid[1:]) / 2
+        pairs = [(iset._grid_classes(grid), iset.classify(mids)),
+                 (iset._grid_classes(grid, nodes=True), iset.classify(grid, nodes=True)),
+                 (tf.gridfn._missing_nodes(grid, iset), former_missing_nodes(grid, iset))]
+        for got, want in pairs:
+            assert raw(got) == raw(want)
+            assert got.flags.writeable
+        values = np.cos(dm(grid))
+        got, want = _collapse_nodes(grid, values, dm), former_collapse_nodes(grid, values, dm)
+        assert [raw(got.grid), raw(got.values)] == [raw(want.grid), raw(want.values)]
+        assert tf.gridfn._missing_nodes(grid, iset).size == (edit == "ulp")
+
+    def test_public_arrays_stay_writable(self):
+        iset = tf.svc_complement(3)
+        dm = tf.DarningMap(iset)
+        grid = tf.adapted_grid(iset)
+        tables = [iset._cell_classes, iset._node_classes, *dm._adapted_images]
+        saved = [t.copy() for t in tables]
+        for points in (grid, iset._adapted):
+            mids = (points[:-1] + points[1:]) / 2
+            outs = [iset.classify(mids), iset.classify(points, nodes=True),
+                    iset.closure_index(points), dm(points)]
+            for out in outs:
+                assert out.flags.writeable
+                out[...] = 7
+        assert [raw(t) for t in tables] == [raw(t) for t in saved]
+
+    def test_classified_once(self, monkeypatch):
+        """cell_in_g, three restrict_to_f calls, darn_function and darn_trace
+        on one adapted grid classify its cells once and its nodes once, and
+        map it once."""
+        iset = tf.svc_complement(4, tails=(Tail.ALL_G, Tail.ALL_F))
+        dm = tf.DarningMap(iset)
+        u = tf.from_callable(lambda x: np.sin(dm(x)), iset)  # constant on each closure
+        calls = Counter()
+        classify, images = tf.IntervalSet.classify, tf.DarningMap._images
+
+        def counting_classify(self, points, nodes=False):
+            calls["nodes" if nodes else "cells"] += 1
+            return classify(self, points, nodes)
+
+        def counting_images(self, xs):
+            calls["images"] += 1
+            return images(self, xs)
+
+        monkeypatch.setattr(tf.IntervalSet, "classify", counting_classify)
+        monkeypatch.setattr(tf.DarningMap, "_images", counting_images)
+        tf.gridfn.cell_in_g(u, iset)
+        phis = [tf.restrict_to_f(u, iset) for _ in range(3)]
+        tf.darn_function(u, dm)
+        darn_trace(phis[0], dm)
+        assert calls == {"cells": 1, "nodes": 1, "images": 1}
