@@ -275,8 +275,8 @@ class TestSlopes:
         assert raw(u.slopes) == raw(former_slopes(u))
 
     def test_subnormal_cells(self):
-        # cells too short for the change across them: infinite slopes, and a
-        # NaN-free 0 / tiny
+        # cells too short for the change across them give infinite slopes,
+        # and no change over a subnormal cell a zero one
         grid = np.array([0.0, 5e-324, 1e-323, 1.0, np.nextafter(1.0, 2.0)])
         u = tf.GridFunction(grid, np.array([0.0, 1e300, 1e300, -1.0, 1e-300]))
         assert np.isinf(u.slopes).any()
