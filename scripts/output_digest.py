@@ -22,7 +22,8 @@ walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
 nodes and holding means of walk chains built from the trace measures of
 fat-Cantor sets.  The exit lines give library-level hitting and Laplace
 estimates (alpha 0.5 and 2) on one gap and seed, at n = 50,000 and 100,000
-and workers 1, 2 and None, with estimate and stderr by ``repr``.  The CLI
+and workers 1, 2 and None, with estimate and stderr by ``repr``; each
+(n, workers) draws one ``exit_sample`` and reads all three from it.  The CLI
 lines cover every leaf command, the ones the ``cli`` workload skips
 included, and the ``format_help()`` text of every
 parser at a fixed width of 100 columns.
@@ -65,8 +66,7 @@ import helpers as H  # noqa: E402
 import traceform as tf  # noqa: E402
 from traceform.cli import build_parser, main as cli_main  # noqa: E402
 from traceform.simulate import (  # noqa: E402
-    estimate_hitting, estimate_laplace, occupation_fractions, simulate_xs, walk_occupation,
-    walk_paths)
+    occupation_fractions, simulate_xs, walk_occupation, walk_paths)
 from traceform.trace import trace_jump_energy, trace_local_energy, trace_measure_dict  # noqa: E402
 
 SEEDS = 60
@@ -361,17 +361,17 @@ def digest_walks(dg):
 
 
 def digest_exits(dg):
-    """Exit estimates at criterion 6's corrected setting."""
+    """Exit estimates at criterion 6's corrected setting: one sample per
+    (n, workers), read for its hitting and Laplace lines."""
     a, b = Fraction(-1, 4), Fraction(3, 2)
     gap = tf.build_interval_set([(a, b)], (a, b))
     dt = (float(b - a) / 40) ** 2
     for n in (50_000, 100_000):
         for workers in (1, 2, None):
-            calls = [("hitting", lambda: estimate_hitting(
-                gap, 0.3, n, 17, dt=dt, correct=True, workers=workers))]
-            calls += [(f"laplace {alpha}", lambda alpha=alpha: estimate_laplace(
-                gap, 0.3, alpha, n, 17, dt=dt, correct=True, workers=workers))
-                for alpha in (0.5, 2.0)]
+            exits = tf.exit_sample(gap, 0.3, n, 17, dt=dt, correct=True, workers=workers)
+            calls = [("hitting", exits.hitting)]
+            calls += [(f"laplace {alpha}", lambda alpha=alpha: exits.laplace(alpha))
+                      for alpha in (0.5, 2.0)]
             for name, fn in calls:
                 dg.record(f"exit {name} n={n} workers={workers}",
                           lambda: [[repr(r.estimate), repr(r.stderr)] for r in fn()])

@@ -74,6 +74,7 @@ from .simulate import (
     build_chain,
     estimate_hitting,
     estimate_laplace,
+    exit_sample,
     occupation_fractions,
     simulate_xs,
     walk_occupation,
@@ -139,6 +140,7 @@ __all__ = [
     "build_chain",
     "estimate_hitting",
     "estimate_laplace",
+    "exit_sample",
     "occupation_fractions",
     "simulate_xs",
     "walk_occupation",

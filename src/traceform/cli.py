@@ -28,7 +28,7 @@ from .decompose import decompose_harmonic, project_subspace
 from .energy import dirichlet_energy, energy_measure, part_energy, subspace_energy
 from .errors import PreconditionError, TraceformError, ValidationError
 from .gridfn import GridFunction, darn_function
-from .intervals import IntervalSet, Tail, build_interval_set, svc_complement
+from .intervals import IntervalSet, Tail, _csv_text, build_interval_set, svc_complement
 from .simulate import (PathSample, bm_paths, estimate_hitting, estimate_laplace,
                        occupation_fractions, simulate_xs, walk_paths)
 from .trace import (TraceFunction, feller_numeric, feller_weight, jump_table_csv,
@@ -233,14 +233,13 @@ def cmd_scale_eval(args):
                 f"at most {SCALE_MAX_POINTS} are allowed"
             )
         xs = [w0 + k * step for k in range(count + 1)]
-    rows = ["x,scale"]
-    rows += [f"{float(x)!r},{float(sf(x))!r}" for x in xs]
+    rows = [(float(x), float(sf(x))) for x in xs]
     info = {
         "case": classify_case(sf).value,
         "anchor": str(sf.anchor),
         "window_image": [str(v) for v in sf.window_image()],
     }
-    return {"scale.csv": "\n".join(rows) + "\n", "scale.json": _json_text(info)}, ()
+    return {"scale.csv": _csv_text("x,scale", rows), "scale.json": _json_text(info)}, ()
 
 
 def cmd_darn_map(args):
@@ -321,11 +320,9 @@ def cmd_feller(args):
     alphas = [float(_fraction(a)) for a in args.alpha_ladder.split(",") if a.strip()]
     if not alphas:
         raise ValidationError("--alpha-ladder needs at least one value")
-    rows = ["alpha,numeric,limit"]
     limit = float(feller_weight(d))
-    for alpha in alphas:
-        rows.append(f"{alpha!r},{feller_numeric(d, alpha)!r},{limit!r}")
-    return {"feller.csv": "\n".join(rows) + "\n"}, ()
+    rows = [(alpha, feller_numeric(d, alpha), limit) for alpha in alphas]
+    return {"feller.csv": _csv_text("alpha,numeric,limit", rows)}, ()
 
 
 def cmd_equivalence(args):

@@ -59,10 +59,8 @@ def project_subspace(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     C1 = (integral of u' 1_G) / m(G in window) when both sides are finite.
     """
     iset = sf.base
-    require_adapted(u, iset)
+    in_g = cell_in_g(u, iset)  # raises on a grid not adapted to the set
     case = classify_case(iset)
-
-    in_g = cell_in_g(u, iset)
     g_len = np.where(in_g, u.cell_lengths, 0.0)
     g_mass = float(g_len.sum())
     # cumulative integral of u' 1_G from the left window edge
@@ -110,9 +108,8 @@ def is_in_complement(u: GridFunction, sf: ScaleFunction) -> bool:
     """Whether u is orthogonal to the subspace: u' constant across G, and that
     constant zero whenever the scale range is infinite on either side."""
     iset = sf.base
-    require_adapted(u, iset)
-    case = classify_case(iset)
     in_g = cell_in_g(u, iset)
+    case = classify_case(iset)
     g_slopes = u.slopes[in_g]
     if g_slopes.size == 0:
         return True

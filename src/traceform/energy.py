@@ -111,8 +111,8 @@ def subspace_energy(u: GridFunction, v: GridFunction | None = None, *,
                 f"{name} argument is not a subspace member: its derivative does "
                 "not vanish on F within tolerance"
             )
-    ru, rv = common_grid(u, v)
-    return _cell_form("subspace", ru, rv, cell_in_g(ru, iset))
+    ru, rv = common_grid(u, v)  # a union of adapted grids is adapted: no second check
+    return _cell_form("subspace", ru, rv, iset._grid_classes(ru.grid) >= 0)
 
 
 def part_energy(u: GridFunction, v: GridFunction | None = None, *,
@@ -128,8 +128,8 @@ def part_energy(u: GridFunction, v: GridFunction | None = None, *,
             raise PreconditionError(
                 f"{name} argument does not vanish on F within tolerance"
             )
-    ru, rv = common_grid(u, v)
-    report = _cell_form("part", ru, rv, cell_in_g(ru, iset))
+    ru, rv = common_grid(u, v)  # adapted, as in subspace_energy
+    report = _cell_form("part", ru, rv, iset._grid_classes(ru.grid) >= 0)
     full = _cell_form("full", ru, rv).value
     if abs(full - report.value) > 1e-9 * max(1.0, abs(full)):
         raise PreconditionError(

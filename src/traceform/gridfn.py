@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _csv_text
 from .transforms import DarningMap
 
 SUBSPACE_TOL = 1e-9
@@ -102,12 +102,7 @@ class GridFunction:
         return GridFunction(grid, values)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "value"])
-        for x, v in zip(self.grid, self.values):
-            writer.writerow([repr(float(x)), repr(float(v))])
-        return buf.getvalue()
+        return _csv_text("x,value", zip(self.grid.tolist(), self.values.tolist()))
 
     @classmethod
     def from_csv(cls, text: str, iset: IntervalSet | None = None) -> "GridFunction":

@@ -74,6 +74,12 @@ def _encode(x: Real):
     return x
 
 
+def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row of Python numbers,
+    each written by ``repr`` (no ``repr`` of a number needs CSV quoting)."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def _decode(x) -> Real:
     if isinstance(x, str):
         return Fraction(x)

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StepCapError, ValidationError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _csv_text
 from .transforms import ScaleFunction, SpeedMeasure, scale_pushforward_speed
 
 # mean overshoot of a Gaussian random walk over a level, in units of sqrt(dt);
@@ -82,12 +82,8 @@ class PathSample:
             raise ValidationError("sample times must be strictly increasing")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "x", "flag"])
-        for t, x, f in zip(self.times, self.states, self.flags):
-            writer.writerow([repr(float(t)), repr(float(x)), int(f)])
-        return buf.getvalue()
+        return _csv_text("t,x,flag", zip(self.times.tolist(), self.states.tolist(),
+                                         self.flags.tolist()))
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "PathSample":
@@ -321,7 +317,54 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
     return left, tau
 
 
-def _gap_of(iset: IntervalSet, x0: float) -> tuple[float, float]:
+def default_exit_dt(gap: float) -> float:
+    return (gap / DEFAULT_GAP_FRACTION) ** 2
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise PreconditionError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
+@dataclass(frozen=True)
+class ExitSample:
+    """Exit side (``left``) and exit time (``tau``) of each path from the gap (a, b)."""
+
+    a: float
+    b: float
+    left: np.ndarray
+    tau: np.ndarray
+
+    def _sides(self, weight, label: str) -> tuple[EstimatorResult, EstimatorResult]:
+        """Mean of each path's weight on each exit side, 0 for a path leaving by the other."""
+        return (_result_from_samples(np.where(self.left, weight, 0.0),
+                                     f"{label}exit at {self.a} (left endpoint)"),
+                _result_from_samples(np.where(self.left, 0.0, weight),
+                                     f"{label}exit at {self.b} (right endpoint)"))
+
+    def hitting(self) -> tuple[EstimatorResult, EstimatorResult]:
+        """Exit-side probabilities; the closed form (b - x0) / (b - a) is their oracle."""
+        return self._sides(1.0, "")
+
+    def laplace(self, alpha: float) -> tuple[EstimatorResult, EstimatorResult]:
+        """Means of exp(-alpha * tau) on each exit side; alpha = 0 gives ``hitting``."""
+        _check_alpha(alpha)
+        return self._sides(np.exp(-alpha * self.tau), f"exp(-{alpha} tau) on ")
+
+
+def exit_sample(iset: IntervalSet, x0: float, n: int, seed: int, dt: float | None = None,
+                correct: bool = False, workers: int | None = None) -> ExitSample:
+    """Exit sides and times of n discretized Brownian paths from x0 in its gap of G.
+
+    ``dt`` defaults to ``default_exit_dt`` of the gap's width; ``correct``
+    enables the overshoot boundary correction.  The defaults are biased: on
+    the gap (0, 1) from 0.2, n = 1e5 and seed 1 give a hitting estimate at
+    z = -5.6 against the closed form.  ``correct=True`` with dt = (d/40)**2
+    for a gap of width d is the validated setting (acceptance criterion 6
+    also checks Laplace transforms at dt = (d/50)**2 against dt / 2).
+    ``workers`` threads share the chunks (default: one per usable CPU); the
+    sample is the same for every worker count.
+    """
     i = iset.component_index(x0)
     if i is None:
         raise PreconditionError(
@@ -329,61 +372,25 @@ def _gap_of(iset: IntervalSet, x0: float) -> tuple[float, float]:
             "interior to a finite G-component"
         )
     lefts, rights = iset.float_ends
-    return float(lefts[i]), float(rights[i])
-
-
-def default_exit_dt(gap: float) -> float:
-    return (gap / DEFAULT_GAP_FRACTION) ** 2
+    a, b = float(lefts[i]), float(rights[i])
+    if dt is None:
+        dt = default_exit_dt(b - a)
+    return ExitSample(a, b, *_exit_samples(a, b, x0, n, dt, seed, correct, workers))
 
 
 def estimate_hitting(iset: IntervalSet, x0: float, n: int, seed: int,
                      dt: float | None = None, correct: bool = False,
                      workers: int | None = None) -> tuple[EstimatorResult, EstimatorResult]:
-    """Exit-side probabilities of the gap containing x0, one result per endpoint.
-
-    The closed form (b - x0) / (b - a) for the left endpoint is never used
-    here; it is the oracle the estimate is tested against.  ``correct``
-    enables the overshoot boundary correction (off by default).  The defaults
-    are biased: on the gap (0, 1) from 0.2, n = 1e5 and seed 1 give
-    z = -5.6 against the closed form.  ``correct=True`` with dt = (d/40)**2
-    for a gap of width d is the validated setting.  ``workers``
-    threads share the chunks (default: one per usable CPU); the result is
-    the same for every worker count.
-    """
-    a, b = _gap_of(iset, x0)
-    if dt is None:
-        dt = default_exit_dt(b - a)
-    left, _ = _exit_samples(a, b, x0, n, dt, seed, correct, workers)
-    res_left = _result_from_samples(left.astype(float), f"exit at {a} (left endpoint)")
-    res_right = _result_from_samples((~left).astype(float), f"exit at {b} (right endpoint)")
-    return res_left, res_right
+    """``exit_sample(...).hitting()``, one result per endpoint of x0's gap."""
+    return exit_sample(iset, x0, n, seed, dt, correct, workers).hitting()
 
 
 def estimate_laplace(iset: IntervalSet, x0: float, alpha: float, n: int, seed: int,
                      dt: float | None = None, correct: bool = False,
                      workers: int | None = None) -> tuple[EstimatorResult, EstimatorResult]:
-    """Means of exp(-alpha * exit_time) on each exit side; alpha = 0 recovers
-    the plain hitting probabilities.
-
-    Settings and bias are those of ``estimate_hitting``: the
-    defaults are biased, and ``correct=True`` with dt = (d/40)**2 is the
-    validated setting (acceptance criterion 6 also checks dt = (d/50)**2
-    against dt / 2).
-    """
-    if not 0 <= alpha < math.inf:
-        raise PreconditionError(f"alpha must be nonnegative and finite, got {alpha}")
-    a, b = _gap_of(iset, x0)
-    if dt is None:
-        dt = default_exit_dt(b - a)
-    left, tau = _exit_samples(a, b, x0, n, dt, seed, correct, workers)
-    damp = np.exp(-alpha * tau)
-    res_left = _result_from_samples(
-        np.where(left, damp, 0.0), f"exp(-{alpha} tau) on exit at {a} (left endpoint)"
-    )
-    res_right = _result_from_samples(
-        np.where(left, 0.0, damp), f"exp(-{alpha} tau) on exit at {b} (right endpoint)"
-    )
-    return res_left, res_right
+    """``exit_sample(...).laplace(alpha)``, with alpha checked before the draw."""
+    _check_alpha(alpha)
+    return exit_sample(iset, x0, n, seed, dt, correct, workers).laplace(alpha)
 
 
 # -- speed-measure walks ----------------------------------------------------

@@ -16,8 +16,6 @@ changed by the speed measure ``trace_measure``.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +25,7 @@ import numpy as np
 from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
 from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, require_adapted
-from .intervals import IntervalSet, Tail, _encode, _Table
+from .intervals import IntervalSet, Tail, _csv_text, _encode, _Table
 from .transforms import SpeedMeasure, _encode_mass, _gap_atoms
 
 
@@ -245,9 +243,4 @@ def jump_table(iset: IntervalSet) -> list[tuple[float, float, float, float]]:
 
 
 def jump_table_csv(iset: IntervalSet) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a_n", "b_n", "d_n", "weight"])
-    for row in jump_table(iset):
-        writer.writerow([repr(v) for v in row])
-    return buf.getvalue()
+    return _csv_text("a_n,b_n,d_n,weight", jump_table(iset))

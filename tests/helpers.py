@@ -9,6 +9,8 @@ is used to check.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import numbers
 from bisect import bisect_left, bisect_right
@@ -22,6 +24,7 @@ from scipy import integrate
 import traceform as tf
 from traceform import Tail
 from traceform.intervals import _encode
+from traceform.simulate import _exit_samples, _result_from_samples, default_exit_dt
 
 
 def window_f_components(iset):
@@ -141,6 +144,26 @@ def exit_chunk_untiled(a, b, x0, m, dt, rng, shift, step_block=128):
         idx = idx[keep]
         base += step_block
     return left, tau
+
+
+def former_exit_estimates(iset, x0, n, seed, dt=None, correct=False, workers=None, alpha=None):
+    """``estimate_hitting`` (``alpha`` None) or ``estimate_laplace`` as each
+    drew and reduced its own sample: the gap lookup, the default dt, the draw
+    and the two sides."""
+    i = iset.component_index(x0)
+    lefts, rights = iset.float_ends
+    a, b = float(lefts[i]), float(rights[i])
+    if dt is None:
+        dt = default_exit_dt(b - a)
+    left, tau = _exit_samples(a, b, x0, n, dt, seed, correct, workers)
+    if alpha is None:
+        return (_result_from_samples(left.astype(float), f"exit at {a} (left endpoint)"),
+                _result_from_samples((~left).astype(float), f"exit at {b} (right endpoint)"))
+    damp = np.exp(-alpha * tau)
+    return (_result_from_samples(np.where(left, damp, 0.0),
+                                 f"exp(-{alpha} tau) on exit at {a} (left endpoint)"),
+            _result_from_samples(np.where(left, 0.0, damp),
+                                 f"exp(-{alpha} tau) on exit at {b} (right endpoint)"))
 
 
 class ZeroSteps:
@@ -1229,3 +1252,49 @@ def former_trace_match(uh, phih):
     union of their grids."""
     common = np.union1d(uh.grid, phih.grid)
     return float(np.max(np.abs(uh.refine(common).values - phih.refine(common).values)))
+
+
+def _former_csv_writer(header):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    return buf, writer
+
+
+def former_grid_csv(u):
+    """``GridFunction.to_csv`` through ``csv.writer``."""
+    buf, writer = _former_csv_writer(["x", "value"])
+    for x, v in zip(u.grid, u.values):
+        writer.writerow([repr(float(x)), repr(float(v))])
+    return buf.getvalue()
+
+
+def former_path_csv(path):
+    """``PathSample.to_csv`` through ``csv.writer``."""
+    buf, writer = _former_csv_writer(["t", "x", "flag"])
+    for t, x, f in zip(path.times, path.states, path.flags):
+        writer.writerow([repr(float(t)), repr(float(x)), int(f)])
+    return buf.getvalue()
+
+
+def former_jump_table_csv(iset):
+    """``trace.jump_table_csv`` through ``csv.writer``."""
+    buf, writer = _former_csv_writer(["a_n", "b_n", "d_n", "weight"])
+    for row in tf.jump_table(iset):
+        writer.writerow([repr(v) for v in row])
+    return buf.getvalue()
+
+
+def former_scale_csv(pairs):
+    """The ``scale.csv`` rows ``scale eval`` built by hand, from (x, s(x)) floats."""
+    rows = ["x,scale"]
+    rows += [f"{x!r},{s!r}" for x, s in pairs]
+    return "\n".join(rows) + "\n"
+
+
+def former_feller_csv(triples):
+    """The ``feller.csv`` rows ``feller`` built by hand, from (alpha, numeric, limit) floats."""
+    rows = ["alpha,numeric,limit"]
+    for alpha, numeric, limit in triples:
+        rows.append(f"{alpha!r},{numeric!r},{limit!r}")
+    return "\n".join(rows) + "\n"

@@ -15,7 +15,7 @@ import pytest
 
 import traceform as tf
 from traceform.darning import darn_trace
-from traceform.simulate import build_chain, estimate_hitting, estimate_laplace, walk_occupation
+from traceform.simulate import build_chain, estimate_hitting, exit_sample, walk_occupation
 from traceform.trace import trace_jump_energy, trace_local_energy
 
 from helpers import (
@@ -252,10 +252,12 @@ def test_criterion_6_monte_carlo_hitting():
             gap = tf.build_interval_set([(a, b)], (a, b))
             d = float(b - a)
             dt = (d / 50) ** 2
+            # one coarse and one fine sample per case, read for every alpha
+            coarse_exits = exit_sample(gap, x0, n_lap, seed=411, dt=dt, correct=True)
+            fine_exits = exit_sample(gap, x0, n_lap, seed=412, dt=dt / 2, correct=True)
             for alpha in (0.5, 2.0):
                 p_true, q_true = tf.alpha_hitting(gap, 0, alpha, x0)
-                coarse = estimate_laplace(gap, x0, alpha, n_lap, seed=411, dt=dt, correct=True)
-                fine = estimate_laplace(gap, x0, alpha, n_lap, seed=412, dt=dt / 2, correct=True)
+                coarse, fine = coarse_exits.laplace(alpha), fine_exits.laplace(alpha)
                 for side, truth in ((0, p_true), (1, q_true)):
                     band = 3 * fine[side].stderr + abs(coarse[side].estimate - fine[side].estimate)
                     gap_err = abs(fine[side].estimate - truth)
@@ -333,12 +335,11 @@ def test_criterion_9_determinism_across_workers():
     try:
         gap = tf.build_interval_set([(0, 1)], (0, 1))
         n = 40_000  # spans several estimator chunks
-        base_h = estimate_hitting(gap, 0.3, n, seed=99, correct=True, workers=1)
-        base_l = estimate_laplace(gap, 0.3, 2.0, n, seed=99, correct=True, workers=1)
+        base = exit_sample(gap, 0.3, n, seed=99, correct=True, workers=1)
+        base_h, base_l = base.hitting(), base.laplace(2.0)
         for workers in (2, 4, 8):
-            h = estimate_hitting(gap, 0.3, n, seed=99, correct=True, workers=workers)
-            l = estimate_laplace(gap, 0.3, 2.0, n, seed=99, correct=True, workers=workers)
-            for got, ref in ((h, base_h), (l, base_l)):
+            exits = exit_sample(gap, 0.3, n, seed=99, correct=True, workers=workers)
+            for got, ref in ((exits.hitting(), base_h), (exits.laplace(2.0), base_l)):
                 assert got[0].estimate == ref[0].estimate
                 assert got[1].estimate == ref[1].estimate
                 assert got[0].stderr == ref[0].stderr

@@ -3,10 +3,11 @@
 The fold of points that are already in the window, the widened closure ends,
 the validation checks, the check of an argument passed once for two, the
 trace match of equal grids, the exact pairs the scalar inverses return, the
-classes of each set's adapted grid and the darning images of it, and the
-grid diff under the slopes are each done once now.  Every result keeps its
-type and its bits, the sign of a zero and a NaN included, and every error its
-type, message and precedence.
+classes of each set's adapted grid and the darning images of it, the
+adaptedness check of each grid and the grid diff under the slopes are each
+done once now, and five CSV writers are one.  Every result keeps its type and
+its bits, the sign of a zero and a NaN included, and every error its type,
+message and precedence.
 """
 
 from collections import Counter
@@ -21,10 +22,12 @@ import traceform as tf
 from traceform import Tail
 from traceform.darning import _trace_match, darn_trace
 from traceform.gridfn import _collapse_nodes
+from traceform.intervals import _csv_text
 from traceform.transforms import _fold
 
 from helpers import (_float_pair_set, former_classify_nodes, former_closure_index,
-                     former_collapse_nodes, former_darn, former_darn_inverse, former_evaluate,
+                     former_collapse_nodes, former_feller_csv, former_grid_csv,
+                     former_jump_table_csv, former_path_csv, former_scale_csv, former_darn, former_darn_inverse, former_evaluate,
                      former_fold, former_grid_checks, former_lebesgue, former_missing_nodes,
                      former_scale, former_scale_inverse, former_slopes, former_trace_checks,
                      former_trace_match, geometry_sets, probe_points, random_complement_member,
@@ -433,3 +436,88 @@ class TestGridTables:
         tf.darn_function(u, dm)
         darn_trace(phis[0], dm)
         assert calls == {"cells": 1, "nodes": 1, "images": 1}
+
+    def test_adaptedness_checked_once(self, monkeypatch):
+        """Each grid a caller passes is checked for adaptedness once; the
+        common grid of two adapted grids is adapted and is not checked.  On a
+        grid that lacks a node, the first check raises, as before."""
+        iset = tf.svc_complement(3)
+        sf = tf.ScaleFunction(iset)
+        extra = [0.05, 0.5]  # adapted, but not the set's own adapted grid
+        u = tf.from_callable(np.sin, iset, extra)
+        in_g = iset.classify(u.grid, nodes=True) >= 0
+        w = tf.GridFunction(u.grid, np.where(in_g, np.cos(u.grid), 0.0))  # 0 on F
+        w2 = tf.GridFunction(u.grid, 2 * w.values)
+        member = tf.project_subspace(u, sf).u1
+        line = tf.from_callable(lambda x: 3 * x, iset, extra)
+        calls = []
+        missing = tf.gridfn._missing_nodes
+
+        def counting(grid, iset):
+            calls.append(grid.size)
+            return missing(grid, iset)
+
+        monkeypatch.setattr(tf.gridfn, "_missing_nodes", counting)
+        cases = [(lambda: tf.part_energy(w, iset=iset), 1),
+                 (lambda: tf.part_energy(w, w2, iset=iset), 2),
+                 (lambda: tf.subspace_energy(member, iset=iset), 1),
+                 (lambda: tf.project_subspace(u, sf), 1),
+                 (lambda: tf.is_in_complement(u, sf), 1),
+                 (lambda: tf.decompose_harmonic(line, sf), 2)]
+        for call, want in cases:
+            calls.clear()
+            call()
+            assert calls == [u.grid.size] * want
+        holed = tf.GridFunction(np.delete(u.grid, 3), np.delete(u.values, 3))
+        for call in (lambda: tf.project_subspace(holed, sf),
+                     lambda: tf.is_in_complement(holed, sf),
+                     lambda: tf.part_energy(holed, iset=iset)):
+            calls.clear()
+            with pytest.raises(tf.PreconditionError, match="not adapted"):
+                call()
+            assert len(calls) == 1
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvText:
+    """``intervals._csv_text`` against the five writers it replaced, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=2,
+                    unique_by=lambda p: p[0]))
+    @example([(-0.0, 5e-324), (1e-310, -0.0), (1e300, -1e300)])
+    def test_grid_function(self, pairs):
+        grid, values = zip(*sorted(pairs))
+        u = tf.GridFunction(grid, values)
+        assert u.to_csv() == former_grid_csv(u)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(finite_floats, st.floats(), st.integers(0, 2)), min_size=1,
+                    unique_by=lambda r: r[0]))
+    def test_path(self, rows):
+        times, states, flags = zip(*sorted(rows, key=lambda r: r[0]))
+        path = tf.PathSample(times, states, flags, seed=0, horizon=times[-1])
+        assert path.to_csv() == former_path_csv(path)
+
+    def test_bm_paths(self):
+        for path in tf.bm_paths(3, 0.01, 0.5, -0.25, seed=4):
+            assert path.to_csv() == former_path_csv(path)
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_jump_table(self, depth):
+        iset = tf.svc_complement(depth)
+        assert tf.trace.jump_table_csv(iset) == former_jump_table_csv(iset)
+
+    @settings(max_examples=50, deadline=None)
+    @given(geometry_sets)
+    def test_jump_table_of_any_set(self, iset):
+        assert tf.trace.jump_table_csv(iset) == former_jump_table_csv(iset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats())),
+           st.lists(st.tuples(st.floats(), st.floats(), st.floats())))
+    def test_scale_and_feller_rows(self, pairs, triples):
+        assert _csv_text("x,scale", pairs) == former_scale_csv(pairs)
+        assert _csv_text("alpha,numeric,limit", triples) == former_feller_csv(triples)

@@ -23,6 +23,7 @@ from traceform.simulate import (
     default_exit_dt,
     estimate_hitting,
     estimate_laplace,
+    exit_sample,
     occupation_fractions,
     simulate_xs,
     walk_occupation,
@@ -30,7 +31,7 @@ from traceform.simulate import (
 )
 
 from helpers import (ZeroSteps, chain_holds_loop, chain_stationary, exit_chunk_untiled,
-                     geometry_sets, speed_measures)
+                     former_exit_estimates, geometry_sets, speed_measures)
 
 
 def _run_chunk(*args):
@@ -145,6 +146,43 @@ class TestExitEstimators:
     def test_empty_sample_rejected(self, svc1):
         with pytest.raises(PreconditionError, match="at least 1"):
             estimate_hitting(svc1, 0.5, 0, seed=1)
+
+
+class TestExitSample:
+    """One sample, read for every question: each reduction equals the
+    estimator that asks it, and the former draw-per-question form, field for field."""
+
+    @pytest.mark.parametrize("workers", [1, 2, None])
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_reductions_match_the_estimators(self, svc1, monkeypatch, workers, correct):
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", 1024)  # three chunks
+        args = (svc1, 0.45, 3000, 8)
+        kw = dict(correct=correct, workers=workers)
+        sample = exit_sample(*args, **kw)
+        assert (sample.a, sample.b) == (0.375, 0.625)
+        assert sample.hitting() == estimate_hitting(*args, **kw)
+        assert sample.hitting() == former_exit_estimates(*args, **kw)
+        x0, n, seed = args[1:]
+        for alpha in (0, 0.5, 2.0, 1e3):  # several alphas from one sample
+            got = sample.laplace(alpha)
+            assert got == estimate_laplace(svc1, x0, alpha, n, seed, **kw)
+            assert got == former_exit_estimates(*args, **kw, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.inf, math.nan])
+    def test_bad_alpha_rejected(self, svc1, alpha):
+        sample = exit_sample(svc1, 0.5, 100, 1)
+        with pytest.raises(PreconditionError, match="alpha must be nonnegative and finite"):
+            sample.laplace(alpha)
+
+    def test_bad_alpha_reported_before_drawing(self, svc1, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulate, "_exit_samples", lambda *a: draws.append(a))
+        for alpha in (-1.0, math.inf):
+            with pytest.raises(PreconditionError, match="alpha must be"):
+                estimate_laplace(svc1, 0.2, alpha, 100, seed=1)  # 0.2 lies in F
+        with pytest.raises(PreconditionError, match="lies in F"):
+            exit_sample(svc1, 0.2, 100, seed=1)
+        assert draws == []
 
 
 class TestExitEngine:
