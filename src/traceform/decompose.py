@@ -58,9 +58,11 @@ def project_subspace(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     when one side is finite, and corrected by the mean scale slope
     C1 = (integral of u' 1_G) / m(G in window) when both sides are finite.
     """
-    iset = sf.base
-    in_g = cell_in_g(u, iset)  # raises on a grid not adapted to the set
-    case = classify_case(iset)
+    return _project(u, sf, cell_in_g(u, sf.base))  # raises on a grid not adapted to the set
+
+
+def _project(u: GridFunction, sf: ScaleFunction, in_g: np.ndarray) -> Decomposition:
+    case = classify_case(sf.base)
     g_len = np.where(in_g, u.cell_lengths, 0.0)
     g_mass = float(g_len.sum())
     # cumulative integral of u' 1_G from the left window edge
@@ -74,7 +76,7 @@ def project_subspace(u: GridFunction, sf: ScaleFunction) -> Decomposition:
         u1_vals = cum - offset
         constants = {"C0": float(u(anchor))}
     elif case is Case.II:
-        left_finite = not iset.side_mass_infinite("left")
+        left_finite = not sf.base.side_mass_infinite("left")
         if left_finite:
             u1_vals = cum.copy()
         else:
@@ -136,7 +138,7 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction) -> Decomposition:
             f"function is not linear on component {i} = ({a}, {b}): "
             "it is not harmonic off F"
         )
-    dec = project_subspace(u, sf)
+    dec = _project(u, sf, comp >= 0)
     for part in (dec.u1, dec.u2):
         bad = np.flatnonzero(_component_spread(comp, m, part.slopes) > SUBSPACE_TOL)
         if bad.size:

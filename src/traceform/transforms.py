@@ -77,6 +77,14 @@ def _exact(anchor: Real, name: str) -> Real:
     return Fraction(anchor) if isinstance(anchor, float) else anchor
 
 
+def _queries(x) -> np.ndarray:
+    """A query ndarray as float64; NaN has no image or preimage."""
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise PreconditionError("query values must not be NaN")
+    return xs
+
+
 def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """Each y within ``slack`` of the nearest of the sorted ``values``
     becomes that value."""
@@ -100,7 +108,7 @@ class ScaleFunction:
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
-            return self._map(np.asarray(x, dtype=float))
+            return self._map(_queries(x))
         return self.base._mass_from(self._anchor, x, "G")
 
     @cached_property
@@ -162,11 +170,13 @@ class ScaleFunction:
         plateau value is that plateau.  A float ndarray gives a pair of arrays.
         """
         if isinstance(y, np.ndarray):
-            return self._inverse_map(np.asarray(y, dtype=float))
+            return self._inverse_map(_queries(y))
         iset, levels = self.base, self._levels
         nums, floats = levels.nums, self._level_floats
         v, f, c, _, _ = levels.place(y)
         if isinstance(y, float):  # past the image's floats, as the array path clips
+            if y != y:
+                raise PreconditionError("query values must not be NaN")
             below, above = y < floats[0], y > floats[-1]
         else:
             below, above = f < nums[0], c > nums[-1]
@@ -332,7 +342,7 @@ class DarningMap:
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
-            return self._images(np.asarray(x, dtype=float))[0]
+            return self._images(_queries(x))[0]
         return self.base._mass_from(self._anchor, x, "F")
 
     @cached_property
@@ -410,7 +420,7 @@ class DarningMap:
         component interval when y is a collapsed point.  A float ndarray
         gives a pair of arrays."""
         if isinstance(y, np.ndarray):
-            return self._inverse_map(np.asarray(y, dtype=float))
+            return self._inverse_map(_queries(y))
         iset, levels = self.base, self._levels
         nums, floats, m = levels.nums, self._level_floats, len(iset._lo)
         v, f, c, _, _ = levels.place(y)
@@ -424,8 +434,9 @@ class DarningMap:
             else:
                 self._raise_outside(y)
         if isinstance(y, float):  # compared with the floats, as in the array path
-            # collapsed points below y; NaN sorts last, as np.searchsorted puts it
-            k = bisect_left(floats, y, 1, m + 1) - 1 if y == y else m
+            if y != y:
+                raise PreconditionError("query values must not be NaN")
+            k = bisect_left(floats, y, 1, m + 1) - 1  # collapsed points below y
             hit = k < m and floats[k + 1] == y
         else:
             k = bisect_left(nums, c, 1, m + 1) - 1

@@ -1,20 +1,47 @@
 """The helper scripts under scripts/."""
 
 import fcntl
+import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _env(tmp_path):
+    return dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+DEMOS = {
+    "feller_ladder": (["--widths", "0.5", "--decades", "2"], "d,alpha,numeric,limit"),
+    "hitting_battery": (["--cases", "3", "--paths", "2000"], "a,b,x0,estimate,stderr,truth,z"),
+    "darning_occupation": (["--horizon", "200", "--burn-in", "20"],
+                           "atom,mass,occupied,stderr,chain_stationary"),
+}
+
+
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_script_writes_its_csv(tmp_path, script):
+    """Each demo script runs on small arguments and writes its CSV, by
+    default into the working directory."""
+    args, header = DEMOS[script]
+    proc = subprocess.run([sys.executable, str(REPO_ROOT / "scripts" / f"{script}.py"), *args],
+                          env=_env(tmp_path), capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / f"{script}.csv").read_text().splitlines()[0] == header
 
 
 def test_output_digest_runs_one_at_a_time(tmp_path):
     """A digest started while another holds the lock exits 1 with one line,
     before it writes anything; its fixed work directory is left alone."""
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
-        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = _env(tmp_path)
     out = tmp_path / "digest.txt"
     with open(tmp_path / "traceform-output-digest.lock", "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -26,24 +53,44 @@ def test_output_digest_runs_one_at_a_time(tmp_path):
     assert not out.exists() and not (tmp_path / "traceform-output-digest").exists()
 
 
-def test_ab_interleaved_runs_two_checkouts_read_only(tmp_path):
-    """Two rounds of one geometry operation a side, on two copies of this
-    checkout: each side imports its own traceform (the script refuses
-    another), a line per round and the median ratio are printed, and
-    nothing is written into either copy."""
+def test_bench_record_interleaves_two_checkouts_read_only(tmp_path):
+    """With ``--seconds 0``, two copies of this checkout are timed in one
+    process, a round per seed in the rotated order: each side imports its
+    own traceform (the script refuses another), the record gets each round's
+    ratio with their median and quartiles, and nothing is written into
+    either copy."""
     skip = shutil.ignore_patterns("__pycache__", "_run", "_traces")
-    copies = []
     for name in ("a", "b"):
         for part in ("src", "perfbench"):
             shutil.copytree(REPO_ROOT / part, tmp_path / name / part, ignore=skip)
-        copies.append(tmp_path / name)
     before = sorted(p for p in tmp_path.rglob("*"))
+    out = tmp_path / "record.json"
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / "ab_interleaved.py"), *map(str, copies),
-         "--workload", "geometry", "--rounds", "2", "--ops", "1"],
+        [sys.executable, str(REPO_ROOT / "scripts" / "bench_record.py"),
+         "--checkout", "a=a", "--checkout", "b=b", "--workload", "geometry",
+         "--seeds", "1-2", "--seconds", "0", "--out", str(out)],
         capture_output=True, text=True, timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:2]] == ["round 1 (A first)", "round 2 (B first)"]
-    assert len(lines) == 3 and lines[2].startswith("geometry: B/A median")
-    assert sorted(p for p in tmp_path.rglob("*")) == before
+    entry = json.loads(out.read_text())["workloads"]["geometry"]
+    assert sorted(entry) == ["interleaved", "order", "seeds"]
+    assert entry["order"] == [["a", "b"], ["b", "a"]]
+    rounds = entry["interleaved"]
+    assert rounds["ops_per_turn"] == 5
+    assert [len(rounds["fastest_s"][name]) for name in ("a", "b")] == [2, 2]
+    ratio = rounds["ratio"]["b"]
+    assert len(ratio["per_round"]) == 2 and list(ratio) == ["per_round", "median", "q1", "q3"]
+    assert ratio["q1"] <= ratio["median"] <= ratio["q3"]
+    assert sorted(p for p in tmp_path.rglob("*")) == sorted(before + [out])
+
+
+def test_bench_record_takes_one_seed(tmp_path):
+    """One seed gives one round, whose ratio is its own median and quartiles."""
+    out = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "bench_record.py"),
+         "--checkout", f"a={REPO_ROOT}", "--checkout", f"b={REPO_ROOT}",
+         "--workload", "geometry", "--seeds", "1", "--seconds", "0", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    ratio = json.loads(out.read_text())["workloads"]["geometry"]["interleaved"]["ratio"]["b"]
+    assert ratio["median"] == ratio["q1"] == ratio["q3"] == ratio["per_round"][0]

@@ -352,6 +352,19 @@ class TestArrayPath:
         with pytest.raises(PreconditionError, match="outside the window image"):
             tf.DarningMap(svc1, z=0).inverse(np.array([-0.5]))
 
+    @pytest.mark.parametrize("query", [math.nan, np.array([math.nan, 0.3])],
+                             ids=["scalar", "array"])
+    @pytest.mark.parametrize("method", ["__call__", "inverse"])
+    @pytest.mark.parametrize("cls, comps", [(tf.ScaleFunction, [(0, 0.25), (0.5, 0.75)]),
+                                            (tf.DarningMap, [(0.25, 0.5), (0.75, 1)])])
+    def test_nan_queries_raise(self, cls, comps, method, query):
+        """A NaN has no image and no preimage: both maps and both inverses
+        refuse it, scalar or in an array, where they gave an end of the
+        window or a neighbour's value."""
+        f = getattr(cls(tf.build_interval_set(comps, (0, 1))), method)
+        with pytest.raises(PreconditionError, match="NaN|finite"):
+            f(query)
+
 
 class TestPushforward:
     def test_lebesgue_source(self, svc1):
