@@ -17,7 +17,7 @@ import numpy as np
 
 from .energy import EnergyReport, _same_grid, dirichlet_energy
 from .errors import PreconditionError
-from .gridfn import SUBSPACE_TOL, GridFunction, _collapse_nodes, darn_function
+from .gridfn import SUBSPACE_TOL, GridFunction, _collapse_nodes, _refuse_gap, darn_function
 from .intervals import Tail
 from .trace import TraceFunction, gap_jumps, restrict_to_f
 from .transforms import DarningMap, SpeedMeasure, _encode_mass, _ordered_sum, pushforward_speed
@@ -118,14 +118,9 @@ class DarnedSpaceReport:
 def darn_trace(phi: TraceFunction, dm: DarningMap) -> GridFunction:
     """Trace-side transport: map the F-nodes of phi through the darning map,
     collapsing gap endpoint pairs (their values must agree within SUBSPACE_TOL)."""
-    bad = np.flatnonzero(np.abs(gap_jumps(phi)) > SUBSPACE_TOL)
-    if bad.size:
-        i = int(bad[0])
-        a, b = phi.iset.given_gap(i)
-        raise PreconditionError(
-            f"trace values differ across gap {i} = ({a}, {b}); the trace "
-            "does not factor through the darning map"
-        )
+    _refuse_gap(phi.iset, np.abs(gap_jumps(phi)) > SUBSPACE_TOL, lambda i, a, b: (
+        f"trace values differ across gap {i} = ({a}, {b}); the trace "
+        "does not factor through the darning map"))
     return _collapse_nodes(phi.nodes, phi.values, dm)
 
 

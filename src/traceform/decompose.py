@@ -19,7 +19,8 @@ import numpy as np
 
 from .energy import dirichlet_energy
 from .errors import PreconditionError
-from .gridfn import SUBSPACE_TOL, GridFunction, _component_spread, cell_in_g, require_adapted
+from .gridfn import (SUBSPACE_TOL, GridFunction, _component_spread, _refuse_gap, cell_in_g,
+                     require_adapted)
 from .transforms import Case, ScaleFunction, classify_case
 
 ORTHOGONALITY_TOL = 1e-12
@@ -130,19 +131,10 @@ def decompose_harmonic(u: GridFunction, sf: ScaleFunction) -> Decomposition:
     require_adapted(u, iset)
     comp = iset._grid_classes(u.grid)
     m = iset.gap_widths.size
-    bad = np.flatnonzero(_component_spread(comp, m, u.slopes) > SUBSPACE_TOL)
-    if bad.size:
-        i = int(bad[0])
-        a, b = iset.given_gap(i)
-        raise PreconditionError(
-            f"function is not linear on component {i} = ({a}, {b}): "
-            "it is not harmonic off F"
-        )
+    _refuse_gap(iset, _component_spread(comp, m, u.slopes) > SUBSPACE_TOL, lambda i, a, b: (
+        f"function is not linear on component {i} = ({a}, {b}): it is not harmonic off F"))
     dec = _project(u, sf, comp >= 0)
     for part in (dec.u1, dec.u2):
-        bad = np.flatnonzero(_component_spread(comp, m, part.slopes) > SUBSPACE_TOL)
-        if bad.size:
-            raise PreconditionError(
-                f"projection lost linearity on component {int(bad[0])}; inputs inconsistent"
-            )
+        _refuse_gap(iset, _component_spread(comp, m, part.slopes) > SUBSPACE_TOL, lambda i, a, b: (
+            f"projection lost linearity on component {i}; inputs inconsistent"))
     return dec

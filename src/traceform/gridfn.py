@@ -9,8 +9,6 @@ serialization live here.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,8 +17,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, _csv_text
-from .transforms import DarningMap
+from .intervals import IntervalSet, _csv_columns, _csv_text
+from .transforms import DarningMap, _nearest
 
 SUBSPACE_TOL = 1e-9
 
@@ -106,20 +104,7 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, text: str, iset: IntervalSet | None = None) -> "GridFunction":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["x", "value"]:
-            raise ValidationError('grid function CSV must start with header "x,value"')
-        xs, vs = [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"bad CSV row {row!r}: {exc}") from exc
-        u = cls(np.asarray(xs), np.asarray(vs))
+        u = cls(*_csv_columns(text, "grid function", "x,value", (float, float)))
         if iset is not None:
             require_adapted(u, iset)
         return u
@@ -190,6 +175,15 @@ def vanishes_on_f(u: GridFunction, iset: IntervalSet) -> bool:
     return bool(np.all(np.abs(u.values[on_f]) <= SUBSPACE_TOL))
 
 
+def _refuse_gap(iset: IntervalSet, bad: np.ndarray, message: Callable[..., str]) -> None:
+    """Raise ``PreconditionError(message(i, a, b))`` for the first gap i that
+    ``bad`` marks, (a, b) its ends as they were given."""
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        i = int(hit[0])
+        raise PreconditionError(message(i, *iset.given_gap(i)))
+
+
 def _component_spread(comp: np.ndarray, n_components: int, *columns: np.ndarray) -> np.ndarray:
     """Per component, max minus min of the per-cell columns over the cells
     that ``comp`` assigns to it; -inf for a component without cells."""
@@ -219,14 +213,9 @@ def darn_function(u: GridFunction, dm: DarningMap) -> GridFunction:
     # on an adapted grid the nodes of a closed component are the ends of its cells
     spread = _component_spread(iset._grid_classes(u.grid), iset.gap_widths.size,
                                u.values[:-1], u.values[1:])
-    bad = np.flatnonzero(spread > SUBSPACE_TOL)
-    if bad.size:
-        i = int(bad[0])
-        a, b = iset.given_gap(i)
-        raise PreconditionError(
-            f"function is not constant on component {i} = ({a}, {b}); "
-            f"value spread {float(spread[i]):.3e} exceeds tol {SUBSPACE_TOL}"
-        )
+    _refuse_gap(iset, spread > SUBSPACE_TOL, lambda i, a, b: (
+        f"function is not constant on component {i} = ({a}, {b}); "
+        f"value spread {float(spread[i]):.3e} exceeds tol {SUBSPACE_TOL}"))
     return _collapse_nodes(u.grid, u.values, dm)
 
 
@@ -246,11 +235,8 @@ def undarn_function(uh: GridFunction, dm: DarningMap) -> GridFunction:
         )
     ys = uh.grid
     positions = dm._tables[0]
-    at_collapsed = np.zeros(ys.shape, dtype=bool)
-    if positions.size:
-        k = np.searchsorted(positions, ys)
-        for q in (np.maximum(k - 1, 0), np.minimum(k, positions.size - 1)):
-            at_collapsed |= np.abs(ys - positions[q]) <= 1e-12
+    at_collapsed = (np.abs(ys - positions[_nearest(ys, positions)]) <= 1e-12 if positions.size
+                    else np.zeros(ys.shape, dtype=bool))
     xlo, _ = dm.inverse(ys[~at_collapsed])
     grid = np.union1d(adapted_grid(iset), xlo)
     return GridFunction(grid, uh(dm(grid)))

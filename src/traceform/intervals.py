@@ -40,6 +40,8 @@ numpy float64 left of a ``Fraction`` gives Python's float, elsewhere numpy's.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import numbers
 from bisect import bisect_left, bisect_right
@@ -78,6 +80,24 @@ def _csv_text(header: str, rows: Iterable[Sequence]) -> str:
     """CSV text: the header line, then one line per row of Python numbers,
     each written by ``repr`` (no ``repr`` of a number needs CSV quoting)."""
     return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
+def _csv_columns(text: str, what: str, header: str, kinds: Sequence) -> list[tuple]:
+    """The columns of CSV text that starts with ``header``: blank rows are
+    skipped, and each row's leading values are read by ``kinds``, one per
+    column."""
+    names = header.split(",")
+    reader = csv.reader(io.StringIO(text))
+    first = next(reader, None)
+    if first is None or [h.strip() for h in first[:len(names)]] != names:
+        raise ValidationError(f'{what} CSV must start with header "{header}"')
+    rows = []
+    for row in filter(None, reader):
+        try:
+            rows.append([kind(row[j]) for j, kind in enumerate(kinds)])
+        except (IndexError, ValueError) as exc:
+            raise ValidationError(f"bad CSV row {row!r}: {exc}") from exc
+    return list(zip(*rows)) or [()] * len(kinds)
 
 
 def _decode(x) -> Real:
@@ -143,25 +163,13 @@ class _Table(NamedTuple):
     nums: list
     den: int
 
-    def key(self, x) -> tuple:
-        """floor and ceiling of x * den.  For a numerator n: n < x iff n < ceil,
-        n <= x iff n <= floor, and n == x iff floor == ceil == n.  An infinite
-        or NaN float is its own key."""
-        try:
-            p, q = x.as_integer_ratio()
-        except (OverflowError, ValueError):
-            return x, x
-        except AttributeError:
-            p, q = _ratio(x)
-        f, r = divmod(p * self.den, q)
-        return f, f + (r > 0)
-
     def place(self, x) -> tuple:
-        """x placed once for the sums: (v, f, c, p, q), with f and c as ``key``
-        gives them, p / q the exact value of x, and v the number x enters
+        """x placed once: (v, f, c, p, q), with f and c the floor and ceiling
+        of x * den, p / q the exact value of x, and v the number x enters
         sums as: x itself where it is a float or an int, else its exact value
-        as a pair, (f, den) where it lies on the table.  An infinite or NaN
-        float is placed as itself with q = 0."""
+        as a pair, (f, den) where it lies on the table.  For a numerator n:
+        n < x iff n < c, n <= x iff n <= f, and n == x iff f == c == n.  An
+        infinite or NaN float is placed as itself with q = 0."""
         try:
             p, q = x.as_integer_ratio() if isinstance(x, (float, int, Fraction)) else _ratio(x)
         except (OverflowError, ValueError):
@@ -470,7 +478,7 @@ class IntervalSet:
 
     def is_endpoint(self, x: Real) -> bool:
         """Whether x is one of ``endpoints``."""
-        f, c = self._ends.key(x)
+        _, f, c, _, _ = self._ends.place(x)
         if f != c:
             return False
         ends = self._ends.nums
@@ -573,7 +581,7 @@ class IntervalSet:
         return np.where(inside, i, -1)
 
     def _component_at(self, f, c) -> int | None:
-        # the component holding the point with keys (f, c)
+        # the component holding the point placed at floor f and ceiling c
         lo = self._lo
         i = bisect_right(lo, f) - 1
         if i >= 0 and c > lo[i] and f < self._hi[i]:
@@ -584,18 +592,19 @@ class IntervalSet:
         """Index of the component whose open interval contains x, else None.
 
         Exact for every input: this is the oracle for ``classify``."""
-        return self._component_at(*self._ends.key(x))
+        return self._component_at(*self._ends.place(x)[1:3])
 
     def in_g(self, x: Real) -> bool:
         """Whether x lies in the open set G (tails included)."""
-        f, c = self._ends.key(x)
+        _, f, c, p, q = self._ends.place(x)
         w0n, w1n = self._w
         if f < w0n or c > w1n:
             tail = self.tail_left if f < w0n else self.tail_right
             if tail is not Tail.PERIODIC:
                 return tail is Tail.ALL_G
+            if not q:
+                raise PreconditionError(f"point {x} must be finite on a Periodic tail")
             # fold x exactly into [w0, w0 + period); both seam points lie in F
-            p, q = _ratio(x)
             y = w0n * q + (p * self.den - w0n * q) % ((w1n - w0n) * q)
             f, r = divmod(y, q)
             c = f + (r > 0)
@@ -763,7 +772,7 @@ class IntervalSet:
             raise PreconditionError(f"delta must be positive, got {delta}")
         if self.g_prefix[-1] == 0:
             return False, (tuple(self.window),)
-        ceil = self._ends.key(delta)[1]  # an F-width n / D is at least delta iff n >= ceil
+        ceil = self._ends.place(delta)[2]  # an F-width n / D is at least delta iff n >= ceil
         widths = self._f_widths.nums
         bad = tuple(self._f_pair(k) for k in self.f_ranks if widths[k] >= ceil)
         return not bad, bad

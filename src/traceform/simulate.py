@@ -21,8 +21,6 @@ chunks are reduced in index order.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import threading
@@ -34,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import PreconditionError, StepCapError, ValidationError
-from .intervals import IntervalSet, _csv_text
+from .intervals import IntervalSet, _csv_columns, _csv_text
 from .transforms import ScaleFunction, SpeedMeasure, scale_pushforward_speed
 
 # mean overshoot of a Gaussian random walk over a level, in units of sqrt(dt);
@@ -70,16 +68,21 @@ class PathSample:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        flags = np.asarray(self.flags, dtype=np.int8)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "flags", flags)
+        flags = np.asarray(self.flags)
         if not (times.size == states.size == flags.size):
             raise ValidationError("times, states, and flags must have equal length")
         if times.size == 0:
             raise ValidationError("a path needs at least one sample")
+        if not np.isfinite(times).all():
+            raise ValidationError("sample times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValidationError("sample times must be strictly increasing")
+        known = np.isin(flags, (0, 1, 2))
+        if not known.all():
+            raise ValidationError(f"path flag {flags[~known][0]} is not 0, 1 or 2")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "flags", flags.astype(np.int8, copy=False))
 
     def to_csv(self) -> str:
         return _csv_text("t,x,flag", zip(self.times.tolist(), self.states.tolist(),
@@ -87,31 +90,20 @@ class PathSample:
 
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "PathSample":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["t", "x", "flag"]:
-            raise ValidationError('path CSV must start with header "t,x,flag"')
-        ts, xs, fs = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                ts.append(float(row[0]))
-                xs.append(float(row[1]))
-                fs.append(int(row[2]))
-            except (IndexError, ValueError) as exc:
-                raise ValidationError(f"bad CSV row {row!r}: {exc}") from exc
-        times = np.asarray(ts)
-        states = np.asarray(xs)
-        flags = np.asarray(fs, dtype=np.int8)
+        """A path from the CSV text ``to_csv`` writes; every state must be finite."""
+        columns = _csv_columns(text, "path", "t,x,flag", (float, float, int))
+        times, states, flags = map(np.asarray, columns)
         absorbed_at = absorbed_time = None
         hit = np.nonzero(flags == 2)[0]
         if hit.size:
             absorbed_at = float(states[hit[0]])
             absorbed_time = float(times[hit[0]])
-        return cls(times, states, flags, seed=seed,
+        path = cls(times, states, flags, seed=seed,
                    horizon=float(times[-1]) if times.size else 0.0,
                    absorbed_at=absorbed_at, absorbed_time=absorbed_time)
+        if not np.isfinite(path.states).all():
+            raise ValidationError("path states must be finite")
+        return path
 
 
 @dataclass(frozen=True)
@@ -147,6 +139,11 @@ def _result_from_samples(samples: np.ndarray, target: str) -> EstimatorResult:
 # -- Brownian paths and exit estimators -----------------------------------
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
+
+
 def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterator[PathSample]:
     """Stream of n discretized Brownian paths; path i uses seed XOR i."""
     if n < 1:
@@ -161,6 +158,7 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
         raise PreconditionError(
             f"horizon {horizon} over dt {dt} asks for more than {BM_MAX_STEPS} steps per path"
         )
+    _check_seed(seed)
     steps = int(math.floor(horizon / dt + 1e-12))
     scale = math.sqrt(dt)
     for i in range(n):
@@ -264,6 +262,7 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
             f"start point {x0} is not interior to the effective gap "
             f"({a + shift}, {b - shift})"
         )
+    _check_seed(seed)
     n_chunks = (n + EXIT_CHUNK - 1) // EXIT_CHUNK
     threads = _worker_count(workers, n_chunks)
     parts = [None] * n_chunks
@@ -554,6 +553,7 @@ def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int,
                 holding: str) -> PathSample:
     _check_horizon(horizon)
     k0 = _snap_start(chain, x0)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     times: list[np.ndarray] = []
     states: list[np.ndarray] = []
@@ -698,6 +698,7 @@ def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
     _check_batches(burn_in, horizon, batches)
     chain = build_chain(speed, h, boundary)
     k0 = _snap_start(chain, x0)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     member = [_membership(chain.nodes, tg) for tg in targets]
     blocks = ((arr, dwell, [row[pos] for row in member])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
-from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, require_adapted
+from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, _refuse_gap, require_adapted
 from .intervals import IntervalSet, Tail, _csv_text, _encode, _Table
 from .transforms import SpeedMeasure, _encode_mass, _gap_atoms
 
@@ -195,14 +195,9 @@ def trace_complement_energy(phi: TraceFunction, psi: TraceFunction | None = None
     if psi.iset is not phi.iset and psi.iset != phi.iset:
         raise PreconditionError("trace functions live on different sets")
     for name, t in (("first", phi), ("second", psi))[:2 - (psi is phi)]:
-        bad = np.flatnonzero(np.abs(gap_jumps(t)) > SUBSPACE_TOL)
-        if bad.size:
-            i = int(bad[0])
-            a, b = t.iset.given_gap(i)
-            raise PreconditionError(
-                f"{name} argument jumps across gap {i} = ({a}, {b}): not the "
-                "restriction of a complement member"
-            )
+        _refuse_gap(t.iset, np.abs(gap_jumps(t)) > SUBSPACE_TOL, lambda i, a, b: (
+            f"{name} argument jumps across gap {i} = ({a}, {b}): not the "
+            "restriction of a complement member"))
     r1, r2 = common_grid(phi.extension, psi.extension)
     return _cell_form("trace_complement", r1, r2, phi.iset._grid_classes(r1.grid) < 0)
 

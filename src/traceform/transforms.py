@@ -85,13 +85,19 @@ def _queries(x) -> np.ndarray:
     return xs
 
 
+def _nearest(ys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the nearest of the sorted, nonempty ``values`` to each y; the
+    higher one on a tie."""
+    k = np.searchsorted(values, ys)
+    above, below = np.minimum(k, values.size - 1), np.maximum(k - 1, 0)
+    return np.where(ys - values[below] < values[above] - ys, below, above)
+
+
 def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
     """Each y within ``slack`` of the nearest of the sorted ``values``
     becomes that value."""
-    k = np.searchsorted(values, ys)
-    above, below = np.minimum(k, values.size - 1), np.maximum(k - 1, 0)
-    q = np.where(ys - values[below] < values[above] - ys, below, above)
-    return np.where(np.abs(ys - values[q]) <= slack, values[q], ys)
+    near = values[_nearest(ys, values)]
+    return np.where(np.abs(ys - near) <= slack, near, ys)
 
 
 class ScaleFunction:
@@ -214,6 +220,8 @@ class ScaleFunction:
                 return self.inverse(edge)  # rounded a hair past the image's edge
             side = "below" if below else "above"
             raise PreconditionError(f"value {y} is {side} the range of the scale function")
+        if not math.isfinite(y):
+            raise PreconditionError(f"value {y} must be finite on a Periodic tail")
         per_mass, p = iset.g_mass_window, iset.period
         if below:
             k = math.ceil((s0 - y) / per_mass)
@@ -316,8 +324,8 @@ class DarningMap:
         self.base = base
         if z is None:
             z = self._default_anchor(base)
-        self._check_anchor(z)
         self.z = _exact(z, "darning anchor")
+        self._check_anchor(z)
 
     @cached_property
     def _anchor(self) -> tuple:

@@ -321,6 +321,8 @@ EDGE_INPUTS = {
     "bm x0 nan": (BM + ["--dt", "0.1", "--horizon", "1", "--x0", "nan"], 3, False),
     "bm dt 1e-300": (BM + ["--dt", "1e-300", "--horizon", "1"], 3, False),
     "bm dt subnormal": (BM + ["--dt", "5e-324", "--horizon", "1"], 3, False),
+    "bm seed -1": (BM[:4] + ["--seed=-1", "--dt", "0.1", "--horizon", "1"], 3, False),
+    "hitting seed -1": (HIT[:-2] + ["--seed=-1"], 3, False),
     "laplace alpha nan": (LAPLACE + ["--alpha", "nan"], 3, False),
     "laplace alpha inf": (LAPLACE + ["--alpha", "inf"], 3, False),
     "darning x0 nan": (["simulate", "darning", "--svc-depth", "1", *WALK[4:6], "--x0", "nan",
@@ -378,6 +380,20 @@ def test_edge_input_fails_on_one_line(case, tmp_path):
     else:
         rc, _, err = run(*argv)
     assert rc == code, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+
+@pytest.mark.parametrize("rows", ["0,0.5,300\n1,0.5,0\n", "0,0.5,7\n1,0.5,0\n",
+                                  "0,0.5,0\nnan,0.5,0\n", "0,nan,0\n1,0.5,0\n",
+                                  "0,0.5,0\n1,inf,0\n"],
+                         ids=["flag 300", "flag 7", "nan time", "nan state", "inf state"])
+def test_bad_path_csv_is_exit_2(rows, tmp_path):
+    (tmp_path / "path.csv").write_text("t,x,flag\n" + rows)
+    rc, _, err = run("estimate", "occupation", "--path", tmp_path / "path.csv",
+                     "--target", "0,1", "--batches", "2", "--out", tmp_path / "out")
+    assert rc == 2, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -5,7 +5,7 @@ the validation checks, the check of an argument passed once for two, the
 trace match of equal grids, the exact pairs the scalar inverses return, the
 classes of each set's adapted grid and the darning images of it, the
 adaptedness check of each grid and the grid diff under the slopes are each
-done once now, and five CSV writers are one.  Every result keeps its type and
+done once now, five CSV writers are one and two CSV readers are one.  Every result keeps its type and
 its bits, the sign of a zero and a NaN included, and every error its type,
 message and precedence.
 """
@@ -522,3 +522,31 @@ class TestCsvText:
     def test_scale_and_feller_rows(self, pairs, triples):
         assert _csv_text("x,scale", pairs) == former_scale_csv(pairs)
         assert _csv_text("alpha,numeric,limit", triples) == former_feller_csv(triples)
+
+
+CSV_READERS = [(tf.GridFunction.from_csv, "grid function", "x,value"),
+               (tf.PathSample.from_csv, "path", "t,x,flag")]
+
+
+@pytest.mark.parametrize("read, what, header", CSV_READERS, ids=["grid function", "path"])
+class TestCsvColumns:
+    """``intervals._csv_columns`` behind both CSV readers: the messages of the
+    two readers it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,c\n0,0,0\n1,1,0\n", None),
+        ("", None),
+        ("{header}\n0,0,0\n0.5\n", "bad CSV row ['0.5']: list index out of range"),
+        ("{header}\n0,abc,0\n", "bad CSV row ['0', 'abc', '0']: could not convert string to "
+                                "float: 'abc'"),
+    ], ids=["wrong header", "empty", "short row", "non-numeric value"])
+    def test_bad_input(self, read, what, header, text, message):
+        with pytest.raises(tf.ValidationError) as err:
+            read(text.format(header=header))
+        assert str(err.value) == (message or f'{what} CSV must start with header "{header}"')
+
+    def test_blank_rows_are_skipped(self, read, what, header):
+        rows = ["0,0,0", "0.5,1,1", "1,1,0"]
+        dense = read("\n".join([header, *rows]) + "\n")
+        sparse = read("\n".join([header, "", rows[0], "", "", *rows[1:], ""]) + "\n\n")
+        assert repr(sparse) == repr(dense)

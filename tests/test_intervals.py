@@ -1,5 +1,6 @@
 """Interval geometry: construction, validation, measure queries."""
 
+from decimal import Decimal
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -108,6 +109,16 @@ class TestPeriodic:
     def test_period_off_the_window_length(self):
         with pytest.raises(ValidationError, match="must equal the window length"):
             tf.IntervalSet((0.1, 1.0), [], Tail.PERIODIC, Tail.PERIODIC, Fr(9, 10))
+
+
+class TestQueryTypes:
+    def test_decimal_is_refused_as_lebesgue_refuses_it(self, svc2):
+        # a Decimal is not a numbers.Real: every scalar query places it the same way
+        x = Decimal("0.2")
+        for call in (lambda: svc2.lebesgue(0, x), lambda: svc2.component_index(x),
+                     lambda: svc2.in_g(x), lambda: svc2.is_endpoint(x)):
+            with pytest.raises(TypeError, match="is not a real number"):
+                call()
 
 
 class TestValidate:

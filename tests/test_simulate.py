@@ -523,3 +523,40 @@ class TestPathCsv:
         back = tf.PathSample.from_csv(p.to_csv())
         assert back.absorbed_at == p.absorbed_at
         assert back.absorbed_time == p.absorbed_time
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,300\n1,0.5,0\n", "path flag 300 is not 0, 1 or 2"),
+        ("0,0.5,0\n1,0.5,7\n", "path flag 7 is not 0, 1 or 2"),
+        ("0,0.5,0\nnan,0.5,0\n", "sample times must be finite"),
+        ("0,nan,0\n1,0.5,0\n", "path states must be finite"),
+        ("0,0.5,0\n1,inf,0\n", "path states must be finite"),
+        ("0,-inf,0\n1,0.5,0\n", "path states must be finite"),
+    ], ids=["flag 300", "flag 7", "nan time", "nan state", "inf state", "-inf state"])
+    def test_refuses_values_it_cannot_hold(self, rows, message):
+        with pytest.raises(tf.ValidationError) as err:
+            tf.PathSample.from_csv("t,x,flag\n" + rows)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("times, flags, message", [
+        ([0.0, 1.0], [0, 7], "path flag 7 is not 0, 1 or 2"),
+        ([0.0, 1.0], [0.5, 0], "path flag 0.5 is not 0, 1 or 2"),
+        ([math.nan], [0], "sample times must be finite"),
+        ([0.0, math.nan], [0, 0], "sample times must be finite"),
+    ], ids=["flag 7", "flag 0.5", "one nan time", "nan time"])
+    def test_constructor_refuses_flags_and_times(self, times, flags, message):
+        with pytest.raises(tf.ValidationError) as err:
+            tf.PathSample(times, [0.0] * len(times), flags, seed=0, horizon=1.0)
+        assert str(err.value) == message
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("draw", [
+        lambda iset: next(bm_paths(1, 0.1, 1.0, 0.0, seed=-1)),
+        lambda iset: estimate_hitting(iset, 0.5, 10, seed=-1),
+        lambda iset: walk_paths(_lebesgue_speed(iset), 3 / 128, 0.1, 1.0, seed=-1),
+        lambda iset: simulate_xs(tf.ScaleFunction(iset, anchor=0), 1 / 32, 0.1, 1.0, seed=-1),
+        lambda iset: walk_occupation(_lebesgue_speed(iset), 3 / 128, 0.1, 1.0, -1, [0.5]),
+    ], ids=["bm_paths", "exit", "walk_paths", "simulate_xs", "walk_occupation"])
+    def test_raises_precondition_error(self, svc1, draw):
+        with pytest.raises(PreconditionError, match="^seed must be nonnegative, got -1$"):
+            draw(svc1)

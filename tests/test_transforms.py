@@ -606,6 +606,19 @@ class TestPeriodicFold:
         tol = 1e-12 * np.maximum(1.0, np.abs(xs))
         assert np.all((lo - tol <= xs) & (xs <= hi + tol))
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, x: tf.ScaleFunction(p).inverse(x), "value {} must be finite on a Periodic tail"),
+        (lambda p, x: p.in_g(x), "point {} must be finite on a Periodic tail"),
+        (lambda p, x: tf.DarningMap(p, z=x), "darning anchor must be finite, got {}"),
+    ], ids=["scale inverse", "in_g", "darning anchor"])
+    def test_infinity_raises(self, periodic1, call, message, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as err:
+                call(periodic1, x)
+        assert str(err.value) == message.format(x)
+
 
 class TestDarningEdge:
     def test_past_the_last_collapsed_point(self):
