@@ -18,12 +18,15 @@ the speed measures both scale functions and both darning maps push forward
 there, with their float64 atom arrays (``digest_speeds``).  Every speed
 measure recorded is followed by the holding means and absorbing flags of a
 64-cell walk chain on it (``digest_chain``).  The
-walk lines include one seeded ``simulate_xs`` path on a ``/240`` set and the
-nodes and holding means of walk chains built from the trace measures of
-fat-Cantor sets.  The exit lines give library-level hitting and Laplace
-estimates (alpha 0.5 and 2) on one gap and seed, at n = 50,000 and 100,000
-and workers 1, 2 and None, with estimate and stderr by ``repr``; each
-(n, workers) draws one ``exit_sample`` and reads all three from it.  The CLI
+walk lines include two seeded ``simulate_xs`` paths on a ``/240`` set, with
+reflecting and with absorbing ends, ``walk_paths`` on the darned speed of an
+all-G set (infinite atoms) at every boundary pair, both holdings and a horizon
+inside the first hold, and the nodes and holding means of walk chains built
+from the trace measures of fat-Cantor sets.  The exit lines give
+library-level hitting and Laplace estimates (alpha 0.5 and 2) on one gap
+and seed, at n = 50,000 and 100,000 and workers 1, 2 and None, with
+estimate and stderr by ``repr``; each (n, workers) draws one
+``exit_sample`` and reads all three from it.  The CLI
 lines cover every leaf command, the ones the ``cli`` workload skips
 included, and the ``format_help()`` text of every
 parser at a fixed width of 100 columns.
@@ -354,6 +357,19 @@ def digest_walks(dg):
                                   (Fraction(120, 240), Fraction(200, 240))], (0, 1))
     dg.record("simulate_xs 240", lambda: simulate_xs(
         tf.ScaleFunction(iset, anchor=0), 1 / 96, 0.3, 5.0, seed=3))
+    dg.record("simulate_xs 240 absorb", lambda: simulate_xs(
+        tf.ScaleFunction(iset, anchor=0), 1 / 96, 0.3, 5.0, seed=3, boundary=("absorb", "absorb")))
+    # infinite atoms at both carrier ends; the walk starts on an atom whose
+    # first hold, 0.0061 on average, outlasts the 1e-3 horizon
+    allg = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1, tails=(tf.Tail.ALL_G,) * 2)),
+                                "lebesgue")
+    ends = ("reflect", "absorb")
+    for boundary in [(left, right) for left in ends for right in ends]:
+        for holding in ("exponential", "deterministic"):
+            for horizon in (1e-3, 5.0):
+                dg.record(f"walk_paths allg {'-'.join(boundary)} {holding} {horizon}",
+                          lambda: walk_paths(allg, 3 / 128, 0.1875, horizon, seed=4,
+                                             boundary=boundary, holding=holding))
     for d in (1, 3, 5):
         # a WalkChain has no to_dict and its repr shortens the arrays
         dg.record(f"build_chain trace svc{d}", lambda: _chain_fields(tf.build_chain(

@@ -140,6 +140,8 @@ def _result_from_samples(samples: np.ndarray, target: str) -> EstimatorResult:
 
 
 def _check_seed(seed: int) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise PreconditionError(f"seed must be nonnegative, got {seed}")
 
@@ -163,10 +165,6 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
     scale = math.sqrt(dt)
     for i in range(n):
         rng = np.random.default_rng(seed ^ i)
-        if steps == 0:
-            yield PathSample(np.array([0.0]), np.array([float(x0)]),
-                             np.zeros(1, dtype=np.int8), seed=seed ^ i, horizon=horizon)
-            continue
         incs = scale * rng.standard_normal(steps)
         times = dt * np.arange(steps + 1)
         states = np.concatenate([[x0], x0 + np.cumsum(incs)])
@@ -466,75 +464,63 @@ def build_chain(speed: SpeedMeasure, h: float,
                      atom_nodes=tuple(sorted(snapped.tolist())))
 
 
-def _visit_blocks(chain: WalkChain, k0: int, horizon: float, rng,
+def _visit_blocks(chain: WalkChain, x0: float, horizon: float, seed: int,
                   holding: str) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (positions, arrivals, dwells) blocks of the walk until the clock
-    reaches the horizon or an absorbing node is entered.  The final dwell is
-    clipped so that total time equals the horizon exactly."""
+    """Yield (node indices, arrivals, dwells) blocks of the walk from the node
+    nearest x0 until the clock reaches the horizon or an absorbing node is
+    entered.  The final dwell is clipped so that total time equals the
+    horizon exactly.  Every walk checks its inputs and seeds its generator
+    here."""
+    _check_horizon(horizon)
+    lo, hi = chain.lo, float(chain.nodes[-1])
+    if not lo <= x0 <= hi:
+        raise PreconditionError(f"start point {x0} is outside the carrier [{lo}, {hi}]")
+    _check_seed(seed)
     if holding not in ("exponential", "deterministic"):
         raise PreconditionError(f"holding must be 'exponential' or 'deterministic', got {holding!r}")
+    if not (np.any(chain.holds > 0) or np.any(chain.absorbing)):
+        raise PreconditionError(
+            "no grid node holds the walk or absorbs it, so its clock never advances")
+    rng = np.random.default_rng(seed)
     n_top = chain.nodes.size - 1
-    if n_top < 1:
-        raise PreconditionError("walk needs at least two grid nodes")
     exp_holds = holding == "exponential"
     t = 0.0
-    ku = k0  # unfolded coordinate; reflection = folding into [0, n_top]
-    first = np.array([k0])
-    pending: np.ndarray | None = first
+    ku = int(round((x0 - lo) / chain.h))  # unfolded node; reflection folds it into [0, n_top]
+    pos = np.array([ku])
     while True:
-        if pending is not None:
-            pos = pending
-            pending = None
-        else:
-            steps = 2 * rng.integers(0, 2, size=WALK_BLOCK, dtype=np.int64) - 1
-            unfolded = ku + np.cumsum(steps)
-            ku = int(unfolded[-1])
-            m = unfolded % (2 * n_top)
-            pos = np.minimum(m, 2 * n_top - m)
         absorbed = chain.absorbing[pos]
-        cut = None
-        if np.any(absorbed):
-            cut = int(np.argmax(absorbed))
-            pos = pos[: cut + 1]
-        dwell = chain.holds[pos].copy()
-        if cut is not None:
-            dwell[-1] = 0.0  # placeholder, set below from remaining time
+        stop = np.any(absorbed)
+        if stop:
+            pos = pos[: int(np.argmax(absorbed)) + 1]
+        dwell = chain.holds[pos]
         if exp_holds:
             finite = np.isfinite(dwell)
             draws = rng.standard_exponential(pos.size)
             dwell[finite] = dwell[finite] * draws[finite]
         arr = t + np.concatenate([[0.0], np.cumsum(dwell[:-1])])
-        if cut is not None:
-            if arr[-1] >= horizon:
-                cut = None  # horizon hit first; fall through to time cut
+        t = arr[-1] + dwell[-1]
+        if stop or t >= horizon:
+            # the walk ends at its absorption if that comes before the
+            # horizon, else at the first visit that reaches the horizon
+            if stop and arr[-1] < horizon:
+                end = pos.size
             else:
-                dwell[-1] = horizon - arr[-1]
-                yield pos, arr, dwell
-                return
-        end_time = arr[-1] + dwell[-1]
-        if end_time >= horizon:
-            j = int(np.argmax(arr + dwell >= horizon))
-            pos = pos[: j + 1]
-            arr = arr[: j + 1]
-            dwell = dwell[: j + 1]
-            dwell[-1] = horizon - arr[-1]
-            yield pos, arr, dwell
+                end = int(np.argmax(arr + dwell >= horizon)) + 1
+            dwell = dwell[:end]
+            dwell[-1] = horizon - arr[end - 1]
+            yield pos[:end], arr[:end], dwell
             return
-        t = end_time
         yield pos, arr, dwell
+        steps = 2 * rng.integers(0, 2, size=WALK_BLOCK, dtype=np.int64) - 1
+        unfolded = ku + np.cumsum(steps)
+        ku = int(unfolded[-1])
+        m = unfolded % (2 * n_top)
+        pos = np.minimum(m, 2 * n_top - m)
 
 
 def _check_horizon(horizon: float) -> None:
     if not 0 < horizon < math.inf:
         raise PreconditionError(f"horizon must be positive and finite, got {horizon}")
-
-
-def _snap_start(chain: WalkChain, x0: float) -> int:
-    lo = chain.lo
-    hi = float(chain.nodes[-1])
-    if not lo <= x0 <= hi:
-        raise PreconditionError(f"start point {x0} is outside the carrier [{lo}, {hi}]")
-    return int(round((x0 - lo) / chain.h))
 
 
 def walk_paths(speed: SpeedMeasure, h: float, x0: float, horizon: float, seed: int,
@@ -546,43 +532,36 @@ def walk_paths(speed: SpeedMeasure, h: float, x0: float, horizon: float, seed: i
     instantaneous and are not recorded; the final sample closes the path at
     the horizon.  Entering an absorbing node freezes the path there.
     """
-    return _walk_chain(build_chain(speed, h, boundary), x0, horizon, seed, holding)
+    chain = build_chain(speed, h, boundary)
+    return _walk_chain(chain, x0, horizon, seed, holding,
+                       chain.nodes, np.zeros(chain.nodes.size, dtype=np.int8))
 
 
-def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int,
-                holding: str) -> PathSample:
-    _check_horizon(horizon)
-    k0 = _snap_start(chain, x0)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int, holding: str,
+                states: np.ndarray, flags: np.ndarray) -> PathSample:
+    """The walk on ``chain`` recorded where time passes, node k read as state
+    ``states[k]`` with flag ``flags[k]``; samples from an absorption on are
+    flagged 2."""
     times: list[np.ndarray] = []
-    states: list[np.ndarray] = []
+    visits: list[np.ndarray] = []
     absorbed_at = absorbed_time = None
-    last_state = float(chain.nodes[k0])
-    for pos, arr, dwell in _visit_blocks(chain, k0, horizon, rng, holding):
+    for pos, arr, dwell in _visit_blocks(chain, x0, horizon, seed, holding):
         keep = dwell > 0
-        if chain.absorbing[pos[-1]] and absorbed_at is None:
-            absorbed_at = float(chain.nodes[pos[-1]])
-            absorbed_time = float(arr[-1])
+        if chain.absorbing[pos[-1]]:  # only the last block ends at an absorbing node
+            absorbed_at, absorbed_time = float(states[pos[-1]]), float(arr[-1])
             keep[-1] = True
-        if np.any(keep):
-            times.append(arr[keep])
-            states.append(chain.nodes[pos[keep]])
-            last_state = float(states[-1][-1])
-    if times:
-        t_all = np.concatenate(times)
-        x_all = np.concatenate(states)
-    else:
-        t_all = np.array([0.0])
-        x_all = np.array([float(chain.nodes[k0])])
+        times.append(arr[keep])
+        visits.append(pos[keep])
+    t_all = np.concatenate(times)
+    idx = np.concatenate(visits)
     # close the path at the horizon
     if t_all[-1] < horizon:
         t_all = np.append(t_all, horizon)
-        x_all = np.append(x_all, last_state)
-    flags = np.zeros(t_all.size, dtype=np.int8)
+        idx = np.append(idx, idx[-1])
+    path_flags = flags[idx]
     if absorbed_time is not None:
-        flags[t_all >= absorbed_time] = 2
-    return PathSample(t_all, x_all, flags, seed=seed, horizon=horizon,
+        path_flags[t_all >= absorbed_time] = 2
+    return PathSample(t_all, states[idx], path_flags, seed=seed, horizon=horizon,
                       absorbed_at=absorbed_at, absorbed_time=absorbed_time)
 
 
@@ -596,7 +575,6 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
     speed = scale_pushforward_speed(sf)
     chain = build_chain(speed, h, boundary)
     y0 = float(sf(x0))
-    path = _walk_chain(chain, y0, horizon, seed, holding)
     # map the nodes back through the scale inverse; each plateau is one atom of
     # the speed, in order, so the sorted atom nodes pair with the plateaus
     img_lo, img_hi = (float(v) for v in speed.carrier)
@@ -606,14 +584,7 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
     _, _, f_lo, f_hi = sf._tables
     xs[atoms] = (f_lo + f_hi) / 2
     flags[atoms] = 1
-    idx = np.rint((path.states - chain.lo) / h).astype(int)
-    mapped_flags = flags[idx]
-    mapped_flags[path.flags == 2] = 2
-    absorbed_at = None
-    if path.absorbed_at is not None:
-        absorbed_at = float(xs[int(round((path.absorbed_at - chain.lo) / h))])
-    return PathSample(path.times, xs[idx], mapped_flags, seed=seed, horizon=horizon,
-                      absorbed_at=absorbed_at, absorbed_time=path.absorbed_time)
+    return _walk_chain(chain, y0, horizon, seed, holding, xs, flags)
 
 
 # -- occupation statistics --------------------------------------------------
@@ -630,9 +601,14 @@ def _target_label(tg: Target) -> str:
 
 
 def _membership(states: np.ndarray, tg: Target) -> np.ndarray:
+    """Which states lie in the target; an interval may have infinite ends."""
     if isinstance(tg, (int, float)):
+        if math.isnan(tg):
+            raise PreconditionError("occupation target point nan is not a number")
         return np.abs(states - float(tg)) <= POINT_TOL
     lo, hi = (float(v) for v in tg)
+    if not lo <= hi:
+        raise PreconditionError(f"occupation target {_target_label(tg)} must satisfy lo <= hi")
     return (states >= lo) & (states <= hi)
 
 
@@ -697,10 +673,7 @@ def walk_occupation(speed: SpeedMeasure, h: float, x0: float, horizon: float,
     _check_horizon(horizon)
     _check_batches(burn_in, horizon, batches)
     chain = build_chain(speed, h, boundary)
-    k0 = _snap_start(chain, x0)
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
     member = [_membership(chain.nodes, tg) for tg in targets]
     blocks = ((arr, dwell, [row[pos] for row in member])
-              for pos, arr, dwell in _visit_blocks(chain, k0, horizon, rng, holding))
+              for pos, arr, dwell in _visit_blocks(chain, x0, horizon, seed, holding))
     return _batch_occupation(blocks, targets, burn_in, horizon, batches)

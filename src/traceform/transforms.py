@@ -509,7 +509,8 @@ def _float_columns(rows, k: int) -> tuple[np.ndarray, ...]:
 class SpeedMeasure:
     """Piecewise-constant density plus point atoms on a finite carrier.
 
-    Atom masses live in (0, inf]; an infinite atom marks an absorbing point.
+    The carrier ends, densities and atom positions are finite; atom masses
+    live in (0, inf], and an infinite atom marks an absorbing point.
     Immutable; equal when carrier, density pieces and atoms are.  Numeric
     readers use the float64 tables ``_piece_arrays`` (lo, hi, c) and
     ``_atom_arrays`` (positions, masses); the exact ``density_pieces`` and
@@ -556,6 +557,8 @@ class SpeedMeasure:
         lo, hi = self.carrier
         if not lo < hi:
             raise ValidationError(f"carrier must satisfy lo < hi, got ({lo}, {hi})")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValidationError(f"carrier must be finite, got ({lo}, {hi})")
         prev = None
         for x0, x1, c in self.density_pieces:
             if not x0 < x1:
@@ -564,12 +567,14 @@ class SpeedMeasure:
                 raise ValidationError(f"density piece ({x0}, {x1}) leaves the carrier")
             if c < 0:
                 raise ValidationError(f"density {c} is negative")
+            if not c < math.inf:
+                raise ValidationError(f"density {c} is not finite")
             if prev is not None and x0 < prev:
                 raise ValidationError("density pieces overlap")
             prev = x1
         seen = set()
         for p, m in self.atoms:
-            if p < lo or p > hi:
+            if not lo <= p <= hi:
                 raise ValidationError(f"atom at {p} leaves the carrier")
             if not m > 0:
                 raise ValidationError(f"atom mass {m} must be positive")

@@ -24,7 +24,8 @@ from scipy import integrate
 import traceform as tf
 from traceform import Tail
 from traceform.intervals import _encode
-from traceform.simulate import _exit_samples, _result_from_samples, default_exit_dt
+from traceform.simulate import (WALK_BLOCK, _batch_occupation, _check_batches, _exit_samples,
+                                 _membership, _result_from_samples, default_exit_dt)
 
 
 def window_f_components(iset):
@@ -1298,3 +1299,145 @@ def former_feller_csv(triples):
     for alpha, numeric, limit in triples:
         rows.append(f"{alpha!r},{numeric!r},{limit!r}")
     return "\n".join(rows) + "\n"
+
+
+def former_visit_blocks(chain, k0, horizon, rng, holding):
+    """``_visit_blocks`` in its former form: the start node as a pending
+    first block, and an absorption and a horizon cut as two ends, the
+    absorbing node's dwell held at 0.0 until the remaining time is known."""
+    if holding not in ("exponential", "deterministic"):
+        raise tf.PreconditionError(
+            f"holding must be 'exponential' or 'deterministic', got {holding!r}")
+    n_top = chain.nodes.size - 1
+    if n_top < 1:
+        raise tf.PreconditionError("walk needs at least two grid nodes")
+    exp_holds = holding == "exponential"
+    t = 0.0
+    ku = k0
+    pending = np.array([k0])
+    while True:
+        if pending is not None:
+            pos = pending
+            pending = None
+        else:
+            steps = 2 * rng.integers(0, 2, size=WALK_BLOCK, dtype=np.int64) - 1
+            unfolded = ku + np.cumsum(steps)
+            ku = int(unfolded[-1])
+            m = unfolded % (2 * n_top)
+            pos = np.minimum(m, 2 * n_top - m)
+        absorbed = chain.absorbing[pos]
+        cut = None
+        if np.any(absorbed):
+            cut = int(np.argmax(absorbed))
+            pos = pos[: cut + 1]
+        dwell = chain.holds[pos].copy()
+        if cut is not None:
+            dwell[-1] = 0.0
+        if exp_holds:
+            finite = np.isfinite(dwell)
+            draws = rng.standard_exponential(pos.size)
+            dwell[finite] = dwell[finite] * draws[finite]
+        arr = t + np.concatenate([[0.0], np.cumsum(dwell[:-1])])
+        if cut is not None:
+            if arr[-1] >= horizon:
+                cut = None
+            else:
+                dwell[-1] = horizon - arr[-1]
+                yield pos, arr, dwell
+                return
+        end_time = arr[-1] + dwell[-1]
+        if end_time >= horizon:
+            j = int(np.argmax(arr + dwell >= horizon))
+            pos = pos[: j + 1]
+            arr = arr[: j + 1]
+            dwell = dwell[: j + 1]
+            dwell[-1] = horizon - arr[-1]
+            yield pos, arr, dwell
+            return
+        t = end_time
+        yield pos, arr, dwell
+
+
+def former_walk_start(chain, x0, horizon, seed):
+    """The set-up each former walk repeated: the horizon, start and seed
+    checks, the start node and the generator."""
+    if not 0 < horizon < math.inf:
+        raise tf.PreconditionError(f"horizon must be positive and finite, got {horizon}")
+    lo, hi = chain.lo, float(chain.nodes[-1])
+    if not lo <= x0 <= hi:
+        raise tf.PreconditionError(f"start point {x0} is outside the carrier [{lo}, {hi}]")
+    if seed < 0:
+        raise tf.PreconditionError(f"seed must be nonnegative, got {seed}")
+    return int(round((x0 - lo) / chain.h)), np.random.default_rng(seed)
+
+
+def former_walk_chain(chain, x0, horizon, seed, holding):
+    """``_walk_chain`` in its former form: node coordinates recorded as
+    states, with an empty-path fallback and the last state carried to the
+    horizon."""
+    k0, rng = former_walk_start(chain, x0, horizon, seed)
+    times, states = [], []
+    absorbed_at = absorbed_time = None
+    last_state = float(chain.nodes[k0])
+    for pos, arr, dwell in former_visit_blocks(chain, k0, horizon, rng, holding):
+        keep = dwell > 0
+        if chain.absorbing[pos[-1]] and absorbed_at is None:
+            absorbed_at = float(chain.nodes[pos[-1]])
+            absorbed_time = float(arr[-1])
+            keep[-1] = True
+        if np.any(keep):
+            times.append(arr[keep])
+            states.append(chain.nodes[pos[keep]])
+            last_state = float(states[-1][-1])
+    if times:
+        t_all = np.concatenate(times)
+        x_all = np.concatenate(states)
+    else:
+        t_all = np.array([0.0])
+        x_all = np.array([float(chain.nodes[k0])])
+    if t_all[-1] < horizon:
+        t_all = np.append(t_all, horizon)
+        x_all = np.append(x_all, last_state)
+    flags = np.zeros(t_all.size, dtype=np.int8)
+    if absorbed_time is not None:
+        flags[t_all >= absorbed_time] = 2
+    return tf.PathSample(t_all, x_all, flags, seed=seed, horizon=horizon,
+                         absorbed_at=absorbed_at, absorbed_time=absorbed_time)
+
+
+def former_simulate_xs(sf, h, x0, horizon, seed, boundary=("reflect", "reflect"),
+                       holding="exponential"):
+    """``simulate_xs`` in its former form: the node of each recorded state
+    recovered by rounding it back onto the grid."""
+    speed = tf.scale_pushforward_speed(sf)
+    chain = tf.build_chain(speed, h, boundary)
+    path = former_walk_chain(chain, float(sf(x0)), horizon, seed, holding)
+    img_lo, img_hi = (float(v) for v in speed.carrier)
+    xs, _ = sf.inverse(np.clip(chain.nodes, img_lo, img_hi))
+    flags = np.zeros(chain.nodes.size, dtype=np.int8)
+    atoms = list(chain.atom_nodes)
+    _, _, f_lo, f_hi = sf._tables
+    xs[atoms] = (f_lo + f_hi) / 2
+    flags[atoms] = 1
+    idx = np.rint((path.states - chain.lo) / h).astype(int)
+    mapped_flags = flags[idx]
+    mapped_flags[path.flags == 2] = 2
+    absorbed_at = None
+    if path.absorbed_at is not None:
+        absorbed_at = float(xs[int(round((path.absorbed_at - chain.lo) / h))])
+    return tf.PathSample(path.times, xs[idx], mapped_flags, seed=seed, horizon=horizon,
+                         absorbed_at=absorbed_at, absorbed_time=path.absorbed_time)
+
+
+def former_walk_occupation(speed, h, x0, horizon, seed, targets, boundary=("reflect", "reflect"),
+                           holding="exponential", burn_in=0.0, batches=20):
+    """``walk_occupation`` over ``former_visit_blocks``, with its former set-up."""
+    if not 0 < horizon < math.inf:
+        raise tf.PreconditionError(f"horizon must be positive and finite, got {horizon}")
+    _check_batches(burn_in, horizon, batches)
+    chain = tf.build_chain(speed, h, boundary)
+    k0, rng = former_walk_start(chain, x0, horizon, seed)
+    member = [_membership(chain.nodes, tg) for tg in targets]
+    blocks = ((arr, dwell, [row[pos] for row in member])
+              for pos, arr, dwell in former_visit_blocks(chain, k0, horizon, rng, holding))
+    return _batch_occupation(blocks, targets, burn_in, horizon, batches)

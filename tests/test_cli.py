@@ -349,6 +349,8 @@ EDGE_INPUTS = {
                                            "--interval", "0,1e400"], 2, False),
     "occupation target past float range": (["estimate", "occupation", "--path", "{d}/path.csv",
                                             "--target=-1e400"], 2, False),
+    "occupation target empty": (["estimate", "occupation", "--path", "{d}/path.csv",
+                                 "--target=1,-1"], 3, False),
     "equivalence tol nan": (EQUIV + ["--tol", "nan"], 3, False),
     "equivalence tol inf": (EQUIV + ["--tol", "inf"], 3, False),
     "equivalence tol negative": (EQUIV + ["--tol=-1e-12"], 3, False),
@@ -395,6 +397,25 @@ def test_bad_path_csv_is_exit_2(rows, tmp_path):
                      "--target", "0,1", "--batches", "2", "--out", tmp_path / "out")
     assert rc == 2, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("density, carrier, code", [
+    ("NaN", "1", 2), ("Infinity", "1", 2), ("1", "Infinity", 2), ("0", "1", 3),
+], ids=["nan density", "inf density", "inf carrier end", "zero density"])
+def test_speed_that_cannot_walk_fails_on_one_line(density, carrier, code, tmp_path):
+    """``json.loads`` reads NaN and Infinity, so a walk's speed may hold them;
+    a NaN or zero density used to walk forever, hence the child and its timeout."""
+    (tmp_path / "speed.json").write_text(
+        f'{{"carrier": [0, {carrier}], "density_pieces": [[0, 1, {density}]], "atoms": []}}')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "traceform.cli", "simulate", "walk",
+                           "--speed", str(tmp_path / "speed.json"), "--h", "0.25", "--x0", "0.5",
+                           "--horizon", "1", "--seed", "1", "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

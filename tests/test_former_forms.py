@@ -5,11 +5,13 @@ the validation checks, the check of an argument passed once for two, the
 trace match of equal grids, the exact pairs the scalar inverses return, the
 classes of each set's adapted grid and the darning images of it, the
 adaptedness check of each grid and the grid diff under the slopes are each
-done once now, five CSV writers are one and two CSV readers are one.  Every result keeps its type and
+done once now, five CSV writers are one and two CSV readers are one, and
+the three walks share one set-up, one end and one recorder.  Every result keeps its type and
 its bits, the sign of a zero and a NaN included, and every error its type,
 message and precedence.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction as Fr
 
@@ -29,8 +31,9 @@ from helpers import (_float_pair_set, former_classify_nodes, former_closure_inde
                      former_collapse_nodes, former_feller_csv, former_grid_csv,
                      former_jump_table_csv, former_path_csv, former_scale_csv, former_darn, former_darn_inverse, former_evaluate,
                      former_fold, former_grid_checks, former_lebesgue, former_missing_nodes,
-                     former_scale, former_scale_inverse, former_slopes, former_trace_checks,
-                     former_trace_match, geometry_sets, probe_points, random_complement_member,
+                     former_scale, former_scale_inverse, former_simulate_xs, former_slopes,
+                     former_trace_checks, former_trace_match, former_walk_chain,
+                     former_walk_occupation, geometry_sets, probe_points, random_complement_member,
                      random_gridfn, random_iset, random_subspace_member, random_trace_fn,
                      random_vanishing)
 
@@ -550,3 +553,102 @@ class TestCsvColumns:
         dense = read("\n".join([header, *rows]) + "\n")
         sparse = read("\n".join([header, "", rows[0], "", "", *rows[1:], ""]) + "\n\n")
         assert repr(sparse) == repr(dense)
+
+
+def _path_bits(path):
+    """A path's arrays as raw bytes and its fields, or the error it raised."""
+    if isinstance(path, tuple):
+        return path
+    return ([raw(a) for a in (path.times, path.states, path.flags)], path.seed,
+            raw(path.horizon), path.absorbed_at, path.absorbed_time)
+
+
+def _result_bits(results):
+    if isinstance(results, tuple):
+        return results
+    return [(raw(r.estimate), raw(r.stderr), r.n, r.target, r.warning) for r in results]
+
+
+BOUNDARIES = [(left, right) for left in ("reflect", "absorb") for right in ("reflect", "absorb")]
+
+
+def _walk_speeds():
+    """(name, speed, h, start points): Lebesgue measure darned onto svc1, the
+    same with all-G tails (infinite atoms at both carrier ends, where a walk
+    may start), and the trace measure of svc2."""
+    allg = tf.svc_complement(1, tails=(Tail.ALL_G, Tail.ALL_G))
+    return [("lebesgue", tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1), z=0),
+                                              "lebesgue"), 3 / 128, (0.1,)),
+            ("infinite atoms", tf.pushforward_speed(tf.DarningMap(allg), "lebesgue"), 3 / 128,
+             (0.1875, -0.1875)),
+            ("trace", tf.trace_measure(tf.svc_complement(2)), 1 / 32, (0.5,))]
+
+
+class TestWalkEngine:
+    """``walk_paths``, ``simulate_xs`` and ``walk_occupation`` against the
+    former walk, bit for bit: one set-up, one loop, one end and one recorder
+    where there were three set-ups, a pending first block, two ends and a
+    remap of the recorded states.  A horizon of 1e-6 ends every walk inside
+    its first hold."""
+
+    @pytest.mark.parametrize("holding", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES, ids="-".join)
+    def test_walk_paths(self, boundary, holding):
+        for _, speed, h, starts in _walk_speeds():
+            chain = tf.build_chain(speed, h, boundary)
+            for x0 in starts:
+                for horizon, seed in ((1e-6, 3), (5.0, 1), (5.0, 8)):
+                    args = (x0, horizon, seed)
+                    assert _path_bits(outcome(tf.walk_paths, speed, h, *args, boundary,
+                                              holding)) == \
+                        _path_bits(outcome(former_walk_chain, chain, *args, holding))
+
+    @pytest.mark.parametrize("holding", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES, ids="-".join)
+    def test_simulate_xs(self, boundary, holding):
+        iset = tf.build_interval_set([(Fr(30, 240), Fr(90, 240)), (Fr(120, 240), Fr(200, 240))],
+                                     (0, 1))
+        for sf, h, x0 in ((tf.ScaleFunction(tf.svc_complement(1), anchor=0), 1 / 32, 0.1),
+                          (tf.ScaleFunction(iset, anchor=0), 7 / 492, 0.3)):
+            for horizon, seed in ((1e-6, 3), (5.0, 1), (5.0, 8)):
+                args = (sf, h, x0, horizon, seed, boundary, holding)
+                assert _path_bits(outcome(tf.simulate_xs, *args)) == \
+                    _path_bits(outcome(former_simulate_xs, *args))
+
+    @pytest.mark.parametrize("holding", ["exponential", "deterministic"])
+    @pytest.mark.parametrize("boundary", BOUNDARIES, ids="-".join)
+    def test_walk_occupation(self, boundary, holding):
+        for _, speed, h, starts in _walk_speeds():
+            for x0 in starts:
+                args = (speed, h, x0, 5.0, 2, [0.375, (0.0, 0.2)], boundary, holding, 0.5, 4)
+                assert _result_bits(outcome(tf.walk_occupation, *args)) == \
+                    _result_bits(outcome(former_walk_occupation, *args))
+
+    @pytest.mark.parametrize("x0, horizon, seed, holding", [
+        (0.1, 0.0, 1, "exponential"), (0.1, math.nan, 1, "exponential"),
+        (0.1, math.inf, 1, "exponential"), (0.9, 1.0, 1, "exponential"),
+        (math.nan, 1.0, 1, "exponential"), (0.1, 1.0, -1, "exponential"),
+        (0.1, 1.0, 1, "weird"), (0.9, math.nan, -1, "weird")])
+    def test_refusals(self, x0, horizon, seed, holding):
+        _, speed, h, _ = _walk_speeds()[0]
+        chain = tf.build_chain(speed, h)
+        assert _path_bits(outcome(tf.walk_paths, speed, h, x0, horizon, seed, holding=holding)) \
+            == _path_bits(outcome(former_walk_chain, chain, x0, horizon, seed, holding))
+        sf = tf.ScaleFunction(tf.svc_complement(1), anchor=0)
+        args = (sf, 1 / 32, x0, horizon, seed)
+        assert _path_bits(outcome(tf.simulate_xs, *args, holding=holding)) == \
+            _path_bits(outcome(former_simulate_xs, *args, holding=holding))
+        args = (speed, h, x0, horizon, seed, [0.375])
+        assert _result_bits(outcome(tf.walk_occupation, *args, holding=holding, batches=2)) == \
+            _result_bits(outcome(former_walk_occupation, *args, holding=holding, batches=2))
+
+    @pytest.mark.parametrize("x0", [0, -0.0, 0.25, np.float32(0.1), Fr(1, 3)],
+                             ids=["int", "-0.0", "float", "float32", "Fraction"])
+    def test_zero_step_bm_paths(self, x0):
+        # a horizon under one step gives the start alone, as the former
+        # zero-step branch built it
+        for horizon in (0.0, 0.05):
+            for i, path in enumerate(tf.bm_paths(2, 0.1, horizon, x0, seed=6)):
+                former = tf.PathSample(np.array([0.0]), np.array([float(x0)]),
+                                       np.zeros(1, dtype=np.int8), seed=6 ^ i, horizon=horizon)
+                assert _path_bits(path) == _path_bits(former)

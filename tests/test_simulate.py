@@ -1,6 +1,7 @@
 """Path sampling: exit estimators, speed-measure walks, occupation batching."""
 
 import math
+import signal
 import threading
 from fractions import Fraction as Fr
 
@@ -367,6 +368,34 @@ class TestWalks:
         with pytest.raises(PreconditionError, match="holding must be"):
             walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 10.0, seed=9, holding="weird")
 
+    @pytest.mark.parametrize("walk", [
+        lambda speed: walk_paths(speed, 1 / 4, 0.5, 1.0, seed=1),
+        lambda speed: walk_occupation(speed, 1 / 4, 0.5, 1.0, 1, [0.5], batches=2),
+    ], ids=["walk_paths", "walk_occupation"])
+    def test_zero_hold_walk_is_refused(self, walk):
+        # no node holds the walk and none absorbs it, so its clock never
+        # advances; such a walk used to run forever, hence the alarm
+        def stop(signum, frame):
+            raise TimeoutError("the walk did not return within 20 s")
+
+        former = signal.signal(signal.SIGALRM, stop)
+        signal.alarm(20)
+        try:
+            with pytest.raises(PreconditionError) as err:
+                walk(tf.SpeedMeasure((0, 1), ((0, 1, 0),), ()))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, former)
+        assert str(err.value) == ("no grid node holds the walk or absorbs it, "
+                                  "so its clock never advances")
+
+    def test_zero_hold_walk_ends_at_an_absorbing_end(self):
+        p = walk_paths(tf.SpeedMeasure((0, 1), ((0, 1, 0),), ()), 1 / 4, 0.5, 1.0, seed=1,
+                       boundary=("absorb", "absorb"))
+        assert p.times.tolist() == [0.0, 1.0]
+        assert p.flags.tolist() == [2, 2]
+        assert p.absorbed_time == 0.0 and p.absorbed_at in (0.0, 1.0)
+
     def test_absorption_at_infinite_atom(self, svc1_allg):
         speed = tf.pushforward_speed(tf.DarningMap(svc1_allg), "lebesgue")
         p = walk_paths(speed, 3 / 128, 0.1875, 500.0, seed=2)
@@ -426,6 +455,26 @@ class TestOccupation:
         with pytest.raises(PreconditionError, match="horizon must be positive and finite"):
             walk_occupation(_lebesgue_speed(svc1), 3 / 128, 0.1, horizon, seed=9,
                             targets=[0.375])
+
+    @pytest.mark.parametrize("target, message", [
+        ((1.0, -1.0), "occupation target interval [1.0, -1.0] must satisfy lo <= hi"),
+        (math.nan, "occupation target point nan is not a number"),
+        ((math.nan, 1.0), "occupation target interval [nan, 1.0] must satisfy lo <= hi"),
+    ], ids=["empty interval", "nan point", "nan interval end"])
+    def test_target_must_be_a_point_or_a_nonempty_interval(self, svc1, target, message):
+        # each used to read as a measured 0.0 +- 0.0
+        speed = _lebesgue_speed(svc1)
+        p = walk_paths(speed, 3 / 128, 0.1, 10.0, seed=9)
+        for occupation in (lambda: occupation_fractions(p, [0.375, target]),
+                           lambda: walk_occupation(speed, 3 / 128, 0.1, 10.0, 9, [target])):
+            with pytest.raises(PreconditionError) as err:
+                occupation()
+            assert str(err.value) == message
+
+    def test_half_line_target(self, svc1):
+        p = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 10.0, seed=9)
+        whole = occupation_fractions(p, [(0.0, math.inf)], batches=2)[0]
+        assert (whole.estimate, whole.stderr) == (1.0, 0.0)
 
     def test_short_horizon_warning(self, svc1):
         p = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 100.0, seed=9)
@@ -549,14 +598,33 @@ class TestPathCsv:
         assert str(err.value) == message
 
 
+SEEDED_DRAWS = {
+    "bm_paths": lambda iset, seed: next(bm_paths(1, 0.1, 1.0, 0.0, seed=seed)),
+    "exit": lambda iset, seed: estimate_hitting(iset, 0.5, 10, seed=seed),
+    "walk_paths": lambda iset, seed: walk_paths(_lebesgue_speed(iset), 3 / 128, 0.1, 1.0,
+                                                seed=seed),
+    "simulate_xs": lambda iset, seed: simulate_xs(tf.ScaleFunction(iset, anchor=0), 1 / 32, 0.1,
+                                                  1.0, seed=seed),
+    "walk_occupation": lambda iset, seed: walk_occupation(_lebesgue_speed(iset), 3 / 128, 0.1,
+                                                          1.0, seed, [0.5]),
+}
+# (seed, test id suffix, message): a float seed used to raise a bare
+# TypeError, and True was taken as seed 1
+BAD_SEEDS = [(-1, "", "seed must be nonnegative, got -1"),
+             (1.5, "-1.5", "seed must be an integer, got 1.5"),
+             (True, "-True", "seed must be an integer, got True")]
+
+
 class TestNegativeSeed:
-    @pytest.mark.parametrize("draw", [
-        lambda iset: next(bm_paths(1, 0.1, 1.0, 0.0, seed=-1)),
-        lambda iset: estimate_hitting(iset, 0.5, 10, seed=-1),
-        lambda iset: walk_paths(_lebesgue_speed(iset), 3 / 128, 0.1, 1.0, seed=-1),
-        lambda iset: simulate_xs(tf.ScaleFunction(iset, anchor=0), 1 / 32, 0.1, 1.0, seed=-1),
-        lambda iset: walk_occupation(_lebesgue_speed(iset), 3 / 128, 0.1, 1.0, -1, [0.5]),
-    ], ids=["bm_paths", "exit", "walk_paths", "simulate_xs", "walk_occupation"])
-    def test_raises_precondition_error(self, svc1, draw):
-        with pytest.raises(PreconditionError, match="^seed must be nonnegative, got -1$"):
-            draw(svc1)
+    @pytest.mark.parametrize("draw, seed, message", [
+        pytest.param(draw, seed, message, id=name + suffix)
+        for seed, suffix, message in BAD_SEEDS for name, draw in SEEDED_DRAWS.items()])
+    def test_raises_precondition_error(self, svc1, draw, seed, message):
+        with pytest.raises(PreconditionError) as err:
+            draw(svc1, seed)
+        assert str(err.value) == message
+
+    def test_numpy_integer_seed(self, svc1):
+        a = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 1.0, seed=np.int64(3))
+        b = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 1.0, seed=3)
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)

@@ -474,6 +474,20 @@ class TestSpeedMeasure:
         with pytest.raises(ValidationError):
             tf.SpeedMeasure((0, 1), ((0, 1, -1),))
 
+    @pytest.mark.parametrize("carrier, pieces, atoms, message", [
+        ((0, 1), ((0, 1, math.nan),), (), "density nan is not finite"),
+        ((0, 1), ((0, 1, math.inf),), (), "density inf is not finite"),
+        ((0, math.inf), ((0, 1, 1),), (), "carrier must be finite, got (0, inf)"),
+        ((-math.inf, 1), (), (), "carrier must be finite, got (-inf, 1)"),
+        ((0, 1), ((0, 1, 1),), ((math.nan, 1),), "atom at nan leaves the carrier"),
+    ], ids=["nan density", "inf density", "inf carrier end", "-inf carrier end", "nan atom"])
+    def test_non_finite_rejected(self, carrier, pieces, atoms, message):
+        # a NaN density made a walk that never ended, an infinite one a walk
+        # stuck at its start, and an infinite carrier an OverflowError
+        with pytest.raises(ValidationError) as err:
+            tf.SpeedMeasure(carrier, pieces, atoms)
+        assert str(err.value) == message
+
     @settings(max_examples=60, deadline=None)
     @given(geometry_sets, st.integers(0, 2), st.integers(1, 64), st.integers(0, 10**6))
     def test_tent_integral_matches_loop(self, iset, kind, n, seed):
