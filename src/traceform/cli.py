@@ -338,18 +338,19 @@ def cmd_simulate_bm(args):
     return {f"bm_{i:04d}.csv": path.to_csv() for i, path in enumerate(paths)}, ()
 
 
-def cmd_simulate_walk(args):
-    speed = SpeedMeasure.from_dict(_read(args.speed, as_json=True))
-    path = walk_paths(speed, args.h, args.x0, args.horizon, args.seed,
-                      boundary=_boundary(args), holding=args.holding)
+def _walk_file(args, walk, source, x0):
+    path = walk(source, args.h, x0, args.horizon, args.seed,
+                boundary=_boundary(args), holding=args.holding)
     return {"path.csv": path.to_csv()}, ()
+
+
+def cmd_simulate_walk(args):
+    return _walk_file(args, walk_paths, SpeedMeasure.from_dict(_read(args.speed, as_json=True)),
+                      args.x0)
 
 
 def cmd_simulate_xs(args):
-    sf = _scale_of(args, _load_set(args))
-    path = simulate_xs(sf, args.h, args.x0, args.horizon, args.seed,
-                       boundary=_boundary(args), holding=args.holding)
-    return {"path.csv": path.to_csv()}, ()
+    return _walk_file(args, simulate_xs, _scale_of(args, _load_set(args)), args.x0)
 
 
 def cmd_simulate_darning(args):
@@ -357,10 +358,7 @@ def cmd_simulate_darning(args):
     speed = pushforward_speed(dm, "lebesgue")
     if not math.isfinite(args.x0):
         raise PreconditionError(f"start point must be finite, got {args.x0}")
-    y0 = float(dm(Fraction(args.x0)))
-    path = walk_paths(speed, args.h, y0, args.horizon, args.seed,
-                      boundary=_boundary(args), holding=args.holding)
-    return {"path.csv": path.to_csv()}, ()
+    return _walk_file(args, walk_paths, speed, float(dm(Fraction(args.x0))))
 
 
 def _exit_summary(left, right):

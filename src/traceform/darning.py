@@ -18,9 +18,9 @@ import numpy as np
 from .energy import EnergyReport, _same_grid, dirichlet_energy
 from .errors import PreconditionError
 from .gridfn import SUBSPACE_TOL, GridFunction, _collapse_nodes, _refuse_gap, darn_function
-from .intervals import Tail
+from .intervals import Tail, _encode
 from .trace import TraceFunction, gap_jumps, restrict_to_f
-from .transforms import DarningMap, SpeedMeasure, _encode_mass, _ordered_sum, pushforward_speed
+from .transforms import DarningMap, SpeedMeasure, _ordered_sum, pushforward_speed
 
 
 def darned_energy(uh: GridFunction, vh: GridFunction | None = None) -> EnergyReport:
@@ -81,7 +81,7 @@ class SampleEquivalence:
     def to_dict(self) -> dict:
         return {
             "sup": [self.sup_line, self.sup_darned],
-            "l2": [_encode_mass(self.l2_line), _encode_mass(self.l2_darned)],
+            "l2": [_encode(self.l2_line), _encode(self.l2_darned)],
             "energy": [self.energy_line, self.energy_darned],
             "trace_match": self.trace_match,
         }

@@ -71,7 +71,7 @@ class Tail(Enum):
 
 
 def _encode(x: Real):
-    if isinstance(x, Fraction):
+    if isinstance(x, Fraction) or (isinstance(x, float) and math.isinf(x)):
         return str(x)
     return x
 
@@ -102,7 +102,7 @@ def _csv_columns(text: str, what: str, header: str, kinds: Sequence) -> list[tup
 
 def _decode(x) -> Real:
     if isinstance(x, str):
-        return Fraction(x)
+        return float(x) if x in ("inf", "-inf") else Fraction(x)
     if isinstance(x, bool):
         raise ValidationError("boolean is not a valid endpoint")
     if isinstance(x, (int, float)):
@@ -169,9 +169,11 @@ class _Table(NamedTuple):
         sums as: x itself where it is a float or an int, else its exact value
         as a pair, (f, den) where it lies on the table.  For a numerator n:
         n < x iff n < c, n <= x iff n <= f, and n == x iff f == c == n.  An
-        infinite or NaN float is placed as itself with q = 0."""
+        int pair (n, d), d > 0, is placed as ``Fraction(n, d)``.  An infinite
+        or NaN float is placed as itself with q = 0."""
         try:
-            p, q = x.as_integer_ratio() if isinstance(x, (float, int, Fraction)) else _ratio(x)
+            p, q = (x.as_integer_ratio() if isinstance(x, (float, int, Fraction))
+                    else x if type(x) is tuple else _ratio(x))
         except (OverflowError, ValueError):
             return x, x, x, x, 0
         f, r = divmod(p * self.den, q)
@@ -685,19 +687,13 @@ class IntervalSet:
         end = _combine(phase, rem)
         n, d = end.as_integer_ratio() if isinstance(end, float) else end
 
-        def placed(x):  # a pair placed as the Fraction it stands for
-            if type(x) is not tuple:
-                return place(x)
-            f, r = divmod(x[0] * den, x[1])
-            return x if r else (f, den), f, f + (r > 0), *x
-
         start = _combine(w0, phase)
         if n * den <= pn * d:  # phase + rem <= p: [w0 + phase, w0 + phase + rem]
-            return _combine(total, self._window_mass(placed(start), placed(_combine(start, rem))))
+            return _combine(total, self._window_mass(place(start), place(_combine(start, rem))))
         # [w0 + phase, w1], then [w0, w0 + (phase + rem - p)]
-        total = _combine(total, self._window_mass(placed(start), self._w_points[1]))
+        total = _combine(total, self._window_mass(place(start), self._w_points[1]))
         return _combine(total, self._window_mass(
-            self._w_points[0], placed(_combine(w0, _combine(end, (pn, den), sub)))))
+            self._w_points[0], place(_combine(w0, _combine(end, (pn, den), sub)))))
 
     def _tail_mass(self, lo, hi, tail: Tail):
         # placed points, lo < hi

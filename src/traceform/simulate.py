@@ -22,6 +22,7 @@ chunks are reduced in index order.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from collections import deque
@@ -303,12 +304,9 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
                     failed = True
                 raise
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(work) for _ in range(threads)]:
-                future.result()
-    else:
-        work()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(work) for _ in range(threads)]:
+            future.result()
     left = np.concatenate([p[0] for p in parts])
     tau = np.concatenate([p[1] for p in parts])
     return left, tau
@@ -448,18 +446,15 @@ def build_chain(speed: SpeedMeasure, h: float,
     holds[snapped[inf]] = math.inf
     absorbing = np.zeros(nodes.size, dtype=bool)
     absorbing[snapped[inf]] = True
-    if boundary[0] == "absorb":
-        absorbing[0] = True
-    if boundary[1] == "absorb":
-        absorbing[-1] = True
     # A reflecting end folds the speed measure across the boundary: the Green
     # function of reflected BM on [0, h) is 2(h - xi), so the end hold is twice
     # the one-sided tent integral.  Lebesgue then holds h^2 at every node,
     # reflecting ends included, and an end atom keeps its full stationary weight.
-    if boundary[0] == "reflect" and not absorbing[0]:
-        holds[0] *= 2
-    if boundary[1] == "reflect" and not absorbing[-1]:
-        holds[-1] *= 2
+    for end, side in zip((0, -1), boundary):
+        if side == "absorb":
+            absorbing[end] = True
+        elif not absorbing[end]:
+            holds[end] *= 2
     return WalkChain(lo=lo, h=h, nodes=nodes, holds=holds, absorbing=absorbing,
                      atom_nodes=tuple(sorted(snapped.tolist())))
 
@@ -590,11 +585,11 @@ def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: in
 # -- occupation statistics --------------------------------------------------
 
 
-Target = Sequence[float] | float
+Target = Sequence[float] | numbers.Real
 
 
 def _target_label(tg: Target) -> str:
-    if isinstance(tg, (int, float)):
+    if isinstance(tg, numbers.Real):
         return f"point {float(tg)}"
     lo, hi = tg
     return f"interval [{float(lo)}, {float(hi)}]"
@@ -602,9 +597,11 @@ def _target_label(tg: Target) -> str:
 
 def _membership(states: np.ndarray, tg: Target) -> np.ndarray:
     """Which states lie in the target; an interval may have infinite ends."""
-    if isinstance(tg, (int, float)):
+    if isinstance(tg, numbers.Real):
         if math.isnan(tg):
             raise PreconditionError("occupation target point nan is not a number")
+        if math.isinf(tg):
+            raise PreconditionError(f"occupation target point {float(tg)} is not finite")
         return np.abs(states - float(tg)) <= POINT_TOL
     lo, hi = (float(v) for v in tg)
     if not lo <= hi:

@@ -26,7 +26,7 @@ from .energy import EnergyReport, _cell_form, _report, common_grid
 from .errors import PreconditionError, ValidationError
 from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, _refuse_gap, require_adapted
 from .intervals import IntervalSet, Tail, _csv_text, _encode, _Table
-from .transforms import SpeedMeasure, _encode_mass, _gap_atoms
+from .transforms import SpeedMeasure, _gap_atoms
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ def _sinh_ratio(a: float, b: float) -> float:
 
 def alpha_hitting(iset: IntervalSet, n: int, alpha: float, x: float) -> tuple[float, float]:
     """Resolvent hitting kernels (p, q) of gap n at x: p weights the left
-    endpoint, q the right, p + q <= 1 with deficit the killing mass."""
-    if alpha <= 0:
+    endpoint, q the right, p + q <= 1 with deficit the killing mass; their
+    alpha -> inf limits where sqrt(2 alpha) overflows."""
+    if not alpha > 0:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
     w0, w1 = iset.window
     if x < w0 and iset.tail_left is Tail.ALL_G or x > w1 and iset.tail_right is Tail.ALL_G:
@@ -112,6 +113,8 @@ def alpha_hitting(iset: IntervalSet, n: int, alpha: float, x: float) -> tuple[fl
     if not a <= x <= b:
         raise PreconditionError(f"point {x} is not in component {n} = ({a}, {b})")
     c = math.sqrt(2 * alpha)
+    if c == math.inf:
+        return float(x == a), float(x == b)
     d = b - a
     p = _sinh_ratio(c * (b - x), c * d)
     q = _sinh_ratio(c * (x - a), c * d)
@@ -135,9 +138,11 @@ def feller_numeric(width: float, alpha: float) -> float:
     """
     if not width > 0 or (isinstance(width, float) and math.isinf(width)):
         raise PreconditionError(f"gap width must be positive and finite, got {width}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
     c = math.sqrt(2 * alpha)
+    if c == math.inf:
+        return float(1 / (2 * width))
     cd = c * width
     inv_sinh = 2 * math.exp(-cd) / (-math.expm1(-2 * cd))
     return 1 / (2 * width) - alpha / c * inv_sinh
@@ -226,7 +231,7 @@ def trace_measure_dict(iset: IntervalSet) -> dict:
     return {
         "density": "indicator_F",
         "f_components": [[_encode(a), _encode(b)] for a, b, _ in speed.density_pieces],
-        "atoms": [[_encode(p), _encode_mass(m)] for p, m in speed.atoms],
+        "atoms": [[_encode(p), _encode(m)] for p, m in speed.atoms],
     }
 
 

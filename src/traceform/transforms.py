@@ -138,6 +138,12 @@ class ScaleFunction:
         # the float levels as a list, bisected by the scalar inverse
         return self._tables[0].tolist()
 
+    @cached_property
+    def _snap_values(self) -> np.ndarray:
+        # float64 s(w0), the plateau values and s(w1): a float folded back snaps to these
+        levels, values = self._tables[:2]
+        return np.concatenate([levels[:1], values, levels[-1:]])
+
     def window_image(self) -> tuple[Real, Real]:
         return self._levels.get(0), self._levels.get(-1)
 
@@ -231,22 +237,16 @@ class ScaleFunction:
             yk, shift = y - k * per_mass, k * p
         # a float fold can round a hair past the image: that is its edge
         yk = s0 if yk < s0 else s1 if yk > s1 else yk
-        plateau = None
         if isinstance(yk, float):
             # and a hair off a plateau value or the seam value, which it takes,
-            # by the array path's rule
-            levels, values = self._tables[:2]
-            ends = np.concatenate([levels[:1], values, levels[-1:]])
+            # by the array path's rule; the scalar inverse finds that plateau
+            ends = self._snap_values
             near = _snap(np.array([yk]), ends, np.array(1e-12 * max(1.0, abs(y))))[0]
-            yk = s0 if near == levels[0] else s1 if near == levels[-1] else yk
-            if near in values:
-                plateau = iset.f_ranks.start + int(np.searchsorted(values, near))
+            yk = s0 if near == ends[0] else s1 if near == ends[-1] else float(near)
         if yk == s0 or yk == s1:
             lo, hi = self._seam()
             if yk == s1:
                 shift = shift + p
-        elif plateau is not None:
-            lo, hi = iset._f_pair(plateau)
         else:
             lo, hi = self.inverse(yk)
         return lo + shift, hi + shift
@@ -285,7 +285,7 @@ class ScaleFunction:
                 slack = 1e-12 * np.maximum(1.0, np.abs(ys[out]))
                 k = np.sign(d) * np.ceil((np.abs(d) - slack) / per)
                 back = np.clip(ys[out] - k * per, s0, s1)
-                yin[out] = _snap(back, np.concatenate([[s0], values, [s1]]), slack)
+                yin[out] = _snap(back, self._snap_values, slack)
                 shift[out] = k * float(iset.period)
                 folded |= out
         x = np.zeros(ys.shape)
@@ -496,11 +496,6 @@ def _ordered_sum(terms: np.ndarray, start: float = 0.0) -> float:
     return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
-def _encode_mass(m):
-    """A mass for JSON: an infinite one as "inf"."""
-    return "inf" if isinstance(m, float) and math.isinf(m) else _encode(m)
-
-
 def _float_columns(rows, k: int) -> tuple[np.ndarray, ...]:
     """The float64 columns of a sequence of k-tuples."""
     return tuple(np.array([[float(v) for v in row] for row in rows]).reshape(-1, k).T)
@@ -609,18 +604,15 @@ class SpeedMeasure:
         return {
             "carrier": [_encode(self.carrier[0]), _encode(self.carrier[1])],
             "density_pieces": [[_encode(a), _encode(b), _encode(c)] for a, b, c in self.density_pieces],
-            "atoms": [[_encode(p), _encode_mass(m)] for p, m in self.atoms],
+            "atoms": [[_encode(p), _encode(m)] for p, m in self.atoms],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpeedMeasure":
-        def dec_mass(m):
-            return math.inf if m == "inf" else _decode(m)
-
         try:
             carrier = tuple(_decode(x) for x in d["carrier"])
             pieces = tuple(tuple(_decode(x) for x in p) for p in d["density_pieces"])
-            atoms = tuple((_decode(p), dec_mass(m)) for p, m in d["atoms"])
+            atoms = tuple((_decode(p), _decode(m)) for p, m in d["atoms"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ValidationError(f"malformed speed measure description: {exc}") from exc
         return cls(carrier, pieces, atoms)

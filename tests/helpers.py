@@ -928,6 +928,16 @@ def _former_get(nums, den, j, like=None):
     return nums[j] / den if isinstance(like, float) else Fraction(nums[j], den)
 
 
+def former_placed(table, x):
+    """``table.place(x)`` as ``IntervalSet._g_periodic_mass`` placed a query
+    before the table took pairs: an int pair (n, d) by its own division, as
+    the ``Fraction`` it stands for, any other number by the table."""
+    if type(x) is not tuple:
+        return table.place(x)
+    f, r = divmod(x[0] * table.den, x[1])
+    return x if r else (f, table.den), f, f + (r > 0), *x
+
+
 def former_lebesgue(iset, lo, hi, which="G"):
     """``IntervalSet.lebesgue`` in its former form: an exact piece of the
     table as its numerator over D in a 1-tuple, and every other value a

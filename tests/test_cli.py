@@ -419,6 +419,22 @@ def test_speed_that_cannot_walk_fails_on_one_line(density, carrier, code, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["set", "build", "--set"],
+     '{"window": [0, "inf"], "components": [], "tail_left": "AllF", "tail_right": "AllF"}',
+     "every end must be a finite real number"),
+    (["simulate", "walk", *WALK[4:], "--horizon", "1", "--speed"],
+     '{"carrier": [0, "inf"], "density_pieces": [], "atoms": []}',
+     "carrier must be finite, got (0, inf)"),
+], ids=["set build --set", "simulate walk --speed"])
+def test_infinity_as_text_is_exit_2(argv, text, message, tmp_path):
+    """The JSON codec reads "inf" back as a float, which the finiteness checks refuse."""
+    (tmp_path / "in.json").write_text(text)
+    rc, _, err = run(*argv, tmp_path / "in.json", "--out", tmp_path / "out")
+    assert rc == 2 and err.startswith(f"validation error: {message}")
+    assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+
 SET_FLAGS = "--set --svc-depth --components --window --tails --period"
 WALK_FLAGS = "--h! --x0! --horizon! --seed! --boundary --holding='exponential'"
 EXIT_FLAGS = "--n! --seed! --dt --correct=False --workers"

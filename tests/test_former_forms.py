@@ -31,6 +31,7 @@ from helpers import (_float_pair_set, former_classify_nodes, former_closure_inde
                      former_collapse_nodes, former_feller_csv, former_grid_csv,
                      former_jump_table_csv, former_path_csv, former_scale_csv, former_darn, former_darn_inverse, former_evaluate,
                      former_fold, former_grid_checks, former_lebesgue, former_missing_nodes,
+                     former_placed,
                      former_scale, former_scale_inverse, former_simulate_xs, former_slopes,
                      former_trace_checks, former_trace_match, former_walk_chain,
                      former_walk_occupation, geometry_sets, probe_points, random_complement_member,
@@ -352,6 +353,27 @@ def _grid_sets():
     return [tf.svc_complement(3), tf.svc_complement(2, tails=(Tail.ALL_G, Tail.ALL_G)),
             tf.periodic_fat_cantor(2, 2),
             tf.build_interval_set([(0.1, 0.2), (0.30000000000000004, 0.7)], (0, 1))]
+
+
+class TestPairPlacement:
+    """``_Table.place`` of an int pair against the nested ``placed`` of
+    ``_g_periodic_mass`` that it replaces, bit for bit (``repr`` of ints and
+    tuples), on the table and off it, with scalars passed through."""
+
+    @pytest.mark.parametrize("iset", _grid_sets() + [tf.periodic_fat_cantor(3, Fr(7, 3), (-1, 1))],
+                             ids=["svc3", "svc2 allg", "periodic2", "float ends", "periodic3"])
+    def test_pairs_match_the_former_placement(self, iset):
+        table, rng = iset._ends, np.random.default_rng(5)
+        den = table.den
+        queries = []
+        for n in [*table.nums, table.nums[0] - den, table.nums[-1] + 3 * den]:
+            queries += [(n, den), (3 * n, 3 * den), Fr(n, den).as_integer_ratio(),
+                        (2 * n + 1, 2 * den), (2 * n - 1, 2 * den), (n * 7 + 1, den * 7)]
+        queries += [(int(k), int(d)) for k, d in zip(rng.integers(-10**6, 10**6, 50),
+                                                      rng.integers(1, 10**4, 50))]
+        queries += [(0, 1), 0, 0.3, Fr(1, 3), -2]
+        for x in queries:
+            assert repr(table.place(x)) == repr(former_placed(table, x)), x
 
 
 class TestGridTables:

@@ -1,5 +1,7 @@
 """Interval geometry: construction, validation, measure queries."""
 
+import json
+import math
 from decimal import Decimal
 from fractions import Fraction as Fr
 
@@ -139,6 +141,12 @@ class TestValidate:
     def test_empty_components_never_dense(self):
         iset = tf.svc_complement(0)
         assert not iset.validate(Fr(1, 2)).measure_dense
+
+    def test_infinite_delta_report_is_json(self, svc1):
+        # library only, as the CLI refuses an infinite delta; it was Infinity
+        d = svc1.validate(math.inf).to_dict()
+        assert d["delta"] == "inf"
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
 
     def test_equality_edge_counts_as_violation(self, svc1):
         # F-component of length exactly delta contains a G-free subinterval
@@ -317,6 +325,27 @@ class TestSerialization:
         assert d["window"] == ["0", "1"]
         assert d["components"] == [["3/8", "5/8"]]
         assert d["tail_left"] == "AllF"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("window", [0, "inf"], "every end must be a finite real number"),
+        ("components", [["-inf", "1/2"]], "every end must be a finite real number"),
+        ("period", "inf", "period inf must equal the window length 1"),
+    ], ids=["window end", "component end", "period"])
+    def test_infinity_as_text_is_refused(self, field, value, message):
+        # "inf" reads back as the float the codec writes for it, which the
+        # finiteness checks refuse
+        d = {**tf.svc_complement(1).to_dict(), field: value}
+        if field == "period":
+            d.update(tail_left="Periodic", tail_right="Periodic")
+        with pytest.raises(ValidationError, match=message):
+            tf.IntervalSet.from_dict(d)
+
+    def test_codec_infinity(self):
+        from traceform.intervals import _decode, _encode
+        assert [_encode(x) for x in (math.inf, -math.inf, np.float64(-math.inf))] == [
+            "inf", "-inf", "-inf"]
+        assert [_decode(t) for t in ("inf", "-inf")] == [math.inf, -math.inf]
+        assert (_encode(Fr(-1, 3)), _encode(0.25), _encode(2)) == ("-1/3", 0.25, 2)
 
     def test_f_components_cached_consistent(self, svc2):
         assert svc2.f_components == tuple(window_f_components(svc2))

@@ -1,9 +1,11 @@
-"""Every name a ``traceform`` module imports is used in that module.
+"""Every name a ``traceform`` module imports is used in that module, and
+every private helper it defines is read somewhere in the package.
 
-This is the unused-import check of a linter, written on ``ast`` so that it
-needs nothing past the standard library: an import that a change leaves
-behind fails here.  ``__init__.py`` is exempt, because its imports are its
-``__all__`` exports.
+These are the unused-import and dead-code checks of a linter, written on
+``ast`` so that they need nothing past the standard library: an import or a
+``_name`` helper that a change leaves behind fails here.  ``__init__.py`` is
+exempt from the import check, because its imports are its ``__all__``
+exports.
 """
 
 import ast
@@ -38,3 +40,42 @@ def test_unused_imports_are_named():
               "from .errors import PreconditionError, ValidationError as VE\n"
               "def f(x: VE) -> None:\n    return io.StringIO(x)\n")
     assert unused_imports(source) == ["PreconditionError", "csv", "os"]
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_name`` functions, classes and constants of the
+    sources, by module name, that no source reads as a name or an attribute,
+    sorted as "module._name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}.{d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in read]
+    return sorted(dead)
+
+
+def test_every_private_helper_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helpers_are_named():
+    sources = {"a": "_K = 1\n_J: int = 2\n__all__ = []\ndef _f():\n    return _K\n"
+                    "class _C:\n    pass\ndef g(x):\n    return x._m()\ndef _m():\n    pass\n",
+               "b": "from .a import _f\n_f()\n_L = _L2 = 3\n"}
+    assert dead_helpers(sources) == ["a._C", "a._J", "b._L", "b._L2"]

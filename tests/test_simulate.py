@@ -460,7 +460,9 @@ class TestOccupation:
         ((1.0, -1.0), "occupation target interval [1.0, -1.0] must satisfy lo <= hi"),
         (math.nan, "occupation target point nan is not a number"),
         ((math.nan, 1.0), "occupation target interval [nan, 1.0] must satisfy lo <= hi"),
-    ], ids=["empty interval", "nan point", "nan interval end"])
+        (math.inf, "occupation target point inf is not finite"),
+        (-math.inf, "occupation target point -inf is not finite"),
+    ], ids=["empty interval", "nan point", "nan interval end", "inf point", "-inf point"])
     def test_target_must_be_a_point_or_a_nonempty_interval(self, svc1, target, message):
         # each used to read as a measured 0.0 +- 0.0
         speed = _lebesgue_speed(svc1)
@@ -470,6 +472,16 @@ class TestOccupation:
             with pytest.raises(PreconditionError) as err:
                 occupation()
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("point", [np.int64(0), np.float32(0.375), Fr(3, 8)],
+                             ids=["int64", "float32", "Fraction"])
+    def test_numpy_scalar_point(self, svc1, point):
+        # a numpy scalar was read as an interval and raised a bare TypeError
+        speed = _lebesgue_speed(svc1)
+        p = walk_paths(speed, 3 / 128, 0.1, 10.0, seed=9)
+        assert occupation_fractions(p, [point]) == occupation_fractions(p, [float(point)])
+        assert (walk_occupation(speed, 3 / 128, 0.1, 10.0, 9, [point])
+                == walk_occupation(speed, 3 / 128, 0.1, 10.0, 9, [float(point)]))
 
     def test_half_line_target(self, svc1):
         p = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 10.0, seed=9)

@@ -85,6 +85,13 @@ class TestAlphaHitting:
         p1, _ = tf.alpha_hitting(iset, 0, 1e2, 1.0)
         assert 0.0 < p1 < 1e-5
 
+    @pytest.mark.parametrize("alpha", [1e308, math.inf])
+    def test_alpha_past_the_float_range_of_sqrt(self, alpha):
+        # sqrt(2 alpha) overflows: the alpha -> inf limits, where it was (nan, nan)
+        iset = tf.build_interval_set([(0, 1)], (0, 1))
+        assert [tf.alpha_hitting(iset, 0, alpha, x) for x in (0.0, 0.5, 1.0)] == [
+            (1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
+
     def test_bad_component_index(self, svc1):
         with pytest.raises(PreconditionError, match="index"):
             tf.alpha_hitting(svc1, 3, 1.0, 0.5)
@@ -106,6 +113,20 @@ class TestFeller:
 
     def test_limit_at_large_alpha(self):
         assert tf.feller_numeric(1.0, 1e4) == pytest.approx(0.5, rel=1e-3)
+
+    @pytest.mark.parametrize("d", [1.0, Fr(1, 3), 2])
+    def test_infinite_alpha_is_the_limit(self, d):
+        # it was nan; alpha = 1e308 already gave the float 1/(2d)
+        assert [type(tf.feller_numeric(d, a)) for a in (1e308, math.inf)] == [float, float]
+        assert tf.feller_numeric(d, math.inf) == tf.feller_numeric(d, 1e308) == float(1 / (2 * d))
+
+    @pytest.mark.parametrize("call", [lambda: tf.feller_numeric(1.0, math.nan),
+                                      lambda: tf.alpha_hitting(tf.svc_complement(1), 0, math.nan,
+                                                               0.5)],
+                             ids=["feller_numeric", "alpha_hitting"])
+    def test_nan_alpha_is_refused(self, call):
+        with pytest.raises(PreconditionError, match="alpha must be positive, got nan"):
+            call()
 
     @pytest.mark.parametrize("d", [0.25, 0.5, 1.0])
     def test_monotone_ladder(self, d):

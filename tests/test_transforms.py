@@ -1,5 +1,6 @@
 """Scale function, darning map, case classification, speed measures."""
 
+import json
 import math
 import warnings
 from fractions import Fraction as Fr
@@ -454,9 +455,23 @@ class TestScalePushforward:
 class TestSpeedMeasure:
     def test_round_trip_with_infinity(self):
         sp = tf.SpeedMeasure((0, 1), ((0, 1, 2),), atoms=((Fr(1, 2), Fr(1, 4)), (1, float("inf"))))
-        again = tf.SpeedMeasure.from_dict(sp.to_dict())
-        assert again.to_dict() == sp.to_dict()
-        assert math.isinf(again.atoms[-1][1])
+        text = json.dumps(sp.to_dict(), allow_nan=False)
+        again = tf.SpeedMeasure.from_dict(json.loads(text))
+        assert again.to_dict() == sp.to_dict() and sp.to_dict()["atoms"][-1][1] == "inf"
+        assert math.isinf(again.atoms[-1][1]) and again == sp
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("carrier", [0, "inf"], "carrier must be finite, got (0, inf)"),
+        ("density_pieces", [[0, 1, "inf"]], "density inf is not finite"),
+        ("atoms", [["1/2", "-inf"]], "atom mass -inf must be positive"),
+    ], ids=["carrier end", "density", "negative mass"])
+    def test_infinity_as_text_is_refused(self, field, value, message):
+        # the codec reads "inf" and "-inf" as floats, which the checks refuse;
+        # they were "malformed speed measure description" errors
+        d = {**tf.SpeedMeasure((0, 1), ((0, 1, 1),)).to_dict(), field: value}
+        with pytest.raises(ValidationError) as err:
+            tf.SpeedMeasure.from_dict(d)
+        assert str(err.value) == message
 
     def test_atom_outside_carrier_rejected(self):
         with pytest.raises(ValidationError):
