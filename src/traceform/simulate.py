@@ -16,7 +16,7 @@ Seeding contract: path-level streams use one generator per path seeded with
 seed XOR path-index; the batched estimators use one generator per fixed-size
 chunk of paths seeded with seed XOR chunk-index.  Either way the result is a
 pure function of (inputs, seed), independent of scheduling and worker count:
-chunks are reduced in index order.
+each chunk writes its own slice of the sample.
 """
 
 from __future__ import annotations
@@ -130,11 +130,16 @@ class EstimatorResult:
 
 
 def _result_from_samples(samples: np.ndarray, target: str) -> EstimatorResult:
+    """Mean and standard error of ``samples``, which it overwrites: the mean,
+    then ``np.std(ddof=1)``'s own steps in place, with their bits."""
     n = samples.size
-    std = float(np.std(samples, ddof=1)) if n > 1 else 0.0
-    return EstimatorResult(
-        estimate=float(samples.mean()), stderr=std / math.sqrt(n), n=n, target=target
-    )
+    mean = np.add.reduce(samples) / n
+    std = 0.0
+    if n > 1:
+        samples -= mean
+        np.multiply(samples, samples, out=samples)
+        std = math.sqrt(np.add.reduce(samples) / (n - 1))
+    return EstimatorResult(estimate=float(mean), stderr=std / math.sqrt(n), n=n, target=target)
 
 
 # -- Brownian paths and exit estimators -----------------------------------
@@ -173,34 +178,35 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
                          seed=seed ^ i, horizon=horizon)
 
 
-def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng, shift: float):
-    """Stepper for the exit side and exit time of m discretized paths in the
-    gap (a, b): a generator that yields the number of surviving paths and
-    returns (left, tau).
+def _exit_chunk(a: float, b: float, x0: float, dt: float, rng, shift: float,
+                left: np.ndarray, tau: np.ndarray):
+    """Stepper for the exit side and exit time of len(left) discretized paths
+    in the gap (a, b): a generator that yields the number of surviving paths
+    and writes each path's side and time into ``left`` and ``tau``, its slice
+    of the whole sample, as the path exits.
 
-    Prime it with ``next``.  Each ``send(buf)`` advances every surviving path
-    by EXIT_BLOCK steps, with ``buf`` (min(m, EXIT_TILE) rows or more) as
-    scratch; the first boundary crossing inside a block ends that path at the
-    crossing step.  With a nonzero shift the effective boundaries move
+    Prime it with ``next``.  Each ``send((buf, lows, highs))`` advances
+    every surviving path by EXIT_BLOCK steps, with a float buffer and two
+    bool test masks of its shape (min(len(left), EXIT_TILE) rows or more)
+    as scratch; the first boundary crossing inside a block ends that path at
+    the crossing step.  With a nonzero shift the effective boundaries move
     inward, compensating the mean overshoot of the discrete walk past a
     continuum level.
 
     Each block is drawn, summed and tested in place, EXIT_TILE surviving
     rows at a time.  The tiles take the generator's normals in row order, so
     the result equals that of drawing the whole block at once, bit for bit,
-    for any tile size and whoever's buffer a step uses.
+    for any tile size and whoever's scratch a step uses.
     """
     lo = a + shift
     hi = b - shift
     scale = math.sqrt(dt)
-    pos = np.full(m, float(x0))
-    idx = np.arange(m)
-    left = np.zeros(m, dtype=bool)
-    tau = np.zeros(m)
+    pos = np.full(left.size, float(x0))
+    idx = np.arange(left.size)
     base = 0
     max_steps = max(10_000, int(200 * (b - a) ** 2 / dt))
     while idx.size:
-        buf = yield idx.size
+        buf, lows, highs = yield idx.size
         if base > max_steps:
             raise StepCapError(
                 f"exit walk exceeded its step cap of {max_steps} steps; "
@@ -209,12 +215,14 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng, shift: fl
         keep = np.empty(idx.size, dtype=bool)
         for r0 in range(0, idx.size, EXIT_TILE):
             r1 = min(r0 + EXIT_TILE, idx.size)
-            tile = buf[: r1 - r0]
+            tile, out, high = buf[: r1 - r0], lows[: r1 - r0], highs[: r1 - r0]
             rng.standard_normal(out=tile)
             np.cumsum(tile, axis=1, out=tile)
             tile *= scale
             tile += pos[r0:r1, None]
-            out = (tile <= lo) | (tile >= hi)
+            np.less_equal(tile, lo, out=out)
+            np.greater_equal(tile, hi, out=high)
+            out |= high
             hit = out.any(axis=1)
             if hit.any():
                 cols = np.argmax(out[hit], axis=1)
@@ -226,7 +234,6 @@ def _exit_chunk(a: float, b: float, x0: float, m: int, dt: float, rng, shift: fl
         pos = pos[keep]
         idx = idx[keep]
         base += EXIT_BLOCK
-    return left, tau
 
 
 def _worker_count(workers: int | None, n_chunks: int) -> int:
@@ -245,9 +252,11 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
                   correct: bool, workers: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Exit sides and times of n paths.
 
-    Each thread takes the chunk at the head of one FIFO queue, advances it by
-    one block in its own buffer and puts it back, so no thread idles while a
-    chunk has blocks left; at most threads + 1 chunks are unfinished at once.
+    The sample is allocated once, and each chunk writes its exits into its
+    own slice of it.  Each thread takes the chunk at the head of one FIFO
+    queue, advances it by one block in its own scratch (a step buffer and
+    two test masks) and puts it back, so no thread idles while a chunk has
+    blocks left; at most threads + 1 chunks are unfinished at once.
     Once fewer than EXIT_TILE paths of a chunk survive, the thread keeps it
     to its end, so its cheap tail blocks never wait behind full ones.
     """
@@ -264,7 +273,8 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
     _check_seed(seed)
     n_chunks = (n + EXIT_CHUNK - 1) // EXIT_CHUNK
     threads = _worker_count(workers, n_chunks)
-    parts = [None] * n_chunks
+    left = np.empty(n, dtype=bool)  # every path writes its own entry as it exits
+    tau = np.empty(n)
     queue = deque()
     lock = threading.Lock()
     started = live = 0
@@ -272,31 +282,30 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
 
     def work():
         nonlocal started, live, failed
-        buf = np.empty((min(n, EXIT_CHUNK, EXIT_TILE), EXIT_BLOCK))
-        item = None
+        shape = (min(n, EXIT_CHUNK, EXIT_TILE), EXIT_BLOCK)
+        scratch = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+        chunk = None
         while True:
             with lock:
-                if item is not None:
-                    queue.append(item)
+                if chunk is not None:
+                    queue.append(chunk)
                 if not failed and started < n_chunks and live <= threads:
-                    m = min(EXIT_CHUNK, n - started * EXIT_CHUNK)
-                    chunk = _exit_chunk(a, b, x0, m, dt,
-                                        np.random.default_rng(seed ^ started), shift)
-                    next(chunk)
-                    queue.append((started, chunk))
+                    rows = slice(started * EXIT_CHUNK, (started + 1) * EXIT_CHUNK)
+                    fresh = _exit_chunk(a, b, x0, dt, np.random.default_rng(seed ^ started),
+                                        shift, left[rows], tau[rows])
+                    next(fresh)
+                    queue.append(fresh)
                     started += 1
                     live += 1
                 if failed or not queue:
                     return
-                item = queue.popleft()
-            c, chunk = item
+                chunk = queue.popleft()
             try:
                 # a block of one tile is too cheap to queue: keep the chunk
-                while chunk.send(buf) < EXIT_TILE and not failed:
+                while chunk.send(scratch) < EXIT_TILE and not failed:
                     pass
-            except StopIteration as done:
-                parts[c] = done.value
-                item = None
+            except StopIteration:
+                chunk = None
                 with lock:
                     live -= 1
             except BaseException:
@@ -307,8 +316,6 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for future in [pool.submit(work) for _ in range(threads)]:
             future.result()
-    left = np.concatenate([p[0] for p in parts])
-    tau = np.concatenate([p[1] for p in parts])
     return left, tau
 
 
@@ -344,7 +351,8 @@ class ExitSample:
     def laplace(self, alpha: float) -> tuple[EstimatorResult, EstimatorResult]:
         """Means of exp(-alpha * tau) on each exit side; alpha = 0 gives ``hitting``."""
         _check_alpha(alpha)
-        return self._sides(np.exp(-alpha * self.tau), f"exp(-{alpha} tau) on ")
+        weight = np.multiply(self.tau, -alpha)
+        return self._sides(np.exp(weight, out=weight), f"exp(-{alpha} tau) on ")
 
 
 def exit_sample(iset: IntervalSet, x0: float, n: int, seed: int, dt: float | None = None,
@@ -358,7 +366,10 @@ def exit_sample(iset: IntervalSet, x0: float, n: int, seed: int, dt: float | Non
     for a gap of width d is the validated setting (acceptance criterion 6
     also checks Laplace transforms at dt = (d/50)**2 against dt / 2).
     ``workers`` threads share the chunks (default: one per usable CPU); the
-    sample is the same for every worker count.
+    sample is the same for every worker count.  Its memory is the sample (9
+    bytes a path) plus about 1.3 MiB of scratch per thread while it draws,
+    then the sample plus one reduction buffer of 8 bytes a path (``laplace``
+    adds one for its weights).
     """
     i = iset.component_index(x0)
     if i is None:

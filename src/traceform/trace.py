@@ -85,13 +85,15 @@ def restrict_to_f(u: GridFunction, iset: IntervalSet) -> TraceFunction:
     return TraceFunction(iset, u.grid[keep], u.values[keep])
 
 
-def _sinh_ratio(a: float, b: float) -> float:
-    """sinh(a)/sinh(b) for 0 <= a <= b, stable for arbitrarily large b."""
+def _sinh_ratio(a: float, b: float, rest: float) -> float:
+    """sinh(a)/sinh(b) for 0 <= a <= b with rest = b - a, each a length
+    times c: stable for arbitrarily large b, and where a and b overflow to
+    inf, since the exponent is -rest and not inf - inf."""
     if b == 0:
         raise PreconditionError("sinh ratio needs b > 0")
     num = -math.expm1(-2 * a)
     den = -math.expm1(-2 * b)
-    return math.exp(a - b) * num / den
+    return math.exp(-rest) * num / den
 
 
 def alpha_hitting(iset: IntervalSet, n: int, alpha: float, x: float) -> tuple[float, float]:
@@ -115,10 +117,8 @@ def alpha_hitting(iset: IntervalSet, n: int, alpha: float, x: float) -> tuple[fl
     c = math.sqrt(2 * alpha)
     if c == math.inf:
         return float(x == a), float(x == b)
-    d = b - a
-    p = _sinh_ratio(c * (b - x), c * d)
-    q = _sinh_ratio(c * (x - a), c * d)
-    return p, q
+    cd, cl, cr = c * (b - a), c * (x - a), c * (b - x)
+    return _sinh_ratio(cr, cd, cl), _sinh_ratio(cl, cd, cr)
 
 
 def feller_weight(width: float) -> float:

@@ -61,6 +61,7 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
     xin = np.clip(xs, w0, w1)
     for out, tail in ((below, iset.tail_left), (above, iset.tail_right)):
         if tail is Tail.PERIODIC:
+            _check_finite(xs[out], "point")
             p = float(iset.period)
             k = np.floor((xs[out] - w0) / p)
             xin[out] = np.clip(xs[out] - k * p, w0, w1)
@@ -68,6 +69,13 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
         elif (tail is Tail.ALL_G) == (which == "G"):
             gain[out] = xs[out] - xin[out]
     return xin, gain
+
+
+def _check_finite(xs: np.ndarray, what: str) -> None:
+    """Refuse the first infinite entry of points or values folded by a Periodic tail."""
+    far = xs[np.isinf(xs)]
+    if far.size:
+        raise PreconditionError(f"{what} {far[0]} must be finite on a Periodic tail")
 
 
 def _exact(anchor: Real, name: str) -> Real:
@@ -278,6 +286,7 @@ class ScaleFunction:
                 if far.size:
                     raise PreconditionError(f"value {far[0]} is {side} the range of the scale function")
             elif tail is Tail.PERIODIC:
+                _check_finite(ys[out], "value")
                 # whole periods back into the window's image, counted as the scalar
                 # path does; the subtraction rounds, so within 1e-12 of a whole
                 # number of periods, or of a plateau value that many out, is that value

@@ -25,7 +25,7 @@ import traceform as tf
 from traceform import Tail
 from traceform.intervals import _encode
 from traceform.simulate import (WALK_BLOCK, _batch_occupation, _check_batches, _exit_samples,
-                                 _membership, _result_from_samples, default_exit_dt)
+                                 _membership, default_exit_dt)
 
 
 def window_f_components(iset):
@@ -147,6 +147,15 @@ def exit_chunk_untiled(a, b, x0, m, dt, rng, shift, step_block=128):
     return left, tau
 
 
+def former_result_from_samples(samples, target):
+    """``_result_from_samples`` in its former form: ``np.std(ddof=1)`` and
+    ``.mean()``, which leave ``samples`` as they were."""
+    n = samples.size
+    std = float(np.std(samples, ddof=1)) if n > 1 else 0.0
+    return tf.EstimatorResult(estimate=float(samples.mean()), stderr=std / math.sqrt(n), n=n,
+                              target=target)
+
+
 def former_exit_estimates(iset, x0, n, seed, dt=None, correct=False, workers=None, alpha=None):
     """``estimate_hitting`` (``alpha`` None) or ``estimate_laplace`` as each
     drew and reduced its own sample: the gap lookup, the default dt, the draw
@@ -158,13 +167,14 @@ def former_exit_estimates(iset, x0, n, seed, dt=None, correct=False, workers=Non
         dt = default_exit_dt(b - a)
     left, tau = _exit_samples(a, b, x0, n, dt, seed, correct, workers)
     if alpha is None:
-        return (_result_from_samples(left.astype(float), f"exit at {a} (left endpoint)"),
-                _result_from_samples((~left).astype(float), f"exit at {b} (right endpoint)"))
+        return (former_result_from_samples(left.astype(float), f"exit at {a} (left endpoint)"),
+                former_result_from_samples((~left).astype(float),
+                                           f"exit at {b} (right endpoint)"))
     damp = np.exp(-alpha * tau)
-    return (_result_from_samples(np.where(left, damp, 0.0),
-                                 f"exp(-{alpha} tau) on exit at {a} (left endpoint)"),
-            _result_from_samples(np.where(left, 0.0, damp),
-                                 f"exp(-{alpha} tau) on exit at {b} (right endpoint)"))
+    return (former_result_from_samples(np.where(left, damp, 0.0),
+                                       f"exp(-{alpha} tau) on exit at {a} (left endpoint)"),
+            former_result_from_samples(np.where(left, 0.0, damp),
+                                       f"exp(-{alpha} tau) on exit at {b} (right endpoint)"))
 
 
 class ZeroSteps:

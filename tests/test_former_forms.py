@@ -25,13 +25,14 @@ from traceform import Tail
 from traceform.darning import _trace_match, darn_trace
 from traceform.gridfn import _collapse_nodes
 from traceform.intervals import _csv_text
+from traceform.simulate import _result_from_samples
 from traceform.transforms import _fold
 
 from helpers import (_float_pair_set, former_classify_nodes, former_closure_index,
                      former_collapse_nodes, former_feller_csv, former_grid_csv,
                      former_jump_table_csv, former_path_csv, former_scale_csv, former_darn, former_darn_inverse, former_evaluate,
                      former_fold, former_grid_checks, former_lebesgue, former_missing_nodes,
-                     former_placed,
+                     former_placed, former_result_from_samples,
                      former_scale, former_scale_inverse, former_simulate_xs, former_slopes,
                      former_trace_checks, former_trace_match, former_walk_chain,
                      former_walk_occupation, geometry_sets, probe_points, random_complement_member,
@@ -674,3 +675,37 @@ class TestWalkEngine:
                 former = tf.PathSample(np.array([0.0]), np.array([float(x0)]),
                                        np.zeros(1, dtype=np.int8), seed=6 ^ i, horizon=horizon)
                 assert _path_bits(path) == _path_bits(former)
+
+
+class TestInPlaceReduction:
+    """``_result_from_samples``, which overwrites its samples with their
+    squared deviations, against the former ``np.std`` and ``.mean()``, bit for
+    bit: zeros, both signs, and one or two samples, where the std is 0 or
+    from a single difference."""
+
+    @staticmethod
+    def _both(samples):
+        return (_result_bits([_result_from_samples(samples.copy(), "t")]),
+                _result_bits([former_result_from_samples(samples.copy(), "t")]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]),
+           st.sampled_from(["normal", "unit", "exit side"]), st.sampled_from([1e-300, 1.0, 1e100]))
+    @example(1, 0, 0.0, "normal", 1.0)
+    @example(2, 0, 0.0, "normal", 1.0)
+    @example(2, 0, 1.0, "normal", 1.0)
+    def test_drawn(self, n, seed, zeros, kind, scale):
+        rng = np.random.default_rng(seed)
+        samples = {"normal": rng.standard_normal(n),  # both signs
+                   "unit": rng.random(n),  # exp(-alpha tau) weights
+                   "exit side": (rng.random(n) < 0.3).astype(float)}[kind] * scale
+        samples[rng.random(n) < zeros] = 0.0
+        got, want = self._both(samples)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0]), min_size=1,
+                    max_size=40))
+    def test_listed(self, values):
+        got, want = self._both(np.array(values))
+        assert got == want

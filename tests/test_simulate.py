@@ -2,7 +2,9 @@
 
 import math
 import signal
+import sys
 import threading
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -35,16 +37,19 @@ from helpers import (ZeroSteps, chain_holds_loop, chain_stationary, exit_chunk_u
                      former_exit_estimates, geometry_sets, speed_measures)
 
 
-def _run_chunk(*args):
-    """Step one ``_exit_chunk`` to its end in a buffer of EXIT_TILE rows."""
-    chunk = _exit_chunk(*args)
+def _run_chunk(a, b, x0, m, dt, rng, shift):
+    """Step one ``_exit_chunk`` of m paths to its end in scratch of EXIT_TILE
+    rows; its (left, tau)."""
+    left, tau = np.empty(m, dtype=bool), np.empty(m)
+    chunk = _exit_chunk(a, b, x0, dt, rng, shift, left, tau)
     next(chunk)
-    buf = np.empty((simulate.EXIT_TILE, simulate.EXIT_BLOCK))
+    shape = (simulate.EXIT_TILE, simulate.EXIT_BLOCK)
+    scratch = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
     try:
         while True:
-            chunk.send(buf)
-    except StopIteration as done:
-        return done.value
+            chunk.send(scratch)
+    except StopIteration:
+        return left, tau
 
 
 def _lebesgue_speed(svc):
@@ -223,6 +228,25 @@ class TestExitEngine:
             assert np.array_equal(left, want_left), workers
             assert np.array_equal(tau, want_tau), workers
 
+    def test_slices_under_frequent_thread_switches(self, monkeypatch):
+        # more threads than cores, switching every few microseconds, each
+        # writing its chunks into their own slices of the one sample; the
+        # last chunk is short
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", 256)
+        monkeypatch.setattr(simulate, "EXIT_TILE", 16)
+        n, seed, dt = 20 * 256 + 17, 9, 1e-3
+        parts = [exit_chunk_untiled(0.0, 1.0, 0.3, min(256, n - c), dt,
+                                    np.random.default_rng(seed ^ (c // 256)), 0.0)
+                 for c in range(0, n, 256)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            left, tau = _exit_samples(0.0, 1.0, 0.3, n, dt, seed, False, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(left, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(tau, np.concatenate([p[1] for p in parts]))
+
     def test_step_cap_is_a_typed_error(self):
         with pytest.raises(StepCapError, match="step cap") as info:
             _run_chunk(0.0, 1.0, 0.5, 5, 1e-3, ZeroSteps(), 0.0)
@@ -238,10 +262,9 @@ class TestExitEngine:
             with lock:
                 live[0] += 1
                 peak[0] = max(peak[0], live[0])
-            result = yield from _exit_chunk(*args)
+            yield from _exit_chunk(*args)
             with lock:
                 live[0] -= 1
-            return result
 
         monkeypatch.setattr(simulate, "EXIT_CHUNK", 256)
         monkeypatch.setattr(simulate, "EXIT_TILE", 16)  # chunks queue for about five blocks
@@ -255,13 +278,13 @@ class TestExitEngine:
     def test_step_cap_in_a_worker_reaches_the_caller(self, monkeypatch):
         calls, finished = [], []
 
-        def second_stuck(a, b, x0, m, dt, rng, shift):
-            calls.append(m)
+        def second_stuck(a, b, x0, dt, rng, shift, left, tau):
+            calls.append(left.size)
             if len(calls) == 2:  # no path ever moves: the cap of 10,000 steps is hit
-                return (yield from _exit_chunk(a, b, x0, m, 0.05, ZeroSteps(), shift))
-            result = yield from _exit_chunk(a, b, x0, m, dt, rng, shift)
-            finished.append(m)
-            return result
+                yield from _exit_chunk(a, b, x0, 0.05, ZeroSteps(), shift, left, tau)
+                return
+            yield from _exit_chunk(a, b, x0, dt, rng, shift, left, tau)
+            finished.append(left.size)
 
         monkeypatch.setattr(simulate, "EXIT_CHUNK", 64)
         monkeypatch.setattr(simulate, "_exit_chunk", second_stuck)
@@ -271,6 +294,33 @@ class TestExitEngine:
             _exit_samples(0.0, 1.0, 0.5, 20 * 64, 1e-6, 3, False, 2)
         assert threading.active_count() == before
         assert len(calls) <= 3 and not finished  # the other worker stopped
+
+    def test_traced_peak_is_the_sample_one_buffer_and_scratch(self, monkeypatch):
+        # small chunks and tiles, so that the arrays of all n paths and not
+        # the scratch set the peak: the sample, one reduction buffer, each
+        # thread's step buffer and two test masks, and the positions and
+        # indices of the live chunks with their compacted copies
+        chunk, tile, workers, n = 1024, 64, 2, 1 << 17
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", chunk)
+        monkeypatch.setattr(simulate, "EXIT_TILE", tile)
+        gap = tf.build_interval_set([(0, 1)], (0, 1))
+        args = (gap, 0.3)
+        kw = dict(seed=7, dt=(1 / 40) ** 2, correct=True, workers=workers)
+        estimate_hitting(*args, 100, **kw)  # first-call imports are not the engine's
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            estimate_hitting(*args, n, **kw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        sample, reduction = n * (1 + 8), n * 8
+        scratch = tile * simulate.EXIT_BLOCK * (8 + 1 + 1)
+        live = chunk * 2 * (8 + 8 + 1)
+        assert peak < sample + reduction + workers * scratch + (workers + 1) * live
 
 
 class TestBuildChain:

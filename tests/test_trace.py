@@ -92,6 +92,13 @@ class TestAlphaHitting:
         assert [tf.alpha_hitting(iset, 0, alpha, x) for x in (0.0, 0.5, 1.0)] == [
             (1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
 
+    def test_lengths_past_the_float_range(self):
+        # sqrt(2 alpha) is finite but its product with the gap's lengths
+        # overflows: the same limits, where it was nan
+        iset = tf.build_interval_set([(0, 1e300)], (0, 1e300))
+        assert [tf.alpha_hitting(iset, 0, 1e20, x) for x in (0.0, 5e299, 1e300)] == [
+            (1.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
+
     def test_bad_component_index(self, svc1):
         with pytest.raises(PreconditionError, match="index"):
             tf.alpha_hitting(svc1, 3, 1.0, 0.5)

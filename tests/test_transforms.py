@@ -640,7 +640,15 @@ class TestPeriodicFold:
         (lambda p, x: tf.ScaleFunction(p).inverse(x), "value {} must be finite on a Periodic tail"),
         (lambda p, x: p.in_g(x), "point {} must be finite on a Periodic tail"),
         (lambda p, x: tf.DarningMap(p, z=x), "darning anchor must be finite, got {}"),
-    ], ids=["scale inverse", "in_g", "darning anchor"])
+        # the array paths, which gave inf, nan and (nan, nan) with a warning
+        (lambda p, x: tf.ScaleFunction(p)(np.array([0.5, x])),
+         "point {} must be finite on a Periodic tail"),
+        (lambda p, x: tf.DarningMap(p)(np.array([0.5, x])),
+         "point {} must be finite on a Periodic tail"),
+        (lambda p, x: tf.ScaleFunction(p).inverse(np.array([0.5, x])),
+         "value {} must be finite on a Periodic tail"),
+    ], ids=["scale inverse", "in_g", "darning anchor", "scale array", "darning array",
+            "scale inverse array"])
     def test_infinity_raises(self, periodic1, call, message, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
