@@ -282,9 +282,9 @@ class TestExitEngine:
             calls.append(left.size)
             if len(calls) == 2:  # no path ever moves: the cap of 10,000 steps is hit
                 yield from _exit_chunk(a, b, x0, 0.05, ZeroSteps(), shift, left, tau)
-                return
-            yield from _exit_chunk(a, b, x0, dt, rng, shift, left, tau)
-            finished.append(left.size)
+            else:
+                yield from _exit_chunk(a, b, x0, dt, rng, shift, left, tau)
+                finished.append(left.size)
 
         monkeypatch.setattr(simulate, "EXIT_CHUNK", 64)
         monkeypatch.setattr(simulate, "_exit_chunk", second_stuck)
