@@ -34,8 +34,9 @@ decides which whole pieces are summed, the G-mass is exact: on
 the whole gap left of 0.3, and ``(0.0)`` is the int 0.  An exact result is a
 ``Fraction`` where a value of the table takes part, and an int where only int
 queries do, or nothing: an empty sum is the int 0.  In that expression a table
-value meets a float as its float, a query or window end as a ``Fraction``: a
-numpy float64 left of a ``Fraction`` gives Python's float, elsewhere numpy's.
+value meets a float as its float, a query or window end as a ``Fraction``,
+and a numpy float query is taken as its Python float.  NaN lies nowhere: a
+NaN query, scalar or in an array, raises ``PreconditionError``.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def _combine(x, y, op=add):
     """x + y, or op(x, y) for ``sub``, as Python computes it on the numbers x
     and y stand for, where a pair (n, d) stands for ``Fraction(n, d)``: an
     exact pair where neither is a float (an int where both are ints), else a
-    float, a pair meeting a float as ``Fraction`` does: as n / d, its float,
-    and a numpy float64 left of it as Python's float."""
+    float, a pair meeting a float as ``Fraction`` does: as n / d, its float.
+    A numpy float query is taken as its Python float (``_Table.place``)."""
     if type(x) is tuple:
         n, d = x
         if type(y) is tuple:
@@ -138,13 +139,8 @@ def _combine(x, y, op=add):
         return op(n / d, y) if isinstance(y, float) else (op(n, y * d), d)
     if type(y) is tuple:
         m, e = y
-        return op(float(x), m / e) if isinstance(x, float) else (op(x * e, m), e)
+        return op(x, m / e) if isinstance(x, float) else (op(x * e, m), e)
     return op(x, y)
-
-
-def _float_end(n: int, den: int, x):
-    """Table value n / den as it meets x in a sum: its float where x is one, else the pair."""
-    return n / den if isinstance(x, float) else (n, den)
 
 
 def _neg(x):
@@ -166,18 +162,23 @@ class _Table(NamedTuple):
     def place(self, x) -> tuple:
         """x placed once: (v, f, c, p, q), with f and c the floor and ceiling
         of x * den, p / q the exact value of x, and v the number x enters
-        sums as: x itself where it is a float or an int, else its exact value
-        as a pair, (f, den) where it lies on the table.  For a numerator n:
+        sums as: an int x itself, a float its Python float (a numpy float
+        query is taken as its Python float), else its exact value as a pair,
+        (f, den) where it lies on the table.  For a numerator n:
         n < x iff n < c, n <= x iff n <= f, and n == x iff f == c == n.  An
         int pair (n, d), d > 0, is placed as ``Fraction(n, d)``.  An infinite
-        or NaN float is placed as itself with q = 0."""
+        float is placed as itself with q = 0, v its Python float; NaN lies
+        nowhere and is refused."""
         try:
             p, q = (x.as_integer_ratio() if isinstance(x, (float, int, Fraction))
                     else x if type(x) is tuple else _ratio(x))
-        except (OverflowError, ValueError):
-            return x, x, x, x, 0
+        except OverflowError:
+            return float(x), x, x, x, 0
+        except ValueError:
+            raise PreconditionError("query values must not be NaN") from None
         f, r = divmod(p * self.den, q)
-        v = x if isinstance(x, (float, int)) else (p, q) if r else (f, self.den)
+        v = (float(x) if isinstance(x, float) else x if isinstance(x, int)
+             else (p, q) if r else (f, self.den))
         return v, f, f + (r > 0), p, q
 
     def get(self, j: int) -> Fraction:
@@ -197,6 +198,15 @@ class _Table(NamedTuple):
         except OverflowError:  # past int64
             pass
         return np.fromiter((n / den for n in nums), float, len(nums))
+
+
+def _queries(x) -> np.ndarray:
+    """A query array as float64; NaN lies nowhere, so it is refused, as a
+    scalar NaN query is."""
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise PreconditionError("query values must not be NaN")
+    return xs
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -551,7 +561,7 @@ class IntervalSet:
         """Index of the component whose closure, widened by ``end_slack`` at
         both ends, holds each point, else -1.  Where two widened closures
         overlap, the later component wins."""
-        xs = np.asarray(points, dtype=float)
+        xs = _queries(points)
         if not self._lo:
             return np.full(xs.shape, -1, dtype=np.intp)
         lows, highs = self._widened_ends
@@ -568,7 +578,7 @@ class IntervalSet:
         Such a node is in the closure of that component (``closure_index``);
         the nodes of G are the rest of the closure.
         """
-        xs = np.asarray(points, dtype=float)
+        xs = _queries(points)
         lefts, rights = self.float_ends
         if not lefts.size:
             return np.full(xs.shape, -1, dtype=np.intp)
@@ -639,7 +649,7 @@ class IntervalSet:
         if not inside:
             return 0
         return _combine(hi[0] if cut_hi else (b, self.den),
-                        lo[0] if cut_lo else _float_end(a, self.den, hi[0]), sub)
+                        lo[0] if cut_lo else (a, self.den), sub)
 
     def _window_mass(self, lo, hi):
         """G-mass of [lo, hi] for placed points with w0 <= lo <= hi <= w1: the
@@ -654,24 +664,22 @@ class IntervalSet:
             b = rights[first]
             total = _combine((b, den), lo[0], sub) if b > lo[1] else 0
             if last > first + 1:
-                total = _combine(total, _float_end(self.g_prefix[last] - self.g_prefix[first + 1],
-                                                   den, total))
+                total = _combine(total, (self.g_prefix[last] - self.g_prefix[first + 1], den))
         else:  # the first component whole and the whole ones after it, added exactly
             total = self.g_prefix[last] - self.g_prefix[first], den
         a, b = lefts[last], rights[last]  # hi lies past a
         if hi[2] <= b:  # hi cuts the last component
-            return _combine(total, _combine(hi[0], _float_end(a, den, hi[0]), sub))
-        return _combine(total, _float_end(b - a, den, total))
+            return _combine(total, _combine(hi[0], (a, den), sub))
+        return _combine(total, (b - a, den))
 
     def _g_periodic_mass(self, lo, hi):
         """G-mass of [lo, hi] for the full periodic extension of the window
         pattern, for lo and hi as they enter sums: the whole periods, then the
         rest folded into the window, as Python folds the numbers they stand
         for (a float meets the exact period p as its float, and compares with
-        it exactly, and a float type, such as numpy's, becomes Python's float)."""
+        it exactly)."""
         (w0n, w1n), den, place = self._w, self.den, self._ends.place
         w0, pn = (w0n, den), w1n - w0n  # p = pn / den
-        lo, hi = (float(x) if isinstance(x, float) else x for x in (lo, hi))
         length = _combine(hi, lo, sub)
         if isinstance(length, float):
             k = math.floor(length / (pn / den))

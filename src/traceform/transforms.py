@@ -21,7 +21,7 @@ from operator import sub
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import (IntervalSet, Real, Tail, _combine, _decode, _encode, _float_end, _number,
+from .intervals import (IntervalSet, Real, Tail, _combine, _decode, _encode, _number, _queries,
                         _read_only)
 
 
@@ -83,14 +83,6 @@ def _exact(anchor: Real, name: str) -> Real:
     if isinstance(anchor, float) and not math.isfinite(anchor):
         raise PreconditionError(f"{name} must be finite, got {anchor}")
     return Fraction(anchor) if isinstance(anchor, float) else anchor
-
-
-def _queries(x) -> np.ndarray:
-    """A query ndarray as float64; NaN has no image or preimage."""
-    xs = np.asarray(x, dtype=float)
-    if np.isnan(xs).any():
-        raise PreconditionError("query values must not be NaN")
-    return xs
 
 
 def _nearest(ys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -173,7 +165,7 @@ class ScaleFunction:
         return np.where(inside, levels[c] + (xin - lefts[c]), levels[i + 1]) + gain
 
     def inverse(self, y):
-        """Full preimage of y, clipped to the window.
+        """Full preimage of y, clipped to the window but at a Periodic seam.
 
         Returns (lo, hi); lo == hi when y is hit inside a G-component, and the
         closed F-component on which s plateaus at y otherwise.  Values never
@@ -183,8 +175,10 @@ class ScaleFunction:
         a float within 1e-12 max(1, |s(w1) - s(w0)|) of it is that edge value.  With
         Periodic tails a value past the window's image is folded back by
         whole periods, once; one that lands on the seam value s(w0) = s(w1) -
-        period mass gives the whole plateau across the seam, the F-stretches
-        either side of the seam point joined.  A float value folded back that
+        period mass, and s(w0) itself on a Periodic left tail or s(w1) on a
+        Periodic right tail, gives the whole plateau across that seam point,
+        the F-stretches either side of it joined.  Every other preimage is
+        clipped to the window.  A float value folded back that
         lands within 1e-12 max(1, |y|) of a plateau value or of the seam value
         is taken as that value, and a float value equal to the float of a
         plateau value is that plateau.  A float ndarray gives a pair of arrays.
@@ -194,14 +188,15 @@ class ScaleFunction:
         iset, levels = self.base, self._levels
         nums, floats = levels.nums, self._level_floats
         v, f, c, _, _ = levels.place(y)
+        seam0, seam1 = self._seams
         if isinstance(y, float):  # past the image's floats, as the array path clips
-            if y != y:
-                raise PreconditionError("query values must not be NaN")
-            below, above = y < floats[0], y > floats[-1]
+            below = y < floats[0] or seam0 and y == floats[0]
+            above = y > floats[-1] or seam1 and y == floats[-1]
         else:
-            below, above = f < nums[0], c > nums[-1]
-        if below or above:
-            return self._tail_inverse(y, below)
+            below = f < nums[0] or seam0 and c <= nums[0]
+            above = c > nums[-1] or seam1 and f >= nums[-1]
+        if below or above:  # past the image, or at a seam value: folded
+            return self._tail_inverse(_number(v), below)
         # the first plateau value at or above y, then the left end of the
         # component whose image holds y; a float y is a plateau value when it
         # equals that value's float, as in the array path
@@ -217,7 +212,7 @@ class ScaleFunction:
         # a float equal to the float of s(w0) may lie just below s(w0)
         i = max(min(bisect_right(nums, f), len(iset._lo)) - 1, 0)
         x = _number(_combine((iset._lo[i], iset.den),
-                               _combine(v, _float_end(nums[i], levels.den, v), sub)))
+                               _combine(v, (nums[i], levels.den), sub)))
         return x, x
 
     def _tail_inverse(self, y, below: bool):
@@ -258,6 +253,13 @@ class ScaleFunction:
         else:
             lo, hi = self.inverse(yk)
         return lo + shift, hi + shift
+
+    @cached_property
+    def _seams(self) -> tuple[bool, bool]:
+        # whether s(w0), then s(w1), is a seam value: its tail is Periodic with G-mass
+        iset = self.base
+        return tuple(tail is Tail.PERIODIC and iset.g_prefix[-1] > 0
+                     for tail in (iset.tail_left, iset.tail_right))
 
     def _seam(self):
         """The plateau of s(w0) across the seam point w0: the last F-stretch of
@@ -307,8 +309,9 @@ class ScaleFunction:
             k = np.minimum(np.searchsorted(values, yin), values.size - 1)
             flat = values[k] == yin
             lo, hi = np.where(flat, lows[k], x), np.where(flat, highs[k], x)
-        if folded.any():
-            seam = folded & ((yin == s0) | (yin == s1))  # folded onto the seam value
+        seam0, seam1 = self._seams  # folded onto a seam value, or at a Periodic tail's one
+        seam = ((folded | seam0) & (yin == s0)) | ((folded | seam1) & (yin == s1))
+        if seam.any():
             seam_lo, seam_hi = (float(v) for v in self._seam())
             p = np.where(yin == s1, float(iset.period), 0.0)
             lo, hi = np.where(seam, seam_lo + p, lo), np.where(seam, seam_hi + p, hi)
@@ -445,14 +448,12 @@ class DarningMap:
         if below or nums[-1] < c:
             # float inputs that went through the forward map can land one
             # ulp outside the exact rational image; clamp those, reject more
-            if floats[0] - self._slack <= y <= floats[-1] + self._slack:
+            if floats[0] - self._slack <= _number(v) <= floats[-1] + self._slack:
                 y = self._ends[0 if below else 1]
                 v, f, c, _, _ = levels.place(y)
             else:
                 self._raise_outside(y)
         if isinstance(y, float):  # compared with the floats, as in the array path
-            if y != y:
-                raise PreconditionError("query values must not be NaN")
             k = bisect_left(floats, y, 1, m + 1) - 1  # collapsed points below y
             hit = k < m and floats[k + 1] == y
         else:
@@ -465,7 +466,7 @@ class DarningMap:
             return iset._f_pair(k)[1], iset._f_pair(k + 1)[0]
         # y lies on the F span of rank k, between collapsed points k - 1 and k
         x = _number(_combine((iset._f_ends[0].nums[k], iset.den),
-                               _combine(v, _float_end(nums[k], levels.den, v), sub)))
+                               _combine(v, (nums[k], levels.den), sub)))
         return x, x
 
     def _raise_outside(self, y):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -417,23 +416,33 @@ def probe_points(iset, rng, beyond=0.1):
 # the Fraction oracle: the scalar geometry on the endpoint objects themselves
 
 
+def _refuse_nan(x):
+    """The library's refusal of a NaN query."""
+    if x != x:
+        raise tf.PreconditionError("query values must not be NaN")
+
+
 class OracleSet:
     """The scalar geometry of an ``IntervalSet`` computed as Python computes
     it on the set's endpoint objects (``window`` and ``components``, exact
     ``Fraction`` values), compared one at a time, with the running G-masses
     kept as a tuple of numbers.  This was traceform's own scalar path before
-    its exact integer table, and every result of the table must equal it:
-    exactly where the result is exact, and within 1e-12 where a float query
-    makes it a float.  The scale and darning inverses
+    its exact integer table, and every scalar result of the table must equal
+    it in type and bits, a float query taken as its Python float; an array
+    result within 1e-12 of it.  The scale and darning inverses
     follow the rules the table brought: a float value is a plateau value or
     a collapsed point when it is that value's float, and past the scale
     image only when past the float of its edge, and then, where s has no
     values past that edge, only when more than 1e-12 max(1, |s1 - s0|) past
     it (closer, it is that edge value); a periodic value folds
     back into the image once, a float one onto a plateau or seam value within
-    1e-12, and onto the whole plateau across the seam; and a darning value
+    1e-12 max(1, |y|), and onto the whole plateau across the seam, as s(w0)
+    on a Periodic left tail and s(w1) on a Periodic right one do; and a darning value
     past the collapsed point of a component at a window edge is that
-    component."""
+    component.  It refuses what the library refuses, with the same message:
+    NaN, a ``which`` other than "G" or "F", an infinite ``lebesgue`` end, lo
+    > hi, a scale value past a tail where s takes none, an infinite one on a
+    Periodic tail, and a darning value outside the window image."""
 
     def __init__(self, iset):
         self.iset = iset
@@ -454,10 +463,12 @@ class OracleSet:
         self.endpoints = left + tuple(e for ab in self.components for e in ab) + right
 
     def is_endpoint(self, x):
+        _refuse_nan(x)
         i = bisect_left(self.endpoints, x)
         return i < len(self.endpoints) and self.endpoints[i] == x
 
     def component_index(self, x):
+        _refuse_nan(x)
         i = bisect_right(self.lefts, x) - 1
         if i >= 0:
             a, b = self.components[i]
@@ -466,6 +477,7 @@ class OracleSet:
         return None
 
     def in_g(self, x):
+        _refuse_nan(x)
         w0, w1 = self.window
         if x < w0:
             if self.tail_left is not Tail.PERIODIC:
@@ -520,6 +532,14 @@ class OracleSet:
         return self._periodic_mass(lo, hi)
 
     def lebesgue(self, lo, hi, which="G"):
+        if which not in ("G", "F"):
+            raise tf.PreconditionError(f"which must be 'G' or 'F', got {which!r}")
+        _refuse_nan(lo)
+        _refuse_nan(hi)
+        if not (-math.inf < lo < math.inf and -math.inf < hi < math.inf):
+            raise tf.PreconditionError("lebesgue query endpoints must be finite")
+        if hi < lo:
+            raise tf.PreconditionError(f"query interval has lo {lo} > hi {hi}")
         w0, w1 = self.window
         g = self._tail_mass(lo, min(hi, w0), self.tail_left)
         mid_lo, mid_hi = max(lo, w0), min(hi, w1)
@@ -545,13 +565,18 @@ class OracleScale:
         return -self.o.lebesgue(x, self.anchor, "G")
 
     def inverse(self, y):
+        _refuse_nan(y)
         o = self.o
         (w0, w1), s0, s1 = o.window, self.levels[0], self.levels[-1]
         # a float value is past the image only when it is past the image's floats
         e0, e1 = (float(s0), float(s1)) if isinstance(y, float) else (s0, s1)
-        if e0 <= y <= e1:
+        # s(w0) on a Periodic left tail, and s(w1) on a Periodic right one,
+        # fold as a value past them does, onto the plateau across the seam
+        seam0, seam1 = (t is Tail.PERIODIC and o.g_mass_window > 0
+                        for t in (o.tail_left, o.tail_right))
+        below = y < e0 or seam0 and y == e0
+        if not (below or y > e1 or seam1 and y == e1):
             return self._window_inverse(y)
-        below = y < e0
         if (o.tail_left if below else o.tail_right) is Tail.ALL_G:
             x = w0 + (y - s0) if below else w1 + (y - s1)
             return x, x
@@ -560,19 +585,23 @@ class OracleScale:
             edge = s0 if below else s1
             if isinstance(y, float) and abs(y - float(edge)) <= 1e-12 * max(1.0, abs(float(s1 - s0))):
                 return self._window_inverse(edge)
-            raise tf.PreconditionError(f"value {y} is outside the range")
-        per, p = o.g_mass_window, o.period
+            side = "below" if below else "above"
+            raise tf.PreconditionError(f"value {y} is {side} the range of the scale function")
+        if not -math.inf < y < math.inf:
+            raise tf.PreconditionError(f"value {y} must be finite on a Periodic tail")
+        # a float folded back within 1e-12 max(1, |y|) of a plateau value takes it
+        per, p, slack = o.g_mass_window, o.period, 1e-12 * max(1.0, abs(y))
         if below:
             k = math.ceil((s0 - y) / per)
             y, shift = y + k * per, -k * p
         else:
             k = math.ceil((y - s1) / per)
             y, shift = y - k * per, k * p
-        y_out, y = y, min(max(y, s0), s1)
-        if isinstance(y, float):  # a float fold within 1e-12 of a plateau value takes it
+        y = min(max(y, s0), s1)
+        if isinstance(y, float):
             values = [float(s0)] + [float(v) for v, _, _ in self.plateaus] + [float(s1)]
             near = min(values, key=lambda v: (abs(y - v), -v))
-            if abs(y - near) <= 1e-12 * max(1.0, abs(y_out)):
+            if abs(y - near) <= slack:
                 if near in (values[0], values[-1]):
                     y = s0 if near == values[0] else s1
                 else:
@@ -623,11 +652,13 @@ class OracleDarning:
         return -self.o.lebesgue(x, self.z, "F")
 
     def inverse(self, y):
+        _refuse_nan(y)
         lo, hi = self.ends
         slack = 1e-12 * max(1.0, abs(float(hi - lo)))
         if y < lo or y > hi:
             if not lo - slack <= y <= hi + slack:
-                raise tf.PreconditionError(f"value {y} is outside the window image")
+                raise tf.PreconditionError(
+                    f"value {y} is outside the window image [{lo}, {hi}] of the darning map")
             y = lo if y < lo else hi
         # a float value is compared with the floats of the collapsed points
         key = float if isinstance(y, float) else (lambda v: v)
@@ -897,45 +928,7 @@ def scale_pushforward_per_plateau(sf):
 
 
 # ---------------------------------------------------------------------------
-# the former scalar geometry: ``lebesgue`` and the scale and darning maps and
-# their inverses as they computed before each query was placed once in the
-# int table, through ``Fraction`` arithmetic on the numbers themselves, kept
-# as the oracle that the placed path must match in type and bit for bit
-
-
-def _former_lt(x, y):
-    """x < y, exactly."""
-    try:
-        (p, q), (r, s) = _former_ratio(x), _former_ratio(y)
-    except (OverflowError, ValueError):  # an infinite or NaN float compares as itself
-        return x < y
-    return p * s < r * q
-
-
-def _former_ratio(x):
-    if isinstance(x, (int, float, Fraction)):
-        return x.as_integer_ratio()
-    if isinstance(x, numbers.Rational):
-        return x.numerator, x.denominator
-    if isinstance(x, numbers.Real):
-        return float(x).as_integer_ratio()
-    raise TypeError(f"{x!r} is not a real number")
-
-
-def _former_key(den, x):
-    try:
-        p, q = x.as_integer_ratio()
-    except (OverflowError, ValueError):
-        return x, x
-    except AttributeError:
-        p, q = _former_ratio(x)
-    f, r = divmod(p * den, q)
-    return f, f + (r > 0)
-
-
-def _former_get(nums, den, j, like=None):
-    """nums[j] / den, a float when ``like`` is a float, else a ``Fraction``."""
-    return nums[j] / den if isinstance(like, float) else Fraction(nums[j], den)
+# the former placement of an int pair, kept as the oracle of ``_Table.place``
 
 
 def former_placed(table, x):
@@ -946,211 +939,6 @@ def former_placed(table, x):
         return table.place(x)
     f, r = divmod(x[0] * table.den, x[1])
     return x if r else (f, table.den), f, f + (r > 0), *x
-
-
-def former_lebesgue(iset, lo, hi, which="G"):
-    """``IntervalSet.lebesgue`` in its former form: an exact piece of the
-    table as its numerator over D in a 1-tuple, and every other value a
-    Python number, added as Python adds them."""
-    den, lefts, rights, ends = iset.den, iset._lo, iset._hi, iset._ends.nums
-
-    def value(x, like=None):
-        return (x[0] / den if isinstance(like, float) else Fraction(x[0], den)) if type(x) is tuple else x
-
-    def plus(x, y):
-        if type(x) is tuple and type(y) is tuple:
-            return (x[0] + y[0],)
-        return value(x, y) + value(y, x)
-
-    def part(i, lo, hi, klo, khi):
-        a, b = lefts[i], rights[i]
-        cut_lo, cut_hi = klo[0] >= a, khi[1] <= b
-        if not (cut_lo or cut_hi):
-            return (b - a,)
-        if cut_lo and cut_hi:
-            inside = _former_lt(lo, hi)
-        else:
-            inside = b > klo[0] if cut_lo else khi[1] > a
-        if not inside:
-            return 0
-        right = hi if cut_hi else _former_get(ends, den, 2 * i + 1, lo)
-        left = lo if cut_lo else _former_get(ends, den, 2 * i, hi)
-        return right - left
-
-    def window_piece(lo, hi, klo, khi):
-        first = max(bisect_right(lefts, klo[0]) - 1, 0)
-        last = bisect_left(lefts, khi[1]) - 1
-        if last < first:
-            return 0
-        total = part(first, lo, hi, klo, khi)
-        if last > first:
-            if last > first + 1:
-                total = plus(total, (iset.g_prefix[last] - iset.g_prefix[first + 1],))
-            total = plus(total, part(last, lo, hi, klo, khi))
-        return total
-
-    def window_mass(lo, hi):
-        return value(window_piece(lo, hi, _former_key(den, lo), _former_key(den, hi)))
-
-    def periodic_mass(lo, hi):
-        p, w0 = iset.period, iset.window[0]
-        length = hi - lo
-        k = math.floor(length / p)
-        total = k * iset.g_mass_window
-        rem = length - k * p
-        if rem > 0:
-            phase = (lo - w0) % p
-            if phase + rem <= p:
-                total = total + window_mass(w0 + phase, w0 + phase + rem)
-            else:
-                total = total + window_mass(w0 + phase, w0 + p)
-                total = total + window_mass(w0, w0 + (phase + rem - p))
-        return total
-
-    def tail_mass(lo, hi, tail):
-        if tail is Tail.ALL_G:
-            return hi - lo
-        if tail is Tail.ALL_F:
-            return 0
-        return periodic_mass(lo, hi)
-
-    if which not in ("G", "F"):
-        raise tf.PreconditionError(f"which must be 'G' or 'F', got {which!r}")
-    if (isinstance(lo, float) and not math.isfinite(lo)
-            or isinstance(hi, float) and not math.isfinite(hi)):
-        raise tf.PreconditionError("lebesgue query endpoints must be finite")
-    if _former_lt(hi, lo):
-        raise tf.PreconditionError(f"query interval has lo {lo} > hi {hi}")
-    (w0, w1), (w0n, w1n) = iset.window, iset._w
-    klo, khi = _former_key(den, lo), _former_key(den, hi)
-    proper = klo[0] < khi[0] or _former_lt(lo, hi)
-    g = 0
-    if proper and klo[0] < w0n:
-        g = tail_mass(lo, hi if khi[1] <= w0n else w0, iset.tail_left)
-    lo_in, hi_in = klo[0] >= w0n, khi[1] <= w1n
-    if lo_in:
-        nonempty = proper if hi_in else klo[0] < w1n
-    else:
-        nonempty = khi[1] > w0n if hi_in else True
-    if nonempty:
-        g = g + value(window_piece(lo if lo_in else w0, hi if hi_in else w1,
-                                   klo if lo_in else (w0n, w0n), khi if hi_in else (w1n, w1n)))
-    if klo[0] >= w1n:
-        g = g + (tail_mass(lo, hi, iset.tail_right) if proper else 0)
-    else:
-        g = g + (tail_mass(w1, hi, iset.tail_right) if khi[1] > w1n else 0)
-    if which == "G":
-        return g
-    return (hi - lo) - g
-
-
-def former_scale(sf, x):
-    """``ScaleFunction.__call__`` at a scalar in its former form."""
-    if not _former_lt(x, sf.anchor):
-        return former_lebesgue(sf.base, sf.anchor, x, "G")
-    return -former_lebesgue(sf.base, x, sf.anchor, "G")
-
-
-def former_darn(dm, x):
-    """``DarningMap.__call__`` at a scalar in its former form."""
-    if not _former_lt(x, dm.z):
-        return former_lebesgue(dm.base, dm.z, x, "F")
-    return -former_lebesgue(dm.base, x, dm.z, "F")
-
-
-def former_scale_inverse(sf, y):
-    """``ScaleFunction.inverse`` at a scalar in its former form: one
-    ``np.searchsorted`` per float lookup and ``Fraction`` arithmetic."""
-    iset, levels = sf.base, sf._levels
-    nums, den = levels.nums, levels.den
-    f, c = _former_key(den, y)
-    if isinstance(y, float):
-        below, above = y < sf._tables[0][0], y > sf._tables[0][-1]
-    else:
-        below, above = f < nums[0], c > nums[-1]
-    if below or above:
-        return _former_scale_tail_inverse(sf, y, below)
-    ranks = iset.f_ranks
-    if isinstance(y, float):
-        values = sf._tables[1]
-        k = int(np.searchsorted(values, y))
-        if k < values.size and values[k] == y:
-            return iset._f_pair(ranks.start + k)
-    else:
-        k = max(bisect_left(nums, c), ranks.start)
-        if k < ranks.stop and f == c == nums[k]:
-            return iset._f_pair(k)
-    i = max(min(bisect_right(nums, f), len(iset._lo)) - 1, 0)
-    x = _former_get(iset._ends.nums, iset.den, 2 * i, y) + (y - _former_get(nums, den, i, y))
-    return x, x
-
-
-def _former_scale_tail_inverse(sf, y, below):
-    iset = sf.base
-    w0, w1 = iset.window
-    s0, s1 = sf.window_image()
-    tail = iset.tail_left if below else iset.tail_right
-    if tail is Tail.ALL_G:
-        x = w0 - (s0 - y) if below else w1 + (y - s1)
-        return x, x
-    if tail is Tail.ALL_F or iset.g_prefix[-1] == 0:
-        edge = s0 if below else s1
-        if isinstance(y, float) and abs(y - float(edge)) <= sf._slack:
-            return former_scale_inverse(sf, edge)
-        side = "below" if below else "above"
-        raise tf.PreconditionError(f"value {y} is {side} the range of the scale function")
-    per_mass, p = iset.g_mass_window, iset.period
-    if below:
-        k = math.ceil((s0 - y) / per_mass)
-        yk, shift = y + k * per_mass, -k * p
-    else:
-        k = math.ceil((y - s1) / per_mass)
-        yk, shift = y - k * per_mass, k * p
-    yk = s0 if yk < s0 else s1 if yk > s1 else yk
-    plateau = None
-    if isinstance(yk, float):
-        levels, values = sf._tables[:2]
-        ends = np.concatenate([levels[:1], values, levels[-1:]])
-        near = tf.transforms._snap(np.array([yk]), ends, np.array(1e-12 * max(1.0, abs(y))))[0]
-        yk = s0 if near == levels[0] else s1 if near == levels[-1] else yk
-        if near in values:
-            plateau = iset.f_ranks.start + int(np.searchsorted(values, near))
-    if yk == s0 or yk == s1:
-        lo, hi = sf._seam()
-        if yk == s1:
-            shift = shift + p
-    elif plateau is not None:
-        lo, hi = iset._f_pair(plateau)
-    else:
-        lo, hi = former_scale_inverse(sf, yk)
-    return lo + shift, hi + shift
-
-
-def former_darn_inverse(dm, y):
-    """``DarningMap.inverse`` at a scalar in its former form."""
-    iset, levels = dm.base, dm._levels
-    nums, den, m = levels.nums, levels.den, len(iset._lo)
-    lo, hi = dm._ends
-    if _former_lt(y, lo) or _former_lt(hi, y):
-        if lo - dm._slack <= y <= hi + dm._slack:
-            y = lo if _former_lt(y, lo) else hi
-        else:
-            raise tf.PreconditionError(
-                f"value {y} is outside the window image [{lo}, {hi}] of the darning map")
-    if isinstance(y, float):
-        positions = dm._tables[0]
-        k = int(np.searchsorted(positions, y))
-        hit = k < positions.size and positions[k] == y
-    else:
-        f, c = _former_key(den, y)
-        k = bisect_left(nums, c, 1, m + 1) - 1
-        hit = k < m and f == c == nums[k + 1]
-    if hit or k not in iset.f_ranks:
-        k = min(k, m - 1)
-        return iset._ends.get(2 * k), iset._ends.get(2 * k + 1)
-    lows = iset._f_ends[0]
-    x = _former_get(lows.nums, lows.den, k, y) + (y - _former_get(nums, den, k, y))
-    return x, x
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction as Fr
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,8 @@ import traceform as tf
 from traceform import PreconditionError, Tail
 from traceform.intervals import _decode
 
-from helpers import (OracleDarning, OracleScale, OracleSet, darning_image_dict, former_darn,
-                     former_darn_inverse, former_lebesgue, former_scale, former_scale_inverse,
-                     geometry_sets, probe_points, pushforward_per_gap,
-                     scale_pushforward_per_plateau, svc_g_mass)
+from helpers import (OracleDarning, OracleScale, OracleSet, darning_image_dict, geometry_sets,
+                     probe_points, pushforward_per_gap, scale_pushforward_per_plateau, svc_g_mass)
 
 
 def same(got, want) -> bool:
@@ -269,37 +268,38 @@ def _bits(v):
 
 
 class TestFormerScalarPath:
-    """``lebesgue`` and the scale and darning maps and inverses against
-    their former forms in ``helpers``, which compute with ``Fraction`` and
-    float arithmetic on the numbers themselves: the same type and the same
-    bits for every result, and the same error type and message, at exact
-    points, float probes, ints and signed zeros, for exact and float anchors."""
+    """``lebesgue`` and the scale and darning maps and inverses against the
+    oracle, the former ``Fraction`` scalar path, which computes with
+    ``Fraction`` and float arithmetic on the numbers themselves: the same
+    type and the same bits for every result, and the same error type and
+    message, at exact points, float probes, ints, signed zeros, infinities
+    and NaN, for exact and float anchors."""
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_sets, st.integers(0, 10**6))
     def test_bit_for_bit(self, iset, seed):
         rng = np.random.default_rng(seed)
+        o = OracleSet(iset)
         w0, w1 = iset.window
         a = float(w0) + 0.3 * float(w1 - w0)
-        maps = [(tf.ScaleFunction(iset, anchor), former_scale, former_scale_inverse)
-                for anchor in (0, a, Fr(1, 3))]
+        maps = [tf.ScaleFunction(iset, anchor) for anchor in (0, a, Fr(1, 3))]
         for z in (None, darning_anchor(iset)):
             try:
-                maps.append((tf.DarningMap(iset, z), former_darn, former_darn_inverse))
+                maps.append(tf.DarningMap(iset, z))
             except PreconditionError:
                 continue
+        maps = [(f, oracle_map(f, o)) for f in maps]
         xs = exact_points(iset, rng) + some_probes(iset, rng) + [0, 1, -2, 3, 0.0, -0.0]
-        for x in xs:
+        for x in xs + [math.inf, -math.inf, math.nan]:  # the last ones refused alike
             for lo, hi in ((w0, x), (x, w0), (a, x), (x, x)):
                 for which in ("G", "F"):
                     assert bits(iset.lebesgue, lo, hi, which) == bits(
-                        former_lebesgue, iset, lo, hi, which), (lo, hi, which)
-            for f, forward, inverse in maps:
+                        o.lebesgue, lo, hi, which), (lo, hi, which)
+            for f, g in maps:
                 y = bits(f, x)
-                assert y == bits(forward, f, x), (x, f)
+                assert y == bits(g, x), (x, f)
                 for v in ([f(x)] if y[0] is not PreconditionError else []) + [x]:
-                    assert bits(f.inverse, v) == bits(inverse, f, v), (x, v, f)
-
+                    assert bits(f.inverse, v) == bits(g.inverse, v), (x, v, f)
 
     @settings(max_examples=60, deadline=None)
     @given(geometry_sets.filter(lambda s: s.period is not None), st.integers(0, 10**6))
@@ -307,6 +307,7 @@ class TestFormerScalarPath:
         """Queries past a Periodic window, folded back by whole periods: exact,
         float and int ends, on one side of the window or across it."""
         rng = np.random.default_rng(seed)
+        o = OracleSet(iset)
         w0, w1 = iset.window
         p = iset.period
         xs = [Fr(w0) - 3 * p + 7 * p * Fr(int(k), 997) for k in rng.integers(0, 997, size=12)]
@@ -317,7 +318,14 @@ class TestFormerScalarPath:
             for hi in xs:
                 for which in ("G", "F"):
                     assert bits(iset.lebesgue, lo, hi, which) == bits(
-                        former_lebesgue, iset, lo, hi, which), (lo, hi, which)
+                        o.lebesgue, lo, hi, which), (lo, hi, which)
+
+
+def oracle_map(f, oset):
+    """The oracle of a scale function or darning map, at its own anchor."""
+    if isinstance(f, tf.ScaleFunction):
+        return OracleScale(oset, f.anchor)
+    return OracleDarning(oset, f.z)
 
 
 def test_periodic_fold_builds_one_fraction(monkeypatch):
@@ -534,4 +542,11 @@ def test_infinite_queries_are_refused(svc1):
             except PreconditionError:
                 continue
             raise AssertionError(f"{f} accepted {x}")
-    assert not svc1.in_g(float("inf")) and svc1.component_index(float("nan")) is None
+    assert not svc1.in_g(float("inf"))
+    # NaN lies nowhere: every query of the set refuses it, scalar or in an array
+    queries = [(q, float("nan")) for q in (svc1.component_index, svc1.in_g, svc1.is_endpoint)]
+    queries += [(q, np.array([0.5, np.nan])) for q in (svc1.classify, svc1.closure_index)]
+    queries.append((lambda xs: svc1.classify(xs, nodes=True), np.array([np.nan])))
+    for query, x in queries:
+        with pytest.raises(PreconditionError, match="^query values must not be NaN$"):
+            query(x)

@@ -28,12 +28,12 @@ from traceform.intervals import _csv_text
 from traceform.simulate import _result_from_samples
 from traceform.transforms import _fold
 
-from helpers import (_float_pair_set, former_classify_nodes, former_closure_index,
-                     former_collapse_nodes, former_feller_csv, former_grid_csv,
-                     former_jump_table_csv, former_path_csv, former_scale_csv, former_darn, former_darn_inverse, former_evaluate,
-                     former_fold, former_grid_checks, former_lebesgue, former_missing_nodes,
-                     former_placed, former_result_from_samples,
-                     former_scale, former_scale_inverse, former_simulate_xs, former_slopes,
+from helpers import (OracleDarning, OracleScale, OracleSet, _float_pair_set,
+                     former_classify_nodes, former_closure_index, former_collapse_nodes,
+                     former_evaluate, former_feller_csv, former_fold, former_grid_checks,
+                     former_grid_csv, former_jump_table_csv, former_missing_nodes,
+                     former_path_csv, former_placed, former_result_from_samples,
+                     former_scale_csv, former_simulate_xs, former_slopes,
                      former_trace_checks, former_trace_match, former_walk_chain,
                      former_walk_occupation, geometry_sets, probe_points, random_complement_member,
                      random_gridfn, random_iset, random_subspace_member, random_trace_fn,
@@ -93,7 +93,13 @@ class TestClosure:
     @given(geometry_sets, seeds)
     def test_same_ints(self, iset, seed):
         xs = probe_points(iset, np.random.default_rng(seed), beyond=0.5)
-        for arr in [xs, np.array([np.nan, np.inf, -np.inf])] + edge_arrays(iset):
+        far = [np.array([np.nan, np.inf, -np.inf]), np.array([np.inf, -np.inf])]
+        for arr in [xs, *far] + edge_arrays(iset):
+            if np.isnan(arr).any():  # NaN lies nowhere: refused, as a scalar NaN query is
+                refused = (tf.PreconditionError, "query values must not be NaN")
+                assert outcome(iset.closure_index, arr) == refused
+                assert outcome(iset.classify, arr, nodes=True) == refused
+                continue
             assert raw(iset.closure_index(arr)) == raw(former_closure_index(iset, arr))
             assert raw(iset.classify(arr, nodes=True)) == raw(former_classify_nodes(iset, arr))
         assert raw(tf.adapted_grid(iset)) == raw(np.union1d(iset._adapted, np.array([])))
@@ -305,16 +311,19 @@ def _typed(fn, *args):
 
 
 class TestNumpyFloatQueries:
-    """A numpy float64 query gives the type the former scalar path gives, as
-    Python's operators give it (np.float64 - Fraction is a Python float,
-    Fraction - np.float64 a numpy one), with the same bits."""
+    """A numpy float64 query is taken as its Python float: ``lebesgue``, both
+    maps and both inverses give the same type and bits for it as for that
+    float, whichever side of an exact value it stands.  A numpy float32 is
+    not a float, so it keeps its exact value, as its ``Fraction`` does."""
 
     def test_examples(self):
         iset = tf.svc_complement(2)
-        x = np.float64(0.3)
-        for got, want in ((iset.lebesgue(0, x, "F"), former_lebesgue(iset, 0, x, "F")),
-                          (tf.DarningMap(iset)(x), former_darn(tf.DarningMap(iset), x))):
+        o, dm = OracleSet(iset), tf.DarningMap(iset)
+        for got, want in ((iset.lebesgue(0, np.float64(0.3), "F"), o.lebesgue(0, 0.3, "F")),
+                          (dm(np.float64(0.3)), OracleDarning(o, dm.z)(0.3)),
+                          (tf.ScaleFunction(iset)(np.float64(0.2)), OracleScale(o)(0.2))):
             assert type(got) is type(want) is float and got.hex() == want.hex()
+        assert iset.lebesgue(0, np.float32(0.3), "F") == Fr(3984589, 16777216)
 
     @settings(max_examples=50, deadline=None)
     @given(geometry_sets, seeds)
@@ -322,25 +331,37 @@ class TestNumpyFloatQueries:
         rng = np.random.default_rng(seed)
         xs = rng.choice(probe_points(iset, rng, beyond=0.5), size=10).tolist()
         w0, w1 = iset.window
-        ends = [e for c in iset.components[:1] for e in c]
-        exact = [0, 2, w0, w1, Fr(1, 3)] + ends
-        sf = tf.ScaleFunction(iset)
-        dm = tf.DarningMap(iset) if iset.f_ranks else None
+        exact = [0, 2, w0, w1, Fr(1, 3)] + [e for c in iset.components[:1] for e in c]
+        maps = [tf.ScaleFunction(iset)] + ([tf.DarningMap(iset)] if iset.f_ranks else [])
         for x in xs:
-            n = np.float64(x)
-            for other in exact + [float(rng.choice(xs)), np.float64(rng.choice(xs))]:
-                for lo, hi in ((other, n), (n, other)):
+            single = np.float32(x)
+            # each numpy query, and the number it is taken as
+            for n, taken, same in ((np.float64(x), x, _typed),
+                                   (single, Fr(float(single)), _valued)):
+                z = float(rng.choice(xs))
+                for other, as_taken in [(e, e) for e in exact] + [(z, z), (np.float64(z), z)]:
                     for which in ("G", "F"):
-                        assert (_typed(iset.lebesgue, lo, hi, which)
-                                == _typed(former_lebesgue, iset, lo, hi, which)), (lo, hi, which)
-            maps = [(sf, former_scale, former_scale_inverse)]
-            maps += [(dm, former_darn, former_darn_inverse)] if dm is not None else []
-            for f, forward, inverse in maps:
-                assert _typed(f, n) == _typed(forward, f, n), n
-                y = f(n)
+                        assert same(iset.lebesgue, other, n, which) == same(
+                            iset.lebesgue, as_taken, taken, which), (other, n, which)
+                        assert same(iset.lebesgue, n, other, which) == same(
+                            iset.lebesgue, taken, as_taken, which), (n, other, which)
+                for f in maps:
+                    assert same(f, n) == same(f, taken), (n, f)
+                    assert same(f.inverse, n) == same(f.inverse, taken), (n, f)
+            for f in maps:  # an image value, as numpy would hold it
+                y = f(x)
                 if isinstance(y, float):
-                    y = np.float64(y)
-                    assert _typed(f.inverse, y) == _typed(inverse, f, y), y
+                    assert _typed(f.inverse, np.float64(y)) == _typed(f.inverse, y), (y, f)
+
+
+def _valued(fn, *args):
+    """fn(...) as the type and value of each number it returns, or the type of
+    the error it raises: its message names the query as given."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return "error", type(exc)
+    return [(type(v), v) for v in out] if isinstance(out, tuple) else (type(out), out)
 
 
 def _collapsed(grid, dm, collapse=_collapse_nodes):

@@ -1,5 +1,6 @@
-"""Every name a ``traceform`` module imports is used in that module, and
-every private helper it defines is read somewhere in the package.
+"""Every name a ``traceform`` module imports is used in that module, every
+private helper it defines is read somewhere in the package, and every helper
+of ``tests/helpers.py`` is read by the tests or the scripts.
 
 These are the unused-import and dead-code checks of a linter, written on
 ``ast`` so that they need nothing past the standard library: an import or a
@@ -42,31 +43,39 @@ def test_unused_imports_are_named():
     assert unused_imports(source) == ["PreconditionError", "csv", "os"]
 
 
-def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """The module-level ``_name`` functions, classes and constants of the
-    sources, by module name, that no source reads as a name or an attribute,
-    sorted as "module._name"."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def read_names(trees) -> set[str]:
+    """Every name the trees read, as a name or as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    dead = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            dead += [f"{name}.{d}" for d in defined
-                     if d.startswith("_") and not d.startswith("__") and d not in read]
-    return sorted(dead)
+    return read
+
+
+def defined_names(tree) -> list[str]:
+    """The module-level functions, classes and constants a tree defines,
+    dunder names left out."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [d for d in defined if not d.startswith("__")]
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level ``_name`` functions, classes and constants of the
+    sources, by module name, that no source reads as a name or an attribute,
+    sorted as "module._name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = read_names(trees.values())
+    return sorted(f"{name}.{d}" for name, tree in trees.items() for d in defined_names(tree)
+                  if d.startswith("_") and d not in read)
 
 
 def test_every_private_helper_is_read():
@@ -79,3 +88,14 @@ def test_dead_helpers_are_named():
                     "class _C:\n    pass\ndef g(x):\n    return x._m()\ndef _m():\n    pass\n",
                "b": "from .a import _f\n_f()\n_L = _L2 = 3\n"}
     assert dead_helpers(sources) == ["a._C", "a._J", "b._L", "b._L2"]
+
+
+def test_every_test_helper_is_read():
+    """Every function, class and constant of ``tests/helpers.py`` is read in
+    some file of ``tests/`` or ``scripts/``: a retired oracle leaves none of
+    its parts behind."""
+    tests = Path(__file__).resolve().parent
+    sources = [*tests.glob("*.py"), *(tests.parent / "scripts").glob("*.py")]
+    read = read_names(ast.parse(p.read_text()) for p in sources)
+    helpers = defined_names(ast.parse((tests / "helpers.py").read_text()))
+    assert [name for name in helpers if name not in read] == []

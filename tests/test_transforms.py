@@ -609,6 +609,34 @@ class TestPeriodicFold:
         lo, hi = sf.inverse(np.array([-0.5, 0.75]))
         assert _close(lo, [-2.5, 2.5]) and _close(hi, [-1.75, 3.25])
 
+    def test_seam_value_inside_the_image(self):
+        # the last component ends at w1 = 2, and s is flat from 2 to 19/8, the
+        # first F-stretch of the next period: s(w1) is that plateau, not w1
+        iset = tf.periodic_fat_cantor(1, 2)
+        sf = tf.ScaleFunction(iset)
+        assert sf(2) == sf(Fr(19, 8)) == Fr(5, 4)
+        for y in (Fr(5, 4), 1.25):
+            assert sf.inverse(y) == OracleScale(OracleSet(iset)).inverse(y) == (2, Fr(19, 8))
+        lo, hi = sf.inverse(np.array([1.25]))
+        assert (lo.tolist(), hi.tolist()) == ([2.0], [2.375])
+        x = 2.2796293092061584
+        lo, hi = sf.inverse(sf(x))
+        assert lo <= x <= hi
+
+    @pytest.mark.parametrize("tails, want", [
+        ((Tail.PERIODIC, Tail.PERIODIC), (Fr(-1, 4), 0)),
+        ((Tail.ALL_F, Tail.PERIODIC), (0, 0)),  # no seam at w0: clipped to the window
+    ])
+    def test_seam_value_at_w0(self, tails, want):
+        # a component starts at w0, and s is 0 on [-1/4, 0], the last F-stretch
+        # of the period before, where the left tail is Periodic
+        iset = tf.build_interval_set([(0, Fr(1, 4)), (Fr(1, 2), Fr(3, 4))], (0, 1), tails=tails)
+        sf = tf.ScaleFunction(iset)
+        for y in (0, 0.0):
+            assert sf.inverse(y) == OracleScale(OracleSet(iset)).inverse(y) == want
+        lo, hi = sf.inverse(np.array([0.0]))
+        assert (lo.tolist(), hi.tolist()) == ([float(want[0])], [float(want[1])])
+
     def test_float_fold_does_not_loop(self):
         # the float image of the seam point w0 inverts to a preimage holding it
         iset = tf.build_interval_set([(0, Fr(67, 240)), (Fr(149, 240), Fr(17, 24))], (0, 1),
@@ -622,7 +650,7 @@ class TestPeriodicFold:
     def test_float_round_trips_past_the_window(self, depth, period, seed):
         # a float point past the window comes back inside its preimage,
         # scalar and array alike, unless its value is the window's own (the
-        # preimage of such a value is clipped to the window)
+        # preimage of such a value is clipped to the window, but at a seam value)
         iset = tf.periodic_fat_cantor(depth, period)
         sf = tf.ScaleFunction(iset)
         p, (s0, s1) = float(iset.period), sf.window_image()
