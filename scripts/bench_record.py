@@ -9,8 +9,8 @@ how many seeds it beat the first one on.  It also states the machine (CPU
 count, Python and numpy versions) and the git commit of each checkout.
 
 Separate processes can differ in speed by more than a change's gain, so
-after a workload's per-process runs the checkouts are also timed in this one
-process, interleaved, where they see the same swings.  Each checkout's
+after every workload's per-process runs the checkouts are also timed in this
+one process, interleaved, where they see the same swings.  Each checkout's
 ``src/`` and ``perfbench/`` are imported under a module set of its own, put
 in ``sys.modules`` before each of its turns.  There is one round per seed:
 each checkout sets up from the seed and runs one checked warm-up operation,
@@ -209,15 +209,21 @@ def main(argv=None) -> int:
         },
         "checkouts": {name: {"git_sha": git_sha(path)} for name, path in checkouts.items()},
         "baseline": names[0],
-        "workloads": {},
     }
-    for workload in args.workload:
-        entry = record["workloads"][workload] = {"seeds": seeds, "order": orders}
-        if args.seconds > 0:
+    entries = {workload: {"seeds": seeds, "order": orders} for workload in args.workload}
+    record["workloads"] = entries
+    out = Path(args.out)
+    # every per-process run before any interleaved round: a child's
+    # peak_rss_mib starts at this process's own peak (Linux keeps ru_maxrss
+    # across fork and exec), and the rounds grow it past a workload's peak.
+    # The record is written after each step, so a cut run keeps what it measured.
+    if args.seconds > 0:
+        for workload, entry in entries.items():
             entry.update(per_process(checkouts, workload, seeds, orders, args.seconds))
+            out.write_text(json.dumps(record, indent=2) + "\n")
+    for workload, entry in entries.items():
         entry["interleaved"] = interleaved(checkouts, workload, seeds, orders)
-        # written after every workload, so a cut run keeps what it measured
-        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+        out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

@@ -26,7 +26,6 @@ import numbers
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -253,12 +252,15 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
     """Exit sides and times of n paths.
 
     The sample is allocated once, and each chunk writes its exits into its
-    own slice of it.  Each thread takes the chunk at the head of one FIFO
+    own slice of it.  The calling thread is one of the threads, beside
+    threads - 1 helpers.  Each thread takes the chunk at the head of one FIFO
     queue, advances it by one block in its own scratch (a step buffer and
     two test masks) and puts it back, so no thread idles while a chunk has
     blocks left; at most threads + 1 chunks are unfinished at once.
     Once fewer than EXIT_TILE paths of a chunk survive, the thread keeps it
-    to its end, so its cheap tail blocks never wait behind full ones.
+    to its end, so its cheap tail blocks never wait behind full ones.  The
+    first failure on any thread stops the others and is raised once the
+    helpers are joined.
     """
     if n < 1:
         raise PreconditionError(f"path count n must be at least 1, got {n}")
@@ -278,10 +280,10 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
     queue = deque()
     lock = threading.Lock()
     started = live = 0
-    failed = False
+    failed, errors = False, []
 
     def work():
-        nonlocal started, live, failed
+        nonlocal started, live
         shape = (min(n, EXIT_CHUNK, EXIT_TILE), EXIT_BLOCK)
         scratch = (np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
         chunk = None
@@ -308,14 +310,31 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
                 chunk = None
                 with lock:
                     live -= 1
-            except BaseException:
-                with lock:
-                    failed = True
-                raise
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(work) for _ in range(threads)]:
-            future.result()
+    def run():  # work(); what it raises stops the others and is raised by the caller
+        nonlocal failed
+        try:
+            work()
+        except BaseException as exc:
+            with lock:
+                failed = True
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(threads - 1):
+            helper = threading.Thread(target=run)
+            helper.start()
+            helpers.append(helper)
+        run()
+        for helper in helpers:
+            helper.join()
+    finally:
+        failed = True  # a failed start or an interrupt while joining stops the helpers too
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return left, tau
 
 
@@ -365,7 +384,8 @@ def exit_sample(iset: IntervalSet, x0: float, n: int, seed: int, dt: float | Non
     z = -5.6 against the closed form.  ``correct=True`` with dt = (d/40)**2
     for a gap of width d is the validated setting (acceptance criterion 6
     also checks Laplace transforms at dt = (d/50)**2 against dt / 2).
-    ``workers`` threads share the chunks (default: one per usable CPU); the
+    ``workers`` threads share the chunks (default: one per usable CPU), the
+    calling thread among them, so ``workers=1`` starts no thread; the
     sample is the same for every worker count.  Its memory is the sample (9
     bytes a path) plus about 1.3 MiB of scratch per thread while it draws,
     then the sample plus one reduction buffer of 8 bytes a path (``laplace``

@@ -1,6 +1,7 @@
 """The helper scripts under scripts/."""
 
 import fcntl
+import importlib.util
 import json
 import os
 import shutil
@@ -94,3 +95,27 @@ def test_bench_record_takes_one_seed(tmp_path):
     assert proc.returncode == 0, proc.stderr
     ratio = json.loads(out.read_text())["workloads"]["geometry"]["interleaved"]["ratio"]["b"]
     assert ratio["median"] == ratio["q1"] == ratio["q3"] == ratio["per_round"][0]
+
+
+def test_bench_record_runs_every_process_before_any_round(tmp_path, monkeypatch):
+    """A child's peak RSS starts at the recording process's own peak, which
+    the interleaved rounds raise past a workload's, so every workload's
+    per-process runs come before the first round."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)  # the script sets it
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  REPO_ROOT / "scripts" / "bench_record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    steps = []
+    monkeypatch.setattr(record, "git_sha", lambda path: None)
+    monkeypatch.setattr(record, "per_process",
+                        lambda checkouts, workload, *rest: steps.append(("runs", workload)) or {})
+    monkeypatch.setattr(record, "interleaved",
+                        lambda checkouts, workload, *rest: steps.append(("rounds", workload)) or {})
+    out = tmp_path / "record.json"
+    assert record.main(["--checkout", "a=a", "--checkout", "b=b", "--workload", "exit",
+                        "--workload", "geometry", "--seeds", "1", "--seconds", "1",
+                        "--out", str(out)]) == 0
+    assert steps == [("runs", "exit"), ("runs", "geometry"),
+                     ("rounds", "exit"), ("rounds", "geometry")]
+    assert list(json.loads(out.read_text())["workloads"]) == ["exit", "geometry"]

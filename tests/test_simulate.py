@@ -1,11 +1,14 @@
 """Path sampling: exit estimators, speed-measure walks, occupation batching."""
 
 import math
+import os
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,25 +278,102 @@ class TestExitEngine:
         assert peak[0] == workers + 1 and live[0] == 0
         assert np.array_equal(left, want[0]) and np.array_equal(tau, want[1])
 
-    def test_step_cap_in_a_worker_reaches_the_caller(self, monkeypatch):
-        calls, finished = [], []
+    @pytest.mark.parametrize("stuck", ["caller", "helper"])
+    def test_step_cap_in_a_worker_reaches_the_caller(self, monkeypatch, stuck):
+        # the first chunk started on the named thread never moves; a chunk of
+        # 64 paths stays on the thread that starts it, below one tile
+        caller, calls, finished, stuck_on = threading.get_ident(), [], [], []
 
-        def second_stuck(a, b, x0, dt, rng, shift, left, tau):
+        def one_stuck(a, b, x0, dt, rng, shift, left, tau):
             calls.append(left.size)
-            if len(calls) == 2:  # no path ever moves: the cap of 10,000 steps is hit
+            here = threading.get_ident()
+            if not stuck_on and (here == caller) == (stuck == "caller"):
+                stuck_on.append(here)  # the cap of 10,000 steps is hit
                 yield from _exit_chunk(a, b, x0, 0.05, ZeroSteps(), shift, left, tau)
             else:
                 yield from _exit_chunk(a, b, x0, dt, rng, shift, left, tau)
                 finished.append(left.size)
 
         monkeypatch.setattr(simulate, "EXIT_CHUNK", 64)
-        monkeypatch.setattr(simulate, "_exit_chunk", second_stuck)
+        monkeypatch.setattr(simulate, "_exit_chunk", one_stuck)
         before = threading.active_count()
         with pytest.raises(StepCapError, match="step cap"):
             # a regular chunk needs thousands of blocks at this dt
             _exit_samples(0.0, 1.0, 0.5, 20 * 64, 1e-6, 3, False, 2)
         assert threading.active_count() == before
+        assert len(stuck_on) == 1 and (stuck_on[0] == caller) == (stuck == "caller")
         assert len(calls) <= 3 and not finished  # the other worker stopped
+
+    def test_a_helper_that_cannot_start_stops_the_started_ones(self, monkeypatch):
+        start, starts, finished = threading.Thread.start, [], []
+
+        def second_fails(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def counted(*args):
+            yield from _exit_chunk(*args)
+            finished.append(1)
+
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", 64)
+        monkeypatch.setattr(simulate, "_exit_chunk", counted)
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            # all 20 chunks would take the first helper seconds at this dt
+            _exit_samples(0.0, 1.0, 0.5, 20 * 64, 1e-6, 3, False, 3)
+        assert threading.active_count() == before and len(finished) < 20
+
+    @staticmethod
+    def _stepping_threads(monkeypatch, workers):
+        """The threads that start or step a chunk of a 20-chunk sample, in
+        chunks that queue for about five blocks, and that sample's (left, tau)."""
+        threads = []
+
+        def traced(*args):
+            chunk = _exit_chunk(*args)
+            survivors = next(chunk)
+            threads.append(threading.get_ident())
+            while True:
+                scratch = yield survivors
+                threads.append(threading.get_ident())
+                try:
+                    survivors = chunk.send(scratch)
+                except StopIteration:
+                    return
+
+        monkeypatch.setattr(simulate, "EXIT_CHUNK", 256)
+        monkeypatch.setattr(simulate, "EXIT_TILE", 16)
+        monkeypatch.setattr(simulate, "_exit_chunk", traced)
+        sample = _exit_samples(0.0, 1.0, 0.4, 20 * 256, 1e-3, 5, False, workers)
+        return set(threads), sample
+
+    def test_one_worker_is_the_calling_thread(self, monkeypatch):
+        before = threading.active_count()
+        threads, _ = self._stepping_threads(monkeypatch, 1)
+        assert threads == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_caller_is_one_of_the_workers(self, monkeypatch, workers):
+        threads, (left, tau) = self._stepping_threads(monkeypatch, workers)
+        assert threading.get_ident() in threads and len(threads) <= workers
+        _, (want_left, want_tau) = self._stepping_threads(monkeypatch, 1)
+        assert np.array_equal(left, want_left) and np.array_equal(tau, want_tau)
+
+    def test_import_starts_no_thread_pool_or_logging(self):
+        # the engine runs on plain threads: importing the package loads
+        # neither concurrent.futures nor the logging it imports
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(simulate.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        code = ("import sys, traceform; "
+                "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_traced_peak_is_the_sample_one_buffer_and_scratch(self, monkeypatch):
         # small chunks and tiles, so that the arrays of all n paths and not
