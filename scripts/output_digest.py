@@ -319,7 +319,7 @@ def digest_speeds(dg, t, maps):
             tag = f"{t} speed {name}"
             digest_chain(dg, tag, dg.record(tag, lambda: tf.scale_pushforward_speed(f)))
             continue
-        for source in ("lebesgue", "f_indicator", "trace"):
+        for source in ("lebesgue", "f_indicator"):
             tag = f"{t} speed {name} {source}"
             digest_chain(dg, tag, dg.record(tag, lambda: tf.pushforward_speed(f, source)))
 

@@ -228,8 +228,7 @@ def undarn_function(uh: GridFunction, dm: DarningMap) -> GridFunction:
     """
     iset = dm.base
     lo, hi = (float(v) for v in dm._ends)
-    slack = 1e-12 * max(1.0, hi - lo)
-    if abs(uh.span[0] - lo) > slack or abs(uh.span[1] - hi) > slack:
+    if abs(uh.span[0] - lo) > dm._slack or abs(uh.span[1] - hi) > dm._slack:
         raise PreconditionError(
             f"function span {uh.span} does not match the darning image [{lo}, {hi}]"
         )

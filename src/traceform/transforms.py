@@ -52,7 +52,7 @@ def classify_case(obj) -> Case:
 def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np.ndarray]:
     """Move float points into the window.  Returns the window points and the
     mass of ``which`` ("G" or "F") from each window point to its original,
-    as the tails declare it."""
+    as the tails declare it.  An infinite point past the window is refused."""
     w0, w1 = (float(v) for v in iset.window)
     below, above = xs < w0, xs > w1
     gain = np.zeros(xs.shape)
@@ -60,8 +60,8 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
         return xs.copy(), gain
     xin = np.clip(xs, w0, w1)
     for out, tail in ((below, iset.tail_left), (above, iset.tail_right)):
+        _check_finite(xs[out], "point", tail)
         if tail is Tail.PERIODIC:
-            _check_finite(xs[out], "point")
             p = float(iset.period)
             k = np.floor((xs[out] - w0) / p)
             xin[out] = np.clip(xs[out] - k * p, w0, w1)
@@ -71,11 +71,12 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
     return xin, gain
 
 
-def _check_finite(xs: np.ndarray, what: str) -> None:
-    """Refuse the first infinite entry of points or values folded by a Periodic tail."""
+def _check_finite(xs: np.ndarray, what: str, tail: Tail) -> None:
+    """Refuse the first infinite entry of points or values past the window on ``tail``."""
     far = xs[np.isinf(xs)]
     if far.size:
-        raise PreconditionError(f"{what} {far[0]} must be finite on a Periodic tail")
+        on = "a Periodic" if tail is Tail.PERIODIC else f"an {tail.value}"
+        raise PreconditionError(f"{what} {far[0]} must be finite on {on} tail")
 
 
 def _exact(anchor: Real, name: str) -> Real:
@@ -288,7 +289,7 @@ class ScaleFunction:
                 if far.size:
                     raise PreconditionError(f"value {far[0]} is {side} the range of the scale function")
             elif tail is Tail.PERIODIC:
-                _check_finite(ys[out], "value")
+                _check_finite(ys[out], "value", tail)
                 # whole periods back into the window's image, counted as the scalar
                 # path does; the subtraction rounds, so within 1e-12 of a whole
                 # number of periods, or of a plateau value that many out, is that value
@@ -518,14 +519,16 @@ class SpeedMeasure:
     live in (0, inf], and an infinite atom marks an absorbing point.
     Immutable; equal when carrier, density pieces and atoms are.  Numeric
     readers use the float64 tables ``_piece_arrays`` (lo, hi, c) and
-    ``_atom_arrays`` (positions, masses); the exact ``density_pieces`` and
-    ``atoms`` tuples serve equality and JSON.
+    ``_atom_arrays`` (positions, masses), set at construction; the exact
+    ``density_pieces`` and ``atoms`` tuples serve equality and JSON.
     """
 
     def __init__(self, carrier, density_pieces=(), atoms=()):
         self.__dict__.update(carrier=tuple(carrier), atoms=tuple(tuple(a) for a in atoms),
                              density_pieces=tuple(tuple(p) for p in density_pieces))
         self._check()
+        self.__dict__.update(_piece_arrays=_float_columns(self.density_pieces, 3),
+                             _atom_arrays=_float_columns(self.atoms, 2))
 
     @classmethod
     def _from_table(cls, carrier, pieces, exact_pieces, atoms, exact_atoms) -> "SpeedMeasure":
@@ -602,14 +605,6 @@ class SpeedMeasure:
             total += np.where(right > left, c * (prim(right - ys) - prim(left - ys)), 0.0)
         return total
 
-    @cached_property
-    def _piece_arrays(self) -> tuple[np.ndarray, ...]:
-        return _float_columns(self.density_pieces, 3)  # lo, hi and c, in piece order
-
-    @cached_property
-    def _atom_arrays(self) -> tuple[np.ndarray, ...]:
-        return _float_columns(self.atoms, 2)  # positions and masses, in atom order
-
     def to_dict(self) -> dict:
         return {
             "carrier": [_encode(self.carrier[0]), _encode(self.carrier[1])],
@@ -628,7 +623,7 @@ class SpeedMeasure:
         return cls(carrier, pieces, atoms)
 
 
-PUSHFORWARD_SOURCES = ("lebesgue", "f_indicator", "trace")
+PUSHFORWARD_SOURCES = ("lebesgue", "f_indicator")
 
 
 def _unit_density(lo: Real, hi: Real) -> tuple:
@@ -651,11 +646,9 @@ def pushforward_speed(dm: DarningMap, source: str = "lebesgue") -> SpeedMeasure:
     """Pushforward of a reference measure under the darning map.
 
     Sources: "lebesgue" pushes dx (each collapsed component becomes an atom of
-    mass equal to its width), "f_indicator" pushes 1_F dx (plain Lebesgue on
-    the image, no atoms), "trace" pushes 1_F dx plus half-width atoms at both
-    endpoints of every component (the halves merge at the collapsed point, so
-    the result coincides with the "lebesgue" pushforward).  All-G tails add an
-    infinite atom at the corresponding image boundary.
+    mass equal to its width; the trace measure pushes forward to it too),
+    "f_indicator" pushes 1_F dx (plain Lebesgue on the image, no atoms).
+    All-G tails add an infinite atom at the corresponding image boundary.
     """
     if source not in PUSHFORWARD_SOURCES:
         raise PreconditionError(f"unknown pushforward source {source!r}")

@@ -903,7 +903,7 @@ def pushforward_per_gap(dm, source="lebesgue"):
     if not lo < hi:
         raise tf.PreconditionError("darning image is a single point: F has no mass in the window")
     atoms = []
-    if source in ("lebesgue", "trace"):
+    if source == "lebesgue":
         atoms = [(p, w) for _, p, w in collapsed_points(dm)]
         if dm.base.tail_left is Tail.ALL_G:
             atoms.insert(0, (lo, math.inf))

@@ -1,12 +1,13 @@
 """Every name a ``traceform`` module imports is used in that module, every
-private helper it defines is read somewhere in the package, and every helper
-of ``tests/helpers.py`` is read by the tests or the scripts.
+private helper it defines and every private member of its classes is read
+somewhere in the package, and every helper of ``tests/helpers.py`` is read by
+the tests or the scripts.
 
 These are the unused-import and dead-code checks of a linter, written on
-``ast`` so that they need nothing past the standard library: an import or a
-``_name`` helper that a change leaves behind fails here.  ``__init__.py`` is
-exempt from the import check, because its imports are its ``__all__``
-exports.
+``ast`` so that they need nothing past the standard library: an import, a
+``_name`` helper or a ``_name`` method or property that a change leaves
+behind fails here.  ``__init__.py`` is exempt from the import check, because
+its imports are its ``__all__`` exports.
 """
 
 import ast
@@ -88,6 +89,35 @@ def test_dead_helpers_are_named():
                     "class _C:\n    pass\ndef g(x):\n    return x._m()\ndef _m():\n    pass\n",
                "b": "from .a import _f\n_f()\n_L = _L2 = 3\n"}
     assert dead_helpers(sources) == ["a._C", "a._J", "b._L", "b._L2"]
+
+
+def dead_members(sources: dict[str, str]) -> list[str]:
+    """The ``_name`` methods, properties and cached properties of the classes
+    of the sources, dunder names left out, that no source reads as a name or
+    an attribute, sorted as "module.Class._name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = read_names(trees.values())
+    return sorted(f"{name}.{cls.name}.{f.name}" for name, tree in trees.items()
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for f in cls.body if isinstance(f, ast.FunctionDef)
+                  and f.name.startswith("_") and not f.name.startswith("__") and f.name not in read)
+
+
+def test_every_private_member_is_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_members(sources) == []
+
+
+def test_dead_members_are_named():
+    sources = {"a": "class A:\n    def _m(self):\n        return self._p\n"
+                    "    @property\n    def _p(self):\n        return 1\n"
+                    "    @cached_property\n    def _t(self):\n        return 2\n"
+                    "    @cached_property\n    def _u(self):\n        return 3\n"
+                    "    def __eq__(self, other):\n        return True\n"
+                    "    def f(self):\n        return self._m()\n"
+                    "    class _B:\n        def _n(self):\n            pass\n",
+               "b": "def g(a):\n    return a._t\n"}
+    assert dead_members(sources) == ["a.A._u", "a._B._n"]
 
 
 def test_every_test_helper_is_read():

@@ -26,6 +26,24 @@ from helpers import (
 seeds = st.integers(0, 10**6)
 
 
+def pushed_through(speed, dm):
+    """The image of ``speed`` under the darning map, one piece and one atom at
+    a time: each density piece maps end to end and joins the previous image
+    piece where the two meet with one density, and each atom goes to dm(p),
+    the masses of atoms that land together summed.  Built through the
+    validating constructor."""
+    pieces, atoms = [], {}
+    for lo, hi, c in speed.density_pieces:
+        a, b = dm(lo), dm(hi)
+        if pieces and pieces[-1][1:] == (a, c):
+            a = pieces.pop()[0]
+        pieces.append((a, b, c))
+    for p, m in speed.atoms:
+        y = dm(p)
+        atoms[y] = atoms.get(y, 0) + m
+    return tf.SpeedMeasure(map(dm, speed.carrier), pieces, sorted(atoms.items()))
+
+
 class TestHarmonicExtension:
     def test_single_gap_interpolation(self, one_gap):
         phi = tf.TraceFunction(one_gap, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -266,10 +284,25 @@ class TestTraceMeasure:
         assert sp.carrier == (0, 1)
         assert sp.density_pieces == ((0, Fr(3, 8), 1), (Fr(5, 8), 1, 1))
 
-    def test_pushforward_merges_to_m_j(self, svc1):
-        dm = tf.DarningMap(svc1, z=0)
-        assert tf.pushforward_speed(dm, "trace") == tf.pushforward_speed(dm, "lebesgue")
-        assert tf.pushforward_speed(dm, "trace").atoms == ((Fr(3, 8), Fr(1, 4)),)
+    @pytest.mark.parametrize("iset", [
+        *(tf.svc_complement(d, tails=(tl, tr)) for d in (0, 1, 3)
+          for tl in (Tail.ALL_F, Tail.ALL_G) for tr in (Tail.ALL_F, Tail.ALL_G)),
+        tf.periodic_fat_cantor(3, 2),
+    ], ids=lambda s: f"{len(s.components)} gaps {s.tail_left.value}-{s.tail_right.value}")
+    def test_pushforward_through_darning_is_darned_speed(self, iset):
+        # the trace is time-changed by the trace measure, the complement by
+        # the darned speed: the darning map carries the one onto the other
+        dm = tf.DarningMap(iset)
+        assert pushed_through(tf.trace_measure(iset), dm) == tf.pushforward_speed(dm)
+
+    @settings(max_examples=80, deadline=None)
+    @given(geometry_sets)
+    def test_pushforward_through_darning_on_geometry_sets(self, iset):
+        try:
+            dm = tf.DarningMap(iset)
+        except PreconditionError:
+            return  # F has no positive-length part in the window
+        assert pushed_through(tf.trace_measure(iset), dm) == tf.pushforward_speed(dm)
 
 
     @settings(max_examples=60, deadline=None)

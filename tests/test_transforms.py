@@ -366,6 +366,25 @@ class TestArrayPath:
         with pytest.raises(PreconditionError, match="NaN|finite"):
             f(query)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf])
+    @pytest.mark.parametrize("cls", [tf.ScaleFunction, tf.DarningMap])
+    @pytest.mark.parametrize("tails", [(Tail.ALL_G, Tail.ALL_G), (Tail.ALL_F, Tail.ALL_F),
+                                       (Tail.ALL_G, Tail.ALL_F), (Tail.ALL_F, Tail.ALL_G)],
+                             ids=["AllG", "AllF", "AllG-AllF", "AllF-AllG"])
+    def test_infinity_raises_on_every_tail(self, tails, cls, x):
+        """An infinite point past the window has no image on an all-G or all-F
+        tail either, as every scalar call says: the array path refuses it,
+        naming the tail it lies on, where it gave an end of the image or inf."""
+        f = cls(tf.svc_complement(1, tails=tails))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError) as err:
+                f(np.array([0.5, x]))
+            with pytest.raises(PreconditionError):
+                f(x)
+        tail = tails[0] if x < 0 else tails[1]
+        assert str(err.value) == f"point {x} must be finite on an {tail.value} tail"
+
 
 class TestPushforward:
     def test_lebesgue_source(self, svc1):
@@ -378,13 +397,10 @@ class TestPushforward:
         sp = tf.pushforward_speed(tf.DarningMap(svc1, z=0), "f_indicator")
         assert sp.atoms == ()
 
-    def test_trace_source_merges_endpoint_atoms(self, svc1):
-        sp = tf.pushforward_speed(tf.DarningMap(svc1, z=0), "trace")
-        assert sp.atoms == ((Fr(3, 8), Fr(1, 4)),)
-
     def test_unknown_source(self, svc1):
-        with pytest.raises(PreconditionError):
-            tf.pushforward_speed(tf.DarningMap(svc1, z=0), "counting")
+        for source in ("counting", "trace"):
+            with pytest.raises(PreconditionError, match="unknown pushforward source"):
+                tf.pushforward_speed(tf.DarningMap(svc1, z=0), source)
 
     def test_float_anchor_is_its_exact_value(self):
         # the last gap ends at w1, so its collapsed point is j(w1), the end of
