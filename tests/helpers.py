@@ -896,6 +896,24 @@ def darning_image_dict(dm):
     }
 
 
+def pushed_through(speed, dm):
+    """The image of ``speed`` under the darning map, one piece and one atom at
+    a time: each density piece maps end to end and joins the previous image
+    piece where the two meet with one density, and each atom goes to dm(p),
+    the masses of atoms that land together summed.  Built through the
+    validating constructor."""
+    pieces, atoms = [], {}
+    for lo, hi, c in speed.density_pieces:
+        a, b = dm(lo), dm(hi)
+        if pieces and pieces[-1][1:] == (a, c):
+            a = pieces.pop()[0]
+        pieces.append((a, b, c))
+    for p, m in speed.atoms:
+        y = dm(p)
+        atoms[y] = atoms.get(y, 0) + m
+    return tf.SpeedMeasure(map(dm, speed.carrier), pieces, sorted(atoms.items()))
+
+
 def pushforward_per_gap(dm, source="lebesgue"):
     """``pushforward_speed`` in its former form: an atom per collapsed point,
     through the validating constructor."""

@@ -14,6 +14,7 @@ from traceform.trace import jump_table_csv, trace_jump_energy, trace_local_energ
 
 from helpers import (
     geometry_sets,
+    pushed_through,
     quad_feller,
     random_iset,
     random_subspace_member,
@@ -24,24 +25,6 @@ from helpers import (
 )
 
 seeds = st.integers(0, 10**6)
-
-
-def pushed_through(speed, dm):
-    """The image of ``speed`` under the darning map, one piece and one atom at
-    a time: each density piece maps end to end and joins the previous image
-    piece where the two meet with one density, and each atom goes to dm(p),
-    the masses of atoms that land together summed.  Built through the
-    validating constructor."""
-    pieces, atoms = [], {}
-    for lo, hi, c in speed.density_pieces:
-        a, b = dm(lo), dm(hi)
-        if pieces and pieces[-1][1:] == (a, c):
-            a = pieces.pop()[0]
-        pieces.append((a, b, c))
-    for p, m in speed.atoms:
-        y = dm(p)
-        atoms[y] = atoms.get(y, 0) + m
-    return tf.SpeedMeasure(map(dm, speed.carrier), pieces, sorted(atoms.items()))
 
 
 class TestHarmonicExtension:
@@ -283,6 +266,13 @@ class TestTraceMeasure:
         sp = tf.trace_measure(svc1)
         assert sp.carrier == (0, 1)
         assert sp.density_pieces == ((0, Fr(3, 8), 1), (Fr(5, 8), 1, 1))
+
+    def test_pushforward_merges_to_m_j(self, svc1):
+        # the trace's two atoms at the gap's ends land on the collapsed point
+        dm = tf.DarningMap(svc1, z=0)
+        sp = pushed_through(tf.trace_measure(svc1), dm)
+        assert sp == tf.pushforward_speed(dm)
+        assert sp.atoms == ((Fr(3, 8), Fr(1, 4)),)
 
     @pytest.mark.parametrize("iset", [
         *(tf.svc_complement(d, tails=(tl, tr)) for d in (0, 1, 3)

@@ -15,7 +15,8 @@ from traceform import PreconditionError, Tail, ValidationError
 from traceform.simulate import build_chain
 
 from helpers import (OracleScale, OracleSet, _float_pair_set, darning_image_dict, geometry_sets,
-                     probe_points, random_iset, speed_mass, speed_measures, tent_integral_loop)
+                     probe_points, pushed_through, random_iset, speed_mass, speed_measures,
+                     tent_integral_loop)
 
 isets = st.integers(0, 10**6).map(lambda s: random_iset(np.random.default_rng(s)))
 window_fracs = st.fractions(min_value=0, max_value=1, max_denominator=96)
@@ -396,6 +397,11 @@ class TestPushforward:
     def test_f_indicator_source(self, svc1):
         sp = tf.pushforward_speed(tf.DarningMap(svc1, z=0), "f_indicator")
         assert sp.atoms == ()
+
+    def test_trace_source_merges_endpoint_atoms(self, svc1):
+        # the trace measure's atoms 1/8 at 3/8 and 5/8 merge into one of 1/4
+        sp = pushed_through(tf.trace_measure(svc1), tf.DarningMap(svc1, z=0))
+        assert sp.atoms == ((Fr(3, 8), Fr(1, 4)),)
 
     def test_unknown_source(self, svc1):
         for source in ("counting", "trace"):
