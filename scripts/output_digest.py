@@ -21,7 +21,7 @@ measure recorded is followed by the holding means and absorbing flags of a
 walk lines include two seeded ``simulate_xs`` paths on a ``/240`` set, with
 reflecting and with absorbing ends, ``walk_paths`` on the darned speed of an
 all-G set (infinite atoms) at every boundary pair, both holdings and a horizon
-inside the first hold, and the nodes and holding means of walk chains built
+inside the first hold, each path with its horizon, absorption and seed, and the nodes and holding means of walk chains built
 from the trace measures of fat-Cantor sets.  The exit lines give
 library-level hitting and Laplace estimates (alpha 0.5 and 2) on one gap
 and seed, at n = 50,000 and 100,000 and workers 1, 2 and None, with
@@ -103,7 +103,8 @@ def canon(obj):
     if isinstance(obj, tf.SpeedMeasure):
         return canon([obj.to_dict(), *obj._atom_arrays])
     if isinstance(obj, tf.PathSample):
-        return canon([obj.times, obj.states, obj.flags, obj.absorbed_at, obj.absorbed_time])
+        return canon([obj.times, obj.states, obj.flags, obj.absorbed_at, obj.absorbed_time,
+                      obj.horizon, obj.seed])
     if hasattr(obj, "to_dict"):
         return canon(obj.to_dict())
     return repr(obj)

@@ -26,7 +26,7 @@ from .transforms import Case, ScaleFunction, classify_case
 ORTHOGONALITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """u = u1 + u2 with u1 in the subspace and u2 in its complement."""
 

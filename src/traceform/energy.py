@@ -29,8 +29,11 @@ class EnergyReport:
     The rows are built from the cell arrays on first use."""
 
     form: str
-    value: float
+    value: float = field(init=False)
     cells: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)  # x0, x1, contribution
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _finite(f"{self.form} energy", float(self.cells[2].sum())))
 
     @cached_property
     def breakdown(self) -> tuple[tuple[float, float, float], ...]:  # (x0, x1, contribution)
@@ -60,10 +63,6 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
-def _report(form: str, x0: np.ndarray, x1: np.ndarray, contribs: np.ndarray) -> EnergyReport:
-    return EnergyReport(form, _finite(f"{form} energy", float(contribs.sum())), (x0, x1, contribs))
-
-
 def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
                mask: np.ndarray | None = None) -> EnergyReport:
     """Cell sum (1/2) sum u' v' L of two functions on one grid, keeping only
@@ -72,7 +71,7 @@ def _cell_form(form: str, ru: GridFunction, rv: GridFunction,
         contribs = 0.5 * ru.slopes * rv.slopes * ru.cell_lengths
     if mask is not None:
         contribs = np.where(mask, contribs, 0.0)
-    return _report(form, ru.grid[:-1], ru.grid[1:], contribs)
+    return EnergyReport(form, (ru.grid[:-1], ru.grid[1:], contribs))
 
 
 def _same_grid(u: GridFunction, v: GridFunction) -> bool:

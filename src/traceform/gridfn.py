@@ -23,7 +23,7 @@ from .transforms import DarningMap, _nearest
 SUBSPACE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Continuous piecewise-linear function given by nodes and values."""
 
@@ -64,14 +64,16 @@ class GridFunction:
     def cell_lengths(self) -> np.ndarray:
         return np.diff(self.grid)
 
+    @cached_property
+    def _slack(self) -> float:  # points this close to the span count as on it
+        return 1e-12 * max(1.0, abs(self.span[1] - self.span[0]))
+
     def __call__(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
         lo, hi = self.span
-        # points within float slack of the span count as boundary hits; NaN
-        # points pass, as they compare false (fmin and fmax skip them)
-        slack = 1e-12 * max(1.0, abs(hi - lo))
-        if xs.size and (np.fmin.reduce(xs, axis=None) < lo - slack
-                        or np.fmax.reduce(xs, axis=None) > hi + slack):
+        # NaN points pass, as they compare false (fmin and fmax skip them)
+        if xs.size and (np.fmin.reduce(xs, axis=None) < lo - self._slack
+                        or np.fmax.reduce(xs, axis=None) > hi + self._slack):
             raise PreconditionError(
                 f"evaluation point outside the span [{lo}, {hi}]"
             )
@@ -88,8 +90,7 @@ class GridFunction:
         extra = np.asarray(list(nodes), dtype=float)
         lo, hi = self.span
         if extra.size:
-            slack = 1e-12 * max(1.0, abs(hi - lo))
-            if extra.min() < lo - slack or extra.max() > hi + slack:
+            if extra.min() < lo - self._slack or extra.max() > hi + self._slack:
                 raise PreconditionError("refinement nodes must stay inside the span")
             extra = np.clip(extra, lo, hi)
         grid = np.union1d(self.grid, extra)

@@ -46,7 +46,7 @@ import io
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -209,6 +209,12 @@ def _queries(x) -> np.ndarray:
     return xs
 
 
+def _infinite(what: str, x: float, tail: Tail) -> PreconditionError:
+    """Refusal of an infinite x past the window on ``tail``, on every path."""
+    on = "a Periodic" if tail is Tail.PERIODIC else f"an {tail.value}"
+    return PreconditionError(f"{what} {x} must be finite on {on} tail")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -225,8 +231,11 @@ class ValidationReport:
     """Outcome of ``IntervalSet.validate``.  Carries failures, never raises."""
 
     delta: Real
-    measure_dense: bool
+    measure_dense: bool = field(init=False)  # dense exactly when nothing violates
     violations: tuple[tuple[Real, Real], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "measure_dense", not self.violations)
 
     @property
     def ok(self) -> bool:
@@ -615,7 +624,7 @@ class IntervalSet:
             if tail is not Tail.PERIODIC:
                 return tail is Tail.ALL_G
             if not q:
-                raise PreconditionError(f"point {x} must be finite on a Periodic tail")
+                raise _infinite("point", x, tail)
             # fold x exactly into [w0, w0 + period); both seam points lie in F
             y = w0n * q + (p * self.den - w0n * q) % ((w1n - w0n) * q)
             f, r = divmod(y, q)
@@ -740,6 +749,8 @@ class IntervalSet:
         """The mass of ``which`` from a placed anchor to x, negative left of
         the anchor: the scale function for G, the darning map for F."""
         at = self._ends.place(x)
+        if not at[4]:  # an infinite x lies past the window, on the tail to its side
+            raise _infinite("point", at[0], self.tail_left if at[0] < 0 else self.tail_right)
         if at[3] * anchor[4] < anchor[3] * at[4]:  # x < anchor
             return _number(_neg(self._mass(at, anchor, which)))
         return _number(self._mass(anchor, at, which))
@@ -782,12 +793,7 @@ class IntervalSet:
         return not bad, bad
 
     def validate(self, delta: Real) -> ValidationReport:
-        dense, violations = self.delta_dense(delta)
-        return ValidationReport(
-            delta=delta,
-            measure_dense=dense,
-            violations=violations,
-        )
+        return ValidationReport(delta, self.delta_dense(delta)[1])
 
     # -- serialization ---------------------------------------------------
 

@@ -26,7 +26,7 @@ import numbers
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,22 +48,22 @@ DEFAULT_GAP_FRACTION = 50  # sqrt(dt) <= gap / 50
 BM_MAX_STEPS = 1 << 24  # steps per Brownian path: its arrays stay within about 400 MiB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSample:
     """Recorded trajectory: arrival times, states, and per-sample flags.
 
     Flags: 0 regular point, 1 collapsed F-component (state is its midpoint),
-    2 absorbed (this and later samples sit at the absorption point).  The last
-    sample always closes the path at t = horizon.
+    2 absorbed (this and later samples sit at the absorption point).  The
+    horizon is the last sample time; the absorption is the first sample flagged 2.
     """
 
     times: np.ndarray
     states: np.ndarray
     flags: np.ndarray
     seed: int
-    horizon: float
-    absorbed_at: float | None = None
-    absorbed_time: float | None = None
+    horizon: float = field(init=False)
+    absorbed_at: float | None = field(init=False)
+    absorbed_time: float | None = field(init=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -83,6 +83,10 @@ class PathSample:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "flags", flags.astype(np.int8, copy=False))
+        object.__setattr__(self, "horizon", float(times[-1]))
+        hit = np.flatnonzero(flags == 2)
+        object.__setattr__(self, "absorbed_at", float(states[hit[0]]) if hit.size else None)
+        object.__setattr__(self, "absorbed_time", float(times[hit[0]]) if hit.size else None)
 
     def to_csv(self) -> str:
         return _csv_text("t,x,flag", zip(self.times.tolist(), self.states.tolist(),
@@ -91,16 +95,7 @@ class PathSample:
     @classmethod
     def from_csv(cls, text: str, seed: int = 0) -> "PathSample":
         """A path from the CSV text ``to_csv`` writes; every state must be finite."""
-        columns = _csv_columns(text, "path", "t,x,flag", (float, float, int))
-        times, states, flags = map(np.asarray, columns)
-        absorbed_at = absorbed_time = None
-        hit = np.nonzero(flags == 2)[0]
-        if hit.size:
-            absorbed_at = float(states[hit[0]])
-            absorbed_time = float(times[hit[0]])
-        path = cls(times, states, flags, seed=seed,
-                   horizon=float(times[-1]) if times.size else 0.0,
-                   absorbed_at=absorbed_at, absorbed_time=absorbed_time)
+        path = cls(*_csv_columns(text, "path", "t,x,flag", (float, float, int)), seed=seed)
         if not np.isfinite(path.states).all():
             raise ValidationError("path states must be finite")
         return path
@@ -173,8 +168,7 @@ def bm_paths(n: int, dt: float, horizon: float, x0: float, seed: int) -> Iterato
         incs = scale * rng.standard_normal(steps)
         times = dt * np.arange(steps + 1)
         states = np.concatenate([[x0], x0 + np.cumsum(incs)])
-        yield PathSample(times, states, np.zeros(steps + 1, dtype=np.int8),
-                         seed=seed ^ i, horizon=horizon)
+        yield PathSample(times, states, np.zeros(steps + 1, dtype=np.int8), seed=seed ^ i)
 
 
 def _exit_chunk(a: float, b: float, x0: float, dt: float, rng, shift: float,
@@ -347,7 +341,7 @@ def _check_alpha(alpha: float) -> None:
         raise PreconditionError(f"alpha must be nonnegative and finite, got {alpha}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExitSample:
     """Exit side (``left``) and exit time (``tau``) of each path from the gap (a, b)."""
 
@@ -422,17 +416,20 @@ def estimate_laplace(iset: IntervalSet, x0: float, alpha: float, n: int, seed: i
 # -- speed-measure walks ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkChain:
     """Embedded chain of the h-grid walk: node coordinates, mean holds per
     visit, and which nodes absorb."""
 
-    lo: float
+    lo: float = field(init=False)  # the first node
     h: float
     nodes: np.ndarray
     holds: np.ndarray
     absorbing: np.ndarray
     atom_nodes: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", float(self.nodes[0]))
 
 
 def build_chain(speed: SpeedMeasure, h: float,
@@ -486,7 +483,7 @@ def build_chain(speed: SpeedMeasure, h: float,
             absorbing[end] = True
         elif not absorbing[end]:
             holds[end] *= 2
-    return WalkChain(lo=lo, h=h, nodes=nodes, holds=holds, absorbing=absorbing,
+    return WalkChain(h=h, nodes=nodes, holds=holds, absorbing=absorbing,
                      atom_nodes=tuple(sorted(snapped.tolist())))
 
 
@@ -570,11 +567,11 @@ def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int, holding:
     flagged 2."""
     times: list[np.ndarray] = []
     visits: list[np.ndarray] = []
-    absorbed_at = absorbed_time = None
+    absorbed_time = None
     for pos, arr, dwell in _visit_blocks(chain, x0, horizon, seed, holding):
         keep = dwell > 0
         if chain.absorbing[pos[-1]]:  # only the last block ends at an absorbing node
-            absorbed_at, absorbed_time = float(states[pos[-1]]), float(arr[-1])
+            absorbed_time = arr[-1]
             keep[-1] = True
         times.append(arr[keep])
         visits.append(pos[keep])
@@ -587,8 +584,7 @@ def _walk_chain(chain: WalkChain, x0: float, horizon: float, seed: int, holding:
     path_flags = flags[idx]
     if absorbed_time is not None:
         path_flags[t_all >= absorbed_time] = 2
-    return PathSample(t_all, states[idx], path_flags, seed=seed, horizon=horizon,
-                      absorbed_at=absorbed_at, absorbed_time=absorbed_time)
+    return PathSample(t_all, states[idx], path_flags, seed=seed)
 
 
 def simulate_xs(sf: ScaleFunction, h: float, x0: float, horizon: float, seed: int,

@@ -22,14 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy import EnergyReport, _cell_form, _report, common_grid
+from .energy import EnergyReport, _cell_form, common_grid
 from .errors import PreconditionError, ValidationError
 from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, _refuse_gap, require_adapted
-from .intervals import IntervalSet, Tail, _csv_text, _encode, _Table
+from .intervals import IntervalSet, Tail, _csv_text, _Table
 from .transforms import SpeedMeasure, _gap_atoms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceFunction:
     """Values on F inside the window: sorted nodes, all lying in F, containing
     every component endpoint and both window edges."""
@@ -167,8 +167,8 @@ def _jump_form(phi: TraceFunction) -> EnergyReport:
     # squares as x * x, one correctly rounded product, so saved jump breakdowns
     # depend on the inputs alone and not on the platform's pow
     jumps = gap_jumps(phi)
-    return _report("trace_subspace", *phi.iset.float_ends,
-                   0.5 * (jumps * jumps) / phi.iset.gap_widths)
+    return EnergyReport("trace_subspace", (*phi.iset.float_ends,
+                                           0.5 * (jumps * jumps) / phi.iset.gap_widths))
 
 
 def trace_jump_energy(phi: TraceFunction) -> float:
@@ -227,12 +227,9 @@ def trace_measure(iset: IntervalSet) -> SpeedMeasure:
 def trace_measure_dict(iset: IntervalSet) -> dict:
     """For JSON: the trace measure as its density, the indicator of F, its
     F-components and its atoms."""
-    speed = trace_measure(iset)
-    return {
-        "density": "indicator_F",
-        "f_components": [[_encode(a), _encode(b)] for a, b, _ in speed.density_pieces],
-        "atoms": [[_encode(p), _encode(m)] for p, m in speed.atoms],
-    }
+    d = trace_measure(iset).to_dict()
+    return {"density": "indicator_F", "f_components": [p[:2] for p in d["density_pieces"]],
+            "atoms": d["atoms"]}
 
 
 def jump_table(iset: IntervalSet) -> list[tuple[float, float, float, float]]:

@@ -21,8 +21,8 @@ from operator import sub
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import (IntervalSet, Real, Tail, _combine, _decode, _encode, _number, _queries,
-                        _read_only)
+from .intervals import (IntervalSet, Real, Tail, _combine, _decode, _encode, _infinite, _number,
+                        _queries, _read_only)
 
 
 class Case(Enum):
@@ -75,8 +75,7 @@ def _check_finite(xs: np.ndarray, what: str, tail: Tail) -> None:
     """Refuse the first infinite entry of points or values past the window on ``tail``."""
     far = xs[np.isinf(xs)]
     if far.size:
-        on = "a Periodic" if tail is Tail.PERIODIC else f"an {tail.value}"
-        raise PreconditionError(f"{what} {far[0]} must be finite on {on} tail")
+        raise _infinite(what, far[0], tail)
 
 
 def _exact(anchor: Real, name: str) -> Real:
@@ -231,7 +230,7 @@ class ScaleFunction:
             side = "below" if below else "above"
             raise PreconditionError(f"value {y} is {side} the range of the scale function")
         if not math.isfinite(y):
-            raise PreconditionError(f"value {y} must be finite on a Periodic tail")
+            raise _infinite("value", y, tail)
         per_mass, p = iset.g_mass_window, iset.period
         if below:
             k = math.ceil((s0 - y) / per_mass)

@@ -422,6 +422,15 @@ def _refuse_nan(x):
         raise tf.PreconditionError("query values must not be NaN")
 
 
+def _refuse_infinite_point(oset, x):
+    """A scalar map's refusal of an infinite point, which lies past the
+    window on the tail to its side: the message of the array paths."""
+    if x in (math.inf, -math.inf):
+        tail = oset.tail_left if x < 0 else oset.tail_right
+        on = "a Periodic" if tail is Tail.PERIODIC else f"an {tail.value}"
+        raise tf.PreconditionError(f"point {x} must be finite on {on} tail")
+
+
 class OracleSet:
     """The scalar geometry of an ``IntervalSet`` computed as Python computes
     it on the set's endpoint objects (``window`` and ``components``, exact
@@ -560,6 +569,7 @@ class OracleScale:
                               for k, (lo, hi) in zip(oset.f_ranks, oset.f_components))
 
     def __call__(self, x):
+        _refuse_infinite_point(self.o, x)
         if x >= self.anchor:
             return self.o.lebesgue(self.anchor, x, "G")
         return -self.o.lebesgue(x, self.anchor, "G")
@@ -647,6 +657,7 @@ class OracleDarning:
             self.spans.append((j_lo, j_lo + (hi - lo), lo, hi))
 
     def __call__(self, x):
+        _refuse_infinite_point(self.o, x)
         if x >= self.z:
             return self.o.lebesgue(self.z, x, "F")
         return -self.o.lebesgue(x, self.z, "F")
@@ -1227,8 +1238,10 @@ def former_walk_chain(chain, x0, horizon, seed, holding):
     flags = np.zeros(t_all.size, dtype=np.int8)
     if absorbed_time is not None:
         flags[t_all >= absorbed_time] = 2
-    return tf.PathSample(t_all, x_all, flags, seed=seed, horizon=horizon,
-                         absorbed_at=absorbed_at, absorbed_time=absorbed_time)
+    path = tf.PathSample(t_all, x_all, flags, seed=seed)
+    assert (path.horizon, path.absorbed_at, path.absorbed_time) == \
+        (horizon, absorbed_at, absorbed_time)
+    return path
 
 
 def former_simulate_xs(sf, h, x0, horizon, seed, boundary=("reflect", "reflect"),
@@ -1251,8 +1264,10 @@ def former_simulate_xs(sf, h, x0, horizon, seed, boundary=("reflect", "reflect")
     absorbed_at = None
     if path.absorbed_at is not None:
         absorbed_at = float(xs[int(round((path.absorbed_at - chain.lo) / h))])
-    return tf.PathSample(path.times, xs[idx], mapped_flags, seed=seed, horizon=horizon,
-                         absorbed_at=absorbed_at, absorbed_time=path.absorbed_time)
+    mapped = tf.PathSample(path.times, xs[idx], mapped_flags, seed=seed)
+    assert (mapped.horizon, mapped.absorbed_at, mapped.absorbed_time) == \
+        (horizon, absorbed_at, path.absorbed_time)
+    return mapped
 
 
 def former_walk_occupation(speed, h, x0, horizon, seed, targets, boundary=("reflect", "reflect"),

@@ -546,7 +546,7 @@ class TestCsvText:
                     unique_by=lambda r: r[0]))
     def test_path(self, rows):
         times, states, flags = zip(*sorted(rows, key=lambda r: r[0]))
-        path = tf.PathSample(times, states, flags, seed=0, horizon=times[-1])
+        path = tf.PathSample(times, states, flags, seed=0)
         assert path.to_csv() == former_path_csv(path)
 
     def test_bm_paths(self):
@@ -694,7 +694,7 @@ class TestWalkEngine:
         for horizon in (0.0, 0.05):
             for i, path in enumerate(tf.bm_paths(2, 0.1, horizon, x0, seed=6)):
                 former = tf.PathSample(np.array([0.0]), np.array([float(x0)]),
-                                       np.zeros(1, dtype=np.int8), seed=6 ^ i, horizon=horizon)
+                                       np.zeros(1, dtype=np.int8), seed=6 ^ i)
                 assert _path_bits(path) == _path_bits(former)
 
 

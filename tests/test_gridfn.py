@@ -73,6 +73,36 @@ class TestGridFunction:
             assert float(p) in grid.tolist()
         assert 0.9 in grid.tolist()
 
+    def test_span_slack_is_computed_once(self):
+        # points within 1e-12 of the span's length (at least 1) count as on it
+        u = tf.GridFunction(np.array([-3.0, 0.5, 7.0]), np.array([1.0, 0.0, 2.0]))
+        assert "_slack" not in u.__dict__
+        assert u(7.0 + 1e-11) == 2.0 and u.refine([-3.0 - 1e-11]).grid[0] == -3.0
+        assert u.__dict__["_slack"] == 1e-12 * 10.0
+        with pytest.raises(PreconditionError):
+            u(7.0 + 2e-11)
+
+
+def _array_values(iset):
+    """One of each value type that holds arrays, on ``iset``."""
+    u = tf.from_callable(np.sin, iset)
+    speed = tf.trace_measure(iset)
+    return [u, tf.restrict_to_f(u, iset), next(tf.bm_paths(1, 0.1, 1.0, 0.0, seed=1)),
+            tf.build_chain(speed, 1 / 64), tf.exit_sample(iset, 0.5, 10, seed=1),
+            tf.project_subspace(u, tf.ScaleFunction(iset))]
+
+
+def test_values_holding_arrays_compare_by_identity(svc1):
+    """``==`` and ``hash`` of a value holding arrays are those of the object:
+    comparing the arrays elementwise would give no single truth value."""
+    values = _array_values(svc1)
+    assert [type(v).__name__ for v in values] == ["GridFunction", "TraceFunction", "PathSample",
+                                                  "WalkChain", "ExitSample", "Decomposition"]
+    for a, b in zip(values, _array_values(svc1)):
+        assert (a == a) is True and (a == b) is False and (a != b) is True
+        assert isinstance(hash(a), int) and hash(a) == hash(a)
+        assert a in {a} and b not in {a}
+
 
 class TestAdaptation:
     """``is_adapted`` and the missing-node check against their former

@@ -708,6 +708,42 @@ class TestPathCsv:
         assert back.horizon == p.horizon
         assert back.absorbed_at == p.absorbed_at
 
+    def test_bm_path_horizon_is_its_last_grid_time(self):
+        # dt = 0.3 does not divide 1.0: the last step lands at 0.9, short of it
+        path = next(bm_paths(1, 0.3, 1.0, 0.0, 5))
+        assert path.horizon == path.times[-1] < 1.0
+
+    def test_occupation_of_a_bm_path_and_its_csv_agree(self):
+        # a horizon the samples do not reach would leave the last batch empty
+        path = next(bm_paths(1, 0.3, 1.0, 0.0, 5))
+        back = tf.PathSample.from_csv(path.to_csv(), seed=path.seed)
+        got = occupation_fractions(path, [(-10, 10)], batches=3)
+        assert got == occupation_fractions(back, [(-10, 10)], batches=3)
+        assert [r.estimate for r in got] == [1.0]
+
+    @pytest.mark.parametrize("absorbed", [False, True], ids=["unabsorbed", "absorbed"])
+    def test_derived_fields_survive_round_trip(self, svc1, svc1_allg, absorbed):
+        """A path and its CSV round trip agree in every field, the seed given:
+        the horizon is the last sample time, the absorption the first sample
+        flagged 2."""
+        if absorbed:
+            speed = tf.pushforward_speed(tf.DarningMap(svc1_allg), "lebesgue")
+            paths = [walk_paths(speed, 3 / 128, 0.1875, 500.0, seed=2),
+                     walk_paths(speed, 3 / 128, 0.0, 50.0, seed=3, boundary=("absorb", "reflect"))]
+        else:
+            paths = [simulate_xs(tf.ScaleFunction(svc1, anchor=0), h=1 / 32, x0=0.1,
+                                 horizon=20.0, seed=4),
+                     walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 30.0, seed=5)]
+        for p in paths:
+            back = tf.PathSample.from_csv(p.to_csv(), seed=p.seed)
+            fields = ("horizon", "absorbed_at", "absorbed_time", "seed")
+            assert [getattr(back, f) for f in fields] == [getattr(p, f) for f in fields]
+            assert p.horizon == p.times[-1] and (p.absorbed_at is not None) == absorbed
+            if absorbed:
+                first = int(np.argmax(p.flags == 2))
+                assert (p.absorbed_at, p.absorbed_time) == (p.states[first], p.times[first])
+                assert p.absorbed_time < p.horizon
+
     def test_absorption_survives_round_trip(self, svc1_allg):
         speed = tf.pushforward_speed(tf.DarningMap(svc1_allg), "lebesgue")
         p = walk_paths(speed, 3 / 128, 0.1875, 500.0, seed=2)
@@ -736,7 +772,7 @@ class TestPathCsv:
     ], ids=["flag 7", "flag 0.5", "one nan time", "nan time"])
     def test_constructor_refuses_flags_and_times(self, times, flags, message):
         with pytest.raises(tf.ValidationError) as err:
-            tf.PathSample(times, [0.0] * len(times), flags, seed=0, horizon=1.0)
+            tf.PathSample(times, [0.0] * len(times), flags, seed=0)
         assert str(err.value) == message
 
 

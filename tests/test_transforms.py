@@ -386,6 +386,28 @@ class TestArrayPath:
         tail = tails[0] if x < 0 else tails[1]
         assert str(err.value) == f"point {x} must be finite on an {tail.value} tail"
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, np.float64(math.inf)],
+                             ids=["inf", "-inf", "numpy inf"])
+    @pytest.mark.parametrize("cls", [tf.ScaleFunction, tf.DarningMap])
+    @pytest.mark.parametrize("iset", [
+        tf.svc_complement(1), tf.svc_complement(1, tails=(Tail.ALL_G, Tail.ALL_G)),
+        tf.svc_complement(1, tails=(Tail.ALL_F, Tail.ALL_G)), tf.periodic_fat_cantor(1, 2)],
+        ids=["AllF", "AllG", "AllF-AllG", "Periodic"])
+    def test_scalar_infinity_names_the_tail(self, iset, cls, x):
+        """A scalar call refuses an infinite point with the array path's
+        message, naming the tail it lies on; ``lebesgue`` keeps its own."""
+        f = cls(iset)
+        with pytest.raises(PreconditionError) as scalar:
+            f(x)
+        with pytest.raises(PreconditionError) as array:
+            f(np.array([x]))
+        assert str(scalar.value) == str(array.value)
+        tail = iset.tail_left if x < 0 else iset.tail_right
+        on = "a Periodic" if tail is Tail.PERIODIC else f"an {tail.value}"
+        assert str(scalar.value) == f"point {float(x)} must be finite on {on} tail"
+        with pytest.raises(PreconditionError, match="^lebesgue query endpoints must be finite$"):
+            iset.lebesgue(0, x) if x > 0 else iset.lebesgue(x, 0)
+
 
 class TestPushforward:
     def test_lebesgue_source(self, svc1):
