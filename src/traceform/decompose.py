@@ -28,7 +28,7 @@ ORTHOGONALITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """u = u1 + u2 with u1 in the subspace and u2 in its complement."""
+    """u = u1 + u2 with u1 in the subspace and u2 in its complement; ``==`` is identity."""
 
     u1: GridFunction
     u2: GridFunction

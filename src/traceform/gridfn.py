@@ -25,7 +25,7 @@ SUBSPACE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Continuous piecewise-linear function given by nodes and values."""
+    """Continuous piecewise-linear function given by nodes and values; ``==`` is identity."""
 
     grid: np.ndarray
     values: np.ndarray

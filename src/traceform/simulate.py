@@ -55,7 +55,7 @@ class PathSample:
     Flags: 0 regular point, 1 collapsed F-component (state is its midpoint),
     2 absorbed (this and later samples sit at the absorption point).  The
     horizon is the last sample time; the absorption is the first sample flagged 2.
-    """
+    ``==`` is identity: compare two paths through their arrays or ``to_csv``."""
 
     times: np.ndarray
     states: np.ndarray
@@ -343,7 +343,8 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ExitSample:
-    """Exit side (``left``) and exit time (``tau``) of each path from the gap (a, b)."""
+    """Exit side (``left``) and exit time (``tau``) of each path from the gap (a, b).
+    ``==`` is identity: compare two samples through their arrays."""
 
     a: float
     b: float
@@ -419,7 +420,7 @@ def estimate_laplace(iset: IntervalSet, x0: float, alpha: float, n: int, seed: i
 @dataclass(frozen=True, eq=False)
 class WalkChain:
     """Embedded chain of the h-grid walk: node coordinates, mean holds per
-    visit, and which nodes absorb."""
+    visit, and which nodes absorb.  ``==`` is identity."""
 
     lo: float = field(init=False)  # the first node
     h: float

@@ -32,7 +32,7 @@ from .transforms import SpeedMeasure, _gap_atoms
 @dataclass(frozen=True, eq=False)
 class TraceFunction:
     """Values on F inside the window: sorted nodes, all lying in F, containing
-    every component endpoint and both window edges."""
+    every component endpoint and both window edges.  ``==`` is identity."""
 
     iset: IntervalSet
     nodes: np.ndarray

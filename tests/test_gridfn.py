@@ -73,14 +73,15 @@ class TestGridFunction:
             assert float(p) in grid.tolist()
         assert 0.9 in grid.tolist()
 
-    def test_span_slack_is_computed_once(self):
-        # points within 1e-12 of the span's length (at least 1) count as on it
+    def test_span_slack_scales_with_the_span(self):
+        # points within 1e-12 of the span's length (at least 1) count as on it,
+        # both when evaluated and when refined onto
         u = tf.GridFunction(np.array([-3.0, 0.5, 7.0]), np.array([1.0, 0.0, 2.0]))
-        assert "_slack" not in u.__dict__
         assert u(7.0 + 1e-11) == 2.0 and u.refine([-3.0 - 1e-11]).grid[0] == -3.0
-        assert u.__dict__["_slack"] == 1e-12 * 10.0
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="outside the span"):
             u(7.0 + 2e-11)
+        with pytest.raises(PreconditionError, match="inside the span"):
+            u.refine([-3.0 - 2e-11])
 
 
 def _array_values(iset):
