@@ -30,8 +30,9 @@ estimate and stderr by ``repr``; each (n, workers) draws one
 lines cover every leaf command, the ones the ``cli`` workload skips
 included, and the ``format_help()`` text of every
 parser at a fixed width of 100 columns.
-traceform itself is whatever ``PYTHONPATH`` selects, so one copy of this
-script drives both checkouts.
+The script digests the traceform of its own checkout: it puts that
+checkout's ``src/`` first on ``sys.path`` and exits 1 if traceform is still
+imported from anywhere else, so each checkout runs its own copy.
 Each line is JSON: floats are written in hex, arrays as dtype, shape and raw
 bytes, and a raised error as its type and message.  CLI artifacts are
 written under one fixed temporary directory, because the manifests hash
@@ -42,8 +43,8 @@ started while one is going exits at once with status 1; run the digests of
 two checkouts one after the other.
 
 Usage:
-    PYTHONPATH=src python3 scripts/output_digest.py --out new.txt
-    PYTHONPATH=../parent/src python3 scripts/output_digest.py --out parent.txt
+    python3 scripts/output_digest.py --out new.txt
+    python3 ../parent/scripts/output_digest.py --out parent.txt
     diff parent.txt new.txt
 """
 
@@ -61,7 +62,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "perfbench"), str(ROOT / "perfbench" / "workloads")]
+sys.path[:0] = [str(ROOT / part) for part in ("src", "tests", "perfbench", "perfbench/workloads")]
 
 import numpy as np  # noqa: E402
 
@@ -71,6 +72,9 @@ from traceform.cli import build_parser, main as cli_main  # noqa: E402
 from traceform.simulate import (  # noqa: E402
     occupation_fractions, simulate_xs, walk_occupation, walk_paths)
 from traceform.trace import trace_jump_energy, trace_local_energy, trace_measure_dict  # noqa: E402
+
+if not Path(tf.__file__).resolve().is_relative_to(ROOT / "src"):
+    sys.exit(f"output_digest: traceform came from {tf.__file__}, not {ROOT / 'src'}")
 
 SEEDS = 60
 WORK = Path(tempfile.gettempdir()) / "traceform-output-digest"

@@ -94,59 +94,63 @@ def _emit(args, command: str, files: dict[str, str], lines) -> None:
 
 def _fraction(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        # a decimal whose float overflows is past the float range; it is refused
+        # before its Fraction, which takes seconds to build past about 1e10000000
+        past = math.isinf(float(text)) and "inf" not in text.lower()
+    except ValueError:  # a ratio 'p/q', or no number at all
+        past = False
+    try:
+        value = None if past else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {text!r} as a rational number") from exc
-    if abs(value) > sys.float_info.max:
+    if past or abs(value) > sys.float_info.max:
         raise ValidationError(f"{text!r} is past the float range")
     return value
 
 
-def _pair(text: str) -> tuple[Fraction, Fraction]:
+def _pair(text: str, read=_fraction, form: str = "a,b") -> tuple:
+    """The two comma-separated values of a flag, each read by ``read``."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValidationError(f"expected 'a,b', got {text!r}")
-    return _fraction(parts[0]), _fraction(parts[1])
+        raise ValidationError(f"expected {form!r}, got {text!r}")
+    try:
+        return read(parts[0]), read(parts[1])
+    except ValueError as exc:  # a name that is not a Tail
+        raise ValidationError(str(exc)) from exc
 
 
 def _load_set(args, optional: bool = False) -> IntervalSet | None:
-    """The set named by exactly one of --set, --svc-depth and --components;
-    with ``optional``, None when none of them is given."""
-    sources = [flag for flag, given in (("--set", bool(args.set)),
-                                        ("--svc-depth", args.svc_depth is not None),
-                                        ("--components", bool(args.components))) if given]
-    if len(sources) > 1 or not (sources or optional):
-        raise ValidationError("specify the set by exactly one of --set, --svc-depth, --components")
+    """The set named by exactly one of the set sources the command reads
+    (--set, --svc-depth, --components, and --gap where it has one); with
+    ``optional``, None when none of them is given."""
+    sources = {f"--{name.replace('_', '-')}": getattr(args, name)
+               for name in ("set", "svc_depth", "components", "gap") if hasattr(args, name)}
+    given = [flag for flag, value in sources.items() if value not in (None, "")]
+    if len(given) > 1 or not (given or optional):
+        raise ValidationError(f"specify the set by exactly one of {', '.join(sources)}")
     # each set flag is read only with the sources its help text names
-    source = sources[0] if sources else None
+    source = given[0] if given else None
     for name, readers in (("window", ("--components", "--svc-depth")),
                           ("tails", ("--components",)), ("period", ("--components",))):
         if getattr(args, name) and source not in readers:
             raise ValidationError(f"--{name} is read only with {' or '.join(readers)}")
-    if args.set:
+    if source == "--set":
         return IntervalSet.from_dict(_read(args.set, as_json=True))
-    if args.svc_depth is not None:
+    if source == "--svc-depth":
         window = _pair(args.window) if args.window else (Fraction(0), Fraction(1))
         return svc_complement(args.svc_depth, window=window)
-    if not args.components:
+    if source == "--gap":  # a single open gap as the whole set
+        a, b = _pair(args.gap)
+        return build_interval_set(components=((a, b),), window=(a, b),
+                                  tails=(Tail.ALL_F, Tail.ALL_F))
+    if source is None:
         return None
-    comps = []
-    for chunk in args.components.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            comps.append(_pair(chunk))
+    comps = [_pair(chunk.strip()) for chunk in args.components.split(";") if chunk.strip()]
     if not args.window:
         raise ValidationError("--components requires --window")
     window = _pair(args.window)
-    tails = (Tail.ALL_F, Tail.ALL_F)
-    if args.tails:
-        names = args.tails.split(",")
-        if len(names) != 2:
-            raise ValidationError(f"expected '--tails LEFT,RIGHT', got {args.tails!r}")
-        try:
-            tails = (Tail(names[0].strip()), Tail(names[1].strip()))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+    tails = (_pair(args.tails, lambda name: Tail(name.strip()), "--tails LEFT,RIGHT")
+             if args.tails else (Tail.ALL_F, Tail.ALL_F))
     period = _fraction(args.period) if args.period else None
     return build_interval_set(components=tuple(comps), window=window, tails=tails, period=period)
 
@@ -168,36 +172,12 @@ def _darn_of(args, iset: IntervalSet) -> DarningMap:
     return DarningMap(iset, z=_fraction(args.anchor) if args.anchor else None)
 
 
-def _boundary(args) -> tuple[str, str]:
-    text = args.boundary or "reflect,reflect"
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValidationError(f"expected '--boundary LEFT,RIGHT', got {text!r}")
-    return parts[0], parts[1]
-
-
 def _targets(args) -> list:
-    out = []
-    for text in args.target:
-        if "," in text:
-            lo, hi = text.split(",", 1)
-            out.append((float(_fraction(lo)), float(_fraction(hi))))
-        else:
-            out.append(float(_fraction(text)))
+    out = [tuple(float(v) for v in _pair(text)) if "," in text else float(_fraction(text))
+           for text in args.target]
     if not out:
         raise ValidationError("at least one --target is required")
     return out
-
-
-def _gap_or_set(args) -> IntervalSet:
-    if args.gap:
-        if any(getattr(args, k) is not None
-               for k in ("set", "svc_depth", "components", "window", "tails", "period")):
-            raise ValidationError("--gap is the whole set; give no other set flag with it")
-        a, b = _pair(args.gap)
-        return build_interval_set(components=((a, b),), window=(a, b),
-                                  tails=(Tail.ALL_F, Tail.ALL_F))
-    return _load_set(args)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -340,7 +320,8 @@ def cmd_simulate_bm(args):
 
 def _walk_file(args, walk, source, x0):
     path = walk(source, args.h, x0, args.horizon, args.seed,
-                boundary=_boundary(args), holding=args.holding)
+                boundary=_pair(args.boundary or "reflect,reflect", str.strip,
+                               "--boundary LEFT,RIGHT"), holding=args.holding)
     return {"path.csv": path.to_csv()}, ()
 
 
@@ -368,12 +349,12 @@ def _exit_summary(left, right):
 
 
 def cmd_estimate_hitting(args):
-    return _exit_summary(*estimate_hitting(_gap_or_set(args), args.x0, args.n, args.seed,
+    return _exit_summary(*estimate_hitting(_load_set(args), args.x0, args.n, args.seed,
                                            dt=args.dt, correct=args.correct, workers=args.workers))
 
 
 def cmd_estimate_laplace(args):
-    return _exit_summary(*estimate_laplace(_gap_or_set(args), args.x0, args.alpha, args.n,
+    return _exit_summary(*estimate_laplace(_load_set(args), args.x0, args.alpha, args.n,
                                            args.seed, dt=args.dt, correct=args.correct,
                                            workers=args.workers))
 

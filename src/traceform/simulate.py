@@ -333,7 +333,10 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
 
 
 def default_exit_dt(gap: float) -> float:
-    return (gap / DEFAULT_GAP_FRACTION) ** 2
+    try:
+        return (gap / DEFAULT_GAP_FRACTION) ** 2
+    except OverflowError:  # a gap wider than about 1e155, whose infinite dt is refused
+        return math.inf
 
 
 def _check_alpha(alpha: float) -> None:

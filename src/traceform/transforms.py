@@ -7,6 +7,7 @@ point of the image.  Pushforwards of Lebesgue measure under either map are
 piecewise-constant densities plus atoms, represented by ``SpeedMeasure``.
 Both read the map's tables, the exact atoms only when asked; the darning
 map's ``image()`` gives the same collapsed points as a dict for JSON.
+Every map and inverse refuses ±inf on both paths, the scalar and the array.
 """
 
 from __future__ import annotations
@@ -220,17 +221,17 @@ class ScaleFunction:
         w0, w1 = iset.window
         s0, s1 = self.window_image()
         tail = iset.tail_left if below else iset.tail_right
-        if tail is Tail.ALL_G:
-            x = w0 - (s0 - y) if below else w1 + (y - s1)
-            return x, x
-        if tail is Tail.ALL_F or iset.g_prefix[-1] == 0:
+        if tail is Tail.ALL_F or tail is Tail.PERIODIC and iset.g_prefix[-1] == 0:
             edge = s0 if below else s1
             if isinstance(y, float) and abs(y - float(edge)) <= self._slack:
                 return self.inverse(edge)  # rounded a hair past the image's edge
             side = "below" if below else "above"
             raise PreconditionError(f"value {y} is {side} the range of the scale function")
-        if not math.isfinite(y):
+        if y in (math.inf, -math.inf):
             raise _infinite("value", y, tail)
+        if tail is Tail.ALL_G:
+            x = w0 - (s0 - y) if below else w1 + (y - s1)
+            return x, x
         per_mass, p = iset.g_mass_window, iset.period
         if below:
             k = math.ceil((s0 - y) / per_mass)
@@ -287,8 +288,9 @@ class ScaleFunction:
                 far = ys[out][np.abs(ys[out] - s_edge) > self._slack]  # the rest clip onto it
                 if far.size:
                     raise PreconditionError(f"value {far[0]} is {side} the range of the scale function")
-            elif tail is Tail.PERIODIC:
-                _check_finite(ys[out], "value", tail)
+                continue
+            _check_finite(ys[out], "value", tail)
+            if tail is Tail.PERIODIC:
                 # whole periods back into the window's image, counted as the scalar
                 # path does; the subtraction rounds, so within 1e-12 of a whole
                 # number of periods, or of a plateau value that many out, is that value

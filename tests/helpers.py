@@ -588,6 +588,8 @@ class OracleScale:
         if not (below or y > e1 or seam1 and y == e1):
             return self._window_inverse(y)
         if (o.tail_left if below else o.tail_right) is Tail.ALL_G:
+            if not -math.inf < y < math.inf:
+                raise tf.PreconditionError(f"value {y} must be finite on an AllG tail")
             x = w0 + (y - s0) if below else w1 + (y - s1)
             return x, x
         if (o.tail_left if below else o.tail_right) is Tail.ALL_F or o.g_mass_window == 0:

@@ -7,13 +7,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import traceform as tf
-from traceform.cli import build_parser, main
+from traceform.cli import _json_text, build_parser, main
+from traceform.trace import trace_measure_dict
 
 from helpers import ZeroSteps
 
@@ -292,6 +297,77 @@ class TestErrorHandling:
         assert "missing.csv" in err
 
 
+FLAT_ON_F_CSV = "x,value\n0.0,0.0\n0.375,0.0\n0.625,1.0\n1.0,1.0\n"  # a subspace member
+ZERO_ON_F_CSV = "x,value\n0.0,0.0\n0.375,0.0\n0.5,1.0\n0.625,0.0\n1.0,0.0\n"
+
+
+class TestArtifactsMatchTheLibrary:
+    """Each artifact equals what the library itself gives on the same inputs."""
+
+    SVC1 = tf.svc_complement(1)
+
+    def grid(self, tmp_path, text, name="u.csv"):
+        (tmp_path / name).write_text(text)
+        return tmp_path / name, tf.GridFunction.from_csv(text, iset=self.SVC1)
+
+    def test_darn_function(self, tmp_path):
+        path, u = self.grid(tmp_path, MEMBER_CSV)
+        assert run("darn", "function", "--svc-depth", "1", "--u", path, "--out", tmp_path)[0] == 0
+        assert (tmp_path / "darned.csv").read_text() == tf.darn_function(
+            u, tf.DarningMap(self.SVC1)).to_csv()
+
+    @pytest.mark.parametrize("form, text, energy", [
+        ("subspace", FLAT_ON_F_CSV, tf.subspace_energy), ("part", ZERO_ON_F_CSV, tf.part_energy)])
+    def test_energy_forms(self, tmp_path, form, text, energy):
+        path, u = self.grid(tmp_path, text)
+        rc, out, _ = run("energy", form, "--svc-depth", "1", "--u", path, "--out", tmp_path)
+        report = energy(u, None, iset=self.SVC1)
+        assert rc == 0 and out.splitlines()[-1] == f"value={report.value!r}"
+        assert (tmp_path / "energy.json").read_text() == _json_text(report.to_dict())
+
+    @pytest.mark.parametrize("subspace", [False, True])
+    def test_energy_measure(self, tmp_path, subspace):
+        path, u = self.grid(tmp_path, MEMBER_CSV)
+        rc, _, _ = run("energy", "measure", "--svc-depth", "1", "--u", path, "--interval", "0,1/2",
+                       *["--subspace"] * subspace, "--out", tmp_path)
+        value = tf.energy_measure(u, (0.0, 0.5), iset=self.SVC1, subspace=subspace)
+        assert rc == 0 and json.loads((tmp_path / "energy_measure.json").read_text()) == {
+            "interval": ["0", "1/2"], "subspace": subspace, "value": value}
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_trace_subspace(self, tmp_path, complement):
+        text = MEMBER_CSV if complement else FLAT_ON_F_CSV
+        path, g = self.grid(tmp_path, text, "phi.csv")
+        flags = ["--complement", "--psi", path] if complement else []
+        rc, _, _ = run("trace", "subspace", "--svc-depth", "1", "--phi", path, *flags,
+                       "--out", tmp_path)
+        phi = tf.TraceFunction(self.SVC1, g.grid, g.values)
+        report = (tf.trace_complement_energy(phi, phi) if complement
+                  else tf.trace_subspace_energy(phi))
+        assert rc == 0
+        assert (tmp_path / "trace_energy.json").read_text() == _json_text(report.to_dict())
+
+    def test_trace_measure(self, tmp_path):
+        assert run("trace", "measure", "--svc-depth", "2", "--out", tmp_path)[0] == 0
+        assert (tmp_path / "trace_measure.json").read_text() == _json_text(
+            trace_measure_dict(tf.svc_complement(2)))
+
+    def test_simulate_xs(self, tmp_path):
+        rc, _, _ = run("simulate", "xs", "--svc-depth", "1", "--h", "0.015625", "--x0", "0.5",
+                       "--horizon", "5", "--seed", "4", "--boundary", "absorb,reflect",
+                       "--out", tmp_path)
+        path = tf.simulate_xs(tf.ScaleFunction(self.SVC1), 0.015625, 0.5, 5.0, 4,
+                              boundary=("absorb", "reflect"))
+        assert rc == 0 and (tmp_path / "path.csv").read_text() == path.to_csv()
+
+    def test_scale_eval_default_step(self, tmp_path):
+        assert run("scale", "eval", "--svc-depth", "1", "--out", tmp_path)[0] == 0
+        sf = tf.ScaleFunction(self.SVC1)
+        rows = (tmp_path / "scale.csv").read_text().splitlines()
+        assert rows == ["x,scale"] + [f"{k / 64!r},{float(sf(Fraction(k, 64)))!r}"
+                                      for k in range(65)]
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 WALK = ["simulate", "walk", "--speed", "{d}/speed.json", "--h", "0.0234375", "--x0", "0.1",
@@ -341,10 +417,14 @@ EDGE_INPUTS = {
     "feller alpha past float range": (["feller", "--d", "1", "--alpha-ladder", "1e400"], 2,
                                       False),
     "feller d past float range": (["feller", "--d", "1e400", "--alpha-ladder", "1"], 2, False),
+    "feller d 1e999999999": (["feller", "--d", "1e999999999", "--alpha-ladder", "1"], 2, True),
+    "feller d -1e999999999": (["feller", "--d=-1e999999999", "--alpha-ladder", "1"], 2, True),
     "scale point past float range": (["scale", "eval", "--svc-depth", "1", "--points", "1e400"],
                                      2, False),
     "hitting gap past float range": (["estimate", "hitting", "--gap=0,1e400", *HIT[4:]], 2,
                                      False),
+    "hitting gap too wide for its step": (["estimate", "hitting", "--gap=-1e200,1e200", *HIT[4:]],
+                                          3, False),
     "measure interval past float range": (["energy", "measure", "--u", "{d}/u.csv",
                                            "--interval", "0,1e400"], 2, False),
     "occupation target past float range": (["estimate", "occupation", "--path", "{d}/path.csv",
@@ -385,6 +465,36 @@ def test_edge_input_fails_on_one_line(case, tmp_path):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
+
+
+ONE_OF = "specify the set by exactly one of --set, --svc-depth, --components"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (HIT + ["--svc-depth", "1"], f"{ONE_OF}, --gap"),
+    (HIT[:2] + HIT[4:], f"{ONE_OF}, --gap"),
+    (HIT + ["--window", "0,1"], "--window is read only with --components or --svc-depth"),
+    (HIT + ["--tails", "AllF,AllF"], "--tails is read only with --components"),
+    (HIT + ["--period", "1"], "--period is read only with --components"),
+    (["set", "build"], ONE_OF),
+    (["estimate", "occupation", "--path", "{d}/path.csv", "--target", "0,1,2"],
+     "expected 'a,b', got '0,1,2'"),
+], ids=["gap and svc-depth", "no source", "gap and window", "gap and tails", "gap and period",
+        "no source without --gap", "three-value target"])
+def test_gap_is_one_of_the_set_sources(argv, message, tmp_path):
+    """--gap is decided with the other set sources, by the same rules; each
+    two-value flag is read as exactly two values."""
+    (tmp_path / "path.csv").write_text(next(tf.bm_paths(1, 0.1, 1.0, 0.0, seed=1)).to_csv())
+    rc, _, err = run(*[a.format(d=tmp_path) for a in argv], "--out", tmp_path / "out")
+    assert (rc, err) == (2, f"validation error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_source_is_not_given(tmp_path):
+    """A source given as empty text counts as not given, for --gap as for the others."""
+    rc, _, err = run(*HIT, "--set", "", "--out", tmp_path)
+    assert (rc, err) == (0, "")
+    assert json.loads((tmp_path / "estimate.json").read_text())["left"]["n"] == 10
 
 
 @pytest.mark.parametrize("rows", ["0,0.5,300\n1,0.5,0\n", "0,0.5,7\n1,0.5,0\n",
@@ -433,6 +543,55 @@ def test_infinity_as_text_is_exit_2(argv, text, message, tmp_path):
     rc, _, err = run(*argv, tmp_path / "in.json", "--out", tmp_path / "out")
     assert rc == 2 and err.startswith(f"validation error: {message}")
     assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+
+# the cheapest command that reads each flag of two comma-separated values; the
+# drawn texts go last, as --flag=TEXT, so that a leading "-" stays a value
+TWO_VALUE_FLAGS = {
+    "--window": ["set", "build", "--svc-depth", "1"],
+    "--components": ["set", "build", "--window", "0,1"],
+    "--tails": ["set", "build", "--components", "1/4,1/2", "--window", "0,1"],
+    "--gap": HIT[:2] + HIT[4:6] + ["--n", "1", "--seed", "1"],
+    "--interval": ["energy", "measure", "--u", "{d}/u.csv"],
+    "--target": ["estimate", "occupation", "--path", "{d}/path.csv", "--batches", "2"],
+    "--boundary": WALK + ["--horizon", "1"],
+}
+VALUES = st.one_of(
+    st.sampled_from(["", " ", "0", "1", "-1", "1/2", "3/8", " 5/8 ", "1/0", "1e400",
+                     "-1e999999999", "1e-5", "inf", "nan", "x", "AllF", "AllG", "Periodic",
+                     "reflect", "absorb", " absorb "]),
+    st.fractions(-4, 4, max_denominator=64).map(str),
+    st.text("0123456789./-+e_ ", max_size=8))
+PAIRS = st.tuples(VALUES, VALUES).map(",".join)
+FLAG_TEXTS = st.one_of(PAIRS, st.lists(PAIRS, max_size=3).map(";".join),
+                       st.lists(VALUES, max_size=3).map(",".join), st.text(max_size=8))
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    speed = tf.pushforward_speed(tf.DarningMap(tf.svc_complement(1), z=0), "lebesgue")
+    (d / "speed.json").write_text(json.dumps(speed.to_dict()))
+    (d / "u.csv").write_text(MEMBER_CSV)
+    (d / "path.csv").write_text(next(tf.bm_paths(1, 0.1, 1.0, 0.0, seed=1)).to_csv())
+    return d
+
+
+@pytest.mark.parametrize("flag", list(TWO_VALUE_FLAGS))
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(FLAG_TEXTS, min_size=1, max_size=2))
+def test_two_value_flags_fail_on_one_line(flag, texts, flag_inputs):
+    """Any text for a two-value flag runs, or exits 2 or 3 on one stderr line
+    and writes nothing."""
+    # --target is repeatable and may be left out; every other flag is given once
+    texts = texts[1:] if flag == "--target" else texts[:1]
+    argv = [a.format(d=flag_inputs) for a in TWO_VALUE_FLAGS[flag]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        rc, _, err = run(*argv, *(f"{flag}={text}" for text in texts), "--out", out)
+        assert rc in (0, 2, 3), err
+        assert len(err.splitlines()) == (rc != 0) and "Traceback" not in err
+        assert out.exists() == (rc == 0)
 
 
 SET_FLAGS = "--set --svc-depth --components --window --tails --period"

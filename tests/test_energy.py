@@ -1,6 +1,7 @@
 """Bilinear forms: Dirichlet, subspace, part, energy measures, contraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,3 +404,17 @@ class TestEnergyEdgeInputs:
                 continue
             value = out.value if isinstance(out, EnergyReport) else out
             assert type(value) is float and math.isfinite(value)
+
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "subspace measure without a set": (
+        lambda: tf.energy_measure(tf.GridFunction([0.0, 1.0], [0.0, 1.0]), (0, 1), subspace=True),
+        PreconditionError, "subspace energy measure needs the interval set"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 """Piecewise-linear calculus: derivatives, membership, darning of functions."""
 
+import re
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -296,3 +297,20 @@ class TestJointMembership:
         assert tf.is_in_subspace(u, svc1)
         assert tf.is_in_complement(u, sf)
         assert np.ptp(u.values) > 0.1
+
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "extra node outside the window": (lambda: tf.adapted_grid(tf.svc_complement(1), [2.0]),
+                                      PreconditionError, "extra nodes must lie inside the window"),
+    "undarned span mismatch": (
+        lambda: tf.undarn_function(tf.GridFunction([0.0, 1.0], [0.0, 1.0]),
+                                   tf.DarningMap(tf.svc_complement(1), z=0)),
+        PreconditionError, "does not match the darning image"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

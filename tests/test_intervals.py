@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction as Fr
 
@@ -349,3 +350,54 @@ class TestSerialization:
 
     def test_f_components_cached_consistent(self, svc2):
         assert svc2.f_components == tuple(window_f_components(svc2))
+
+
+SET_JSON = {"window": [0, 1], "components": [], "tail_left": "AllF", "tail_right": "AllF"}
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "window not a pair": (lambda: tf.IntervalSet((0, 1, 2)), ValidationError,
+                          "window must be a pair"),
+    "component not a pair": (lambda: tf.IntervalSet((0, 1), [(Fr(1, 2),)]), ValidationError,
+                             "is not a pair"),
+    "window reversed": (lambda: tf.IntervalSet((1, 0)), ValidationError,
+                        "window must satisfy w0 < w1"),
+    "tail not a Tail": (lambda: tf.IntervalSet((0, 1), [], "AllF"), ValidationError,
+                        "tail must be a Tail enum member"),
+    "period without Periodic": (lambda: tf.IntervalSet((0, 1), [], period=1), ValidationError,
+                                "period given but neither tail is Periodic"),
+    "component at the all-G left edge": (
+        lambda: tf.IntervalSet((0, 1), [(0, Fr(1, 2))], Tail.ALL_G), ValidationError,
+        "meets the all-G left tail"),
+    "component at the all-G right edge": (
+        lambda: tf.IntervalSet((0, 1), [(Fr(1, 2), 1)], Tail.ALL_F, Tail.ALL_G), ValidationError,
+        "meets the all-G right tail"),
+    "Periodic components at both edges": (
+        lambda: tf.IntervalSet((0, 1), [(0, Fr(1, 4)), (Fr(3, 4), 1)], Tail.PERIODIC,
+                               Tail.PERIODIC), ValidationError,
+        "components touching both window edges"),
+    "zero-length component": (lambda: tf.IntervalSet((0, 1), [(Fr(1, 2), Fr(1, 2))]),
+                              ValidationError, "has nonpositive length"),
+    "from_dict bool end": (lambda: tf.IntervalSet.from_dict({**SET_JSON, "window": [True, 2]}),
+                           ValidationError, "boolean is not a valid endpoint"),
+    "from_dict undecodable end": (
+        lambda: tf.IntervalSet.from_dict({**SET_JSON, "window": [[0], 1]}), ValidationError,
+        "cannot decode endpoint [0]"),
+    "from_dict missing key": (
+        lambda: tf.IntervalSet.from_dict({"window": [0, 1], "components": []}), ValidationError,
+        "malformed interval set description"),
+    "lebesgue of H": (lambda: tf.svc_complement(1).lebesgue(0, 1, which="H"),
+                      tf.PreconditionError, "which must be 'G' or 'F'"),
+    "delta 0": (lambda: tf.svc_complement(1).delta_dense(0), tf.PreconditionError,
+                "delta must be positive"),
+    "svc depth -1": (lambda: tf.svc_complement(-1), tf.PreconditionError,
+                     "depth must be a nonnegative integer"),
+    "svc window reversed": (lambda: tf.svc_complement(1, window=(1, 0)), tf.PreconditionError,
+                            "window must satisfy w0 < w1"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

@@ -54,6 +54,24 @@ def test_output_digest_runs_one_at_a_time(tmp_path):
     assert not out.exists() and not (tmp_path / "traceform-output-digest").exists()
 
 
+def test_output_digest_imports_its_own_checkout(tmp_path):
+    """The digest imports the traceform of its own checkout, whatever
+    ``PYTHONPATH`` holds: a package of that name there that raises on import
+    is never reached, and the run gets as far as the lock."""
+    fake = tmp_path / "elsewhere" / "traceform"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("raise ImportError('the traceform on PYTHONPATH')\n")
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=str(fake.parent))
+    with open(tmp_path / "traceform-output-digest.lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "scripts" / "output_digest.py"),
+             "--out", str(tmp_path / "digest.txt")],
+            env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "another run" in proc.stderr
+
+
 def test_bench_record_interleaves_two_checkouts_read_only(tmp_path):
     """With ``--seconds 0``, two copies of this checkout are timed in one
     process, a round per seed in the rotated order: each side imports its

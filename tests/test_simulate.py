@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -806,3 +807,32 @@ class TestNegativeSeed:
         a = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 1.0, seed=np.int64(3))
         b = walk_paths(_lebesgue_speed(svc1), 3 / 128, 0.1, 1.0, seed=3)
         assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "path lengths differ": (lambda: tf.PathSample([0.0, 1.0], [0.0], [0, 0], seed=1),
+                            tf.ValidationError, "must have equal length"),
+    "path without a sample": (lambda: tf.PathSample([], [], [], seed=1), tf.ValidationError,
+                              "at least one sample"),
+    "path times not increasing": (lambda: tf.PathSample([0.0, 0.0], [0.0, 1.0], [0, 0], seed=1),
+                                  tf.ValidationError, "strictly increasing"),
+    "no bm path": (lambda: next(tf.bm_paths(0, 0.1, 1.0, 0.0, seed=1)), PreconditionError,
+                   "need at least one path"),
+    "exit start outside the corrected gap": (
+        lambda: tf.exit_sample(tf.svc_complement(1), 0.38, 10, 1, dt=0.01, correct=True),
+        PreconditionError, "is not interior to the effective gap"),
+    "exit step past the float range": (
+        lambda: tf.exit_sample(tf.build_interval_set([(-1e200, 1e200)], (-1e200, 1e200)), 0.5, 1,
+                               1),
+        PreconditionError, "dt must be positive and finite, got inf"),
+    "boundary bounce": (lambda: build_chain(tf.SpeedMeasure((0, 1), [(0, 1, 1)]), 0.25,
+                                            boundary=("bounce", "reflect")),
+                        PreconditionError, "boundary must be 'reflect' or 'absorb'"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

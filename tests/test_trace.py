@@ -1,6 +1,7 @@
 """Hitting structure and trace forms: extensions, kernels, Feller weights."""
 
 import math
+import re
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -328,3 +329,28 @@ class TestJumpTable:
         for a, b, d, w in tf.jump_table(svc2):
             assert w == pytest.approx(1.0 / (2.0 * d), rel=1e-15)
             assert d == pytest.approx(b - a, rel=1e-15)
+
+
+SVC1 = tf.svc_complement(1)
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "trace lengths differ": (lambda: tf.TraceFunction(SVC1, [0, 0.375, 0.625, 1], [0, 1]),
+                             ValidationError, "nodes and values must have equal length"),
+    "trace of one node": (lambda: tf.TraceFunction(SVC1, [0.0], [0.0]), ValidationError,
+                          "at least two nodes"),
+    "trace node in a gap": (lambda: tf.TraceFunction(SVC1, [0, 0.375, 0.5, 0.625, 1], [0] * 5),
+                            ValidationError, "trace node 0.5 lies inside a gap"),
+    "hitting past an all-G edge": (
+        lambda: tf.alpha_hitting(tf.svc_complement(1, tails=(Tail.ALL_G, Tail.ALL_G)), 0, 1.0,
+                                 -1.0),
+        PreconditionError, "unbounded G-component"),
+    "feller of an infinite gap": (lambda: tf.feller_numeric(math.inf, 1.0), PreconditionError,
+                                  "gap width must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

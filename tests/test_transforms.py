@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction as Fr
 
@@ -408,6 +409,32 @@ class TestArrayPath:
         with pytest.raises(PreconditionError, match="^lebesgue query endpoints must be finite$"):
             iset.lebesgue(0, x) if x > 0 else iset.lebesgue(x, 0)
 
+    @pytest.mark.parametrize("y", [math.inf, -math.inf], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("cls", [tf.ScaleFunction, tf.DarningMap])
+    @pytest.mark.parametrize("iset", [
+        tf.svc_complement(1), tf.svc_complement(1, tails=(Tail.ALL_G, Tail.ALL_G)),
+        tf.svc_complement(1, tails=(Tail.ALL_F, Tail.ALL_G)), tf.periodic_fat_cantor(1, 2)],
+        ids=["AllF", "AllG", "AllF-AllG", "Periodic"])
+    def test_every_inverse_refuses_infinity(self, iset, cls, y):
+        """Each inverse refuses an infinite value on both paths, as the maps
+        refuse an infinite point; the all-G scale inverse names its tail."""
+        f = cls(iset)
+        with pytest.raises(PreconditionError) as scalar:
+            f.inverse(y)
+        with pytest.raises(PreconditionError) as array:
+            f.inverse(np.array([y]))
+        assert str(scalar.value) == str(array.value)
+        if cls is tf.ScaleFunction and (iset.tail_left if y < 0 else iset.tail_right) is Tail.ALL_G:
+            assert str(scalar.value) == f"value {y} must be finite on an AllG tail"
+
+    def test_periodic_inverse_of_an_exact_value_past_the_float_range(self):
+        """An exact value past the float range folds back by whole periods,
+        as the map sends the point there: no float is made of it."""
+        sf = tf.ScaleFunction(tf.periodic_fat_cantor(1, 2))
+        for x in (Fr(10**400) + Fr(1, 3), -Fr(10**400) - Fr(1, 3)):
+            lo, hi = sf.inverse(sf(x))
+            assert lo <= x <= hi
+
 
 class TestPushforward:
     def test_lebesgue_source(self, svc1):
@@ -739,3 +766,26 @@ class TestDarningEdge:
         assert dm.inverse(dm(1)) == (Fr(17, 40), 1)
         lo, hi = dm.inverse(np.array([float(dm(1))]))
         assert (lo.tolist(), hi.tolist()) == ([17 / 40], [1.0])
+
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "darning without F": (lambda: tf.DarningMap(tf.IntervalSet((0, 1), [(0, 1)])),
+                          PreconditionError, "F has no positive-length part in the window"),
+    "carrier reversed": (lambda: tf.SpeedMeasure((1, 0)), ValidationError,
+                         "carrier must satisfy lo < hi"),
+    "zero-length piece": (lambda: tf.SpeedMeasure((0, 1), [(Fr(1, 2), Fr(1, 2), 1)]),
+                          ValidationError, "has nonpositive length"),
+    "piece outside the carrier": (lambda: tf.SpeedMeasure((0, 1), [(0, 2, 1)]), ValidationError,
+                                  "leaves the carrier"),
+    "overlapping pieces": (lambda: tf.SpeedMeasure((0, 1), [(0, Fr(1, 2), 1), (Fr(1, 4), 1, 1)]),
+                           ValidationError, "density pieces overlap"),
+    "speed from an empty dict": (lambda: tf.SpeedMeasure.from_dict({}), ValidationError,
+                                 "malformed speed measure description"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()
