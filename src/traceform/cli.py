@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -94,17 +95,19 @@ def _emit(args, command: str, files: dict[str, str], lines) -> None:
 
 def _fraction(text: str) -> Fraction:
     try:
-        # a decimal whose float overflows is past the float range; it is refused
-        # before its Fraction, which takes seconds to build past about 1e10000000
-        past = math.isinf(float(text)) and "inf" not in text.lower()
-    except ValueError:  # a ratio 'p/q', or no number at all
-        past = False
+        # decided before the Fraction, which takes seconds at 1e-10000000 and
+        # never ends at 0e999999999: a zero reads as 0 whatever its exponent
+        x, zero = float(text), Decimal(text).is_zero()
+    except (ValueError, InvalidOperation):  # a ratio 'p/q', or no number at all
+        x, zero = 1.0, False
+    side = ("past" if math.isinf(x) and "inf" not in text.lower()
+            else "below" if x == 0 and not zero else None)
     try:
-        value = None if past else Fraction(text)
+        value = Fraction(0) if zero else None if side else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {text!r} as a rational number") from exc
-    if past or abs(value) > sys.float_info.max:
-        raise ValidationError(f"{text!r} is past the float range")
+    if side or abs(value) > sys.float_info.max:
+        raise ValidationError(f"{text!r} is {side or 'past'} the float range")
     return value
 
 
@@ -300,9 +303,9 @@ def cmd_feller(args):
     alphas = [float(_fraction(a)) for a in args.alpha_ladder.split(",") if a.strip()]
     if not alphas:
         raise ValidationError("--alpha-ladder needs at least one value")
+    rows = [(alpha, feller_numeric(d, alpha)) for alpha in alphas]  # refuses a weight past floats
     limit = float(feller_weight(d))
-    rows = [(alpha, feller_numeric(d, alpha), limit) for alpha in alphas]
-    return {"feller.csv": _csv_text("alpha,numeric,limit", rows)}, ()
+    return {"feller.csv": _csv_text("alpha,numeric,limit", [(*row, limit) for row in rows])}, ()
 
 
 def cmd_equivalence(args):

@@ -39,14 +39,6 @@ class EnergyReport:
     def breakdown(self) -> tuple[tuple[float, float, float], ...]:  # (x0, x1, contribution)
         return tuple(zip(*(a.tolist() for a in self.cells)))
 
-    def __eq__(self, other):
-        if not isinstance(other, EnergyReport):
-            return NotImplemented
-        return (self.form, self.value, self.breakdown) == (other.form, other.value, other.breakdown)
-
-    def __hash__(self):
-        return hash((self.form, self.value, self.breakdown))
-
     def to_dict(self) -> dict:
         return {
             "form": self.form,

@@ -866,7 +866,7 @@ def svc_complement(
         raise PreconditionError(f"depth {depth} exceeds the configured maximum {SVC_MAX_DEPTH}")
     w0, w1 = (Fraction(x) for x in window)
     if not w0 < w1:
-        raise PreconditionError(f"window must satisfy w0 < w1, got {window!r}")
+        raise PreconditionError(f"window must satisfy w0 < w1, got ({window[0]}, {window[1]})")
     ticks, top = _svc_ticks(depth)
     # tick t is w0 + (w1 - w0) t / top
     span = w1 - w0

@@ -17,7 +17,8 @@ changed by the speed measure ``trace_measure``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,36 +33,25 @@ from .transforms import SpeedMeasure, _gap_atoms
 @dataclass(frozen=True, eq=False)
 class TraceFunction:
     """Values on F inside the window: sorted nodes, all lying in F, containing
-    every component endpoint and both window edges.  ``==`` is identity."""
+    every component endpoint and both window edges.  ``==`` is identity.
+    ``extension``, built and checked as a ``GridFunction``, bridges each gap
+    (a, b) linearly, as no node is interior to one: it is the harmonic
+    extension phi(a) (b-x)/(b-a) + phi(b) (x-a)/(b-a)."""
 
     iset: IntervalSet
     nodes: np.ndarray
     values: np.ndarray
+    extension: GridFunction = field(init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        if nodes.size != values.size:
-            raise ValidationError("nodes and values must have equal length")
-        if nodes.size < 2:
-            raise ValidationError("a trace function needs at least two nodes")
-        if not (nodes[1:] > nodes[:-1]).all():
-            raise ValidationError("trace nodes must be strictly increasing")
-        missing = _missing_nodes(nodes, self.iset).tolist()
+        extension = GridFunction(self.nodes, self.values)
+        self.__dict__.update(extension=extension, nodes=extension.grid, values=extension.values)
+        missing = _missing_nodes(self.nodes, self.iset).tolist()
         if missing:
             raise ValidationError(f"trace nodes must include {missing}")
-        inside = np.flatnonzero(self.iset._grid_classes(nodes, nodes=True) >= 0)
+        inside = np.flatnonzero(self.iset._grid_classes(self.nodes, nodes=True) >= 0)
         if inside.size:
-            raise ValidationError(f"trace node {nodes[inside[0]]} lies inside a gap, not in F")
-
-    @cached_property
-    def extension(self) -> GridFunction:
-        """Harmonic extension across every gap: since no node is interior to a
-        gap, linear interpolation between consecutive nodes is exactly the
-        bridge phi(a) (b-x)/(b-a) + phi(b) (x-a)/(b-a)."""
-        return GridFunction(self.nodes, self.values)
+            raise ValidationError(f"trace node {self.nodes[inside[0]]} lies inside a gap, not in F")
 
     @cached_property
     def _cell_in_f(self) -> np.ndarray:
@@ -134,18 +124,25 @@ def feller_numeric(width: float, alpha: float) -> float:
     """Finite-alpha gap weight alpha * int_a^b p(x) (1 - (b-x)/d) dx.
 
     Closed antiderivative: 1/(2 d) - alpha / (c sinh(c d)) with c = sqrt(2 alpha),
-    evaluated through exp(-c d) so large c d underflows gracefully to the limit.
+    evaluated through exp(-c d) so large c d underflows gracefully to the limit;
+    below c d = 0.05, where its two terms cancel, four terms of its series in c d.
     """
     if not width > 0 or (isinstance(width, float) and math.isinf(width)):
         raise PreconditionError(f"gap width must be positive and finite, got {width}")
     if not alpha > 0:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
+    weight = 1 / (2 * width)
+    if not weight <= sys.float_info.max:
+        raise PreconditionError("gap width is too small: its weight 1/(2 d) is past the float range")
     c = math.sqrt(2 * alpha)
     if c == math.inf:
-        return float(1 / (2 * width))
+        return float(weight)
     cd = c * width
+    if cd < 0.05:
+        x2 = cd * cd
+        return alpha * width / 6 * (1 - x2 * (7 / 60 - x2 * (31 / 2520 - x2 * (127 / 100800))))
     inv_sinh = 2 * math.exp(-cd) / (-math.expm1(-2 * cd))
-    return 1 / (2 * width) - alpha / c * inv_sinh
+    return weight - alpha / c * inv_sinh
 
 
 def trace_energy(phi: TraceFunction) -> EnergyReport:

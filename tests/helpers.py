@@ -10,6 +10,7 @@ is used to check.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import math
 from bisect import bisect_left, bisect_right
@@ -64,6 +65,27 @@ def stable_p(x, d, alpha):
     # sinh(c(d-x))/sinh(cd) without overflow, c = sqrt(2 alpha)
     c = math.sqrt(2.0 * alpha)
     return math.exp(-c * x) * (-math.expm1(-2.0 * c * (d - x))) / (-math.expm1(-2.0 * c * d))
+
+
+def decimal_feller(d, alpha):
+    """The gap weight 1/(2d) - alpha/(c sinh(cd)), c = sqrt(2 alpha), to 50
+    digits, as (1 - x / sinh x) / (2 d) with x = cd.  Below x = 1 it is
+    (sinh x - x) / (2 d sinh x), with sinh x - x summed as its series
+    sum_k x^(2k+1)/(2k+1)!, so that no two terms cancel."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d, alpha = decimal.Decimal(d), decimal.Decimal(alpha)
+        x = d * (2 * alpha).sqrt()
+        if x >= 1:  # x / sinh x <= 0.86: nothing cancels
+            e = (-x).exp()
+            return float((1 - 2 * x * e / (1 - e * e)) / (2 * d))
+        term = rest = x * x * x / 6
+        k = 1
+        while term > rest * decimal.Decimal("1e-55"):
+            k += 1
+            term = term * x * x / ((2 * k) * (2 * k + 1))
+            rest += term
+        return float(rest / (2 * d * (x + rest)))
 
 
 def quad_feller(d, alpha):
@@ -601,8 +623,10 @@ class OracleScale:
             raise tf.PreconditionError(f"value {y} is {side} the range of the scale function")
         if not -math.inf < y < math.inf:
             raise tf.PreconditionError(f"value {y} must be finite on a Periodic tail")
-        # a float folded back within 1e-12 max(1, |y|) of a plateau value takes it
-        per, p, slack = o.g_mass_window, o.period, 1e-12 * max(1.0, abs(y))
+        # a float folded back within 1e-12 max(1, |y|) of a plateau value takes
+        # it; an exact value may be past the float range, and takes no slack
+        per, p = o.g_mass_window, o.period
+        slack = 1e-12 * max(1.0, abs(y)) if isinstance(y, float) else None
         if below:
             k = math.ceil((s0 - y) / per)
             y, shift = y + k * per, -k * p
@@ -1037,17 +1061,10 @@ def former_grid_checks(grid, values):
 
 
 def former_trace_checks(iset, nodes, values):
-    """The checks of ``TraceFunction``, in order; raises the first one's
-    ``ValidationError``."""
-    nodes, values = np.asarray(nodes, dtype=float), np.asarray(values, dtype=float)
-    if nodes.size != values.size:
-        raise tf.ValidationError("nodes and values must have equal length")
-    if nodes.size < 2:
-        raise tf.ValidationError("a trace function needs at least two nodes")
-    with np.errstate(invalid="ignore", over="ignore"):
-        increasing = np.all(np.diff(nodes) > 0)
-    if not increasing:
-        raise tf.ValidationError("trace nodes must be strictly increasing")
+    """The checks of ``TraceFunction``, in order: those of ``GridFunction``,
+    then its own two; raises the first one's ``ValidationError``."""
+    former_grid_checks(nodes, values)
+    nodes = np.asarray(nodes, dtype=float)
     missing = former_missing_nodes(nodes, iset).tolist()
     if missing:
         raise tf.ValidationError(f"trace nodes must include {missing}")

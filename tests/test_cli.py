@@ -37,6 +37,16 @@ def run(*argv, env=None):
     return rc, out.getvalue(), err.getvalue()
 
 
+def run_child(*argv):
+    """``traceform`` run in a child process of this checkout's ``src/``,
+    for an input that could hang: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "traceform.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 MEMBER_CSV = "x,value\n0.0,0.0\n0.375,0.375\n0.625,0.375\n1.0,0.75\n"
 
 
@@ -419,6 +429,18 @@ EDGE_INPUTS = {
     "feller d past float range": (["feller", "--d", "1e400", "--alpha-ladder", "1"], 2, False),
     "feller d 1e999999999": (["feller", "--d", "1e999999999", "--alpha-ladder", "1"], 2, True),
     "feller d -1e999999999": (["feller", "--d=-1e999999999", "--alpha-ladder", "1"], 2, True),
+    # decided before a Fraction is built, which took seconds for the first and
+    # never ended for the second; the last two exited 1 with an OverflowError
+    "feller d 1e-10000000": (["feller", "--d", "1e-10000000", "--alpha-ladder", "1"], 2, True),
+    "feller d 0e999999999": (["feller", "--d", "0e999999999", "--alpha-ladder", "1"], 3, True),
+    "feller d 1e-310": (["feller", "--d", "1e-310", "--alpha-ladder", "1"], 3, True),
+    "feller d 1e-400": (["feller", "--d", "1e-400", "--alpha-ladder", "1"], 2, True),
+    "component end below float range": (["set", "build", "--components", "0,1e-400",
+                                         "--window", "0,1"], 2, False),
+    "scale step past the point cap": (["scale", "eval", "--svc-depth", "1", "--step",
+                                       "1/2000000"], 3, False),
+    "subspace energy without a set": (["energy", "subspace", "--u", "{d}/u.csv"], 2, False),
+    "feller empty alpha ladder": (["feller", "--d", "1", "--alpha-ladder", ","], 2, False),
     "scale point past float range": (["scale", "eval", "--svc-depth", "1", "--points", "1e400"],
                                      2, False),
     "hitting gap past float range": (["estimate", "hitting", "--gap=0,1e400", *HIT[4:]], 2,
@@ -453,18 +475,54 @@ def test_edge_input_fails_on_one_line(case, tmp_path):
     (tmp_path / "huge.csv").write_text("x,value\n0,0\n1e-300,1e300\n1,2\n")
     (tmp_path / "path.csv").write_text(next(tf.bm_paths(1, 0.1, 1.0, 0.0, seed=1)).to_csv())
     argv = [a.format(d=tmp_path) for a in argv] + ["--out", str(tmp_path / "out")]
-    if child:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "traceform.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=30)
-        rc, err = proc.returncode, proc.stderr
-    else:
-        rc, _, err = run(*argv)
+    rc, _, err = (run_child if child else run)(*argv)
     assert rc == code, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["feller", "--d", "1e-400", "--alpha-ladder", "1"],
+     "validation error: '1e-400' is below the float range"),
+    (["feller", "--d", "1e-310", "--alpha-ladder", "1"], "precondition violated: gap width is "
+     "too small: its weight 1/(2 d) is past the float range"),
+    (["feller", "--d", "0e999999999", "--alpha-ladder", "1"],
+     "precondition violated: gap width must be positive and finite, got 0"),
+    (["set", "build", "--svc-depth", "1", "--window", "1,0"],
+     "precondition violated: window must satisfy w0 < w1, got (1, 0)"),
+    (["set", "build", "--svc-depth", "1", "--window", "1/2,-3/4"],
+     "precondition violated: window must satisfy w0 < w1, got (1/2, -3/4)"),
+], ids=["d below floats", "weight past floats", "d zero", "window reversed", "window ratios"])
+def test_refusal_message(argv, message, tmp_path):
+    """Each number in a message reads as it was given, never as a repr; in a
+    child, as reading 0e999999999 never ended."""
+    rc, _, err = run_child(*argv, "--out", tmp_path / "out")
+    assert (rc, err) == (2 if message.startswith("validation") else 3, message + "\n")
+
+
+def test_failed_write_leaves_no_file(monkeypatch, tmp_path):
+    """An artifact whose rename fails is removed: the run exits 4 on one line."""
+    def refuse(src, dst):
+        raise OSError(f"cannot rename to {Path(dst).name}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc, _, err = run("set", "build", "--svc-depth", "1", "--out", tmp_path)
+    assert (rc, err) == (4, "io error: cannot rename to set.json\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_small_decimals_read_as_their_value(tmp_path):
+    """A tiny decimal inside the float range is read exactly, and a zero
+    with any exponent as 0; the feller series keeps the digits at c d = 1e-8.
+    The zero runs in a child, as reading it never ended."""
+    rc, _, err = run("feller", "--d", "1e-8", "--alpha-ladder", "1", "--out", tmp_path)
+    numeric = float((tmp_path / "feller.csv").read_text().splitlines()[1].split(",")[1])
+    assert rc == 0 and numeric == pytest.approx(1e-8 / 6, rel=1e-12)
+    rc, _, err = run_child("set", "build", "--components", "0e999999999,1e-300", "--window", "0,1",
+                           "--out", tmp_path)
+    assert rc == 0, err
+    assert json.loads((tmp_path / "set.json").read_text())["components"][0][0] == "0"
 
 
 ONE_OF = "specify the set by exactly one of --set, --svc-depth, --components"

@@ -1,6 +1,7 @@
 """Darned-space checks: energy, norms, and transport along the collapse map."""
 
 import math
+import re
 import time
 import warnings
 from fractions import Fraction as Fr
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import traceform as tf
 from traceform import PreconditionError, Tail
-from traceform.darning import darn_trace, darned_l2, line_l2
+from traceform.darning import DarnedSpaceReport, SampleEquivalence, darn_trace, darned_l2, line_l2
 
 from helpers import (darned_l2_loop, geometry_sets, random_complement_member, random_iset,
                      speed_measures)
@@ -194,23 +195,53 @@ class TestAbsorbingAtoms:
 
 
     @settings(max_examples=60, deadline=None)
-    @given(geometry_sets, st.integers(0, 2), seeds, st.booleans())
-    def test_l2_matches_atom_loop(self, iset, kind, s, zero_at_infinite):
-        # functions with a node at every atom, vanishing or not at the
-        # infinite ones; measures with no atoms among them
-        speeds = speed_measures(iset)
-        speed = speeds[kind % len(speeds)]
+    @given(geometry_sets, seeds, st.booleans())
+    def test_l2_matches_atom_loop(self, iset, s, zero_at_infinite):
+        # every measure of the set, its trace measure with a piece per
+        # F-component among them; functions with a node at every atom,
+        # vanishing or not at the infinite ones, and measures with no atoms
         rng = np.random.default_rng(s)
-        lo, hi = (float(x) for x in speed.carrier)
-        positions = [float(p) for p, _ in speed.atoms]
-        grid = np.unique(np.concatenate([[lo, hi], positions, rng.uniform(lo, hi, size=10)]))
-        values = rng.normal(size=grid.size)
-        if zero_at_infinite:
-            values[np.isin(grid, [float(p) for p, m in speed.atoms if math.isinf(m)])] = 0.0
-        uh = tf.GridFunction(grid, values)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert darned_l2(uh, speed) == darned_l2_loop(uh, speed)
+        for speed in speed_measures(iset):
+            lo, hi = (float(x) for x in speed.carrier)
+            positions = [float(p) for p, _ in speed.atoms]
+            grid = np.unique(np.concatenate([[lo, hi], positions, rng.uniform(lo, hi, size=10)]))
+            values = rng.normal(size=grid.size)
+            if zero_at_infinite:
+                values[np.isin(grid, [float(p) for p, m in speed.atoms if math.isinf(m)])] = 0.0
+            uh = tf.GridFunction(grid, values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert darned_l2(uh, speed) == darned_l2_loop(uh, speed)
+
+    @pytest.mark.parametrize("pieces", [
+        [(0, 1e-20, 1), (2e-20, 1, 0)],
+        [(0, 1e-20, 1), (1e-20, 2e-20, 3), (3e-20, 1, 0)],
+        [(0, Fr(1, 10**30), 1), (Fr(2, 10**30), Fr(3, 10**30), 2), (Fr(1, 2), 1, 1)],
+        [(0, 0.5, 1), (0.5 + 2**-53, 1, 2)],
+    ], ids=["two", "three", "exact", "an ulp apart"])
+    def test_l2_of_pieces_within_the_slack(self, pieces):
+        """Pieces whose ends lie within 1e-15 of each other but differ: one
+        refine by every end would split a cell that refining by a piece's own
+        ends leaves whole, and count a part of it in that piece (2e-20 for the
+        loop's 1e-20 in the first case, on the grid [0, 1])."""
+        speed = tf.SpeedMeasure((0, 1), pieces)
+        for grid in ([0.0, 1.0], [0.0, 0.3, 1.0], [0.0, 1e-20, 1.0], [0.0, 5e-21, 0.7, 1.0]):
+            uh = tf.GridFunction(np.array(grid), np.linspace(1.0, 2.0, len(grid)))
+            assert darned_l2(uh, speed) == darned_l2_loop(uh, speed), grid
+
+    def test_l2_refines_once(self, monkeypatch):
+        """The density part of the trace measure of a depth-10 set, 1,024
+        pieces, takes one refine of the function, where it took one a piece."""
+        iset = tf.svc_complement(10)
+        u, speed = tf.from_callable(np.sin, iset), tf.trace_measure(iset)
+        calls = []
+        refine = tf.GridFunction.refine
+        monkeypatch.setattr(tf.GridFunction, "refine",
+                            lambda self, nodes: calls.append(1) or refine(self, nodes))
+        got = darned_l2(u, speed)
+        assert (len(speed.density_pieces), len(calls)) == (1024, 1)
+        monkeypatch.undo()
+        assert got == darned_l2_loop(u, speed)
 
 
 class TestDeepPipeline:
@@ -247,3 +278,38 @@ class TestDeepPipeline:
         report = tf.equivalence_report([u], tf.DarningMap(iset))
         assert report.ok, report.to_dict()
         print(f"depth 20 equivalence: {time.perf_counter() - start:.1f} s")
+
+
+def _report_ok(l2_line, l2_darned):
+    sample = SampleEquivalence(1.0, 1.0, l2_line, l2_darned, 0.5, 0.5, 0.0)
+    return DarnedSpaceReport((sample,), 1e-12).ok
+
+
+# (call, what it gives): an input for each line of the module that no other
+# test reaches
+REACHED = {
+    "infinite norms that agree": (lambda: _report_ok(math.inf, math.inf), True),
+    "an infinite norm against a finite one": (lambda: _report_ok(math.inf, 1.0), False),
+}
+
+
+@pytest.mark.parametrize("call, want", REACHED.values(), ids=list(REACHED))
+def test_reached(call, want):
+    assert call() == want
+
+
+SVC1 = tf.svc_complement(1)
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "darned trace that jumps": (
+        lambda: darn_trace(tf.TraceFunction(SVC1, [0, 0.375, 0.625, 1], [0, 0, 1, 1]),
+                           tf.DarningMap(SVC1, z=0)),
+        PreconditionError, "trace values differ across gap 0 = (3/8, 5/8)"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,9 @@
 """Orthogonal decomposition u = u1 + u2 across the three boundary cases."""
 
+import math
+import re
+from fractions import Fraction as Fr
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,3 +207,66 @@ class TestSerialization:
         d = dec.to_dict()
         assert d["case"] == "CaseIII"
         assert "u1" in d and "u2" in d and "constants" in d
+
+
+NO_G = tf.build_interval_set([], (0, 1))
+
+
+def _no_g_square():
+    return tf.from_callable(lambda xs: xs * xs, NO_G, extra=[0.5])
+
+
+# (call, what it gives): an input for each line of the module that no other
+# test reaches
+REACHED = {
+    "Case III without G in the window": (
+        lambda: tf.project_subspace(_no_g_square(), tf.ScaleFunction(NO_G)).constants,
+        {"C1": 0.0, "C2": 0.0}),
+    "complement test without a G cell": (
+        lambda: tf.is_in_complement(_no_g_square(), tf.ScaleFunction(NO_G)), True),
+}
+
+
+@pytest.mark.parametrize("call, want", REACHED.values(), ids=list(REACHED))
+def test_reached(call, want):
+    assert call() == want
+
+
+def _orthogonality_lost():
+    # a cell one ulp long at 1e-10 rises by 0.6 ulp(1): added to the running
+    # G-integral, near 1, the rise rounds to a whole ulp, and the cell's slope
+    # in u1 is off by about 7e9
+    iset = tf.build_interval_set([(Fr(-3, 2), Fr(-1, 2)), (0, Fr(1, 2))], (-2, 1),
+                                 tails=(Tail.ALL_G, Tail.ALL_G))
+    x0 = 1e-10
+    rise = 0.6 * math.ulp(1.0)
+    u = tf.GridFunction([-2, -1.5, -0.5, 0, x0, x0 + math.ulp(x0), 0.5, 1],
+                        [0, 0, 1, 0, 0, rise, rise, rise])
+    return tf.project_subspace(u, tf.ScaleFunction(iset))
+
+
+def _linearity_lost():
+    # u has slope exactly 1 on the gap (1/2, 9/10), where a cell is one ulp
+    # long; the running G-integral, near 1e5 after the first gap, loses that
+    # cell's rise, so u1 is flat on it
+    iset = tf.build_interval_set([(Fr(1, 10), Fr(1, 5)), (Fr(1, 2), Fr(9, 10))], (0, 1))
+    t0 = 0.7
+    t1 = t0 + math.ulp(t0)
+    u = tf.GridFunction([0, 0.1, 0.2, 0.5, t0, t1, 0.9, 1],
+                        [0, 0, 2**20 * (0.2 - 0.1), 0, t0 - 0.5, t1 - 0.5, 0.9 - 0.5, 0.9 - 0.5])
+    return tf.decompose_harmonic(u, tf.ScaleFunction(iset))
+
+
+# (call, error type, fragment of its message): each refusal of the module once
+REFUSALS = {
+    "orthogonality postcondition": (_orthogonality_lost, PreconditionError,
+                                    "decomposition failed orthogonality"),
+    "linearity postcondition": (_linearity_lost, PreconditionError,
+                                "projection lost linearity on component 1"),
+}
+
+
+@pytest.mark.parametrize("call, kind, fragment", REFUSALS.values(), ids=list(REFUSALS))
+def test_refusal(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -406,11 +407,23 @@ class TestEnergyEdgeInputs:
             assert type(value) is float and math.isfinite(value)
 
 
+def _part_off_full():
+    # vanishing on F within the tolerance, 1e-9 and -1e-9 at the ends of an F
+    # stretch 1e-10 long, whose cell then holds full energy 2e-8
+    d = Fr(1, 10**10)
+    iset = tf.build_interval_set([(Fr(1, 4), Fr(1, 2)), (Fr(1, 2) + d, Fr(3, 4))], (0, 1))
+    grid = tf.adapted_grid(iset)
+    values = np.where(grid == 0.5, 1e-9, np.where(grid == float(Fr(1, 2) + d), -1e-9, 0.0))
+    return tf.part_energy(tf.GridFunction(grid, values), iset=iset)
+
+
 # (call, error type, fragment of its message): each refusal of the module once
 REFUSALS = {
     "subspace measure without a set": (
         lambda: tf.energy_measure(tf.GridFunction([0.0, 1.0], [0.0, 1.0]), (0, 1), subspace=True),
         PreconditionError, "subspace energy measure needs the interval set"),
+    "part energy off the full energy": (_part_off_full, PreconditionError,
+                                        "part energy disagrees with the full energy"),
 }
 
 

@@ -154,7 +154,7 @@ class TestValidation:
         elif edit == 5:
             nodes = nodes[::-1].copy()
         elif edit == 6:
-            values[0] = np.inf  # not checked by a trace function: it passes
+            values[0] = np.inf  # refused as a grid function refuses it
         got = outcome(tf.TraceFunction, svc1, nodes, values)
         assert (got if isinstance(got, tuple) else None) == outcome(
             former_trace_checks, svc1, nodes, values)

@@ -314,3 +314,22 @@ REFUSALS = {
 def test_refusal(call, kind, fragment):
     with pytest.raises(kind, match=re.escape(fragment)):
         call()
+
+
+def _undarned_without_gaps():
+    dm = tf.DarningMap(tf.build_interval_set([], (0, 1)), z=0)
+    u = tf.undarn_function(tf.GridFunction([0.0, 1.0], [0.0, 2.0]), dm)
+    return u.grid.tolist(), u.values.tolist()
+
+
+# (call, what it gives): an input for each line of the module that no other
+# test reaches
+REACHED = {
+    "undarning through a map without a collapsed gap": (_undarned_without_gaps,
+                                                        ([0.0, 1.0], [0.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("call, want", REACHED.values(), ids=list(REACHED))
+def test_reached(call, want):
+    assert call() == want

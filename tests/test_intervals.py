@@ -393,7 +393,11 @@ REFUSALS = {
     "svc depth -1": (lambda: tf.svc_complement(-1), tf.PreconditionError,
                      "depth must be a nonnegative integer"),
     "svc window reversed": (lambda: tf.svc_complement(1, window=(1, 0)), tf.PreconditionError,
-                            "window must satisfy w0 < w1"),
+                            "window must satisfy w0 < w1, got (1, 0)"),
+    "svc window reversed, exact": (lambda: tf.svc_complement(1, window=(Fr(1), Fr(-1, 2))),
+                                   tf.PreconditionError, "window must satisfy w0 < w1, got (1, -1/2)"),
+    "a set is immutable": (lambda: setattr(tf.svc_complement(1), "den", 2), AttributeError,
+                           "IntervalSet is immutable: cannot set 'den'"),
 }
 
 
@@ -401,3 +405,18 @@ REFUSALS = {
 def test_refusal(call, kind, fragment):
     with pytest.raises(kind, match=re.escape(fragment)):
         call()
+
+
+# (call, what it gives): an input for each line of the module that no other
+# test reaches
+REACHED = {
+    "numpy int64 ends": (
+        lambda: tf.build_interval_set([(np.int64(1), np.int64(2))], (np.int64(0), 3)).components,
+        ((1, 2),)),
+    "a set against another type": (lambda: tf.svc_complement(1) == (0, 1), False),
+}
+
+
+@pytest.mark.parametrize("call, want", REACHED.values(), ids=list(REACHED))
+def test_reached(call, want):
+    assert call() == want

@@ -836,3 +836,24 @@ REFUSALS = {
 def test_refusal(call, kind, fragment):
     with pytest.raises(kind, match=re.escape(fragment)):
         call()
+
+
+def _workers_without_affinity():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "sched_getaffinity", raising=False)
+        return simulate._worker_count(None, 10**6)
+
+
+# (call, what it gives): an input for each line of the module that no other
+# test reaches
+REACHED = {
+    "a result with a warning": (
+        lambda: tf.EstimatorResult(0.5, 0.1, 10, "x", warning="biased").to_dict()["warning"],
+        "biased"),
+    "workers without an affinity API": (_workers_without_affinity, os.cpu_count() or 1),
+}
+
+
+@pytest.mark.parametrize("call, want", REACHED.values(), ids=list(REACHED))
+def test_reached(call, want):
+    assert call() == want

@@ -14,6 +14,7 @@ from traceform import PreconditionError, Tail, ValidationError
 from traceform.trace import jump_table_csv, trace_jump_energy, trace_local_energy
 
 from helpers import (
+    decimal_feller,
     geometry_sets,
     pushed_through,
     quad_feller,
@@ -52,6 +53,15 @@ class TestHarmonicExtension:
     def test_missing_endpoint_data(self, svc1):
         with pytest.raises(ValidationError, match="nodes must include"):
             tf.TraceFunction(svc1, np.array([3 / 8, 5 / 8]), np.array([0.0, 1.0]))
+
+    def test_extension_is_built_once(self, svc2, rng):
+        """The extension exists from construction on, one object that holds
+        the trace's own node and value arrays."""
+        phi = random_trace_fn(rng, svc2)
+        assert "extension" in vars(phi)
+        ext = phi.extension
+        assert tf.harmonic_extension(phi) is ext is phi.extension
+        assert ext.grid is phi.nodes and ext.values is phi.values
 
 
 class TestAlphaHitting:
@@ -141,6 +151,18 @@ class TestFeller:
     def test_monotone_ladder(self, d):
         vals = [tf.feller_numeric(d, a) for a in (1.0, 10.0, 100.0)]
         assert vals[0] < vals[1] < vals[2] < tf.feller_weight(d)
+
+    @pytest.mark.parametrize("d", [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 1.0, 1e3])
+    def test_relative_accuracy(self, d):
+        """Within 1e-12 of a 50-digit value for c d from 1e-12 to 20, where
+        alpha is a float, and at alpha = 1, 1e100 and 1e300; the closed form
+        alone lost digits to cancellation below c d = 0.05."""
+        xs = np.geomspace(1e-12, 20.0, 137).tolist() + [0.05, math.nextafter(0.05, 0)]
+        alphas = [1.0, 1e100, 1e300] + [a for a in ((x / d) * (x / d) / 2 for x in xs)
+                                        if 0 < a < math.inf]
+        for alpha in alphas:
+            want = decimal_feller(d, alpha)
+            assert abs(tf.feller_numeric(d, alpha) - want) <= 1e-12 * want, (d, alpha)
 
     @pytest.mark.parametrize("d", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 10.0, 100.0])
@@ -335,8 +357,12 @@ SVC1 = tf.svc_complement(1)
 
 # (call, error type, fragment of its message): each refusal of the module once
 REFUSALS = {
+    # a trace function refuses what its extension, a GridFunction, refuses
     "trace lengths differ": (lambda: tf.TraceFunction(SVC1, [0, 0.375, 0.625, 1], [0, 1]),
-                             ValidationError, "nodes and values must have equal length"),
+                             ValidationError, "grid has 4 nodes but values has 2 entries"),
+    "trace of an infinite value": (
+        lambda: tf.TraceFunction(SVC1, [0, 0.375, 0.625, 1], [0, math.inf, 0, 0]),
+        ValidationError, "grid nodes and values must be finite"),
     "trace of one node": (lambda: tf.TraceFunction(SVC1, [0.0], [0.0]), ValidationError,
                           "at least two nodes"),
     "trace node in a gap": (lambda: tf.TraceFunction(SVC1, [0, 0.375, 0.5, 0.625, 1], [0] * 5),
@@ -345,8 +371,19 @@ REFUSALS = {
         lambda: tf.alpha_hitting(tf.svc_complement(1, tails=(Tail.ALL_G, Tail.ALL_G)), 0, 1.0,
                                  -1.0),
         PreconditionError, "unbounded G-component"),
+    # c = sqrt(2 alpha) times the width underflows to 0
+    "hitting where c d underflows": (
+        lambda: tf.alpha_hitting(tf.build_interval_set([(0, 5e-324)], (0, 5e-324)), 0, 5e-324,
+                                 0.0),
+        PreconditionError, "sinh ratio needs b > 0"),
     "feller of an infinite gap": (lambda: tf.feller_numeric(math.inf, 1.0), PreconditionError,
                                   "gap width must be positive and finite"),
+    # the weight 1/(2 d) of these is past the float range: 5e309, 5e399
+    "feller of a subnormal gap": (lambda: tf.feller_numeric(1e-310, 1.0), PreconditionError,
+                                  "its weight 1/(2 d) is past the float range"),
+    "feller of an exact gap below floats": (
+        lambda: tf.feller_numeric(Fr(1, 10**400), 1.0), PreconditionError,
+        "its weight 1/(2 d) is past the float range"),
 }
 
 

@@ -429,11 +429,15 @@ class TestArrayPath:
 
     def test_periodic_inverse_of_an_exact_value_past_the_float_range(self):
         """An exact value past the float range folds back by whole periods,
-        as the map sends the point there: no float is made of it."""
-        sf = tf.ScaleFunction(tf.periodic_fat_cantor(1, 2))
+        as the map sends the point there: no float is made of it, and the
+        oracle's fold gives the same pair."""
+        iset = tf.periodic_fat_cantor(1, 2)
+        sf, oracle = tf.ScaleFunction(iset), OracleScale(OracleSet(iset))
         for x in (Fr(10**400) + Fr(1, 3), -Fr(10**400) - Fr(1, 3)):
             lo, hi = sf.inverse(sf(x))
             assert lo <= x <= hi
+        for y in (Fr(10**400), -Fr(10**400), sf(Fr(10**400) + Fr(1, 3))):
+            assert sf.inverse(y) == oracle.inverse(y), y
 
 
 class TestPushforward:
@@ -782,6 +786,8 @@ REFUSALS = {
                            ValidationError, "density pieces overlap"),
     "speed from an empty dict": (lambda: tf.SpeedMeasure.from_dict({}), ValidationError,
                                  "malformed speed measure description"),
+    "a speed measure is immutable": (lambda: setattr(tf.SpeedMeasure((0, 1)), "carrier", (0, 2)),
+                                     AttributeError, "SpeedMeasure is immutable: cannot set 'carrier'"),
 }
 
 
@@ -789,3 +795,15 @@ REFUSALS = {
 def test_refusal(call, kind, fragment):
     with pytest.raises(kind, match=re.escape(fragment)):
         call()
+
+
+# (call, what it gives): an input for each line of the module that no other
+# test reaches
+REACHED = {
+    "a speed measure against another type": (lambda: tf.SpeedMeasure((0, 1)) == (0, 1), False),
+}
+
+
+@pytest.mark.parametrize("call, want", REACHED.values(), ids=list(REACHED))
+def test_reached(call, want):
+    assert call() == want
