@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import tempfile
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -95,19 +94,25 @@ def _emit(args, command: str, files: dict[str, str], lines) -> None:
 
 def _fraction(text: str) -> Fraction:
     try:
-        # decided before the Fraction, which takes seconds at 1e-10000000 and
-        # never ends at 0e999999999: a zero reads as 0 whatever its exponent
-        x, zero = float(text), Decimal(text).is_zero()
-    except (ValueError, InvalidOperation):  # a ratio 'p/q', or no number at all
-        x, zero = 1.0, False
-    side = ("past" if math.isinf(x) and "inf" not in text.lower()
-            else "below" if x == 0 and not zero else None)
-    try:
-        value = Fraction(0) if zero else None if side else Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse {text!r} as a rational number") from exc
-    if side or abs(value) > sys.float_info.max:
-        raise ValidationError(f"{text!r} is {side or 'past'} the float range")
+        x = float(text)
+    except ValueError:  # a ratio 'p/q', or no number at all
+        x = None
+    # a decimal is placed by its float before its Fraction, which takes seconds
+    # at 1e-10000000 and never ends at 0e999999999: a zero reads as 0 whatever
+    # its exponent, and a ratio is placed by its Fraction
+    if x == 0 and not any(c in "123456789" for c in text.lower().partition("e")[0]):
+        return Fraction(0)
+    past = x is not None and math.isinf(x) and "inf" not in text.lower()
+    below = x == 0
+    if not (past or below):
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"cannot parse {text!r} as a rational number") from exc
+        past = abs(value) > sys.float_info.max
+        below = not past and value != 0 and float(value) == 0
+    if past or below:
+        raise ValidationError(f"{text!r} is {'past' if past else 'below'} the float range")
     return value
 
 

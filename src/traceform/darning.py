@@ -28,10 +28,12 @@ def darned_energy(uh: GridFunction, vh: GridFunction | None = None) -> EnergyRep
     return dirichlet_energy(uh, vh, form="darned")
 
 
-def _l2_cells(u: GridFunction) -> np.ndarray:
-    # exact integral of u^2 over each cell: (L/3)(a^2 + a b + b^2)
-    a, b = u.values[:-1], u.values[1:]
-    return u.cell_lengths * (a * a + a * b + b * b) / 3
+def _l2_cells(u: GridFunction, mask: np.ndarray | None = None) -> float:
+    # exact integral of u^2 over the cells mask keeps: per cell (L/3)(a^2 + a b + b^2)
+    a, b, lens = u.values[:-1], u.values[1:], u.cell_lengths
+    if mask is not None:
+        a, b, lens = a[mask], b[mask], lens[mask]
+    return float(np.sum(lens * (a * a + a * b + b * b) / 3))
 
 
 def line_l2(u: GridFunction, dm: DarningMap) -> float:
@@ -44,32 +46,24 @@ def line_l2(u: GridFunction, dm: DarningMap) -> float:
         return math.inf
     if iset.tail_right is Tail.ALL_G and abs(u(w1)) > SUBSPACE_TOL:
         return math.inf
-    return float(np.sum(_l2_cells(u)))
+    return _l2_cells(u)
 
 
 def darned_l2(uh: GridFunction, speed: SpeedMeasure) -> float:
     """L2 norm squared of uh against the speed measure: density part plus
     mass * value^2 per atom.  An infinite atom forces value zero there; a
     nonzero value makes the norm infinite."""
-    x0s, x1s, cs = speed._piece_arrays
-    # a piece sums its cells within 1e-15 on one refine by every piece end, or on
-    # its own ends where another's end in that slack may split a cell they keep
-    ends = np.unique(np.concatenate([x0s, x1s]))
-    near = np.searchsorted(ends, x1s + 1e-15, side="right") - np.searchsorted(ends, x0s - 1e-15)
-    crowded = near > 1 + (x1s > x0s)
-    sums = np.zeros(x0s.size)
-    for ks in [np.flatnonzero(~crowded), *np.flatnonzero(crowded)[:, None]]:
-        u = uh.refine(np.concatenate([x0s[ks], x1s[ks]]))
-        cells = _l2_cells(u)
-        first = np.searchsorted(u.grid[:-1], x0s[ks] - 1e-15)
-        stop = np.searchsorted(u.grid[1:], x1s[ks] + 1e-15, side="right")
-        sums[ks] = [np.sum(cells[i:j]) for i, j in zip(first.tolist(), stop.tolist())]
+    total = 0.0
+    for x0, x1, c in zip(*(a.tolist() for a in speed._piece_arrays)):
+        piece = uh.refine([x0, x1])
+        mask = (piece.grid[:-1] >= x0 - 1e-15) & (piece.grid[1:] <= x1 + 1e-15)
+        total += c * _l2_cells(piece, mask)
     positions, masses = speed._atom_arrays
     values, inf = uh(positions), np.isinf(masses)
     if np.any(np.abs(values[inf]) > SUBSPACE_TOL):
         return math.inf
     v = values[~inf]
-    return _ordered_sum(np.concatenate([cs * sums, masses[~inf] * v * v]))
+    return _ordered_sum(masses[~inf] * v * v, total)
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,17 @@ EDGE_INPUTS = {
     "feller d 1e-400": (["feller", "--d", "1e-400", "--alpha-ladder", "1"], 2, True),
     "component end below float range": (["set", "build", "--components", "0,1e-400",
                                          "--window", "0,1"], 2, False),
+    # exponents past the decimal module's limit, read by their float alone; a
+    # Fraction of any of them never ends
+    "feller d 1e10**18": (["feller", "--d", "1e1000000000000000000", "--alpha-ladder", "1"], 2,
+                          True),
+    "feller d 1e-10**18": (["feller", "--d", "1e-1000000000000000000", "--alpha-ladder", "1"], 2,
+                           True),
+    "feller d 0e10**18": (["feller", "--d", "0e1000000000000000000", "--alpha-ladder", "1"], 3,
+                          True),
+    "component end a ratio below float range": (["set", "build", "--components",
+                                                 f"0,1/1{'0' * 400}", "--window", "0,1"], 2,
+                                                False),
     "scale step past the point cap": (["scale", "eval", "--svc-depth", "1", "--step",
                                        "1/2000000"], 3, False),
     "subspace energy without a set": (["energy", "subspace", "--u", "{d}/u.csv"], 2, False),
@@ -489,11 +500,14 @@ def test_edge_input_fails_on_one_line(case, tmp_path):
      "too small: its weight 1/(2 d) is past the float range"),
     (["feller", "--d", "0e999999999", "--alpha-ladder", "1"],
      "precondition violated: gap width must be positive and finite, got 0"),
+    (["feller", "--d", "1/1" + "0" * 400, "--alpha-ladder", "1"],
+     f"validation error: '1/1{'0' * 400}' is below the float range"),
     (["set", "build", "--svc-depth", "1", "--window", "1,0"],
      "precondition violated: window must satisfy w0 < w1, got (1, 0)"),
     (["set", "build", "--svc-depth", "1", "--window", "1/2,-3/4"],
      "precondition violated: window must satisfy w0 < w1, got (1/2, -3/4)"),
-], ids=["d below floats", "weight past floats", "d zero", "window reversed", "window ratios"])
+], ids=["d below floats", "weight past floats", "d zero", "d ratio below floats",
+        "window reversed", "window ratios"])
 def test_refusal_message(argv, message, tmp_path):
     """Each number in a message reads as it was given, never as a repr; in a
     child, as reading 0e999999999 never ended."""

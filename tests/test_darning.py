@@ -220,28 +220,15 @@ class TestAbsorbingAtoms:
         [(0, 0.5, 1), (0.5 + 2**-53, 1, 2)],
     ], ids=["two", "three", "exact", "an ulp apart"])
     def test_l2_of_pieces_within_the_slack(self, pieces):
-        """Pieces whose ends lie within 1e-15 of each other but differ: one
-        refine by every end would split a cell that refining by a piece's own
-        ends leaves whole, and count a part of it in that piece (2e-20 for the
-        loop's 1e-20 in the first case, on the grid [0, 1])."""
+        """Pieces whose ends lie within 1e-15 of each other but differ: a
+        piece is summed on a refine by its own ends, so a form that refined by
+        every end at once would split a cell this one leaves whole, and count
+        a part of it in that piece (2e-20 where the loop gives 1e-20 in the
+        first case, on the grid [0, 1])."""
         speed = tf.SpeedMeasure((0, 1), pieces)
         for grid in ([0.0, 1.0], [0.0, 0.3, 1.0], [0.0, 1e-20, 1.0], [0.0, 5e-21, 0.7, 1.0]):
             uh = tf.GridFunction(np.array(grid), np.linspace(1.0, 2.0, len(grid)))
             assert darned_l2(uh, speed) == darned_l2_loop(uh, speed), grid
-
-    def test_l2_refines_once(self, monkeypatch):
-        """The density part of the trace measure of a depth-10 set, 1,024
-        pieces, takes one refine of the function, where it took one a piece."""
-        iset = tf.svc_complement(10)
-        u, speed = tf.from_callable(np.sin, iset), tf.trace_measure(iset)
-        calls = []
-        refine = tf.GridFunction.refine
-        monkeypatch.setattr(tf.GridFunction, "refine",
-                            lambda self, nodes: calls.append(1) or refine(self, nodes))
-        got = darned_l2(u, speed)
-        assert (len(speed.density_pieces), len(calls)) == (1024, 1)
-        monkeypatch.undo()
-        assert got == darned_l2_loop(u, speed)
 
 
 class TestDeepPipeline:
