@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .intervals import IntervalSet, _csv_columns, _csv_text
-from .transforms import DarningMap, _nearest
+from .intervals import IntervalSet, _csv_columns, _csv_text, _same_bytes
+from .transforms import DarningMap, _kept, _nearest
 
 SUBSPACE_TOL = 1e-9
 
@@ -197,11 +197,22 @@ def _component_spread(comp: np.ndarray, n_components: int, *columns: np.ndarray)
     return hi - lo
 
 
+def _end_jumps(values: np.ndarray, iset: IntervalSet) -> np.ndarray:
+    """u(a) - u(b) across every finite gap (a, b) of a function with these
+    values on the adapted grid: its values at the nodes of the ends, which
+    interpolating there returns."""
+    left, right, _ = iset._end_nodes
+    return values[left] - values[right]
+
+
 def _collapse_nodes(nodes: np.ndarray, values: np.ndarray, dm: DarningMap) -> GridFunction:
     """Map nodes through the darning map; the nodes in one component closure
     share its collapsed point, and only the first of them is kept."""
-    ys, closure = dm._adapted_images if dm.base._is_adapted(nodes) else dm._images(nodes)
-    keep = np.concatenate([[True], (closure[1:] < 0) | (closure[1:] != closure[:-1])])
+    if dm.base._is_adapted(nodes):
+        keep, darned = dm._adapted_kept
+        return GridFunction(darned.copy(), values[keep])
+    ys, closure = dm._images(nodes)
+    keep = _kept(closure)
     return GridFunction(ys[keep], values[keep])
 
 
@@ -211,9 +222,13 @@ def darn_function(u: GridFunction, dm: DarningMap) -> GridFunction:
     each closed component."""
     iset = dm.base
     require_adapted(u, iset)
-    # on an adapted grid the nodes of a closed component are the ends of its cells
-    spread = _component_spread(iset._grid_classes(u.grid), iset.gap_widths.size,
-                               u.values[:-1], u.values[1:])
+    if iset._is_adapted(u.grid):
+        # one cell per component, between its ends, or none (spread -inf)
+        spread = np.where(iset._end_nodes[2], np.abs(_end_jumps(u.values, iset)), -np.inf)
+    else:
+        # on an adapted grid the nodes of a closed component are the ends of its cells
+        spread = _component_spread(iset._grid_classes(u.grid), iset.gap_widths.size,
+                                   u.values[:-1], u.values[1:])
     _refuse_gap(iset, spread > SUBSPACE_TOL, lambda i, a, b: (
         f"function is not constant on component {i} = ({a}, {b}); "
         f"value spread {float(spread[i]):.3e} exceeds tol {SUBSPACE_TOL}"))
@@ -234,6 +249,10 @@ def undarn_function(uh: GridFunction, dm: DarningMap) -> GridFunction:
             f"function span {uh.span} does not match the darning image [{lo}, {hi}]"
         )
     ys = uh.grid
+    if _same_bytes(ys, dm._adapted_kept[1]):
+        # the darned adapted grid: every preimage the general path adds is an
+        # adapted node, whose images are the map's table
+        return GridFunction(adapted_grid(iset), uh(dm._adapted_images[0]))
     positions = dm._tables[0]
     at_collapsed = (np.abs(ys - positions[_nearest(ys, positions)]) <= 1e-12 if positions.size
                     else np.zeros(ys.shape, dtype=bool))

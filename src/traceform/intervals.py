@@ -220,6 +220,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _same_bytes(grid: np.ndarray, table: np.ndarray) -> bool:
+    """Whether the float64 ``grid`` has ``table``'s bytes: -0.0 is not 0.0."""
+    return grid.shape == table.shape and grid.tobytes() == table.tobytes()
+
+
 def _over(ratios: list) -> tuple[list, int]:
     """Numerators of (p, q) ratios over their least common denominator."""
     den = math.lcm(*{q for _, q in ratios})
@@ -529,8 +534,7 @@ class IntervalSet:
         return _read_only(np.union1d([float(x) for x in self.window], np.concatenate(self.float_ends)))
 
     def _is_adapted(self, grid: np.ndarray) -> bool:
-        """Whether the float64 ``grid`` has the adapted grid's bytes: -0.0 is not 0.0."""
-        return grid.shape == self._adapted.shape and grid.tobytes() == self._adapted.tobytes()
+        return _same_bytes(grid, self._adapted)
 
     @cached_property
     def _cell_classes(self) -> np.ndarray:
@@ -540,6 +544,16 @@ class IntervalSet:
     @cached_property
     def _node_classes(self) -> np.ndarray:
         return _read_only(self.classify(self._adapted, nodes=True))
+
+    @cached_property
+    def _end_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per component, the index in ``_adapted`` of its float left and right
+        ends, and whether the adapted grid has a cell between them: none where
+        their midpoint rounds onto one of them."""
+        left, right = (np.searchsorted(self._adapted, ends) for ends in self.float_ends)
+        celled = np.zeros(left.size, dtype=bool)
+        celled[self._cell_classes[self._cell_classes >= 0]] = True
+        return _read_only(left), _read_only(right), _read_only(celled)
 
     def _grid_classes(self, grid: np.ndarray, nodes: bool = False) -> np.ndarray:
         """``classify`` of the float64 ``grid``'s cell midpoints, or of its nodes;
@@ -695,7 +709,11 @@ class IntervalSet:
         else:
             n, d = length if type(length) is tuple else (length, 1)
             k = n * den // (d * pn)
-        total, rem = (k * self.g_prefix[-1], den), _combine(length, (k * pn, den), sub)
+        total = k * self.g_prefix[-1], den
+        try:
+            rem = _combine(length, (k * pn, den), sub)
+        except OverflowError:  # k p rounds past the floats: less inf, nothing is left
+            return total
         if not (rem > 0 if isinstance(rem, float) else rem[0] > 0):
             return total
         phase = _combine(lo, w0, sub)  # then modulo p

@@ -269,8 +269,11 @@ def _exit_samples(a: float, b: float, x0: float, n: int, dt: float, seed: int,
     _check_seed(seed)
     n_chunks = (n + EXIT_CHUNK - 1) // EXIT_CHUNK
     threads = _worker_count(workers, n_chunks)
-    left = np.empty(n, dtype=bool)  # every path writes its own entry as it exits
-    tau = np.empty(n)
+    try:  # every path writes its own entries as it exits
+        left, tau = np.empty(n, dtype=bool), np.empty(n)
+    except MemoryError:
+        raise PreconditionError(f"path count n = {n} is too large: its exit sample "
+                                "cannot be allocated") from None
     queue = deque()
     lock = threading.Lock()
     started = live = 0

@@ -25,7 +25,8 @@ import numpy as np
 
 from .energy import EnergyReport, _cell_form, common_grid
 from .errors import PreconditionError, ValidationError
-from .gridfn import SUBSPACE_TOL, GridFunction, _missing_nodes, _refuse_gap, require_adapted
+from .gridfn import (SUBSPACE_TOL, GridFunction, _end_jumps, _missing_nodes, _refuse_gap,
+                     require_adapted)
 from .intervals import IntervalSet, Tail, _csv_text, _Table
 from .transforms import SpeedMeasure, _gap_atoms
 
@@ -64,6 +65,8 @@ def harmonic_extension(phi: TraceFunction) -> GridFunction:
 
 def gap_jumps(phi: TraceFunction) -> np.ndarray:
     """phi(a) - phi(b) across every finite gap (a, b), in component order."""
+    if phi.iset._is_adapted(phi.nodes):
+        return _end_jumps(phi.values, phi.iset)
     lefts, rights = phi.iset.float_ends
     return phi.extension(lefts) - phi.extension(rights)
 
@@ -112,12 +115,16 @@ def alpha_hitting(iset: IntervalSet, n: int, alpha: float, x: float) -> tuple[fl
 
 
 def feller_weight(width: float) -> float:
-    """Limit gap weight 1/(2 d); zero for an infinite gap."""
+    """Limit gap weight 1/(2 d); zero for an infinite gap.  A width so small
+    that the weight is past the float range is refused."""
     if isinstance(width, float) and math.isinf(width):
         return 0.0
     if not width > 0:
         raise PreconditionError(f"gap width must be positive, got {width}")
-    return 1 / (2 * width)
+    weight = 1 / (2 * width)
+    if not weight <= sys.float_info.max:
+        raise PreconditionError("gap width is too small: its weight 1/(2 d) is past the float range")
+    return weight
 
 
 def feller_numeric(width: float, alpha: float) -> float:
@@ -131,9 +138,7 @@ def feller_numeric(width: float, alpha: float) -> float:
         raise PreconditionError(f"gap width must be positive and finite, got {width}")
     if not alpha > 0:
         raise PreconditionError(f"alpha must be positive, got {alpha}")
-    weight = 1 / (2 * width)
-    if not weight <= sys.float_info.max:
-        raise PreconditionError("gap width is too small: its weight 1/(2 d) is past the float range")
+    weight = feller_weight(width)
     c = math.sqrt(2 * alpha)
     if c == math.inf:
         return float(weight)

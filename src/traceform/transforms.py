@@ -13,6 +13,7 @@ Every map and inverse refuses ±inf on both paths, the scalar and the array.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
@@ -65,7 +66,8 @@ def _fold(iset: IntervalSet, xs: np.ndarray, which: str) -> tuple[np.ndarray, np
         if tail is Tail.PERIODIC:
             p = float(iset.period)
             k = np.floor((xs[out] - w0) / p)
-            xin[out] = np.clip(xs[out] - k * p, w0, w1)
+            with np.errstate(over="ignore"):  # k p past the floats: whole periods alone
+                xin[out] = np.clip(xs[out] - k * p, w0, w1)
             gain[out] = k * float(iset.g_mass_window if which == "G" else iset.f_mass_window)
         elif (tail is Tail.ALL_G) == (which == "G"):
             gain[out] = xs[out] - xin[out]
@@ -92,6 +94,13 @@ def _nearest(ys: np.ndarray, values: np.ndarray) -> np.ndarray:
     k = np.searchsorted(values, ys)
     above, below = np.minimum(k, values.size - 1), np.maximum(k - 1, 0)
     return np.where(ys - values[below] < values[above] - ys, below, above)
+
+
+def _kept(closure: np.ndarray) -> np.ndarray:
+    """Which of sorted points darning keeps, from ``DarningMap._images``'
+    closure indices: the first of the points in each component closure, and
+    every point outside them."""
+    return np.concatenate([[True], (closure[1:] < 0) | (closure[1:] != closure[:-1])])
 
 
 def _snap(ys: np.ndarray, values: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -232,6 +241,8 @@ class ScaleFunction:
         if tail is Tail.ALL_G:
             x = w0 - (s0 - y) if below else w1 + (y - s1)
             return x, x
+        if isinstance(y, float) and abs(y) > self._fold_reach:
+            raise self._too_far(y)
         per_mass, p = iset.g_mass_window, iset.period
         if below:
             k = math.ceil((s0 - y) / per_mass)
@@ -254,6 +265,18 @@ class ScaleFunction:
         else:
             lo, hi = self.inverse(yk)
         return lo + shift, hi + shift
+
+    @cached_property
+    def _fold_reach(self) -> float:
+        # past this, a float value's preimage on a Periodic tail nears the float
+        # range: half of it, over the period per unit of G-mass
+        iset = self.base
+        return sys.float_info.max / 2 / (float(iset.period) / float(iset.g_mass_window))
+
+    @staticmethod
+    def _too_far(y) -> PreconditionError:
+        return PreconditionError(f"value {y} lies too far past the window's image on a "
+                                 "Periodic tail: its preimage nears the float range")
 
     @cached_property
     def _seams(self) -> tuple[bool, bool]:
@@ -291,12 +314,16 @@ class ScaleFunction:
                 continue
             _check_finite(ys[out], "value", tail)
             if tail is Tail.PERIODIC:
+                far = ys[out][np.abs(ys[out]) > self._fold_reach]
+                if far.size:
+                    raise self._too_far(far[0])
                 # whole periods back into the window's image, counted as the scalar
                 # path does; the subtraction rounds, so within 1e-12 of a whole
-                # number of periods, or of a plateau value that many out, is that value
+                # number of periods, or of a plateau value that many out, is that
+                # value (within half a period, where the slack is wider)
                 per, d = float(iset.g_mass_window), ys[out] - s_edge
                 slack = 1e-12 * np.maximum(1.0, np.abs(ys[out]))
-                k = np.sign(d) * np.ceil((np.abs(d) - slack) / per)
+                k = np.sign(d) * np.ceil((np.abs(d) - np.minimum(slack, per / 2)) / per)
                 back = np.clip(ys[out] - k * per, s0, s1)
                 yin[out] = _snap(back, self._snap_values, slack)
                 shift[out] = k * float(iset.period)
@@ -431,6 +458,13 @@ class DarningMap:
     @cached_property
     def _adapted_images(self) -> tuple[np.ndarray, np.ndarray]:
         return tuple(map(_read_only, self._images(self.base._adapted)))
+
+    @cached_property
+    def _adapted_kept(self) -> tuple[np.ndarray, np.ndarray]:
+        # which adapted nodes darning keeps, and their images: the darned adapted grid
+        ys, closure = self._adapted_images
+        keep = _kept(closure)
+        return _read_only(keep), _read_only(ys[keep])
 
     @cached_property
     def _slack(self) -> float:

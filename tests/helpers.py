@@ -198,6 +198,18 @@ def former_exit_estimates(iset, x0, n, seed, dt=None, correct=False, workers=Non
                                        f"exp(-{alpha} tau) on exit at {b} (right endpoint)"))
 
 
+HUGE_N = 10**12  # exit paths: 931 GiB of exit sides alone
+
+
+def refuse_huge(empty):
+    """``np.empty`` failing, as it would, for an array of ``HUGE_N`` entries."""
+    def allocate(shape, *args, **kwargs):
+        if shape == HUGE_N:
+            raise MemoryError(f"cannot allocate {HUGE_N} entries")
+        return empty(shape, *args, **kwargs)
+    return allocate
+
+
 class ZeroSteps:
     """Generator stub whose steps are all zero: no exit path ever leaves."""
 
@@ -1085,6 +1097,46 @@ def former_collapse_nodes(nodes, values, dm):
     ys, closure = dm._images(nodes)
     keep = np.concatenate([[True], (closure[1:] < 0) | (closure[1:] != closure[:-1])])
     return tf.GridFunction(ys[keep], values[keep])
+
+
+def former_gap_jumps(phi):
+    """``trace.gap_jumps``, interpolating the extension at every float end."""
+    lefts, rights = phi.iset.float_ends
+    return phi.extension(lefts) - phi.extension(rights)
+
+
+def former_darn_check(u, dm):
+    """``darn_function``'s constancy check: per component, max minus min of
+    the values at the ends of its cells, by ``ufunc.at`` on every grid."""
+    iset = dm.base
+    tf.gridfn.require_adapted(u, iset)
+    comp = iset.classify((u.grid[:-1] + u.grid[1:]) / 2)
+    g = comp >= 0
+    hi = np.full(iset.gap_widths.size, -np.inf)
+    lo = np.full(iset.gap_widths.size, np.inf)
+    for col in (u.values[:-1], u.values[1:]):
+        np.maximum.at(hi, comp[g], col[g])
+        np.minimum.at(lo, comp[g], col[g])
+    spread = hi - lo
+    tf.gridfn._refuse_gap(iset, spread > tf.gridfn.SUBSPACE_TOL, lambda i, a, b: (
+        f"function is not constant on component {i} = ({a}, {b}); "
+        f"value spread {float(spread[i]):.3e} exceeds tol {tf.gridfn.SUBSPACE_TOL}"))
+    return former_collapse_nodes(u.grid, u.values, dm)
+
+
+def former_undarn_function(uh, dm):
+    """``undarn_function`` pulling back through the inverse and the map on
+    every call."""
+    lo, hi = (float(v) for v in dm._ends)
+    if abs(uh.span[0] - lo) > dm._slack or abs(uh.span[1] - hi) > dm._slack:
+        raise tf.PreconditionError(
+            f"function span {uh.span} does not match the darning image [{lo}, {hi}]")
+    ys, positions = uh.grid, dm._tables[0]
+    at_collapsed = (np.abs(ys - positions[tf.transforms._nearest(ys, positions)]) <= 1e-12
+                    if positions.size else np.zeros(ys.shape, dtype=bool))
+    xlo, _ = dm.inverse(ys[~at_collapsed])
+    grid = np.union1d(tf.adapted_grid(dm.base), xlo)
+    return tf.GridFunction(grid, uh(dm(grid)))
 
 
 def former_slopes(u):

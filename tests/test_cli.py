@@ -20,7 +20,7 @@ import traceform as tf
 from traceform.cli import _json_text, build_parser, main
 from traceform.trace import trace_measure_dict
 
-from helpers import ZeroSteps
+from helpers import HUGE_N, ZeroSteps, refuse_huge
 
 
 def run(*argv, env=None):
@@ -435,6 +435,8 @@ EDGE_INPUTS = {
     "feller d 0e999999999": (["feller", "--d", "0e999999999", "--alpha-ladder", "1"], 3, True),
     "feller d 1e-310": (["feller", "--d", "1e-310", "--alpha-ladder", "1"], 3, True),
     "feller d 1e-400": (["feller", "--d", "1e-400", "--alpha-ladder", "1"], 2, True),
+    "jump table of a subnormal gap": (["trace", "jump-table", "--components", "0,5e-324",
+                                       "--window", "0,1"], 3, True),
     "component end below float range": (["set", "build", "--components", "0,1e-400",
                                          "--window", "0,1"], 2, False),
     # exponents past the decimal module's limit, read by their float alone; a
@@ -524,6 +526,18 @@ def test_failed_write_leaves_no_file(monkeypatch, tmp_path):
     rc, _, err = run("set", "build", "--svc-depth", "1", "--out", tmp_path)
     assert (rc, err) == (4, "io error: cannot rename to set.json\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_sample_too_large_to_allocate(monkeypatch, tmp_path):
+    """A path count whose sample cannot be allocated exits 3 on one line,
+    where it ended in a MemoryError traceback; the allocation is made to
+    fail, never asked for, and no thread starts."""
+    monkeypatch.setattr(np, "empty", refuse_huge(np.empty))
+    monkeypatch.setattr(tf.simulate.threading, "Thread", None)
+    rc, _, err = run(*HIT[:6], "--n", str(HUGE_N), *HIT[8:], "--out", tmp_path / "out")
+    assert (rc, err) == (3, f"precondition violated: path count n = {HUGE_N} is too large: "
+                            "its exit sample cannot be allocated\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_small_decimals_read_as_their_value(tmp_path):

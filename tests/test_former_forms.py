@@ -3,7 +3,8 @@
 The fold of points that are already in the window, the widened closure ends,
 the validation checks, the check of an argument passed once for two, the
 trace match of equal grids, the exact pairs the scalar inverses return, the
-classes of each set's adapted grid and the darning images of it, the
+classes of each set's adapted grid and the darning images of it, the gap
+jumps, darning check and undarn pullback read from them, the
 adaptedness check of each grid and the grid diff under the slopes are each
 done once now, five CSV writers are one and two CSV readers are one, and
 the three walks share one set-up, one end and one recorder.  Every result keeps its type and
@@ -30,11 +31,12 @@ from traceform.transforms import _fold
 
 from helpers import (OracleDarning, OracleScale, OracleSet, _float_pair_set,
                      former_classify_nodes, former_closure_index, former_collapse_nodes,
-                     former_evaluate, former_feller_csv, former_fold, former_grid_checks,
-                     former_grid_csv, former_jump_table_csv, former_missing_nodes,
-                     former_path_csv, former_placed, former_result_from_samples,
-                     former_scale_csv, former_simulate_xs, former_slopes,
-                     former_trace_checks, former_trace_match, former_walk_chain,
+                     former_darn_check, former_evaluate, former_feller_csv, former_fold,
+                     former_gap_jumps, former_grid_checks, former_grid_csv,
+                     former_jump_table_csv, former_missing_nodes, former_path_csv,
+                     former_placed, former_result_from_samples, former_scale_csv,
+                     former_simulate_xs, former_slopes, former_trace_checks,
+                     former_trace_match, former_undarn_function, former_walk_chain,
                      former_walk_occupation, geometry_sets, probe_points, random_complement_member,
                      random_gridfn, random_iset, random_subspace_member, random_trace_fn,
                      random_vanishing)
@@ -447,7 +449,8 @@ class TestGridTables:
         iset = tf.svc_complement(3)
         dm = tf.DarningMap(iset)
         grid = tf.adapted_grid(iset)
-        tables = [iset._cell_classes, iset._node_classes, *dm._adapted_images]
+        tables = [iset._cell_classes, iset._node_classes, *iset._end_nodes,
+                  *dm._adapted_images, *dm._adapted_kept]
         saved = [t.copy() for t in tables]
         for points in (grid, iset._adapted):
             mids = (points[:-1] + points[1:]) / 2
@@ -526,6 +529,83 @@ class TestGridTables:
             assert len(calls) == 1
 
 
+def _fn_bits(u):
+    """A grid function as its raw grid and values, or the error tuple ``outcome`` gave."""
+    return [raw(u.grid), raw(u.values)] if isinstance(u, tf.GridFunction) else u
+
+
+# two ends that round to one float, and two adjacent floats whose midpoint
+# rounds onto one of them: neither component has a cell on the adapted grid;
+# then a component at each window edge
+_JUMP_SETS = [
+    tf.build_interval_set([(Fr(1, 3), Fr(1, 3) + Fr(1, 10**30)), (Fr(1, 2), Fr(3, 4))], (0, 1)),
+    tf.build_interval_set([(0.5, math.nextafter(0.5, 1)), (0.75, 0.875)], (0, 1)),
+    tf.build_interval_set([(0, Fr(1, 4)), (Fr(1, 2), 1)], (0, 1)),
+]
+
+
+class TestAdaptedGridJumps:
+    """Gap jumps, ``darn_function``'s constancy check and the undarn pullback
+    read the set's end nodes and the darning map's kept nodes on the adapted
+    grid, and compute as before on any other grid: the same bits, and the
+    same refusal (type, message, gap index)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(geometry_sets, st.sampled_from(_JUMP_SETS)), seeds)
+    @example(_JUMP_SETS[0], 0)
+    @example(_JUMP_SETS[1], 0)
+    @example(_JUMP_SETS[2], 0)
+    def test_bit_for_bit(self, iset, seed):
+        rng = np.random.default_rng(seed)
+        grid = tf.adapted_grid(iset)
+        for phi in (tf.TraceFunction(iset, grid, rng.normal(size=grid.size)),
+                    random_trace_fn(rng, iset)):
+            assert raw(tf.trace.gap_jumps(phi)) == raw(former_gap_jumps(phi))
+        if not iset.f_ranks:
+            return
+        dm = tf.DarningMap(iset)
+        for g in (grid, np.union1d(grid, rng.uniform(grid[0], grid[-1], size=3))):
+            flat = np.cos(dm(g))  # constant on each component closure
+            bumped = flat.copy()
+            bumped[rng.integers(g.size)] += 1.0
+            for values in (flat, bumped, rng.normal(size=g.size)):
+                u = tf.GridFunction(g, values)
+                uh = outcome(tf.darn_function, u, dm)
+                assert _fn_bits(uh) == _fn_bits(outcome(former_darn_check, u, dm))
+                if not isinstance(uh, tf.GridFunction):
+                    continue
+                other = np.union1d(uh.grid, [(uh.grid[0] + uh.grid[-1]) / 2])
+                for vh in (uh, tf.GridFunction(uh.grid, rng.normal(size=uh.grid.size)),
+                           tf.GridFunction(other, np.cos(other))):
+                    assert _fn_bits(outcome(tf.undarn_function, vh, dm)) == _fn_bits(
+                        outcome(former_undarn_function, vh, dm))
+
+    def test_adapted_grid_reads_the_tables(self, monkeypatch):
+        """On ``svc_complement(6)``'s adapted grid, ``darn_function`` calls no
+        ``_component_spread``, ``undarn_function`` no ``DarningMap.inverse``
+        and ``gap_jumps`` does not evaluate the extension; the grids they
+        return are writable copies."""
+        iset = tf.svc_complement(6)
+        dm = tf.DarningMap(iset)
+        u = tf.from_callable(lambda x: np.cos(dm(x)), iset)
+        phi = tf.restrict_to_f(u, iset)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the general path ran")
+
+        with monkeypatch.context() as m:
+            m.setattr(tf.gridfn, "_component_spread", refuse)
+            uh = tf.darn_function(u, dm)
+        with monkeypatch.context() as m:
+            m.setattr(tf.DarningMap, "inverse", refuse)
+            back = tf.undarn_function(uh, dm)
+        with monkeypatch.context() as m:
+            m.setattr(tf.GridFunction, "__call__", refuse)
+            tf.trace.gap_jumps(phi)
+        assert uh.grid.flags.writeable and back.grid.flags.writeable
+        assert raw(back.grid) == raw(iset._adapted)
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -561,7 +641,8 @@ class TestCsvText:
     @settings(max_examples=50, deadline=None)
     @given(geometry_sets)
     def test_jump_table_of_any_set(self, iset):
-        assert tf.trace.jump_table_csv(iset) == former_jump_table_csv(iset)
+        # a gap whose weight is past the float range is refused by both
+        assert outcome(tf.trace.jump_table_csv, iset) == outcome(former_jump_table_csv, iset)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(), st.floats())),

@@ -37,8 +37,9 @@ from traceform.simulate import (
     walk_paths,
 )
 
-from helpers import (ZeroSteps, chain_holds_loop, chain_stationary, exit_chunk_untiled,
-                     former_exit_estimates, geometry_sets, speed_measures)
+from helpers import (HUGE_N, ZeroSteps, chain_holds_loop, chain_stationary, exit_chunk_untiled,
+                     former_exit_estimates, geometry_sets, refuse_huge,
+                     speed_measures)
 
 
 def _run_chunk(a, b, x0, m, dt, rng, shift):
@@ -193,6 +194,15 @@ class TestExitSample:
         with pytest.raises(PreconditionError, match="lies in F"):
             exit_sample(svc1, 0.2, 100, seed=1)
         assert draws == []
+
+    def test_sample_too_large_to_allocate(self, svc1, monkeypatch):
+        """A sample that cannot be allocated is refused, naming n, before any
+        thread starts: the allocation is made to fail, never asked for."""
+        monkeypatch.setattr(simulate.np, "empty", refuse_huge(np.empty))
+        monkeypatch.setattr(simulate.threading, "Thread", None)
+        with pytest.raises(PreconditionError, match=f"^path count n = {HUGE_N} is too large: "
+                                                    "its exit sample cannot be allocated$"):
+            exit_sample(svc1, 0.5, HUGE_N, 1)
 
 
 class TestExitEngine:

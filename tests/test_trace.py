@@ -384,6 +384,10 @@ REFUSALS = {
     "feller of an exact gap below floats": (
         lambda: tf.feller_numeric(Fr(1, 10**400), 1.0), PreconditionError,
         "its weight 1/(2 d) is past the float range"),
+    # the limit weight of a gap 5e-324 wide, which the jump table wrote as inf
+    "jump table of a subnormal gap": (
+        lambda: tf.jump_table(tf.build_interval_set([(0, 5e-324)], (0, 1))), PreconditionError,
+        "gap width is too small: its weight 1/(2 d) is past the float range"),
 }
 
 

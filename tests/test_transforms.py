@@ -788,6 +788,15 @@ REFUSALS = {
                                  "malformed speed measure description"),
     "a speed measure is immutable": (lambda: setattr(tf.SpeedMeasure((0, 1)), "carrier", (0, 2)),
                                      AttributeError, "SpeedMeasure is immutable: cannot set 'carrier'"),
+    # whose whole periods took the scalar inverse to an OverflowError, and
+    # the array inverse to inf
+    "scale inverse of a value too far past a Periodic image": (
+        lambda: tf.ScaleFunction(tf.periodic_fat_cantor(1, 2)).inverse(-1e308), PreconditionError,
+        "value -1e+308 lies too far past the window's image on a Periodic tail: its preimage "
+        "nears the float range"),
+    "array scale inverse of a value too far past a Periodic image": (
+        lambda: tf.ScaleFunction(tf.periodic_fat_cantor(1, 2)).inverse(np.array([0.5, 1e308])),
+        PreconditionError, "value 1e+308 lies too far past the window's image on a Periodic tail"),
 }
 
 
